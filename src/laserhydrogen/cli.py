@@ -16,6 +16,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -23,7 +24,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .basis import QuantumNumbers, enumerate_basis
+from .basis import N0_CAP, QuantumNumbers, enumerate_basis
 from .eigensolver import DEGENERACY_GAP, diagonalize, track_state
 from .errors import ConfigurationError
 from .hamiltonian import LaserField, assemble
@@ -99,13 +100,22 @@ class RunConfig:
     def validate(self):
         if self.mode not in ("spectrum", "intensity", "ionization", "point"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.n0 < 1:
-            raise ConfigurationError(f"n0 must be >= 1, got {self.n0}")
+        if not 1 <= self.n0 <= N0_CAP:
+            raise ConfigurationError(f"n0 must be in [1, {N0_CAP}], got {self.n0}")
         if self.count < 1:
             raise ConfigurationError("count must be >= 1")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
         self.initial_state  # raises ConfigurationError if invalid
+        if self.initial_n > self.n0:
+            raise ConfigurationError(
+                f"initial state (n, l, mu) = ({self.initial_n}, {self.initial_l}, "
+                f"{self.initial_mu}) is outside the n0={self.n0} basis"
+            )
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         need = {
             "spectrum": ("amplitude_vspm", "omega_ev_start", "omega_ev_stop"),
             "intensity": ("omega_ev", "a_vspm_start", "a_vspm_stop"),
@@ -113,15 +123,18 @@ class RunConfig:
             "point": ("amplitude_vspm", "omega_ev"),
         }[self.mode]
         for key in need:
-            if getattr(self, key) is None:
+            value = getattr(self, key)
+            if value is None:
                 raise ConfigurationError(f"mode {self.mode!r} requires key {key!r}")
-        if self.mode == "spectrum" and not 0 < self.omega_ev_start <= self.omega_ev_stop:
-            raise ConfigurationError("omega range must be positive and increasing")
+            if key.startswith("omega") and value <= 0:
+                raise ConfigurationError(f"{key} must be positive, got {value}")
+            if not key.startswith("omega") and value < 0:
+                raise ConfigurationError(f"{key} must be >= 0, got {value}")
+        if self.mode == "spectrum" and self.omega_ev_start > self.omega_ev_stop:
+            raise ConfigurationError("omega range must be increasing")
         if self.mode in ("intensity", "ionization"):
-            if self.a_vspm_start < 0 or self.a_vspm_stop < self.a_vspm_start:
-                raise ConfigurationError("A range must be non-negative and increasing")
-            if self.omega_ev <= 0:
-                raise ConfigurationError("omega_ev must be positive")
+            if self.a_vspm_stop < self.a_vspm_start:
+                raise ConfigurationError("A range must be increasing")
 
 
 _CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(RunConfig)}

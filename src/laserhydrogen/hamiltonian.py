@@ -5,6 +5,12 @@ In the i^l-phased truncated bound basis the matrix is real symmetric:
     diagonal:      E_n + mu*omega + A^2/2
     off-diagonal:  A * <a|p_x|b>   (only for |dl| = 1 and |dmu| = 1)
 
+The p_x elements depend only on the basis, so their positions and values
+are built once per n0 (`coupling_arrays`) and each field point costs one
+diagonal fill plus one scaled scatter of those values.  Every nonzero
+element joins states of equal z-reflection parity (l + mu) mod 2, so the
+matrix is block diagonal in the two parity classes.
+
 All quantities in atomic units.  The dipole (k*a0 << 1) coupling is used;
 the A^2/2 ponderomotive-type constant is kept on the diagonal by default
 because it drives the intensity dependence of the pseudo-energies, and can
@@ -13,12 +19,12 @@ be dropped for sensitivity studies.
 
 import struct
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import (
     BasisSet,
-    QuantumNumbers,
     angular_x,
     bound_energy,
     radial_length_integral,
@@ -84,40 +90,63 @@ def assemble(
     dim = len(basis)
     h = np.zeros((dim, dim))
     a2_shift = 0.5 * laser.amplitude_A**2 if include_a2 else 0.0
-    for i, s in enumerate(basis.states):
-        h[i, i] = bound_energy(s.n) + s.mu * laser.omega + a2_shift
+    diagonal = [bound_energy(s.n) + s.mu * laser.omega for s in basis.states]
+    np.fill_diagonal(h, np.add(diagonal, a2_shift))
     if laser.amplitude_A != 0.0:
-        _fill_coupling(h, basis, laser.amplitude_A)
+        rows, cols, values = coupling_arrays(basis.n0)
+        scaled = laser.amplitude_A * values
+        h[rows, cols] = scaled
+        h[cols, rows] = scaled
     return PseudoHamiltonianMatrix(
         dimension=dim, entries=h, basis=basis, laser=laser
     )
 
 
-def _fill_coupling(h: np.ndarray, basis: BasisSet, amplitude: float) -> None:
-    # Walk (n1,l1) x (n2,l2=l1+1) blocks so each radial integral is
-    # computed once and reused across all mu pairs of the block.
-    n0 = basis.n0
-    for n1 in range(1, n0 + 1):
-        for l1 in range(n1):
-            e1 = bound_energy(n1)
-            for n2 in range(1, n0 + 1):
-                l2 = l1 + 1
-                if l2 > n2 - 1 or n1 == n2:
-                    continue
-                e2 = bound_energy(n2)
-                radial = radial_length_integral(n1, l1, n2, l2)
-                for mu1 in range(-l1, l1 + 1):
-                    i = basis.index[QuantumNumbers(n1, l1, mu1)]
-                    for mu2 in (mu1 - 1, mu1 + 1):
-                        if abs(mu2) > l2:
-                            continue
-                        j = basis.index[QuantumNumbers(n2, l2, mu2)]
-                        # px(a,b) = (E_b - E_a) * X(a,b); here a=(n1,l1,mu1)
-                        # has the lower l, so X = angular * radial.
-                        x_ab = angular_x(l1, mu1, l2, mu2) * radial
-                        val = amplitude * (e2 - e1) * x_ab
-                        h[i, j] = val
-                        h[j, i] = val
+def _position(n, l, mu):
+    """Index of (n, l, mu) in the enumerate_basis order."""
+    return (n - 1) * n * (2 * n - 1) // 6 + l * l + l + mu
+
+
+@lru_cache(maxsize=1)
+def coupling_arrays(n0: int):
+    """Nonzero <a|p_x|b> of the n0 basis with l_b = l_a + 1.
+
+    Returns read-only (rows, cols, values) with values[k] ==
+    px_matrix_element(states[rows[k]], states[cols[k]]); the matrix is
+    symmetric, so the mirrored entries carry the same values.  Only the
+    latest basis is kept: a sweep stays on one basis, and an n0 ladder
+    never returns to an earlier one.
+    """
+    rows, cols, values = [], [], []
+    for l1 in range(n0 - 1):
+        l2 = l1 + 1
+        mu1 = np.repeat(np.arange(-l1, l1 + 1), 2)
+        mu2 = mu1 + np.tile([-1, 1], 2 * l1 + 1)
+        angular = np.array([
+            angular_x(l1, m1, l2, m2)
+            for m1, m2 in zip(mu1.tolist(), mu2.tolist())
+        ])
+        pairs = [
+            (n1, n2)
+            for n1 in range(l1 + 1, n0 + 1)
+            for n2 in range(l2 + 1, n0 + 1)
+            if n1 != n2
+        ]
+        radial = np.array([radial_length_integral(a, l1, b, l2) for a, b in pairs])
+        de = np.array([bound_energy(b) - bound_energy(a) for a, b in pairs])
+        n1, n2 = np.array(pairs).T
+        rows.append(_position(n1[:, None], l1, mu1).ravel())
+        cols.append(_position(n2[:, None], l2, mu2).ravel())
+        # px(a, b) = (E_b - E_a) * X(a, b) with X = angular * radial, the
+        # same arithmetic as basis.px_matrix_element
+        values.append((de[:, None] * (angular * radial[:, None])).ravel())
+    out = tuple(
+        np.concatenate(part) if part else np.zeros(0, dtype=dtype)
+        for part, dtype in ((rows, np.intp), (cols, np.intp), (values, float))
+    )
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def diagonal_shift(

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -256,3 +257,32 @@ def test_reduced_mass_shifts_energies(tmp_path):
     e1, e2 = float(rows1[0][4]), float(rows2[0][4])
     assert e1 != e2
     assert e2 == pytest.approx(e1, rel=5e-3)  # sub-percent mass correction
+
+
+_POINT = ["point", "--n0", "3", "--amplitude-vspm", "5e-6", "--omega-ev", "0.5"]
+_SPECTRUM = ["spectrum", "--n0", "3", "--amplitude-vspm", "5e-6",
+             "--omega-ev-start", "0.2", "--omega-ev-stop", "0.6", "--count", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_POINT + ["--n0", "40"], r"n0 must be in \[1, 30\], got 40"),
+        (_POINT + ["--omega-ev", "nan"], "omega_ev must be finite"),
+        (_POINT + ["--omega-ev=-1"], "omega_ev must be positive"),
+        (_POINT + ["--amplitude-vspm=-1e-6"], "amplitude_vspm must be >= 0"),
+        (_SPECTRUM + ["--amplitude-vspm", "inf"], "amplitude_vspm must be finite"),
+        (_SPECTRUM + ["--omega-ev-start", "0"], "omega_ev_start must be positive"),
+        (_POINT + ["--initial", "5", "0", "0", "--n0", "4"],
+         r"initial state \(n, l, mu\) = \(5, 0, 0\) is outside the n0=4 basis"),
+    ],
+    ids=["n0-above-cap", "omega-nan", "omega-negative", "amplitude-negative",
+         "amplitude-inf", "omega-start-zero", "initial-outside-basis"],
+)
+def test_bad_input_rejected_at_the_boundary(tmp_path, capsys, argv, message):
+    out = tmp_path / "bad.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert re.search(message, err)
+    assert not out.exists()

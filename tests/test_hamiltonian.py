@@ -13,9 +13,11 @@ from laserhydrogen.errors import ConfigurationError
 from laserhydrogen.hamiltonian import (
     LaserField,
     assemble,
+    coupling_arrays,
     diagonal_shift,
     load_matrix_entries,
 )
+from laserhydrogen.transitions import spectrum_scan
 from laserhydrogen.units import CONSTANTS
 
 
@@ -103,3 +105,42 @@ def test_diagonal_shift_moves_eigenvalues():
     e0 = np.linalg.eigvalsh(matrix.entries)
     e1 = np.linalg.eigvalsh(shifted.entries)
     np.testing.assert_allclose(e1, e0 + 0.37, rtol=0, atol=1e-12)
+
+
+def test_coupling_arrays_are_the_px_formula():
+    basis = enumerate_basis(6)
+    rows, cols, values = coupling_arrays(6)
+    states = basis.states
+    for i, j, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+        assert v == px_matrix_element(states[i], states[j])
+        assert states[j].l == states[i].l + 1
+    cached = set(zip(rows.tolist(), cols.tolist()))
+    assert len(cached) == len(rows)
+    nonzero = {
+        (i, j)
+        for i, a in enumerate(states)
+        for j, b in enumerate(states)
+        if b.l == a.l + 1 and px_matrix_element(a, b) != 0.0
+    }
+    assert cached == nonzero
+    with pytest.raises(ValueError):
+        values[0] = 1.0  # shared by every later point of the basis
+
+
+def test_assemble_has_no_cross_parity_entries():
+    basis = enumerate_basis(6)
+    parity = np.array([(s.l + s.mu) % 2 for s in basis.states])
+    for amp, omega in ((0.3, 0.07), (0.01, 0.4), (0.5, 0.002)):
+        h = assemble(basis, LaserField(amp, omega)).entries
+        assert np.count_nonzero(h[np.ix_(parity == 0, parity == 1)]) == 0
+        assert np.count_nonzero(h[np.ix_(parity == 1, parity == 0)]) == 0
+
+
+def test_second_point_of_a_sweep_hits_the_coupling_cache():
+    coupling_arrays.cache_clear()
+    basis = enumerate_basis(5)
+    spectrum_scan(0.2, [0.05, 0.1], QuantumNumbers(1, 0, 0), n0=5)
+    info = coupling_arrays.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assemble(basis, LaserField(0.2, 0.3))
+    assert coupling_arrays.cache_info().hits == 2
