@@ -17,6 +17,7 @@ because it drives the intensity dependence of the pseudo-energies, and can
 be dropped for sensitivity studies.
 """
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -45,6 +46,11 @@ class LaserField:
     k: float = None
 
     def __post_init__(self):
+        for name in ("amplitude_A", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
         if self.amplitude_A < 0:
             raise ConfigurationError("amplitude_A must be >= 0")
         if self.omega <= 0:

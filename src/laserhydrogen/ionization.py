@@ -8,8 +8,9 @@ density of states exactly one per unit energy.
 
 The bound-free radial integrals are evaluated in closed form via the
 Laplace transform of a product of two Kummer functions; the bound-state
-series terminates and the continuum index is summed as an analytically
-continued Gauss series.  Per partial wave,
+series terminates, and each continuum Gauss function becomes a terminating
+polynomial after Euler's transformation (`specfun._gauss_2f1`), so no
+analytic continuation is needed.  Per partial wave,
 
     beta_l = sqrt(pi/(2 v)) * M_l / A,
 
@@ -84,7 +85,13 @@ def eta_index(
 def _bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
     """int_0^inf u_{E l_f}(r) r R_{n l_b}(r) r dr, closed form.
 
-    u is the energy-normalized reduced Coulomb wave with momentum k.
+    u is the energy-normalized reduced Coulomb wave with momentum k.  Every
+    Gauss function of the F2 sum is a polynomial (Euler's transformation);
+    near threshold its terms cancel, by up to fifteen digits at n = 30 and
+    k = 0.014, and such sums are redone at raised precision.  Against a
+    60-digit evaluation of this formula the result agrees to 3e-12 relative
+    or better on the grid of tests/test_bound_free_oracle.py: n up to 30,
+    l_f = l_b +- 1, k from 0.014 (E_f0 of about 1e-4 hartree) to 3.
     """
     eta = -1.0 / k
     u = l_f + l_b + 4

@@ -10,12 +10,15 @@ product of two Kummer functions,
 
 Terminating series are summed exactly (and stay exact for Fraction/int
 inputs, which the bound-bound radial integrals rely on).  Non-terminating
-indices are summed numerically; the inner Gauss series of a singly
-terminating F2 is continued analytically outside its convergence disk.
+indices are summed numerically; the inner Gauss function of a singly
+terminating F2 is a polynomial after Euler's transformation whenever
+c - a or c - b is a non-positive integer, and is otherwise continued
+analytically outside its convergence disk.
 """
 
 import math
 import cmath
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +31,11 @@ from .errors import ConvergenceError, DomainError
 
 _SERIES_CAP = 2000
 _SERIES_RTOL = 1e-16
+# A double-precision polynomial sum whose terms' moduli add up to more than
+# this multiple of the result is re-summed with mpmath at higher precision.
+_CANCELLATION_LIMIT = 1e4
+_MAX_BITS = 400  # about 120 digits
+_THREAD_MP = threading.local()
 
 
 def _as_nonpositive_int(value):
@@ -119,25 +127,70 @@ def kummer_1f1(p: KummerParams, z):
     return _kummer_series(p.a, p.c, z)
 
 
+def _thread_mp_context():
+    """This thread's own mpmath context, so that setting its precision
+    cannot change the precision of mpmath work in another thread."""
+    ctx = getattr(_THREAD_MP, "ctx", None)
+    if ctx is None:
+        ctx = _THREAD_MP.ctx = mpmath.MPContext()
+    return ctx
+
+
+def _polynomial_2f1(a, b, c, z, n):
+    """Sum of the terminating 2F1 series with a = -n, and the sum of the
+    moduli of its terms (the scale its rounding errors are relative to)."""
+    total = 1.0 if not isinstance(z, complex) else complex(1.0)
+    term = total
+    size = 1.0
+    for j in range(n):
+        term = term * (a + j) * (b + j) / (c + j) * z / (j + 1)
+        total += term
+        size += abs(term)
+    return total, size
+
+
 def _gauss_2f1(a, b, c, z):
     """Gauss 2F1(a, b; c; z), continued analytically when |z| is large.
 
-    The bound-free radial integrals put z on the circle |1-z| = 1 with
-    |z| up to 2, where plain series and the standard two-term connection
-    formulas both sit on convergence boundaries, so mpmath handles the
-    continuation there.
+    A non-positive integer a or b makes the series a polynomial.  So does a
+    non-positive integer c - a or c - b after Euler's transformation
+    2F1(a, b; c; z) = (1-z)^{c-a-b} 2F1(c-a, c-b; c; z) (DLMF 15.8.1),
+    valid for every z off the cut [1, inf).  Every bound-free radial
+    integral lands there (c - a = l_f - l_b - 2 - m), on the circle
+    |1-z| = 1 with |z| up to 2.  A polynomial whose alternating terms
+    cancel is summed again with mpmath at as many extra bits as were lost.
+    Only genuinely non-terminating arguments are summed as a series
+    (|z| <= 0.9) or, as a fallback, continued by mpmath.
     """
     n = _as_nonpositive_int(a)
     m = _as_nonpositive_int(b)
     if m is not None and (n is None or m < n):
         a, b, n = b, a, m
+    if n is None and (
+        _as_nonpositive_int(c - a) is not None
+        or _as_nonpositive_int(c - b) is not None
+    ):
+        return (1 - z) ** (c - a - b) * _gauss_2f1(c - a, c - b, c, z)
     if n is not None:
-        total = 1.0 if not isinstance(z, complex) else complex(1.0)
-        term = total
-        for j in range(n):
-            term = term * (a + j) * (b + j) / (c + j) * z / (j + 1)
-            total += term
-        return total
+        total, size = _polynomial_2f1(a, b, c, z, n)
+        if size <= _CANCELLATION_LIMIT * abs(total):
+            return total
+        # The terms cancelled: redo the same sum with as many extra bits as
+        # were lost (and 16 spare), until the loss is back within
+        # _CANCELLATION_LIMIT of the working precision.  An exact zero
+        # stops at _MAX_BITS.
+        ctx = _thread_mp_context()
+        bits = 53  # a double's
+        while bits < _MAX_BITS and size > (
+            _CANCELLATION_LIMIT * ctx.ldexp(abs(total), bits - 53)
+        ):
+            lost = ctx.mag(size) - ctx.mag(total) if total else bits
+            ctx.prec = bits = min(_MAX_BITS, bits + lost + 16)
+            total, size = _polynomial_2f1(
+                ctx.mpmathify(a), ctx.mpmathify(b),
+                ctx.mpmathify(c), ctx.mpmathify(z), n,
+            )
+        return complex(total) if isinstance(total, ctx.mpc) else float(total)
     if abs(z) <= 0.9:
         total = complex(1.0)
         term = total
@@ -183,7 +236,10 @@ def appell_f2(p: AppellF2Params):
     Indices with non-positive-integer numerator parameters are summed
     exactly (staying in exact arithmetic for rational inputs).  A
     non-terminating second index is summed as a Gauss 2F1 per first-index
-    term, valid beyond |x|+|y| < 1 by analytic continuation.  If neither
+    term, valid beyond |x|+|y| < 1 by analytic continuation; for the
+    bound-free radial integrals each of those 2F1 is a polynomial after
+    Euler's transformation (see `_gauss_2f1`), and mpmath is only the
+    fallback for arguments where no transformation terminates.  If neither
     index terminates the arguments must lie inside the convergence domain.
     """
     n1 = _as_nonpositive_int(p.a1)

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -17,7 +18,7 @@ from laserhydrogen.hamiltonian import (
     diagonal_shift,
     load_matrix_entries,
 )
-from laserhydrogen.transitions import spectrum_scan
+from laserhydrogen.transitions import intensity_scan, spectrum_scan
 from laserhydrogen.units import CONSTANTS
 
 
@@ -29,6 +30,21 @@ def test_laser_field_validation():
         LaserField(-0.1, 0.3)
     with pytest.raises(ConfigurationError):
         LaserField(0.1, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["amplitude_A", "omega"])
+def test_laser_field_rejects_non_finite(field, bad):
+    values = {"amplitude_A": 0.1, "omega": 0.3, field: bad}
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        LaserField(**values)
+
+
+def test_library_scans_reject_non_finite_at_the_boundary():
+    with pytest.raises(ConfigurationError, match="omega must be finite"):
+        spectrum_scan(0.01, [math.nan], QuantumNumbers(1, 0, 0), n0=2)
+    with pytest.raises(ConfigurationError, match="amplitude_A must be finite"):
+        intensity_scan(0.1, [math.inf], QuantumNumbers(1, 0, 0), n0=2)
 
 
 def test_assemble_symmetric_and_real():

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis, radial_wavefunction
+from laserhydrogen.cli import main
 from laserhydrogen.eigensolver import diagonalize, track_state
 from laserhydrogen.errors import ConfigurationError, DomainError
 from laserhydrogen.hamiltonian import LaserField, assemble
@@ -117,6 +119,28 @@ def test_weak_field_cross_section_matches_stobbe():
     tracked = track_state(decomp, GROUND)
     sigma = cross_section(decomp, tracked.index, laser)
     assert sigma == pytest.approx(_stobbe_sigma_pi_a0sq(omega), rel=5e-3)
+
+
+def test_cli_sigma_just_above_the_one_photon_threshold(tmp_path):
+    # E_f0 = 0.038 eV on the mu = -1 branch, where continuing the
+    # bound-free 2F1 analytically in double precision loses every digit
+    # (it gave sigma = 3423.7)
+    out = tmp_path / "threshold.csv"
+    argv = [
+        "ionization", "--n0", "10", "--omega-ev", "13.585",
+        "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-7", "--count", "1",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    with open(out, newline="") as fh:
+        row = next(r for r in csv.DictReader(fh) if r["mu_branch"] == "-1")
+    sigma = float(row["sigma_pia02"])
+    # 40-digit mpmath radial integrals give the same value to 16 digits
+    assert sigma == pytest.approx(0.066632611874570, rel=1e-9)
+    # textbook one-photon value at the same photoelectron energy; the
+    # dressed value is about 6% lower (tracked-state overlap 0.94)
+    textbook = _stobbe_sigma_pi_a0sq(0.5 + float(row["E_f0_eV"]) / EV)
+    assert sigma == pytest.approx(textbook, rel=0.1)
 
 
 def test_weak_field_rate_quadratic_in_amplitude():

@@ -9,10 +9,12 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laserhydrogen.specfun as specfun
 from laserhydrogen.errors import DomainError
 from laserhydrogen.specfun import (
     AppellF2Params,
     KummerParams,
+    _gauss_2f1,
     appell_f2,
     coulomb_radial,
     gamma_fn,
@@ -97,6 +99,78 @@ def test_kummer_complex_argument():
     assert kummer_1f1(KummerParams(a, c), z) == pytest.approx(
         complex(mpmath.hyp1f1(a, c, z)), rel=1e-12
     )
+
+
+# --- Gauss 2F1 ------------------------------------------------------------
+
+_MP_HYP2F1 = mpmath.hyp2f1  # the reference, unaffected by `hyp2f1_calls`
+
+
+def _mp_2f1(a, b, c, z):
+    with mpmath.workdps(40):
+        return complex(_MP_HYP2F1(a, b, c, z))
+
+
+@pytest.fixture
+def hyp2f1_calls(monkeypatch):
+    """Count the calls `_gauss_2f1` makes to its mpmath continuation."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _MP_HYP2F1(*args)
+
+    monkeypatch.setattr(specfun.mpmath, "hyp2f1", counted)
+    return calls
+
+
+_Z_OUTSIDE = complex(1.2, 1.1)  # |z| > 1, off the cut [1, inf)
+
+
+@pytest.mark.parametrize(
+    "a,b,c",
+    [
+        (7.0, complex(1.3, 0.7), 3.0),   # c - a = -4
+        (complex(1.3, 0.7), 5, 3),       # c - b = -2
+        (3.0, complex(0.4, -2.5), 3.0),  # c - a = 0: (1 - z)^(-b)
+    ],
+)
+def test_gauss_2f1_euler_branch(a, b, c, hyp2f1_calls):
+    value = _gauss_2f1(a, b, c, _Z_OUTSIDE)
+    assert value == pytest.approx(_mp_2f1(a, b, c, _Z_OUTSIDE), rel=1e-13)
+    if a == c:
+        assert value == pytest.approx((1 - _Z_OUTSIDE) ** (-b), rel=1e-14)
+    assert hyp2f1_calls == []  # a polynomial: no continuation needed
+
+
+def test_gauss_2f1_series_inside_disk(hyp2f1_calls):
+    a, b, c, z = 1.3, complex(0.7, 0.2), 2.9, complex(0.5, -0.6)
+    assert _gauss_2f1(a, b, c, z) == pytest.approx(_mp_2f1(a, b, c, z), rel=1e-13)
+    assert hyp2f1_calls == []
+
+
+def test_gauss_2f1_continuation_outside_disk(hyp2f1_calls):
+    # c - a and c - b are not integers: no transformation terminates
+    a, b, c = 1.3, complex(0.4, 0.5), 2.9
+    assert _gauss_2f1(a, b, c, _Z_OUTSIDE) == pytest.approx(
+        _mp_2f1(a, b, c, _Z_OUTSIDE), rel=1e-12
+    )
+    assert len(hyp2f1_calls) == 1
+
+
+def test_gauss_2f1_cancelling_polynomial_resummed():
+    # a bound-free Gauss polynomial at n = 30, k = 0.014 whose terms cancel
+    # by about fifteen digits in double precision
+    k, n = 0.014, 30
+    z = complex(0.0, -k * n) / (complex(1.0, -k * n) / 2.0)
+    b = complex(2.0, 1.0 / k)
+    ref = _mp_2f1(-31, b, 4, z)
+    assert _gauss_2f1(-31, b, 4, z) == pytest.approx(ref, rel=1e-12)
+
+
+def test_gauss_2f1_exact_zero_polynomial():
+    # 1 - b z / c vanishes exactly; re-summing cannot gain digits and stops
+    assert _gauss_2f1(-1, 2, 4, 2.0) == 0.0
 
 
 # --- Appell F2 -----------------------------------------------------------
