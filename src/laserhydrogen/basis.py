@@ -9,10 +9,10 @@ exact commutator relation
 
     px_matrix_element(a, b) == (E_b - E_a) * x_matrix_element(a, b)
 
-holds in atomic units.  Radial integrals are evaluated in closed form
-through the Laplace transform of a product of two terminating Kummer
-series, in exact rational arithmetic; quadrature on `RadialGrid` is kept
-for validation.
+holds in atomic units.  The dipole radial integrals (l and l - 1) are
+evaluated with Gordon's closed form, two terminating Gauss series summed in
+exact integer arithmetic; quadrature on `RadialGrid` is kept for
+validation.
 """
 
 import math
@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .specfun import KummerParams, laplace_1f1_product
 
 N0_CAP = 30
 
@@ -175,30 +174,68 @@ def angular_x(l_bra: int, mu_bra: int, l_ket: int, mu_ket: int) -> float:
 
 # --- radial integrals, closed form ---------------------------------------
 
+def _gauss_polynomial(a: int, b: int, c: int, x: int, y: int):
+    """F(-a, -b; c; x/y) as (num, den, J) with F = num / (den * y**J).
+
+    J = min(a, b) is the degree; num and den are integers, den = (c)_J J!.
+    """
+    degree = min(a, b)
+    den = 1
+    for j in range(degree):
+        den *= (c + j) * (j + 1)
+    # coeffs[j] = den * (-a)_j (-b)_j / ((c)_j j!), an integer
+    coeffs = [den]
+    for j in range(degree):
+        coeffs.append(coeffs[-1] * (j - a) * (j - b) // ((c + j) * (j + 1)))
+    num, y_pow = coeffs[degree], y
+    for j in range(degree - 1, -1, -1):
+        num = num * x + coeffs[j] * y_pow
+        y_pow *= y
+    return num, den, degree
+
+
 @lru_cache(maxsize=None)
 def radial_length_integral(n1: int, l1: int, n2: int, l2: int) -> float:
-    """int_0^inf R_{n1 l1}(r) r R_{n2 l2}(r) r^2 dr, exact closed form.
+    """int_0^inf R_{n1 l1}(r) r R_{n2 l2}(r) r^2 dr for |l1 - l2| = 1.
 
-    Both Kummer series terminate, so the Appell F2 in the Laplace identity
-    is a finite double polynomial; it is summed in exact rational
-    arithmetic to avoid the cancellation that plagues large-n hydrogen
-    integrals in floating point.
+    Symmetric in its two states.  With (n, l) the state of larger l and
+    (n', l - 1) the other, Gordon's closed form (Ann. Phys. 2, 1031, 1929)
+    reads, for n != n',
+
+        (-1)^(n'-l) / (4 (2l-1)!) sqrt[(n+l)! (n'+l-1)! / ((n-l-1)! (n'-l)!)]
+        * (4nn')^(l+1) (n-n')^(n+n'-2l-2) / (n+n')^(n+n')
+        * [F(-n_r, -n'_r; 2l; z) - ((n-n')/(n+n'))^2 F(-n_r-2, -n'_r; 2l; z)]
+
+    with n_r = n-l-1, n'_r = n'-l and z = -4nn'/(n-n')^2; within a shell it
+    is -(3/2) n sqrt(n^2 - l^2).  Both Gauss series terminate; they and the
+    rational prefactor are summed exactly in integers over one common
+    denominator, which avoids the cancellation of large-n hydrogen integrals
+    in floating point, and the result is rounded to float once.  Other l
+    raise ConfigurationError.
     """
-    u = l1 + l2 + 4
-    s = Fraction(n1 + n2, 2 * n1)
-    q = Fraction(n2, n1)
-    k1 = KummerParams(l2 + 1 - n2, 2 * l2 + 2)
-    k2 = KummerParams(l1 + 1 - n1, 2 * l1 + 2)
-    core = Fraction(n2, 2) ** u * laplace_1f1_product(s, u, k1, k2, q)
-    norm_sq = (
-        Fraction(2, n1) ** (2 * l1 + 3)
-        * Fraction(math.factorial(n1 + l1), 2 * n1 * math.factorial(n1 - l1 - 1))
-        / math.factorial(2 * l1 + 1) ** 2
-        * Fraction(2, n2) ** (2 * l2 + 3)
-        * Fraction(math.factorial(n2 + l2), 2 * n2 * math.factorial(n2 - l2 - 1))
-        / math.factorial(2 * l2 + 1) ** 2
-    )
-    return math.sqrt(norm_sq) * float(core)
+    if abs(l1 - l2) != 1:
+        raise ConfigurationError(
+            f"radial_length_integral needs |l1 - l2| = 1, got l1={l1}, l2={l2}"
+        )
+    if l2 > l1:
+        n1, l1, n2, l2 = n2, l2, n1, l1
+    n, l, m = n1, l1, n2
+    if n == m:
+        return -1.5 * n * math.sqrt(n * n - l * l)
+    d, s, p = n - m, n + m, 4 * n * m
+    e = n + m - 2 * l - 2
+    # bracket = d^(e+1) [F1 - (d/s)^2 F2] den1 den2 s^2, all powers of d >= 0
+    num1, den1, deg1 = _gauss_polynomial(n - l - 1, m - l, 2 * l, -p, d * d)
+    num2, den2, deg2 = _gauss_polynomial(n - l + 1, m - l, 2 * l, -p, d * d)
+    bracket = (num1 * d ** (e + 1 - 2 * deg1) * den2 * s * s
+               - num2 * d ** (e + 3 - 2 * deg2) * den1)
+    num = (-1) ** (m - l) * p ** (l + 1) * bracket
+    den = 4 * math.factorial(2 * l - 1) * s ** (s + 2) * den1 * den2 * d
+    root_sq = (math.factorial(n + l) // math.factorial(n - l - 1)
+               * (math.factorial(m + l - 1) // math.factorial(m - l)))
+    # value = num / den * sqrt(root_sq), rounded once through its square
+    magnitude = math.sqrt(num * num * root_sq / (den * den))
+    return magnitude if (num > 0) == (den > 0) else -magnitude
 
 
 def x_matrix_element(a: QuantumNumbers, b: QuantumNumbers) -> float:

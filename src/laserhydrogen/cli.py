@@ -13,6 +13,7 @@ fig1..fig4 encode the published figure parameters.  Exit codes: 0 success,
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import json
@@ -200,8 +201,7 @@ def _axis_grid(start, stop, count):
 
 # --- per-point computations (module level so tests can fault-inject) ----
 
-def _compute_spectrum_point(config, units, axis_value, amp_au, omega_au):
-    basis = enumerate_basis(config.n0)
+def _compute_spectrum_point(config, units, basis, axis_value, amp_au, omega_au):
     laser = LaserField(amp_au, omega_au)
     decomp = diagonalize(assemble(basis, laser, include_a2=not config.drop_a2))
     table = transition_table(decomp, config.initial_state, laser)
@@ -218,8 +218,7 @@ def _compute_spectrum_point(config, units, axis_value, amp_au, omega_au):
     return rows, degenerate
 
 
-def _compute_ionization_point(config, units, axis_value, amp_au, omega_au):
-    basis = enumerate_basis(config.n0)
+def _compute_ionization_point(config, units, basis, axis_value, amp_au, omega_au):
     laser = LaserField(amp_au, omega_au)
     decomp = diagonalize(assemble(basis, laser, include_a2=not config.drop_a2))
     with warnings.catch_warnings():
@@ -242,6 +241,7 @@ def run(config: RunConfig) -> int:
     """Execute a validated RunConfig; returns the process exit code."""
     t_start = time.time()
     units = UnitSystem(reduced_mass=config.reduced_mass)
+    basis = enumerate_basis(config.n0)
 
     if config.mode == "spectrum":
         axis = _axis_grid(config.omega_ev_start, config.omega_ev_stop, config.count)
@@ -274,7 +274,9 @@ def run(config: RunConfig) -> int:
     def worker(task):
         axis_value, amp_au, omega_au = task
         try:
-            rows, degenerate = compute(config, units, axis_value, amp_au, omega_au)
+            rows, degenerate = compute(
+                config, units, basis, axis_value, amp_au, omega_au
+            )
             return rows, degenerate, None
         except Exception as exc:
             return None, False, str(exc)
@@ -287,51 +289,75 @@ def run(config: RunConfig) -> int:
 
     failed_points = []
     degenerate_points = []
+    csv_rows = [header.split(",")]
     ini = config.initial_state
+    for axis_value, (rows, degenerate, error) in zip(axis, results):
+        if error is not None:
+            failed_points.append({"axis_value": axis_value, "error": error})
+            if header is SPECTRUM_HEADER:
+                csv_rows.append(
+                    [axis_value, ini.n, ini.l, ini.mu, -1, -1, 0, "nan", "failed"]
+                )
+            else:
+                csv_rows.append(
+                    [axis_value, config.omega_ev, -1, "nan", "nan", 0,
+                     "nan", "nan", "failed"]
+                )
+            continue
+        if degenerate:
+            degenerate_points.append(axis_value)
+        csv_rows.extend(rows)
+    metadata = {
+        "package_version": __version__,
+        "config": dataclasses.asdict(config),
+        "constants": "CODATA 2018",
+        "units": {
+            "axis": "eV" if config.mode == "spectrum" else "V*s/m",
+            "hartree_eV": units.internal_to_ev(1.0),
+            "vector_potential_au_vspm": units.vector_potential_to_si(1.0),
+        },
+        "tolerances": {
+            "w_min": config.w_min,
+            "degeneracy_gap": config.degeneracy_gap,
+        },
+        "near_degenerate_axis_values": degenerate_points,
+        "failed_points": failed_points,
+        "wall_time_s": time.time() - t_start,
+    }
     try:
-        with open(config.output_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header.split(","))
-            for axis_value, (rows, degenerate, error) in zip(axis, results):
-                if error is not None:
-                    failed_points.append({"axis_value": axis_value, "error": error})
-                    if header is SPECTRUM_HEADER:
-                        writer.writerow(
-                            [axis_value, ini.n, ini.l, ini.mu, -1, -1, 0,
-                             "nan", "failed"]
-                        )
-                    else:
-                        writer.writerow(
-                            [axis_value, config.omega_ev, -1, "nan", "nan", 0,
-                             "nan", "nan", "failed"]
-                        )
-                    continue
-                if degenerate:
-                    degenerate_points.append(axis_value)
-                writer.writerows(rows)
-        metadata = {
-            "package_version": __version__,
-            "config": dataclasses.asdict(config),
-            "constants": "CODATA 2018",
-            "units": {
-                "axis": "eV" if config.mode == "spectrum" else "V*s/m",
-                "hartree_eV": units.internal_to_ev(1.0),
-                "vector_potential_au_vspm": units.vector_potential_to_si(1.0),
-            },
-            "tolerances": {
-                "w_min": config.w_min,
-                "degeneracy_gap": config.degeneracy_gap,
-            },
-            "near_degenerate_axis_values": degenerate_points,
-            "failed_points": failed_points,
-            "wall_time_s": time.time() - t_start,
-        }
-        with open(config.output_path + ".meta.json", "w") as fh:
-            json.dump(metadata, fh, indent=2)
+        _write_files([
+            (config.output_path, "",
+             lambda fh: csv.writer(fh).writerows(csv_rows)),
+            (config.output_path + ".meta.json", None,
+             lambda fh: json.dump(metadata, fh, indent=2)),
+        ])
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
     return 1 if failed_points else 0
+
+
+def _write_files(outputs):
+    """Write each (path, newline, write) output all-or-nothing.
+
+    Every output is first written by write(fh) to a temporary file beside
+    its path; only when all of them are complete are they moved into place
+    with os.replace, so an error leaves the existing files untouched and no
+    partial or temporary file behind.
+    """
+    temps = []
+    try:
+        for path, newline, write in outputs:
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            with open(temps[-1], "w", newline=newline) as fh:
+                write(fh)
+        for tmp, (path, _, _) in zip(temps, outputs):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

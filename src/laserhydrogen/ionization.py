@@ -27,7 +27,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.special as sp
 
-from .basis import QuantumNumbers, angular_x, bound_energy, enumerate_basis
+from .basis import (
+    QuantumNumbers,
+    _radial_norm,
+    angular_x,
+    bound_energy,
+    enumerate_basis,
+)
 from .eigensolver import EigenDecomposition, diagonalize, track_state
 from .errors import ConfigurationError, DomainError
 from .hamiltonian import LaserField, assemble
@@ -116,17 +122,11 @@ def _bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
         + sp.loggamma(complex(l_f + 1, eta)).real
         - sp.gammaln(2 * l_f + 2)
     )
-    norm_b_sq = (
-        (2.0 / n) ** (2 * l_b + 3)
-        * math.factorial(n + l_b)
-        / (2 * n * math.factorial(n - l_b - 1))
-        / math.factorial(2 * l_b + 1) ** 2
-    )
     pref = (
         math.sqrt(2.0 / (math.pi * k))
         * math.exp(log_cl)
         * k ** (l_f + 1)
-        * math.sqrt(norm_b_sq)
+        * _radial_norm(n, l_b)
     )
     value = pref * core
     return value.real if isinstance(value, complex) else float(value)

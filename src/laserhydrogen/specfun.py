@@ -9,11 +9,12 @@ product of two Kummer functions,
         = Gamma(u) s^{-u} F2(u, a1, a2, c1, c2, 1/s, q/s).
 
 Terminating series are summed exactly (and stay exact for Fraction/int
-inputs, which the bound-bound radial integrals rely on).  Non-terminating
-indices are summed numerically; the inner Gauss function of a singly
-terminating F2 is a polynomial after Euler's transformation whenever
-c - a or c - b is a non-positive integer, and is otherwise continued
-analytically outside its convergence disk.
+inputs, which the rational test oracle of the bound-bound radial integrals
+relies on; `basis.radial_length_integral` itself uses Gordon's closed
+form).  Non-terminating indices are summed numerically; the inner Gauss
+function of a singly terminating F2 is a polynomial after Euler's
+transformation whenever c - a or c - b is a non-positive integer, and is
+otherwise continued analytically outside its convergence disk.
 """
 
 import math

@@ -182,6 +182,45 @@ def test_exit_code_3_on_unwritable_output():
     assert rc == 3
 
 
+def test_failed_metadata_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.csv"
+    out.write_text("earlier,run\n")
+    (tmp_path / "out.csv.meta.json").write_text("{}")
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    rc = main(
+        ["point", "--n0", "2", "--amplitude-vspm", "1e-6",
+         "--omega-ev", "0.5", "--out", str(out)]
+    )
+    assert rc == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_text() == "earlier,run\n"
+    assert (tmp_path / "out.csv.meta.json").read_text() == "{}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out.csv", "out.csv.meta.json"
+    ]
+
+
+def test_successful_write_leaves_no_temporary_file(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("earlier,run\n")
+    rc = main(
+        ["point", "--n0", "2", "--amplitude-vspm", "1e-6",
+         "--omega-ev", "0.5", "--out", str(out)]
+    )
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out.csv", "out.csv.meta.json"
+    ]
+    header, rows = _read_csv(out)
+    assert header == SPECTRUM_HEADER.split(",") and rows
+    assert json.loads((tmp_path / "out.csv.meta.json").read_text())["failed_points"] == []
+
+
 def test_threads_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "2")
     out = tmp_path / "env.csv"
@@ -204,10 +243,10 @@ def test_threads_env_var_invalid(monkeypatch, capsys):
 def test_failed_point_fault_injection(tmp_path, monkeypatch):
     real = cli._compute_spectrum_point
 
-    def flaky(config, units, axis_value, amp_au, omega_au):
+    def flaky(config, units, basis, axis_value, amp_au, omega_au):
         if abs(axis_value - 0.4) < 1e-12:
             raise RuntimeError("synthetic mid-scan failure")
-        return real(config, units, axis_value, amp_au, omega_au)
+        return real(config, units, basis, axis_value, amp_au, omega_au)
 
     monkeypatch.setattr(cli, "_compute_spectrum_point", flaky)
     out = tmp_path / "flaky.csv"
