@@ -22,7 +22,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .basis import N0_CAP, QuantumNumbers, enumerate_basis
@@ -32,8 +31,6 @@ from .hamiltonian import LaserField, assemble
 from .ionization import ionization_records
 from .transitions import transition_table
 from .units import UnitSystem
-
-THREADS_ENV_VAR = "LASERHYDROGEN_THREADS"
 
 SPECTRUM_HEADER = (
     "axis_value,initial_n,initial_l,initial_mu,"
@@ -92,7 +89,6 @@ class RunConfig:
     output_path: str = "scan.csv"
     w_min: float = 1e-12
     degeneracy_gap: float = DEGENERACY_GAP
-    threads: int = 1
 
     @property
     def initial_state(self) -> QuantumNumbers:
@@ -105,8 +101,6 @@ class RunConfig:
             raise ConfigurationError(f"n0 must be in [1, {N0_CAP}], got {self.n0}")
         if self.count < 1:
             raise ConfigurationError("count must be >= 1")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be >= 1")
         self.initial_state  # raises ConfigurationError if invalid
         if self.initial_n > self.n0:
             raise ConfigurationError(
@@ -140,7 +134,7 @@ class RunConfig:
 
 _CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _BOOL_KEYS = {"reduced_mass", "drop_a2"}
-_INT_KEYS = {"n0", "initial_n", "initial_l", "initial_mu", "count", "threads"}
+_INT_KEYS = {"n0", "initial_n", "initial_l", "initial_mu", "count"}
 _STR_KEYS = {"mode", "output_path"}
 
 
@@ -203,9 +197,13 @@ def _axis_grid(start, stop, count):
 
 def _compute_spectrum_point(config, units, basis, axis_value, amp_au, omega_au):
     laser = LaserField(amp_au, omega_au)
-    decomp = diagonalize(assemble(basis, laser, include_a2=not config.drop_a2))
+    decomp = diagonalize(
+        assemble(basis, laser, include_a2=not config.drop_a2),
+        vectors_for=config.initial_state,
+    )
     table = transition_table(decomp, config.initial_state, laser)
     degenerate = len(decomp.near_degenerate_pairs(config.degeneracy_gap)) > 0
+    norm_error = abs(float(table.probabilities.sum()) - 1.0)
     rows = []
     ini = config.initial_state
     for state, w in zip(basis.states, table.probabilities):
@@ -215,12 +213,15 @@ def _compute_spectrum_point(config, units, basis, axis_value, amp_au, omega_au):
             [axis_value, ini.n, ini.l, ini.mu, state.n, state.l, state.mu,
              repr(float(w)), int(degenerate)]
         )
-    return rows, degenerate
+    return rows, degenerate, norm_error
 
 
 def _compute_ionization_point(config, units, basis, axis_value, amp_au, omega_au):
     laser = LaserField(amp_au, omega_au)
-    decomp = diagonalize(assemble(basis, laser, include_a2=not config.drop_a2))
+    decomp = diagonalize(
+        assemble(basis, laser, include_a2=not config.drop_a2),
+        vectors_for=config.initial_state,
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tracked = track_state(decomp, config.initial_state)
@@ -234,7 +235,7 @@ def _compute_ionization_point(config, units, basis, axis_value, amp_au, omega_au
              repr(float(units.internal_to_ev(rec.E_f0))), repr(float(rec.eta)),
              repr(float(units.cross_section_to_pi_a0sq(rec.sigma)))]
         )
-    return rows, False
+    return rows, False, None
 
 
 def run(config: RunConfig) -> int:
@@ -263,7 +264,6 @@ def run(config: RunConfig) -> int:
         ]
         compute, header = _compute_ionization_point, IONIZATION_HEADER
     else:  # point
-        axis = [config.omega_ev]
         tasks = [
             (config.omega_ev,
              units.vector_potential_to_internal(config.amplitude_vspm),
@@ -271,29 +271,18 @@ def run(config: RunConfig) -> int:
         ]
         compute, header = _compute_spectrum_point, SPECTRUM_HEADER
 
-    def worker(task):
-        axis_value, amp_au, omega_au = task
-        try:
-            rows, degenerate = compute(
-                config, units, basis, axis_value, amp_au, omega_au
-            )
-            return rows, degenerate, None
-        except Exception as exc:
-            return None, False, str(exc)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(worker, tasks))
-    else:
-        results = [worker(t) for t in tasks]
-
     failed_points = []
     degenerate_points = []
+    norm_errors = []
     csv_rows = [header.split(",")]
     ini = config.initial_state
-    for axis_value, (rows, degenerate, error) in zip(axis, results):
-        if error is not None:
-            failed_points.append({"axis_value": axis_value, "error": error})
+    for axis_value, amp_au, omega_au in tasks:
+        try:
+            rows, degenerate, norm_error = compute(
+                config, units, basis, axis_value, amp_au, omega_au
+            )
+        except Exception as exc:
+            failed_points.append({"axis_value": axis_value, "error": str(exc)})
             if header is SPECTRUM_HEADER:
                 csv_rows.append(
                     [axis_value, ini.n, ini.l, ini.mu, -1, -1, 0, "nan", "failed"]
@@ -306,6 +295,8 @@ def run(config: RunConfig) -> int:
             continue
         if degenerate:
             degenerate_points.append(axis_value)
+        if norm_error is not None:
+            norm_errors.append({"axis_value": axis_value, "error": norm_error})
         csv_rows.extend(rows)
     metadata = {
         "package_version": __version__,
@@ -324,6 +315,9 @@ def run(config: RunConfig) -> int:
         "failed_points": failed_points,
         "wall_time_s": time.time() - t_start,
     }
+    if header is SPECTRUM_HEADER:
+        # |sum_b W(initial, b) - 1| before the w_min cut, per computed point
+        metadata["w_normalization_error"] = norm_errors
     try:
         _write_files([
             (config.output_path, "",
@@ -373,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--n0", type=int)
         p.add_argument("--out", dest="output_path")
-        p.add_argument("--threads", type=int)
         p.add_argument("--initial", nargs=3, type=int, metavar=("N", "L", "MU"))
         p.add_argument("--amplitude-vspm", type=float, dest="amplitude_vspm")
         p.add_argument("--omega-ev", type=float, dest="omega_ev")
@@ -402,14 +395,6 @@ def main(argv=None) -> int:
         overrides["initial_n"], overrides["initial_l"], overrides["initial_mu"] = (
             args.initial
         )
-    if overrides.get("threads") is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
-            try:
-                overrides["threads"] = int(env)
-            except ValueError:
-                print(f"invalid {THREADS_ENV_VAR}={env!r}", file=sys.stderr)
-                return 2
     try:
         config = parse_config(
             path=args.config_path, overrides=overrides, preset=args.preset

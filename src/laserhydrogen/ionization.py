@@ -21,6 +21,7 @@ reproduces the textbook one-photon cross section in the weak-field limit.
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -154,10 +155,10 @@ def bound_free_element(
     The A^2/2 constant contributes exactly zero: bound and continuum
     eigenstates of the Coulomb Hamiltonian are orthogonal.
     """
+    coeffs = decomp.column(dressed_index)
     if laser.amplitude_A == 0.0:
         return 0.0
     k = math.sqrt(2.0 * final.energy_Ef0)
-    coeffs = decomp.coefficients[:, dressed_index]
     total = 0.0
     for j, b in enumerate(decomp.basis.states):
         c = coeffs[j]
@@ -265,11 +266,11 @@ def ionization_intensity_scan(
     for axis_value, amp in zip(axis_values, amplitudes_au):
         try:
             laser = LaserField(amp, omega_au)
-            decomp = diagonalize(assemble(basis, laser, include_a2=include_a2))
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")
+            decomp = diagonalize(
+                assemble(basis, laser, include_a2=include_a2), vectors_for=initial
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 tracked = track_state(decomp, initial)
             records = ionization_records(
                 decomp, tracked.index, laser, binding=binding

@@ -53,16 +53,20 @@ class ScanResult:
 def averaged_probability(
     decomp: EigenDecomposition, from_state: QuantumNumbers, to_state: QuantumNumbers
 ) -> float:
-    c_from = decomp.coefficients[decomp.basis.position(from_state), :]
-    c_to = decomp.coefficients[decomp.basis.position(to_state), :]
+    c_from, c_to = decomp.row(from_state), decomp.row(to_state)
     return float(np.dot(c_from**2, c_to**2))
 
 
 def transition_table(
     decomp: EigenDecomposition, initial: QuantumNumbers, laser: LaserField
 ) -> TransitionTable:
-    c_init = decomp.coefficients[decomp.basis.position(initial), :] ** 2
-    probs = (decomp.coefficients**2) @ c_init
+    # W(initial, b) is exactly 0 outside the initial state's block.
+    rows, cols = decomp.block_of(initial)
+    c = decomp.coefficients
+    probs = np.zeros(decomp.dimension)
+    probs[rows] = (c[np.ix_(rows, cols)] ** 2) @ (
+        c[decomp.basis.position(initial), cols] ** 2
+    )
     return TransitionTable(
         initial=initial, basis=decomp.basis, probabilities=probs, laser=laser
     )
@@ -78,8 +82,7 @@ def time_resolved_probability(
     """Instantaneous transition probability at time t after switch-on."""
     if t < 0:
         raise ConfigurationError("time must be >= 0")
-    c_from = decomp.coefficients[decomp.basis.position(from_state), :]
-    c_to = decomp.coefficients[decomp.basis.position(to_state), :]
+    c_from, c_to = decomp.row(from_state), decomp.row(to_state)
     phases = np.exp(-1j * (decomp.energies - to_state.mu * omega) * t)
     return float(np.abs(np.dot(c_from * c_to, phases)) ** 2)
 
@@ -87,7 +90,7 @@ def time_resolved_probability(
 def _scan(basis, initial, lasers, axis_values, degeneracy_gap):
     for axis_value, laser in zip(axis_values, lasers):
         try:
-            decomp = diagonalize(assemble(basis, laser))
+            decomp = diagonalize(assemble(basis, laser), vectors_for=initial)
             table = transition_table(decomp, initial, laser)
             near = len(decomp.near_degenerate_pairs(degeneracy_gap)) > 0
             norm_err = abs(float(table.probabilities.sum()) - 1.0)

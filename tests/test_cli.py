@@ -4,6 +4,7 @@ import math
 import re
 
 import pytest
+import scipy.linalg
 
 import laserhydrogen.cli as cli
 from laserhydrogen.cli import IONIZATION_HEADER, SPECTRUM_HEADER, main, parse_config
@@ -97,6 +98,13 @@ def test_parse_config_invalid_initial_state():
 
 # --- end-to-end runs --------------------------------------------------------
 
+_POINT = ["point", "--n0", "3", "--amplitude-vspm", "5e-6", "--omega-ev", "0.5"]
+_SPECTRUM = ["spectrum", "--n0", "3", "--amplitude-vspm", "5e-6",
+             "--omega-ev-start", "0.2", "--omega-ev-stop", "0.6", "--count", "2"]
+_INTENSITY = ["intensity", "--n0", "3", "--omega-ev", "0.5",
+              "--a-vspm-start", "1e-6", "--a-vspm-stop", "5e-6", "--count", "2"]
+
+
 def test_point_run_csv_schema(tmp_path):
     out = tmp_path / "point.csv"
     rc = main(
@@ -121,13 +129,13 @@ def test_point_run_csv_schema(tmp_path):
     assert "wall_time_s" in meta and "tolerances" in meta
 
 
-def test_spectrum_run_and_threads_determinism(tmp_path):
+def test_spectrum_run_determinism(tmp_path):
     args = ["spectrum", "--n0", "3", "--amplitude-vspm", "5e-6",
             "--omega-ev-start", "0.2", "--omega-ev-stop", "0.6",
             "--count", "3"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
-    assert main(args + ["--out", str(out2), "--threads", "3"]) == 0
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
     header, rows = _read_csv(out1)
     axis = sorted({float(r[0]) for r in rows})
@@ -221,23 +229,51 @@ def test_successful_write_leaves_no_temporary_file(tmp_path):
     assert json.loads((tmp_path / "out.csv.meta.json").read_text())["failed_points"] == []
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "2")
-    out = tmp_path / "env.csv"
-    rc = main(
-        ["point", "--n0", "2", "--amplitude-vspm", "1e-6",
-         "--omega-ev", "0.5", "--out", str(out)]
-    )
-    assert rc == 0
-    meta = json.loads((tmp_path / "env.csv.meta.json").read_text())
-    assert meta["config"]["threads"] == 2
+def test_threads_option_removed(tmp_path, capsys):
+    # the per-point thread pool is gone; the eigensolver's BLAS threads
+    # already use every core
+    with pytest.raises(SystemExit) as exc:
+        main(["point", "--n0", "2", "--amplitude-vspm", "1e-6",
+              "--omega-ev", "0.5", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nmode = point\nthreads = 2\n")
+    assert main(["point", "--config", str(ini), "--amplitude-vspm", "1e-6",
+                 "--omega-ev", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
-def test_threads_env_var_invalid(monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "lots")
-    assert main(
-        ["point", "--n0", "2", "--amplitude-vspm", "1e-6", "--omega-ev", "0.5"]
-    ) == 2
+@pytest.mark.parametrize("argv", [_SPECTRUM, _INTENSITY, _POINT],
+                         ids=["spectrum", "intensity", "point"])
+def test_meta_records_w_normalization_error(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    header, rows = _read_csv(out)
+    axis = sorted({float(r[0]) for r in rows})
+    errors = meta["w_normalization_error"]
+    assert [e["axis_value"] for e in errors] == pytest.approx(axis)
+    assert all(0 <= e["error"] < 1e-12 for e in errors)
+
+
+def test_eigensolver_failure_is_a_failed_point(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("injected: no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    out = tmp_path / "out.csv"
+    assert main(_SPECTRUM + ["--out", str(out)]) == 1
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    assert [p["axis_value"] for p in meta["failed_points"]] == [0.2, 0.6]
+    for point in meta["failed_points"]:
+        assert point["error"].startswith("eigensolver failed")
+        assert "injected" in point["error"]
+    _, rows = _read_csv(out)
+    assert [r[0] for r in rows] == ["0.2", "0.6"]
+    assert all(r[8] == "failed" for r in rows)
+    assert meta["w_normalization_error"] == []
 
 
 def test_failed_point_fault_injection(tmp_path, monkeypatch):
@@ -296,11 +332,6 @@ def test_reduced_mass_shifts_energies(tmp_path):
     e1, e2 = float(rows1[0][4]), float(rows2[0][4])
     assert e1 != e2
     assert e2 == pytest.approx(e1, rel=5e-3)  # sub-percent mass correction
-
-
-_POINT = ["point", "--n0", "3", "--amplitude-vspm", "5e-6", "--omega-ev", "0.5"]
-_SPECTRUM = ["spectrum", "--n0", "3", "--amplitude-vspm", "5e-6",
-             "--omega-ev-start", "0.2", "--omega-ev-stop", "0.6", "--count", "2"]
 
 
 @pytest.mark.parametrize(

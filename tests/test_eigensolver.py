@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.eigensolver import (
@@ -9,7 +10,7 @@ from laserhydrogen.eigensolver import (
     diagonalize,
     track_state,
 )
-from laserhydrogen.errors import ConfigurationError
+from laserhydrogen.errors import ConfigurationError, ConvergenceError
 from laserhydrogen.hamiltonian import LaserField, PseudoHamiltonianMatrix, assemble
 
 
@@ -118,3 +119,19 @@ def test_track_state_outside_basis():
     decomp = diagonalize(assemble(basis, LaserField(0.0, 0.1)))
     with pytest.raises(ConfigurationError):
         track_state(decomp, QuantumNumbers(5, 0, 0))
+
+
+@pytest.mark.parametrize("eigvals_only", [False, True],
+                         ids=["vector-solve", "eigenvalue-solve"])
+def test_lapack_failure_raises_convergence_error(monkeypatch, eigvals_only):
+    real = scipy.linalg.eigh
+
+    def failing(a, *args, **kwargs):
+        if kwargs.get("eigvals_only", False) == eigvals_only:
+            raise scipy.linalg.LinAlgError("injected: no convergence")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    matrix = assemble(enumerate_basis(3), LaserField(0.05, 0.1))
+    with pytest.raises(ConvergenceError, match="eigensolver failed: injected"):
+        diagonalize(matrix, vectors_for=QuantumNumbers(1, 0, 0))
