@@ -15,10 +15,8 @@ from .basis import (
     angular_x,
     bound_energy,
     enumerate_basis,
-    overlap,
     px_matrix_element,
     radial_length_integral,
-    radial_wavefunction,
     x_matrix_element,
 )
 from .eigensolver import (
@@ -33,7 +31,6 @@ from .hamiltonian import (
     LaserField,
     PseudoHamiltonianMatrix,
     assemble,
-    diagonal_shift,
     load_matrix_entries,
 )
 from .ionization import (
@@ -47,15 +44,12 @@ from .ionization import (
     ionization_records,
     photoelectron_energy,
 )
-from .specfun import (
-    AppellF2Params,
-    KummerParams,
-    appell_f2,
-    coulomb_radial,
-    gamma_fn,
-    kummer_1f1,
-    laplace_1f1_product,
-)
+from .specfun import AppellF2Params, appell_f2
+
+# A test oracle, not in __all__: it stays reachable on the package only because
+# the benchmark's span tracer (perfbench/spans.py) resolves a layer by it here.
+from .specfun import laplace_1f1_product  # noqa: F401
+
 from .transitions import (
     ScanPoint,
     ScanResult,
@@ -82,10 +76,8 @@ __all__ = [
     "angular_x",
     "bound_energy",
     "enumerate_basis",
-    "overlap",
     "px_matrix_element",
     "radial_length_integral",
-    "radial_wavefunction",
     "x_matrix_element",
     "DEGENERACY_GAP",
     "EigenDecomposition",
@@ -98,7 +90,6 @@ __all__ = [
     "LaserField",
     "PseudoHamiltonianMatrix",
     "assemble",
-    "diagonal_shift",
     "load_matrix_entries",
     "ContinuumState",
     "IonizationRecord",
@@ -110,12 +101,7 @@ __all__ = [
     "ionization_records",
     "photoelectron_energy",
     "AppellF2Params",
-    "KummerParams",
     "appell_f2",
-    "coulomb_radial",
-    "gamma_fn",
-    "kummer_1f1",
-    "laplace_1f1_product",
     "ScanPoint",
     "ScanResult",
     "TransitionTable",

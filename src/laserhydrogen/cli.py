@@ -7,8 +7,9 @@ Subcommands
     point       single (A, omega) transition table
 
 Inputs are in I/O units (energies in eV, amplitudes in V*s/m); presets
-fig1..fig4 encode the published figure parameters.  Exit codes: 0 success,
-1 at least one scan point failed, 2 configuration error, 3 I/O error.
+fig1, fig2 and fig3 encode the published figure parameters.  Exit codes:
+0 success, 1 at least one scan point failed, 2 configuration error, 3 I/O
+error.
 """
 
 import argparse
@@ -16,20 +17,20 @@ import configparser
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 import time
-import warnings
 
 from . import __version__
 from .basis import N0_CAP, QuantumNumbers, enumerate_basis
-from .eigensolver import DEGENERACY_GAP, diagonalize, track_state
+from .eigensolver import DEGENERACY_GAP
 from .errors import ConfigurationError
-from .hamiltonian import LaserField, assemble
-from .ionization import ionization_records
-from .transitions import transition_table
+from .hamiltonian import LaserField
+from .ionization import ionization_observation
+from .transitions import scan, spectrum_observation
 from .units import UnitSystem
 
 SPECTRUM_HEADER = (
@@ -67,7 +68,6 @@ PRESETS = {
         "count": 10,
     },
 }
-PRESETS["fig4"] = PRESETS["fig3"]  # same sweep; sigma lives in the same CSV
 
 
 @dataclasses.dataclass
@@ -193,117 +193,88 @@ def _axis_grid(start, stop, count):
     return [start + i * step for i in range(count)]
 
 
-# --- per-point computations (module level so tests can fault-inject) ----
-
-def _compute_spectrum_point(config, units, basis, axis_value, amp_au, omega_au):
-    laser = LaserField(amp_au, omega_au)
-    decomp = diagonalize(
-        assemble(basis, laser, include_a2=not config.drop_a2),
-        vectors_for=config.initial_state,
-    )
-    table = transition_table(decomp, config.initial_state, laser)
-    degenerate = len(decomp.near_degenerate_pairs(config.degeneracy_gap)) > 0
-    norm_error = abs(float(table.probabilities.sum()) - 1.0)
-    rows = []
-    ini = config.initial_state
-    for state, w in zip(basis.states, table.probabilities):
-        if w < config.w_min:
-            continue
-        rows.append(
-            [axis_value, ini.n, ini.l, ini.mu, state.n, state.l, state.mu,
-             repr(float(w)), int(degenerate)]
-        )
-    return rows, degenerate, norm_error
-
-
-def _compute_ionization_point(config, units, basis, axis_value, amp_au, omega_au):
-    laser = LaserField(amp_au, omega_au)
-    decomp = diagonalize(
-        assemble(basis, laser, include_a2=not config.drop_a2),
-        vectors_for=config.initial_state,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tracked = track_state(decomp, config.initial_state)
-    records = ionization_records(decomp, tracked.index, laser)
-    omega_ev = units.internal_to_ev(omega_au)
-    rows = []
-    for rec in records:
-        rows.append(
-            [axis_value, omega_ev, tracked.index, repr(float(tracked.overlap)),
-             repr(float(rec.E_i * units.mass_factor)), rec.mu_branch,
-             repr(float(units.internal_to_ev(rec.E_f0))), repr(float(rec.eta)),
-             repr(float(units.cross_section_to_pi_a0sq(rec.sigma)))]
-        )
-    return rows, False, None
+def _sweep(config, units):
+    """Axis values in I/O units and the LaserField of each scan point."""
+    if config.mode in ("intensity", "ionization"):
+        axis = _axis_grid(config.a_vspm_start, config.a_vspm_stop, config.count)
+        omega_au = units.ev_to_internal(config.omega_ev)
+        return axis, [
+            LaserField(units.vector_potential_to_internal(a), omega_au) for a in axis
+        ]
+    if config.mode == "spectrum":
+        axis = _axis_grid(config.omega_ev_start, config.omega_ev_stop, config.count)
+    else:  # point: the axis value is its photon energy
+        axis = [config.omega_ev]
+    amp_au = units.vector_potential_to_internal(config.amplitude_vspm)
+    return axis, [LaserField(amp_au, units.ev_to_internal(w)) for w in axis]
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated RunConfig; returns the process exit code."""
+    """Execute a validated RunConfig; returns the process exit code.
+
+    Raises ConfigurationError if a field point is not a valid LaserField.
+    """
     t_start = time.time()
     units = UnitSystem(reduced_mass=config.reduced_mass)
-    basis = enumerate_basis(config.n0)
-
-    if config.mode == "spectrum":
-        axis = _axis_grid(config.omega_ev_start, config.omega_ev_stop, config.count)
-        amp_au = units.vector_potential_to_internal(config.amplitude_vspm)
-        tasks = [(a, amp_au, units.ev_to_internal(a)) for a in axis]
-        compute, header = _compute_spectrum_point, SPECTRUM_HEADER
-    elif config.mode == "intensity":
-        axis = _axis_grid(config.a_vspm_start, config.a_vspm_stop, config.count)
-        omega_au = units.ev_to_internal(config.omega_ev)
-        tasks = [
-            (a, units.vector_potential_to_internal(a), omega_au) for a in axis
-        ]
-        compute, header = _compute_spectrum_point, SPECTRUM_HEADER
-    elif config.mode == "ionization":
-        axis = _axis_grid(config.a_vspm_start, config.a_vspm_stop, config.count)
-        omega_au = units.ev_to_internal(config.omega_ev)
-        tasks = [
-            (a, units.vector_potential_to_internal(a), omega_au) for a in axis
-        ]
-        compute, header = _compute_ionization_point, IONIZATION_HEADER
-    else:  # point
-        tasks = [
-            (config.omega_ev,
-             units.vector_potential_to_internal(config.amplitude_vspm),
-             units.ev_to_internal(config.omega_ev))
-        ]
-        compute, header = _compute_spectrum_point, SPECTRUM_HEADER
+    axis, lasers = _sweep(config, units)
+    ini = config.initial_state
+    ionization = config.mode == "ionization"
+    if ionization:
+        observe = ionization_observation
+    else:
+        observe = functools.partial(
+            spectrum_observation, degeneracy_gap=config.degeneracy_gap
+        )
+    results = scan(
+        enumerate_basis(config.n0), ini, lasers, observe,
+        include_a2=not config.drop_a2,
+    )
 
     failed_points = []
     degenerate_points = []
     norm_errors = []
-    csv_rows = [header.split(",")]
-    ini = config.initial_state
-    for axis_value, amp_au, omega_au in tasks:
-        try:
-            rows, degenerate, norm_error = compute(
-                config, units, basis, axis_value, amp_au, omega_au
-            )
-        except Exception as exc:
-            failed_points.append({"axis_value": axis_value, "error": str(exc)})
-            if header is SPECTRUM_HEADER:
-                csv_rows.append(
-                    [axis_value, ini.n, ini.l, ini.mu, -1, -1, 0, "nan", "failed"]
-                )
-            else:
+    csv_rows = [(IONIZATION_HEADER if ionization else SPECTRUM_HEADER).split(",")]
+    for axis_value, result in zip(axis, results):
+        if isinstance(result, Exception):
+            failed_points.append({"axis_value": axis_value, "error": str(result)})
+            if ionization:
                 csv_rows.append(
                     [axis_value, config.omega_ev, -1, "nan", "nan", 0,
                      "nan", "nan", "failed"]
                 )
-            continue
-        if degenerate:
-            degenerate_points.append(axis_value)
-        if norm_error is not None:
+            else:
+                csv_rows.append(
+                    [axis_value, ini.n, ini.l, ini.mu, -1, -1, 0, "nan", "failed"]
+                )
+        elif ionization:
+            tracked, records = result
+            for rec in records:
+                csv_rows.append(
+                    [axis_value, config.omega_ev, tracked.index,
+                     repr(float(tracked.overlap)),
+                     repr(float(rec.E_i * units.mass_factor)), rec.mu_branch,
+                     repr(float(units.internal_to_ev(rec.E_f0))),
+                     repr(float(rec.eta)),
+                     repr(float(units.cross_section_to_pi_a0sq(rec.sigma)))]
+                )
+        else:
+            table, degenerate, norm_error = result
+            if degenerate:
+                degenerate_points.append(axis_value)
             norm_errors.append({"axis_value": axis_value, "error": norm_error})
-        csv_rows.extend(rows)
+            for state, w in zip(table.basis.states, table.probabilities):
+                if w < config.w_min:
+                    continue
+                csv_rows.append(
+                    [axis_value, ini.n, ini.l, ini.mu, state.n, state.l,
+                     state.mu, repr(float(w)), int(degenerate)]
+                )
     metadata = {
         "package_version": __version__,
         "config": dataclasses.asdict(config),
         "constants": "CODATA 2018",
         "units": {
-            "axis": "eV" if config.mode == "spectrum" else "V*s/m",
+            "axis": "V*s/m" if config.mode in ("intensity", "ionization") else "eV",
             "hartree_eV": units.internal_to_ev(1.0),
             "vector_potential_au_vspm": units.vector_potential_to_si(1.0),
         },
@@ -315,7 +286,7 @@ def run(config: RunConfig) -> int:
         "failed_points": failed_points,
         "wall_time_s": time.time() - t_start,
     }
-    if header is SPECTRUM_HEADER:
+    if not ionization:
         # |sum_b W(initial, b) - 1| before the w_min cut, per computed point
         metadata["w_normalization_error"] = norm_errors
     try:
@@ -399,10 +370,10 @@ def main(argv=None) -> int:
         config = parse_config(
             path=args.config_path, overrides=overrides, preset=args.preset
         )
+        return run(config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

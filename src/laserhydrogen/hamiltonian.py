@@ -19,7 +19,7 @@ be dropped for sensitivity studies.
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,19 +31,14 @@ from .basis import (
     radial_length_integral,
 )
 from .errors import ConfigurationError
-from .units import CONSTANTS
 
 
 @dataclass(frozen=True)
 class LaserField:
-    """Circularly polarized laser: amplitude A, frequency omega, wavenumber k.
-
-    All in atomic units; k defaults to omega/c = omega*alpha.
-    """
+    """Circularly polarized laser: amplitude A and frequency omega (a.u.)."""
 
     amplitude_A: float
     omega: float
-    k: float = None
 
     def __post_init__(self):
         for name in ("amplitude_A", "omega"):
@@ -55,10 +50,6 @@ class LaserField:
             raise ConfigurationError("amplitude_A must be >= 0")
         if self.omega <= 0:
             raise ConfigurationError("omega must be > 0")
-        if self.k is None:
-            object.__setattr__(
-                self, "k", self.omega * CONSTANTS.fine_structure_alpha
-            )
 
 
 @dataclass(frozen=True)
@@ -153,12 +144,3 @@ def coupling_arrays(n0: int):
     for arr in out:
         arr.flags.writeable = False
     return out
-
-
-def diagonal_shift(
-    matrix: PseudoHamiltonianMatrix, delta: float
-) -> PseudoHamiltonianMatrix:
-    """Shift all diagonal entries by delta (eigenvalues shift by delta)."""
-    entries = matrix.entries.copy()
-    entries[np.diag_indices(matrix.dimension)] += delta
-    return replace(matrix, entries=entries)

@@ -15,7 +15,7 @@ analytic continuation is needed.  Per partial wave,
     beta_l = sqrt(pi/(2 v)) * M_l / A,
 
 with M_l the golden-rule matrix element, normalized so that the cross
-section sigma = 16*alpha*v/(k*c) * sum_l |beta_l|^2 (in units of pi*a0^2)
+section sigma = 16*alpha*v/omega * sum_l |beta_l|^2 (in units of pi*a0^2)
 reproduces the textbook one-photon cross section in the weak-field limit.
 """
 
@@ -23,7 +23,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.special as sp
@@ -35,10 +35,11 @@ from .basis import (
     bound_energy,
     enumerate_basis,
 )
-from .eigensolver import EigenDecomposition, diagonalize, track_state
+from .eigensolver import EigenDecomposition, track_state
 from .errors import ConfigurationError, DomainError
-from .hamiltonian import LaserField, assemble
+from .hamiltonian import LaserField
 from .specfun import AppellF2Params, appell_f2
+from .transitions import scan
 from .units import BINDING_ENERGY_AU, CONSTANTS
 
 _COEFF_CUTOFF = 1e-15
@@ -51,7 +52,6 @@ class ContinuumState:
     energy_Ef0: float  # hartree, > 0
     l: int
     mu: int
-    normalization: str = "energy"
 
     def __post_init__(self):
         if self.energy_Ef0 <= 0:
@@ -201,10 +201,7 @@ def ionization_records(
                 )
             else:
                 betas.append(0.0)
-        sigma = (
-            16.0 * alpha * v / (laser.k * (1.0 / alpha))
-            * sum(b * b for b in betas)
-        )
+        sigma = 16.0 * alpha * v / laser.omega * sum(b * b for b in betas)
         records.append(
             IonizationRecord(
                 dressed_state_index=dressed_index,
@@ -248,6 +245,19 @@ class IonizationScanPoint:
     error: str = ""
 
 
+def ionization_observation(
+    decomp: EigenDecomposition,
+    initial: QuantumNumbers,
+    laser: LaserField,
+    binding: float = BINDING_ENERGY_AU,
+):
+    """(tracked initial dressed state, its IonizationRecords) of one point."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a mixed state is reported by overlap
+        tracked = track_state(decomp, initial)
+    return tracked, ionization_records(decomp, tracked.index, laser, binding=binding)
+
+
 def ionization_intensity_scan(
     omega_au: float,
     amplitudes_au,
@@ -261,37 +271,27 @@ def ionization_intensity_scan(
     amplitudes_au = list(amplitudes_au)
     if axis_values is None:
         axis_values = amplitudes_au
-    basis = enumerate_basis(n0)
+    lasers = [LaserField(amp, omega_au) for amp in amplitudes_au]
+    observe = partial(ionization_observation, binding=binding)
+    results = scan(
+        enumerate_basis(n0), initial, lasers, observe, include_a2=include_a2
+    )
     points = []
-    for axis_value, amp in zip(axis_values, amplitudes_au):
-        try:
-            laser = LaserField(amp, omega_au)
-            decomp = diagonalize(
-                assemble(basis, laser, include_a2=include_a2), vectors_for=initial
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                tracked = track_state(decomp, initial)
-            records = ionization_records(
-                decomp, tracked.index, laser, binding=binding
-            )
+    for axis_value, amp, result in zip(axis_values, amplitudes_au, results):
+        if isinstance(result, Exception):
             points.append(
-                IonizationScanPoint(
-                    axis_value=axis_value,
-                    amplitude_au=amp,
-                    dressed_index=tracked.index,
-                    overlap=tracked.overlap,
-                    ambiguous=tracked.ambiguous,
-                    records=tuple(records),
-                )
+                IonizationScanPoint(axis_value, amp, failed=True, error=str(result))
             )
-        except Exception as exc:
-            points.append(
-                IonizationScanPoint(
-                    axis_value=axis_value,
-                    amplitude_au=amp,
-                    failed=True,
-                    error=str(exc),
-                )
+            continue
+        tracked, records = result
+        points.append(
+            IonizationScanPoint(
+                axis_value=axis_value,
+                amplitude_au=amp,
+                dressed_index=tracked.index,
+                overlap=tracked.overlap,
+                ambiguous=tracked.ambiguous,
+                records=tuple(records),
             )
+        )
     return points

@@ -5,9 +5,14 @@ starting in |a> is W(a,b) = sum_i C_a(i)^2 C_b(i)^2; orthogonality of the
 coefficient matrix makes the full W doubly stochastic.  The instantaneous
 probability before averaging is the multi-periodic
 |sum_i C_a(i) C_b(i) e^{-i(E_i - mu_b omega) t}|^2.
+
+Every sweep, the library scans and the command line alike, runs through
+`scan`, which assembles, diagonalizes and observes one field point after
+another and hands back each point's observation or its exception.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -87,16 +92,49 @@ def time_resolved_probability(
     return float(np.abs(np.dot(c_from * c_to, phases)) ** 2)
 
 
-def _scan(basis, initial, lasers, axis_values, degeneracy_gap):
-    for axis_value, laser in zip(axis_values, lasers):
+def scan(basis, initial, lasers, observe, include_a2=True):
+    """Run assemble -> diagonalize -> observe at each field of a sweep.
+
+    Yields, per laser, observe(decomp, initial, laser), or the exception
+    that point raised: a failed point does not stop the scan.  Only the
+    initial state's parity class is solved with eigenvectors.  Neither the
+    matrix nor the decomposition is bound to a name, so neither stays alive
+    while the generator waits at its yield and the next point is solved.
+    """
+    for laser in lasers:
         try:
-            decomp = diagonalize(assemble(basis, laser), vectors_for=initial)
-            table = transition_table(decomp, initial, laser)
-            near = len(decomp.near_degenerate_pairs(degeneracy_gap)) > 0
-            norm_err = abs(float(table.probabilities.sum()) - 1.0)
-            yield ScanPoint(axis_value, table, near, norm_err)
-        except Exception as exc:  # scan keeps going, point marked failed
-            yield ScanPoint(axis_value, None, False, np.nan, True, str(exc))
+            result = observe(
+                diagonalize(assemble(basis, laser, include_a2), vectors_for=initial),
+                initial,
+                laser,
+            )
+        except Exception as exc:  # the point fails, the scan goes on
+            result = exc
+        yield result
+
+
+def spectrum_observation(
+    decomp: EigenDecomposition,
+    initial: QuantumNumbers,
+    laser: LaserField,
+    degeneracy_gap: float = DEGENERACY_GAP,
+):
+    """(W table, near-degeneracy flag, |sum_b W - 1|) of one scan point."""
+    table = transition_table(decomp, initial, laser)
+    near = len(decomp.near_degenerate_pairs(degeneracy_gap)) > 0
+    return table, near, abs(float(table.probabilities.sum()) - 1.0)
+
+
+def _spectrum_result(n0, initial, lasers, axis_values, degeneracy_gap, metadata):
+    observe = partial(spectrum_observation, degeneracy_gap=degeneracy_gap)
+    results = scan(enumerate_basis(n0), initial, lasers, observe)
+    rows = [
+        ScanPoint(axis_value, None, False, np.nan, True, str(result))
+        if isinstance(result, Exception)
+        else ScanPoint(axis_value, *result)
+        for axis_value, result in zip(axis_values, results)
+    ]
+    return ScanResult(axis=list(axis_values), rows=rows, metadata=metadata)
 
 
 def spectrum_scan(
@@ -109,17 +147,14 @@ def spectrum_scan(
 ) -> ScanResult:
     """Photon-energy sweep at fixed amplitude (Fig. 1-style data)."""
     omegas_au = list(omegas_au)
-    if any(w <= 0 for w in omegas_au):
-        raise ConfigurationError("photon energies must be positive")
-    if axis_values is None:
-        axis_values = omegas_au
-    basis = enumerate_basis(n0)
     lasers = [LaserField(amplitude_au, w) for w in omegas_au]
-    rows = list(_scan(basis, initial, lasers, axis_values, degeneracy_gap))
-    return ScanResult(
-        axis=list(axis_values),
-        rows=rows,
-        metadata={"n0": n0, "amplitude_au": amplitude_au, "initial": initial},
+    return _spectrum_result(
+        n0,
+        initial,
+        lasers,
+        omegas_au if axis_values is None else axis_values,
+        degeneracy_gap,
+        {"n0": n0, "amplitude_au": amplitude_au, "initial": initial},
     )
 
 
@@ -133,15 +168,12 @@ def intensity_scan(
 ) -> ScanResult:
     """Amplitude sweep at fixed photon energy (Fig. 2-style data)."""
     amplitudes_au = list(amplitudes_au)
-    if any(a < 0 for a in amplitudes_au):
-        raise ConfigurationError("amplitudes must be non-negative")
-    if axis_values is None:
-        axis_values = amplitudes_au
-    basis = enumerate_basis(n0)
     lasers = [LaserField(a, omega_au) for a in amplitudes_au]
-    rows = list(_scan(basis, initial, lasers, axis_values, degeneracy_gap))
-    return ScanResult(
-        axis=list(axis_values),
-        rows=rows,
-        metadata={"n0": n0, "omega_au": omega_au, "initial": initial},
+    return _spectrum_result(
+        n0,
+        initial,
+        lasers,
+        amplitudes_au if axis_values is None else axis_values,
+        degeneracy_gap,
+        {"n0": n0, "omega_au": omega_au, "initial": initial},
     )

@@ -7,8 +7,10 @@ import pytest
 import scipy.linalg
 
 import laserhydrogen.cli as cli
+import laserhydrogen.transitions as transitions
 from laserhydrogen.cli import IONIZATION_HEADER, SPECTRUM_HEADER, main, parse_config
 from laserhydrogen.errors import ConfigurationError
+from laserhydrogen.units import UnitSystem
 
 
 def _read_csv(path):
@@ -276,15 +278,23 @@ def test_eigensolver_failure_is_a_failed_point(tmp_path, monkeypatch):
     assert meta["w_normalization_error"] == []
 
 
-def test_failed_point_fault_injection(tmp_path, monkeypatch):
-    real = cli._compute_spectrum_point
+def _fail_diagonalize_when(monkeypatch, fails):
+    """The scan engine's eigensolve raises at each point whose laser fails."""
+    real = transitions.diagonalize
 
-    def flaky(config, units, basis, axis_value, amp_au, omega_au):
-        if abs(axis_value - 0.4) < 1e-12:
+    def flaky(matrix, vectors_for=None):
+        if fails(matrix.laser):
             raise RuntimeError("synthetic mid-scan failure")
-        return real(config, units, basis, axis_value, amp_au, omega_au)
+        return real(matrix, vectors_for=vectors_for)
 
-    monkeypatch.setattr(cli, "_compute_spectrum_point", flaky)
+    monkeypatch.setattr(transitions, "diagonalize", flaky)
+
+
+def test_failed_point_fault_injection(tmp_path, monkeypatch):
+    omega = UnitSystem().ev_to_internal(0.4)
+    _fail_diagonalize_when(
+        monkeypatch, lambda laser: abs(laser.omega - omega) < 1e-12
+    )
     out = tmp_path / "flaky.csv"
     rc = main(
         ["spectrum", "--n0", "3", "--amplitude-vspm", "5e-6",
@@ -303,6 +313,68 @@ def test_failed_point_fault_injection(tmp_path, monkeypatch):
     meta = json.loads((tmp_path / "flaky.csv.meta.json").read_text())
     assert meta["failed_points"][0]["axis_value"] == 0.4
     assert "synthetic" in meta["failed_points"][0]["error"]
+
+
+_IONIZATION = ["ionization", "--n0", "6", "--omega-ev", "2.37",
+               "--a-vspm-start", "2e-6", "--a-vspm-stop", "4e-6", "--count", "3"]
+
+
+def test_failed_bound_free_integral_fails_one_point(
+    tmp_path, bound_free_fails_at_second_point
+):
+    out = tmp_path / "ion.csv"
+    assert main(_IONIZATION + ["--out", str(out)]) == 1
+    _, rows = _read_csv(out)
+    failed = [r for r in rows if r[8] == "failed"]
+    assert len(failed) == 1
+    assert float(failed[0][0]) == pytest.approx(3e-6)
+    assert failed[0][2] == "-1" and math.isnan(float(failed[0][7]))
+    meta = json.loads((tmp_path / "ion.csv.meta.json").read_text())
+    assert len(meta["failed_points"]) == 1
+    assert meta["failed_points"][0]["axis_value"] == pytest.approx(3e-6)
+    assert "injected bound-free failure" in meta["failed_points"][0]["error"]
+    # the neighbouring points are exactly what an undisturbed run writes (the
+    # injected failure only hits the second point of a process, so this
+    # second run computes every point)
+    ref = tmp_path / "ref.csv"
+    assert main(_IONIZATION + ["--out", str(ref)]) == 0
+    _, ref_rows = _read_csv(ref)
+    assert [r for r in rows if r[8] != "failed"] == [
+        r for r in ref_rows if r[0] != failed[0][0]
+    ]
+    assert {r[0] for r in ref_rows} == {r[0] for r in rows}
+
+
+@pytest.mark.parametrize(
+    "argv, axis",
+    [(_POINT, "eV"), (_SPECTRUM, "eV"), (_INTENSITY, "V*s/m"),
+     (_IONIZATION[:-1] + ["1"], "V*s/m")],
+    ids=["point", "spectrum", "intensity", "ionization"],
+)
+def test_meta_labels_the_axis_unit(tmp_path, argv, axis):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    assert meta["units"]["axis"] == axis
+    if argv is _POINT:  # the point's axis value is its photon energy
+        _, rows = _read_csv(out)
+        assert {r[0] for r in rows} == {"0.5"}
+
+
+def test_ionization_rows_print_the_configured_omega(tmp_path, monkeypatch):
+    # 4.0 eV does not survive the eV -> hartree -> eV round trip
+    units = UnitSystem()
+    assert units.internal_to_ev(units.ev_to_internal(4.0)) != 4.0
+    a_mid = units.vector_potential_to_internal(1.5e-6)
+    _fail_diagonalize_when(monkeypatch, lambda laser: laser.amplitude_A > a_mid)
+    out = tmp_path / "ion.csv"
+    argv = ["ionization", "--n0", "4", "--omega-ev", "4.0",
+            "--a-vspm-start", "1e-6", "--a-vspm-stop", "2e-6", "--count", "2"]
+    assert main(argv + ["--out", str(out)]) == 1
+    _, rows = _read_csv(out)
+    assert sum(r[8] == "failed" for r in rows) == 1
+    assert len(rows) > 1
+    assert {r[1] for r in rows} == {"4.0"}  # computed and failed rows alike
 
 
 def test_drop_a2_changes_results(tmp_path):
@@ -345,9 +417,12 @@ def test_reduced_mass_shifts_energies(tmp_path):
         (_SPECTRUM + ["--omega-ev-start", "0"], "omega_ev_start must be positive"),
         (_POINT + ["--initial", "5", "0", "0", "--n0", "4"],
          r"initial state \(n, l, mu\) = \(5, 0, 0\) is outside the n0=4 basis"),
+        # finite in V*s/m, but not in atomic units
+        (_POINT + ["--amplitude-vspm", "1e308"], "amplitude_A must be finite"),
     ],
     ids=["n0-above-cap", "omega-nan", "omega-negative", "amplitude-negative",
-         "amplitude-inf", "omega-start-zero", "initial-outside-basis"],
+         "amplitude-inf", "omega-start-zero", "initial-outside-basis",
+         "amplitude-overflows"],
 )
 def test_bad_input_rejected_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "bad.csv"

@@ -15,17 +15,13 @@ from laserhydrogen.hamiltonian import (
     LaserField,
     assemble,
     coupling_arrays,
-    diagonal_shift,
     load_matrix_entries,
 )
+from laserhydrogen.ionization import ionization_intensity_scan
 from laserhydrogen.transitions import intensity_scan, spectrum_scan
-from laserhydrogen.units import CONSTANTS
 
 
 def test_laser_field_validation():
-    f = LaserField(0.1, 0.3)
-    assert f.k == pytest.approx(0.3 * CONSTANTS.fine_structure_alpha, rel=1e-15)
-    assert LaserField(0.1, 0.3, k=0.01).k == 0.01
     with pytest.raises(ConfigurationError):
         LaserField(-0.1, 0.3)
     with pytest.raises(ConfigurationError):
@@ -45,6 +41,19 @@ def test_library_scans_reject_non_finite_at_the_boundary():
         spectrum_scan(0.01, [math.nan], QuantumNumbers(1, 0, 0), n0=2)
     with pytest.raises(ConfigurationError, match="amplitude_A must be finite"):
         intensity_scan(0.1, [math.inf], QuantumNumbers(1, 0, 0), n0=2)
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+def test_every_library_scan_rejects_a_bad_amplitude(bad):
+    # every field is built before the first point is solved, so a bad
+    # amplitude anywhere in the sweep raises instead of failing one point
+    ground = QuantumNumbers(1, 0, 0)
+    with pytest.raises(ConfigurationError, match="amplitude_A"):
+        spectrum_scan(bad, [0.1], ground, n0=2)
+    with pytest.raises(ConfigurationError, match="amplitude_A"):
+        intensity_scan(0.1, [0.05, bad], ground, n0=2)
+    with pytest.raises(ConfigurationError, match="amplitude_A"):
+        ionization_intensity_scan(0.087, [0.05, bad], n0=2)
 
 
 def test_assemble_symmetric_and_real():
@@ -112,15 +121,6 @@ def test_dump_and_load_roundtrip(tmp_path):
     assert os.path.getsize(path) == 8 + 8 * d * (d + 1) // 2
     back = load_matrix_entries(path)
     np.testing.assert_array_equal(back, matrix.entries)
-
-
-def test_diagonal_shift_moves_eigenvalues():
-    basis = enumerate_basis(3)
-    matrix = assemble(basis, LaserField(0.2, 0.05))
-    shifted = diagonal_shift(matrix, 0.37)
-    e0 = np.linalg.eigvalsh(matrix.entries)
-    e1 = np.linalg.eigvalsh(shifted.entries)
-    np.testing.assert_allclose(e1, e0 + 0.37, rtol=0, atol=1e-12)
 
 
 def test_coupling_arrays_are_the_px_formula():

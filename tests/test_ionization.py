@@ -218,3 +218,15 @@ def test_ionization_intensity_scan_smoke():
         assert 0.0 < p.overlap <= 1.0
     # pseudo-energy rises with intensity (ponderomotive-type shift)
     assert points[1].records[0].E_i > points[0].records[0].E_i
+
+
+def test_ionization_scan_domain_error_fails_one_point(
+    bound_free_fails_at_second_point,
+):
+    omega = 2.37 / EV
+    points = ionization_intensity_scan(omega, [0.05, 0.1, 0.2], n0=6)
+    assert [p.failed for p in points] == [False, True, False]
+    assert points[1].error == "injected bound-free failure"
+    assert points[1].records == () and points[1].dressed_index == -1
+    assert points[1].amplitude_au == 0.1
+    assert points[0].records and points[2].records

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laserhydrogen.cli as cli
+import laserhydrogen.transitions as transitions
 from laserhydrogen import (
     ConfigurationError,
     ContinuumState,
@@ -229,7 +230,7 @@ def _full_eigh(matrix, vectors_for=None):
 def _run_both(tmp_path, monkeypatch, argv):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     assert cli.main(argv + ["--out", str(new)]) == 0
-    monkeypatch.setattr(cli, "diagonalize", _full_eigh)
+    monkeypatch.setattr(transitions, "diagonalize", _full_eigh)
     assert cli.main(argv + ["--out", str(ref)]) == 0
     rows = []
     for path in (new, ref):
