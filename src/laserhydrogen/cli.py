@@ -232,7 +232,7 @@ def run(config: RunConfig) -> int:
 
     failed_points = []
     degenerate_points = []
-    norm_errors = []
+    norm_errors, min_gaps, leakages = [], [], []
     csv_rows = [(IONIZATION_HEADER if ionization else SPECTRUM_HEADER).split(",")]
     for axis_value, result in zip(axis, results):
         if isinstance(result, Exception):
@@ -247,10 +247,10 @@ def run(config: RunConfig) -> int:
                     [axis_value, ini.n, ini.l, ini.mu, -1, -1, 0, "nan", "failed"]
                 )
         elif ionization:
-            tracked, records = result
+            tracked, index, records = result
             for rec in records:
                 csv_rows.append(
-                    [axis_value, config.omega_ev, tracked.index,
+                    [axis_value, config.omega_ev, index,
                      repr(float(tracked.overlap)),
                      repr(float(rec.E_i * units.mass_factor)), rec.mu_branch,
                      repr(float(units.internal_to_ev(rec.E_f0))),
@@ -258,10 +258,12 @@ def run(config: RunConfig) -> int:
                      repr(float(units.cross_section_to_pi_a0sq(rec.sigma)))]
                 )
         else:
-            table, degenerate, norm_error = result
+            table, degenerate, norm_error, min_gap, leakage = result
             if degenerate:
                 degenerate_points.append(axis_value)
             norm_errors.append({"axis_value": axis_value, "error": norm_error})
+            min_gaps.append({"axis_value": axis_value, "gap": min_gap})
+            leakages.append({"axis_value": axis_value, "leakage": leakage})
             for state, w in zip(table.basis.states, table.probabilities):
                 if w < config.w_min:
                     continue
@@ -287,8 +289,13 @@ def run(config: RunConfig) -> int:
         "wall_time_s": time.time() - t_start,
     }
     if not ionization:
-        # |sum_b W(initial, b) - 1| before the w_min cut, per computed point
+        # Trust in each computed point: |sum_b W(initial, b) - 1| before the
+        # w_min cut; the smallest level spacing in the initial state's class,
+        # near which W carries rounding of about eps*|H|/gap; and the W that
+        # reaches the outermost shell n = n0, a proxy for truncation error.
         metadata["w_normalization_error"] = norm_errors
+        metadata["min_eigen_gap"] = min_gaps
+        metadata["outer_shell_leakage"] = leakages
     try:
         _write_files([
             (config.output_path, "",

@@ -1,27 +1,28 @@
-"""Symmetric eigendecomposition of the pseudo-Hamiltonian, block by block.
+"""Symmetric eigendecomposition of the pseudo-Hamiltonian, class by class.
 
-Produces the pseudo-energies E_i (ascending) and the real coefficient
-matrix C, column i holding the expansion of the dressed state phi_i over
-the bound basis.  The field lies in the xy-plane, so the z-reflection
-parity (l + mu) mod 2 is conserved: the assembled matrix has exact zeros
-between the two parity classes and each class is solved on its own.
-The blocks' eigenvectors are written into one full-basis C, at the
-columns of their energies in the global ascending order, so a dressed
-state never mixes the two classes.  A matrix that does couple the classes
-is solved as one block.  Output is made deterministic by fixing each
-column's sign so its largest-magnitude component is positive.
+Produces the pseudo-energies E_i (ascending) and the real coefficients of
+each dressed state phi_i over the bound basis.  The field lies in the
+xy-plane, so the z-reflection parity (l + mu) mod 2 is conserved: H has
+exact zeros between the two parity classes and each class is solved on its
+own, with LAPACK's divide-and-conquer solver (`syevd`, Gu & Eisenstat
+1995), whose merges are BLAS-3 and use every BLAS thread.  Output is made
+deterministic by fixing each column's sign so its largest-magnitude
+component is positive.
 
-Every block goes to LAPACK's divide-and-conquer solver (`syevd`,
-Gu & Eisenstat 1995), whose merges are BLAS-3 and use every BLAS thread.
-Each extracted block is handed over as its transpose: the block is
-symmetric, so the Fortran-ordered view holds the same matrix and scipy
-works on it in place instead of copying it.  Every observable of a scan
-follows one initial state and reads only that state's block, so
-`diagonalize(matrix, vectors_for=state)` computes eigenvectors for that
-block alone and only the eigenvalues of the other one, which still give
-the global dressed-state order and the near-degeneracy check.  Reading a
-basis state or dressed state of a block solved without vectors raises
-ConfigurationError.
+A matrix that `assemble` built for one parity class is solved and stored
+as that class alone: its energies, its sign-fixed vectors and the basis
+positions of its states.  Every observable of a scan follows one initial
+state and reads only that state's class, so a scan never holds a matrix
+over the whole basis.  The position of a class's dressed state in the
+spectrum of the whole basis (`global_index`) needs only the number of the
+other class's levels below it, which Sylvester's law of inertia gives
+from one LDL^T factorization, without that class's eigenvalues.
+
+A whole-basis matrix is solved class by class as well, and the vectors are
+placed in one full-basis C, at the columns of their energies in the global
+ascending order.  Symmetry and the zeros between the classes are checked
+only for a matrix made outside `assemble`; one that couples the classes is
+solved as one block.
 """
 
 import warnings
@@ -32,7 +33,7 @@ import scipy.linalg
 
 from .basis import BasisSet, QuantumNumbers
 from .errors import ConfigurationError, ConvergenceError
-from .hamiltonian import PseudoHamiltonianMatrix
+from .hamiltonian import LaserField, PseudoHamiltonianMatrix, assemble
 
 DEGENERACY_GAP = 1e-10
 
@@ -41,69 +42,84 @@ DEGENERACY_GAP = 1e-10
 class EigenDecomposition:
     """Pseudo-energies and real dressed-state coefficients.
 
-    coefficients[j, i] = C of basis state j in dressed state i; columns are
-    orthonormal and rows are orthonormal (C is orthogonal).  block_labels[i]
-    names the diagonal block dressed state i was solved in (its parity
-    class) and state_labels[j] the block of basis state j; None means the
-    whole basis is one block.  vector_blocks holds the labels of the blocks
-    solved with eigenvectors (None: all of them); the columns of any other
-    block are zero, and row, column and block_of refuse to read them.
+    coefficients[k, i] = C of basis state positions[k] in dressed state i;
+    positions None means every basis state, in basis order, and then C is
+    orthogonal.  A decomposition of one parity class holds only that
+    class's states and dressed states, and reading a state of the other
+    class raises.  block_labels[i] names the diagonal block dressed state i
+    was solved in; None means one block.  include_a2 records whether the
+    energies carry the A^2/2 constant.
     """
 
     energies: np.ndarray
     coefficients: np.ndarray
     basis: BasisSet
     block_labels: np.ndarray = None
-    state_labels: np.ndarray = None
-    vector_blocks: frozenset = None
+    positions: np.ndarray = None
+    include_a2: bool = True
 
     @property
     def dimension(self) -> int:
         return len(self.energies)
 
-    def _require_vectors(self, label, what):
-        if self.vector_blocks is not None and label not in self.vector_blocks:
-            raise ConfigurationError(
-                f"{what} lies in a block solved without eigenvectors; "
-                "diagonalize with vectors_for in that block or None"
-            )
+    @property
+    def rows(self) -> np.ndarray:
+        """Basis positions of the rows of coefficients."""
+        if self.positions is None:
+            return np.arange(len(self.basis))
+        return self.positions
 
-    def block_of(self, state: QuantumNumbers):
-        """(basis positions, dressed-state columns) of the block of state."""
-        if state not in self.basis:
-            raise ConfigurationError(f"{state} not in basis (n0={self.basis.n0})")
-        everything = np.arange(self.dimension)
-        if self.state_labels is None:
-            return everything, everything
-        label = self.state_labels[self.basis.position(state)]
-        self._require_vectors(label, f"state {state}")
-        return (
-            np.nonzero(self.state_labels == label)[0],
-            np.nonzero(self.block_labels == label)[0],
-        )
+    @property
+    def parity(self):
+        """(l + mu) % 2 of the class held, or None for the whole basis."""
+        if self.positions is None:
+            return None
+        state = self.basis.states[self.positions[0]]
+        return (state.l + state.mu) % 2
 
     def row(self, state: QuantumNumbers) -> np.ndarray:
         """Coefficients of bare state `state` in every dressed state."""
-        self.block_of(state)
-        return self.coefficients[self.basis.position(state), :]
+        if state not in self.basis:
+            raise ConfigurationError(f"{state} not in basis (n0={self.basis.n0})")
+        position = self.basis.position(state)
+        if self.positions is None:
+            return self.coefficients[position]
+        k = int(np.searchsorted(self.positions, position))
+        if k == len(self.positions) or self.positions[k] != position:
+            raise ConfigurationError(
+                f"state {state} lies in a parity class this decomposition "
+                "does not hold; diagonalize the whole basis to read it"
+            )
+        return self.coefficients[k]
 
     def column(self, index: int) -> np.ndarray:
-        """Coefficients of dressed state `index` over the basis."""
-        if self.block_labels is not None:
-            self._require_vectors(self.block_labels[index], f"dressed state {index}")
+        """Coefficients of dressed state `index` over the rows."""
+        if not 0 <= index < self.dimension:
+            raise ConfigurationError(
+                f"dressed state {index} not among the {self.dimension} held"
+            )
         return self.coefficients[:, index]
+
+    def level_gaps(self):
+        """(i, E_j - E_i) for each level i with a next-higher level j of
+        the same block, ascending in i.  States of different blocks cannot
+        mix, so their spacings are not gaps."""
+        if self.block_labels is None:
+            return np.arange(self.dimension - 1), np.diff(self.energies)
+        index, gaps = [], []
+        for label in np.unique(self.block_labels):
+            cols = np.nonzero(self.block_labels == label)[0]
+            index.append(cols[:-1])
+            gaps.append(np.diff(self.energies[cols]))
+        index, gaps = np.concatenate(index), np.concatenate(gaps)
+        order = np.argsort(index)
+        return index[order], gaps[order]
 
     def near_degenerate_pairs(self, gap: float = DEGENERACY_GAP):
         """Indices i whose next-higher state of the same block lies closer
-        than gap.  States of different blocks cannot mix, so their
-        crossings are exact and are not reported."""
-        if self.block_labels is None:
-            return np.nonzero(np.diff(self.energies) < gap)[0]
-        pairs = []
-        for label in np.unique(self.block_labels):
-            cols = np.nonzero(self.block_labels == label)[0]
-            pairs.append(cols[:-1][np.diff(self.energies[cols]) < gap])
-        return np.sort(np.concatenate(pairs))
+        than gap."""
+        index, gaps = self.level_gaps()
+        return index[gaps < gap]
 
 
 @dataclass(frozen=True)
@@ -115,33 +131,25 @@ class TrackedState:
     ambiguous: bool  # True when the bare state is strongly mixed
 
 
-def _parity_blocks(matrix: PseudoHamiltonianMatrix):
-    """Basis positions of each diagonal block of the matrix.
+def _parity_blocks(matrix: PseudoHamiltonianMatrix, check: bool):
+    """Basis positions of each diagonal block of a whole-basis matrix.
 
-    The two (l + mu) parity classes when the entries between them are all
-    exactly zero, otherwise the whole basis as one block.
+    The two (l + mu) parity classes; with check, the whole basis as one
+    block when an entry between the classes is not exactly zero.
     """
     parity = np.array([(s.l + s.mu) % 2 for s in matrix.basis.states])
     even, odd = np.nonzero(parity == 0)[0], np.nonzero(parity == 1)[0]
-    if len(even) and len(odd) and matrix.entries[np.ix_(even, odd)].any():
+    if check and len(even) and len(odd) and matrix.entries[np.ix_(even, odd)].any():
         return [np.arange(matrix.dimension)]
     return [block for block in (even, odd) if len(block)]
 
 
-def _solve_block(h, block, with_vectors):
-    """Eigenvalues (and sign-fixed eigenvectors) of h restricted to block."""
-    # The extracted block is C-ordered and symmetric, so its transpose is
-    # the same matrix in Fortran order, which LAPACK overwrites uncopied.
-    sub = h[np.ix_(block, block)].T
+def _solve_block(sub, overwrite):
+    """Eigenvalues and sign-fixed eigenvectors of the symmetric sub."""
     try:
-        result = scipy.linalg.eigh(
-            sub, eigvals_only=not with_vectors, overwrite_a=True, driver="evd"
-        )
+        energies, vectors = scipy.linalg.eigh(sub, overwrite_a=overwrite, driver="evd")
     except scipy.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    if not with_vectors:
-        return result, None
-    energies, vectors = result
     # Sign fix: largest-magnitude component of each column positive.
     pivot = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[pivot, np.arange(vectors.shape[1])])
@@ -150,36 +158,30 @@ def _solve_block(h, block, with_vectors):
     return energies, vectors
 
 
-def diagonalize(
-    matrix: PseudoHamiltonianMatrix, vectors_for: QuantumNumbers = None
-) -> EigenDecomposition:
+def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
     """Spectrum of the real symmetric pseudo-Hamiltonian.
 
-    With vectors_for=None every block is solved with eigenvectors.  With a
-    basis state, only the block containing it gets eigenvectors; the other
-    block's columns of C stay zero and reading them raises.
+    A matrix of one parity class gives the decomposition of that class;
+    LAPACK works on a copy, so the matrix is left as it was.  A whole-basis
+    matrix gives every class, with a full-basis C.
     """
     h = matrix.entries
-    if not np.array_equal(h, h.T):
-        raise ConfigurationError("pseudo-Hamiltonian matrix must be symmetric")
-    blocks = _parity_blocks(matrix)
-    state_labels = np.empty(matrix.dimension, dtype=int)
-    for label, block in enumerate(blocks):
-        state_labels[block] = label
-    if vectors_for is None:
-        vector_blocks = frozenset(range(len(blocks)))
-    elif vectors_for in matrix.basis:
-        vector_blocks = frozenset(
-            {int(state_labels[matrix.basis.position(vectors_for)])}
+    if matrix.positions is None:  # made outside assemble: check it here
+        if not np.array_equal(h, h.T):
+            raise ConfigurationError("pseudo-Hamiltonian matrix must be symmetric")
+    elif len(matrix.positions) < len(matrix.basis):
+        energies, vectors = _solve_block(h, overwrite=False)
+        return EigenDecomposition(
+            energies=energies,
+            coefficients=vectors,
+            basis=matrix.basis,
+            positions=matrix.positions,
+            include_a2=matrix.include_a2,
         )
-    else:
-        raise ConfigurationError(
-            f"{vectors_for} not in basis (n0={matrix.basis.n0})"
-        )
-    solved = [
-        _solve_block(h, block, label in vector_blocks)
-        for label, block in enumerate(blocks)
-    ]
+    blocks = _parity_blocks(matrix, check=matrix.positions is None)
+    # The extracted block is C-ordered and symmetric, so its transpose is
+    # the same matrix in Fortran order, which LAPACK overwrites uncopied.
+    solved = [_solve_block(h[np.ix_(block, block)].T, overwrite=True) for block in blocks]
     # Column of every block eigenvalue in the global ascending order; the
     # stable sort keeps exact cross-block ties in block order.
     all_energies = np.concatenate([energies for energies, _ in solved])
@@ -191,8 +193,7 @@ def diagonalize(
     start = 0
     for label, (block, (energies, vectors)) in enumerate(zip(blocks, solved)):
         cols = column[start:start + len(energies)]
-        if vectors is not None:
-            coefficients[np.ix_(block, cols)] = vectors
+        coefficients[np.ix_(block, cols)] = vectors
         labels[cols] = label
         start += len(energies)
     return EigenDecomposition(
@@ -200,9 +201,46 @@ def diagonalize(
         coefficients=coefficients,
         basis=matrix.basis,
         block_labels=labels,
-        state_labels=state_labels,
-        vector_blocks=vector_blocks,
+        include_a2=matrix.include_a2,
     )
+
+
+def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> int:
+    """Position of dressed state `index` in the ascending spectrum of the
+    whole basis at this field.
+
+    For a decomposition of one parity class this is its rank in the class
+    plus the number of the other class's levels below E_i.  By Sylvester's
+    law of inertia that number is the count of negative eigenvalues of D in
+    the Bunch-Kaufman factorization H_other - E_i = L D L^T (Math. Comp.
+    31, 163, 1977), which costs less than that class's eigenvalues.  A
+    level equal to E_i counts as below when the other class is the even
+    one, which is where a whole-basis solve puts such a tie.
+    """
+    parity = decomp.parity
+    if parity is None:
+        return index
+    other = assemble(decomp.basis, laser, decomp.include_a2, parity=1 - parity)
+    if other.dimension == 0:
+        return index
+    shifted = other.entries
+    shifted[np.diag_indices_from(shifted)] -= decomp.energies[index]
+    _, d, _ = scipy.linalg.ldl(shifted, overwrite_a=True)
+    # D is block diagonal: a nonzero subdiagonal entry opens a 2x2 pivot
+    # [[a, b], [b, c]], whose eigenvalues have opposite signs when det < 0
+    # and the sign of a + c when det > 0
+    pairs = np.flatnonzero(d.diagonal(-1))
+    a, b, c = d.diagonal()[pairs], d.diagonal(-1)[pairs], d.diagonal()[pairs + 1]
+    det = a * c - b * b
+    single = np.delete(d.diagonal(), np.concatenate([pairs, pairs + 1]))
+    negative = (
+        np.count_nonzero(single < 0)
+        + np.count_nonzero(det < 0)
+        + 2 * np.count_nonzero((det > 0) & (a + c < 0))
+        + np.count_nonzero((det == 0) & (a + c < 0))
+    )
+    zero = np.count_nonzero(single == 0) + np.count_nonzero(det == 0)
+    return index + int(negative) + (int(zero) if parity == 1 else 0)
 
 
 def track_state(

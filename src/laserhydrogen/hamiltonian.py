@@ -9,7 +9,10 @@ The p_x elements depend only on the basis, so their positions and values
 are built once per n0 (`coupling_arrays`) and each field point costs one
 diagonal fill plus one scaled scatter of those values.  Every nonzero
 element joins states of equal z-reflection parity (l + mu) mod 2, so the
-matrix is block diagonal in the two parity classes.
+matrix is block diagonal in the two parity classes, and `assemble` can
+build one class alone: its block, in Fortran order, from the couplings of
+that class, with no matrix over the whole basis.  A scan follows one
+initial state, so it assembles only that state's class.
 
 All quantities in atomic units.  The dipole (k*a0 << 1) coupling is used;
 the A^2/2 ponderomotive-type constant is kept on the diagonal by default
@@ -54,10 +57,21 @@ class LaserField:
 
 @dataclass(frozen=True)
 class PseudoHamiltonianMatrix:
+    """H restricted to the basis positions `positions` (rows and columns).
+
+    `assemble` sets positions, to the whole basis or to one parity class,
+    and builds the matrix symmetric and without entries between the
+    classes.  A matrix made elsewhere leaves positions None: it spans the
+    whole basis, and `diagonalize` checks it.  include_a2 records whether
+    the A^2/2 constant is on the diagonal.
+    """
+
     dimension: int
     entries: np.ndarray
     basis: BasisSet
     laser: LaserField
+    positions: np.ndarray = None
+    include_a2: bool = True
 
     def dump(self, path):
         """Binary dump: int64 LE dimension, then the row-major lower
@@ -79,29 +93,70 @@ def load_matrix_entries(path) -> np.ndarray:
 
 
 def assemble(
-    basis: BasisSet, laser: LaserField, include_a2: bool = True
+    basis: BasisSet, laser: LaserField, include_a2: bool = True, parity: int = None
 ) -> PseudoHamiltonianMatrix:
-    """Build the real symmetric pseudo-Hamiltonian in the given basis."""
+    """Build the real symmetric pseudo-Hamiltonian in the given basis.
+
+    With parity 0 or 1 only the states with (l + mu) % 2 == parity are
+    built: the matrix is that class's diagonal block of the whole-basis H,
+    entry for entry, and its positions are the class's basis positions.
+    """
     if len(basis) == 0:
         raise ConfigurationError("basis must be nonempty")
-    dim = len(basis)
-    h = np.zeros((dim, dim))
+    if parity not in (None, 0, 1):
+        raise ConfigurationError(f"parity must be 0, 1 or None, got {parity!r}")
+    state_parity, energy, mu = _state_arrays(basis.n0)
+    if parity is None:
+        positions = np.arange(len(basis))
+    else:
+        positions = np.flatnonzero(state_parity == parity)
+        if len(positions) == 0:  # n0 = 1 has no odd state
+            raise ConfigurationError(
+                f"no state of the n0={basis.n0} basis has parity {parity}"
+            )
+    dim = len(positions)
+    h = np.zeros((dim, dim), order="F")
     a2_shift = 0.5 * laser.amplitude_A**2 if include_a2 else 0.0
-    diagonal = [bound_energy(s.n) + s.mu * laser.omega for s in basis.states]
-    np.fill_diagonal(h, np.add(diagonal, a2_shift))
+    np.fill_diagonal(h, energy[positions] + mu[positions] * laser.omega + a2_shift)
     if laser.amplitude_A != 0.0:
         rows, cols, values = coupling_arrays(basis.n0)
+        if parity is not None:
+            keep = state_parity[rows] == parity  # a coupling never crosses classes
+            local = np.empty(len(basis), dtype=np.intp)
+            local[positions] = np.arange(dim)
+            rows, cols, values = local[rows[keep]], local[cols[keep]], values[keep]
         scaled = laser.amplitude_A * values
         h[rows, cols] = scaled
         h[cols, rows] = scaled
     return PseudoHamiltonianMatrix(
-        dimension=dim, entries=h, basis=basis, laser=laser
+        dimension=dim,
+        entries=h,
+        basis=basis,
+        laser=laser,
+        positions=positions,
+        include_a2=include_a2,
     )
 
 
 def _position(n, l, mu):
     """Index of (n, l, mu) in the enumerate_basis order."""
     return (n - 1) * n * (2 * n - 1) // 6 + l * l + l + mu
+
+
+@lru_cache(maxsize=1)
+def _state_arrays(n0: int):
+    """Parity (l + mu) % 2, bound energy and mu of each state of the n0
+    basis, in basis order (read-only)."""
+    n, l, mu = np.array([
+        (n, l, mu)
+        for n in range(1, n0 + 1)
+        for l in range(n)
+        for mu in range(-l, l + 1)
+    ]).T
+    out = ((l + mu) % 2, np.array([bound_energy(k) for k in n.tolist()]), mu)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=1)

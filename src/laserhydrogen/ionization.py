@@ -35,7 +35,7 @@ from .basis import (
     bound_energy,
     enumerate_basis,
 )
-from .eigensolver import EigenDecomposition, track_state
+from .eigensolver import EigenDecomposition, global_index, track_state
 from .errors import ConfigurationError, DomainError
 from .hamiltonian import LaserField
 from .specfun import AppellF2Params, appell_f2
@@ -133,15 +133,35 @@ def _bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
     return value.real if isinstance(value, complex) else float(value)
 
 
-def _px_bound_free(final: ContinuumState, b: QuantumNumbers, k: float) -> float:
-    """Real p_x matrix element between continuum bra and bound ket."""
-    if abs(final.l - b.l) != 1 or abs(final.mu - b.mu) != 1:
-        return 0.0
-    radial = _bound_free_radial(b.n, b.l, final.l, k)
-    x_fb = angular_x(final.l, final.mu, b.l, b.mu) * radial
-    if final.l == b.l + 1:
-        x_fb = -x_fb
-    return (bound_energy(b.n) - final.energy_Ef0) * x_fb
+@lru_cache(maxsize=2)
+def _bound_free_channels(n0: int, parity):
+    """The bound states each continuum channel (mu_f, l_f) couples to.
+
+    Maps (mu_f, l_f) to arrays over the states with |l_f - l_b| = 1 and
+    |mu_f - mu_b| = 1, in basis order: their rows in a decomposition of the
+    parity class `parity` (None: the whole basis), n_b, l_b, the signed
+    angular factor of x_fb (negative for l_f = l_b + 1, where the i^l
+    phases give -1) and E_b.
+    """
+    channels = {}
+    rows = (
+        s for s in enumerate_basis(n0).states
+        if parity is None or (s.l + s.mu) % 2 == parity
+    )
+    for row, b in enumerate(rows):
+        for l_f in (b.l - 1, b.l + 1):
+            for mu_f in (b.mu - 1, b.mu + 1):
+                if l_f < abs(mu_f):
+                    continue
+                angular = angular_x(l_f, mu_f, b.l, b.mu)
+                factor = -angular if l_f == b.l + 1 else angular
+                channels.setdefault((mu_f, l_f), []).append(
+                    (row, b.n, b.l, factor, bound_energy(b.n))
+                )
+    return {
+        key: tuple(np.array(column) for column in zip(*entries))
+        for key, entries in channels.items()
+    }
 
 
 def bound_free_element(
@@ -153,21 +173,29 @@ def bound_free_element(
     """<psi_f0| A p_x + A^2/2 |phi_i> with the i^l real phase convention.
 
     The A^2/2 constant contributes exactly zero: bound and continuum
-    eigenstates of the Coulomb Hamiltonian are orthogonal.
+    eigenstates of the Coulomb Hamiltonian are orthogonal.  Components
+    below _COEFF_CUTOFF are skipped, and the terms are summed in basis
+    order.
     """
     coeffs = decomp.column(dressed_index)
     if laser.amplitude_A == 0.0:
         return 0.0
+    channel = _bound_free_channels(decomp.basis.n0, decomp.parity).get(
+        (final.mu, final.l)
+    )
+    if channel is None:
+        return 0.0
+    rows, n, l_b, factor, energy = channel
+    c = coeffs[rows]
+    keep = np.abs(c) >= _COEFF_CUTOFF
     k = math.sqrt(2.0 * final.energy_Ef0)
-    total = 0.0
-    for j, b in enumerate(decomp.basis.states):
-        c = coeffs[j]
-        if abs(c) < _COEFF_CUTOFF:
-            continue
-        if abs(final.l - b.l) != 1 or abs(final.mu - b.mu) != 1:
-            continue
-        total += c * _px_bound_free(final, b, k)
-    return laser.amplitude_A * total
+    radial = np.array([
+        _bound_free_radial(n_b, l, final.l, k)
+        for n_b, l in zip(n[keep].tolist(), l_b[keep].tolist())
+    ])
+    # p_x(f, b) = (E_b - E_f0) * x_fb, the commutator relation of the basis
+    terms = c[keep] * ((energy[keep] - final.energy_Ef0) * (factor[keep] * radial))
+    return laser.amplitude_A * sum(terms.tolist(), 0.0)
 
 
 def ionization_records(
@@ -251,11 +279,16 @@ def ionization_observation(
     laser: LaserField,
     binding: float = BINDING_ENERGY_AU,
 ):
-    """(tracked initial dressed state, its IonizationRecords) of one point."""
+    """(tracked initial dressed state, its position in the spectrum of the
+    whole basis, its IonizationRecords) of one point."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a mixed state is reported by overlap
         tracked = track_state(decomp, initial)
-    return tracked, ionization_records(decomp, tracked.index, laser, binding=binding)
+    return (
+        tracked,
+        global_index(decomp, tracked.index, laser),
+        ionization_records(decomp, tracked.index, laser, binding=binding),
+    )
 
 
 def ionization_intensity_scan(
@@ -283,12 +316,12 @@ def ionization_intensity_scan(
                 IonizationScanPoint(axis_value, amp, failed=True, error=str(result))
             )
             continue
-        tracked, records = result
+        tracked, index, records = result
         points.append(
             IonizationScanPoint(
                 axis_value=axis_value,
                 amplitude_au=amp,
-                dressed_index=tracked.index,
+                dressed_index=index,
                 overlap=tracked.overlap,
                 ambiguous=tracked.ambiguous,
                 records=tuple(records),

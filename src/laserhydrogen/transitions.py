@@ -8,7 +8,9 @@ probability before averaging is the multi-periodic
 
 Every sweep, the library scans and the command line alike, runs through
 `scan`, which assembles, diagonalizes and observes one field point after
-another and hands back each point's observation or its exception.
+another and hands back each point's observation or its exception.  W out
+of the initial state is exactly 0 outside its parity class, so a scan
+assembles, solves and keeps that class alone.
 """
 
 from dataclasses import dataclass, field
@@ -44,6 +46,8 @@ class ScanPoint:
     table: TransitionTable
     near_degenerate: bool
     normalization_error: float
+    min_eigen_gap: float = None  # smallest level spacing in the initial class
+    outer_shell_leakage: float = None  # sum of W into the n = n0 shell
     failed: bool = False
     error: str = ""
 
@@ -65,12 +69,12 @@ def averaged_probability(
 def transition_table(
     decomp: EigenDecomposition, initial: QuantumNumbers, laser: LaserField
 ) -> TransitionTable:
-    # W(initial, b) is exactly 0 outside the initial state's block.
-    rows, cols = decomp.block_of(initial)
-    c = decomp.coefficients
-    probs = np.zeros(decomp.dimension)
-    probs[rows] = (c[np.ix_(rows, cols)] ** 2) @ (
-        c[decomp.basis.position(initial), cols] ** 2
+    # W(initial, b) is exactly 0 for b outside the rows held (another class).
+    # Squared in C order, the product sums as it did over a C-ordered C, so
+    # W keeps the digits of the whole-basis layout.
+    probs = np.zeros(len(decomp.basis))
+    probs[decomp.rows] = np.square(decomp.coefficients, order="C") @ (
+        decomp.row(initial) ** 2
     )
     return TransitionTable(
         initial=initial, basis=decomp.basis, probabilities=probs, laser=laser
@@ -97,14 +101,15 @@ def scan(basis, initial, lasers, observe, include_a2=True):
 
     Yields, per laser, observe(decomp, initial, laser), or the exception
     that point raised: a failed point does not stop the scan.  Only the
-    initial state's parity class is solved with eigenvectors.  Neither the
+    initial state's parity class is assembled and solved.  Neither the
     matrix nor the decomposition is bound to a name, so neither stays alive
     while the generator waits at its yield and the next point is solved.
     """
+    parity = (initial.l + initial.mu) % 2
     for laser in lasers:
         try:
             result = observe(
-                diagonalize(assemble(basis, laser, include_a2), vectors_for=initial),
+                diagonalize(assemble(basis, laser, include_a2, parity=parity)),
                 initial,
                 laser,
             )
@@ -119,17 +124,31 @@ def spectrum_observation(
     laser: LaserField,
     degeneracy_gap: float = DEGENERACY_GAP,
 ):
-    """(W table, near-degeneracy flag, |sum_b W - 1|) of one scan point."""
+    """W table, near-degeneracy flag, |sum_b W - 1|, smallest level gap
+    (None for a single level) and outer-shell leakage of one scan point.
+
+    W near a pair of levels a gap apart carries rounding of about
+    eps*|H|/gap.  The W that leaks into the outermost shell n = n0 is a
+    proxy for the truncation error of the basis.
+    """
     table = transition_table(decomp, initial, laser)
-    near = len(decomp.near_degenerate_pairs(degeneracy_gap)) > 0
-    return table, near, abs(float(table.probabilities.sum()) - 1.0)
+    _, gaps = decomp.level_gaps()
+    # enumerate_basis orders the states by n: the last n0**2 are n = n0
+    leakage = float(table.probabilities[-decomp.basis.n0**2:].sum())
+    return (
+        table,
+        bool((gaps < degeneracy_gap).any()),
+        abs(float(table.probabilities.sum()) - 1.0),
+        float(gaps.min()) if len(gaps) else None,
+        leakage,
+    )
 
 
 def _spectrum_result(n0, initial, lasers, axis_values, degeneracy_gap, metadata):
     observe = partial(spectrum_observation, degeneracy_gap=degeneracy_gap)
     results = scan(enumerate_basis(n0), initial, lasers, observe)
     rows = [
-        ScanPoint(axis_value, None, False, np.nan, True, str(result))
+        ScanPoint(axis_value, None, False, np.nan, failed=True, error=str(result))
         if isinstance(result, Exception)
         else ScanPoint(axis_value, *result)
         for axis_value, result in zip(axis_values, results)

@@ -260,6 +260,41 @@ def test_meta_records_w_normalization_error(tmp_path, argv):
     assert all(0 <= e["error"] < 1e-12 for e in errors)
 
 
+def test_meta_outer_shell_leakage_is_the_csv_w_of_the_outer_shell(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(_SPECTRUM + ["--w-min", "0", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    _, rows = _read_csv(out)
+    n0 = meta["config"]["n0"]
+    leakage = meta["outer_shell_leakage"]
+    assert [e["axis_value"] for e in leakage] == [0.2, 0.6]
+    for entry in leakage:
+        outer = [float(r[7]) for r in rows
+                 if float(r[0]) == entry["axis_value"] and int(r[4]) == n0]
+        assert len(outer) == n0**2  # --w-min 0 writes every final state
+        assert 0 < entry["leakage"] == pytest.approx(sum(outer), rel=1e-12)
+
+
+def test_meta_records_the_smallest_level_gap(tmp_path):
+    # the close pair at n0 = 3, A = 0.0625, omega = 0.5 (atomic units) in
+    # the class of (3, 0, 0), where evd's W carries rounding of 7e-12
+    units = UnitSystem()
+    out = tmp_path / "out.csv"
+    assert main([
+        "point", "--n0", "3", "--initial", "3", "0", "0",
+        "--amplitude-vspm", repr(units.vector_potential_to_si(0.0625)),
+        "--omega-ev", repr(units.internal_to_ev(0.5)), "--out", str(out),
+    ]) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    (entry,) = meta["min_eigen_gap"]
+    assert entry["gap"] == pytest.approx(9.6e-6, rel=0.01)
+    # a class of one level has no gap
+    assert main(["point", "--n0", "1", "--amplitude-vspm", "5e-6",
+                 "--omega-ev", "0.5", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    assert meta["min_eigen_gap"] == [{"axis_value": 0.5, "gap": None}]
+
+
 def test_eigensolver_failure_is_a_failed_point(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise scipy.linalg.LinAlgError("injected: no convergence")
@@ -282,10 +317,10 @@ def _fail_diagonalize_when(monkeypatch, fails):
     """The scan engine's eigensolve raises at each point whose laser fails."""
     real = transitions.diagonalize
 
-    def flaky(matrix, vectors_for=None):
+    def flaky(matrix):
         if fails(matrix.laser):
             raise RuntimeError("synthetic mid-scan failure")
-        return real(matrix, vectors_for=vectors_for)
+        return real(matrix)
 
     monkeypatch.setattr(transitions, "diagonalize", flaky)
 

@@ -5,7 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from laserhydrogen.basis import QuantumNumbers, enumerate_basis, radial_wavefunction
+from laserhydrogen.basis import (
+    QuantumNumbers,
+    angular_x,
+    bound_energy,
+    enumerate_basis,
+    radial_wavefunction,
+)
 from laserhydrogen.cli import main
 from laserhydrogen.eigensolver import diagonalize, track_state
 from laserhydrogen.errors import ConfigurationError, DomainError
@@ -81,6 +87,39 @@ def test_bound_free_element_zero_at_zero_field():
     tracked = track_state(decomp, GROUND)
     final = ContinuumState(0.3, 1, -1)
     assert bound_free_element(decomp, tracked.index, final, laser) == 0.0
+
+
+def _bound_free_loop(decomp, dressed_index, final, laser):
+    """bound_free_element as a loop over every state the decomposition holds,
+    the reference for its per-channel arrays."""
+    k = math.sqrt(2.0 * final.energy_Ef0)
+    total = 0.0
+    for c, j in zip(decomp.column(dressed_index), decomp.rows):
+        b = decomp.basis.states[j]
+        if abs(c) < 1e-15 or abs(final.l - b.l) != 1 or abs(final.mu - b.mu) != 1:
+            continue
+        x_fb = angular_x(final.l, final.mu, b.l, b.mu) * _bound_free_radial(
+            b.n, b.l, final.l, k
+        )
+        if final.l == b.l + 1:
+            x_fb = -x_fb
+        total += c * ((bound_energy(b.n) - final.energy_Ef0) * x_fb)
+    return laser.amplitude_A * total
+
+
+@pytest.mark.parametrize("parity", [None, 0, 1], ids=["whole", "even", "odd"])
+def test_bound_free_channels_equal_the_loop_over_the_basis(parity):
+    n0 = 6
+    laser = LaserField(0.02, 0.3)
+    decomp = diagonalize(assemble(enumerate_basis(n0), laser, parity=parity))
+    for index in (0, decomp.dimension // 2, decomp.dimension - 1):
+        for mu in range(-n0, n0 + 1):
+            for l_f in range(abs(mu), n0 + 1):
+                final = ContinuumState(0.2, l_f, mu)
+                # same terms, same order, same arithmetic: equal to the bit
+                assert bound_free_element(decomp, index, final, laser) == (
+                    _bound_free_loop(decomp, index, final, laser)
+                )
 
 
 def test_bound_free_element_selection_rules():
