@@ -65,8 +65,6 @@ from .units import (
     CONSTANTS,
     PhysicalConstants,
     UnitSystem,
-    convert_energy,
-    convert_vector_potential,
 )
 
 __all__ = [
@@ -114,6 +112,4 @@ __all__ = [
     "CONSTANTS",
     "PhysicalConstants",
     "UnitSystem",
-    "convert_energy",
-    "convert_vector_potential",
 ]

@@ -75,11 +75,15 @@ def enumerate_basis(n0: int) -> BasisSet:
     return BasisSet(n0=n0, states=states, index=index)
 
 
-def bound_energy(n: int, mass_factor: float = 1.0) -> float:
-    """Hydrogen bound-state energy -1/(2 n^2) hartree."""
+def bound_energy(n: int) -> float:
+    """Hydrogen bound-state energy -1/(2 n^2) in internal hartree.
+
+    With the reduced mass the value is the same in mass-scaled units;
+    UnitSystem applies the mass factor at I/O.
+    """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    return -mass_factor / (2.0 * n * n)
+    return -1.0 / (2.0 * n * n)
 
 
 # --- radial wavefunctions and quadrature --------------------------------

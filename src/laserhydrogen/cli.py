@@ -17,7 +17,6 @@ import configparser
 import contextlib
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -88,7 +87,6 @@ class RunConfig:
     drop_a2: bool = False
     output_path: str = "scan.csv"
     w_min: float = 1e-12
-    degeneracy_gap: float = DEGENERACY_GAP
 
     @property
     def initial_state(self) -> QuantumNumbers:
@@ -133,9 +131,6 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_BOOL_KEYS = {"reduced_mass", "drop_a2"}
-_INT_KEYS = {"n0", "initial_n", "initial_l", "initial_mu", "count"}
-_STR_KEYS = {"mode", "output_path"}
 
 
 def parse_config(path=None, overrides=None, preset=None) -> RunConfig:
@@ -171,9 +166,11 @@ def parse_config(path=None, overrides=None, preset=None) -> RunConfig:
 
 
 def _coerce(key, raw):
-    if key in _STR_KEYS:
+    """Parse a config-file value as the type of its RunConfig field."""
+    kind = _CONFIG_KEYS[key]
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
@@ -181,7 +178,7 @@ def _coerce(key, raw):
             return False
         raise ConfigurationError(f"key {key!r}: expected boolean, got {raw!r}")
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigurationError(f"key {key!r}: cannot parse {raw!r}") from None
 
@@ -219,14 +216,9 @@ def run(config: RunConfig) -> int:
     axis, lasers = _sweep(config, units)
     ini = config.initial_state
     ionization = config.mode == "ionization"
-    if ionization:
-        observe = ionization_observation
-    else:
-        observe = functools.partial(
-            spectrum_observation, degeneracy_gap=config.degeneracy_gap
-        )
     results = scan(
-        enumerate_basis(config.n0), ini, lasers, observe,
+        enumerate_basis(config.n0), ini, lasers,
+        ionization_observation if ionization else spectrum_observation,
         include_a2=not config.drop_a2,
     )
 
@@ -282,7 +274,7 @@ def run(config: RunConfig) -> int:
         },
         "tolerances": {
             "w_min": config.w_min,
-            "degeneracy_gap": config.degeneracy_gap,
+            "degeneracy_gap": DEGENERACY_GAP,
         },
         "near_degenerate_axis_values": degenerate_points,
         "failed_points": failed_points,

@@ -25,7 +25,7 @@ only for a matrix made outside `assemble`; one that couples the classes is
 solved as one block.
 """
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +36,8 @@ from .errors import ConfigurationError, ConvergenceError
 from .hamiltonian import LaserField, PseudoHamiltonianMatrix, assemble
 
 DEGENERACY_GAP = 1e-10
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,10 @@ def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> i
     31, 163, 1977), which costs less than that class's eigenvalues.  A
     level equal to E_i counts as below when the other class is the even
     one, which is where a whole-basis solve puts such a tie.
+
+    Bunch-Kaufman takes a 2x2 pivot [[a, b], [b, c]] only when
+    |a c| < alpha^2 b^2 (alpha = (1 + sqrt 17)/8), so its determinant is
+    negative and it holds exactly one negative eigenvalue.
     """
     parity = decomp.parity
     if parity is None:
@@ -226,20 +232,12 @@ def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> i
     shifted = other.entries
     shifted[np.diag_indices_from(shifted)] -= decomp.energies[index]
     _, d, _ = scipy.linalg.ldl(shifted, overwrite_a=True)
-    # D is block diagonal: a nonzero subdiagonal entry opens a 2x2 pivot
-    # [[a, b], [b, c]], whose eigenvalues have opposite signs when det < 0
-    # and the sign of a + c when det > 0
+    # D is block diagonal: a nonzero subdiagonal entry opens a 2x2 pivot,
+    # one negative eigenvalue; the other pivots are 1x1
     pairs = np.flatnonzero(d.diagonal(-1))
-    a, b, c = d.diagonal()[pairs], d.diagonal(-1)[pairs], d.diagonal()[pairs + 1]
-    det = a * c - b * b
     single = np.delete(d.diagonal(), np.concatenate([pairs, pairs + 1]))
-    negative = (
-        np.count_nonzero(single < 0)
-        + np.count_nonzero(det < 0)
-        + 2 * np.count_nonzero((det > 0) & (a + c < 0))
-        + np.count_nonzero((det == 0) & (a + c < 0))
-    )
-    zero = np.count_nonzero(single == 0) + np.count_nonzero(det == 0)
+    negative = np.count_nonzero(single < 0) + len(pairs)
+    zero = np.count_nonzero(single == 0)
     return index + int(negative) + (int(zero) if parity == 1 else 0)
 
 
@@ -249,15 +247,13 @@ def track_state(
     """Dressed state with maximal overlap on the bare target state.
 
     Ties are broken toward lower pseudo-energy.  Overlap below 0.5 marks
-    the assignment as ambiguous (state strongly mixed).
+    the assignment as ambiguous (state strongly mixed), which is logged at
+    INFO.
     """
     row = decomp.row(target) ** 2
     best = int(np.argmax(row))  # argmax returns the first (lowest-energy) max
     overlap = float(row[best])
     ambiguous = overlap < 0.5
     if ambiguous:
-        warnings.warn(
-            f"state {target} is strongly mixed (max overlap {overlap:.3f})",
-            stacklevel=2,
-        )
+        _log.info("state %s is strongly mixed (max overlap %.3f)", target, overlap)
     return TrackedState(index=best, overlap=overlap, ambiguous=ambiguous)

@@ -63,15 +63,19 @@ class PseudoHamiltonianMatrix:
     and builds the matrix symmetric and without entries between the
     classes.  A matrix made elsewhere leaves positions None: it spans the
     whole basis, and `diagonalize` checks it.  include_a2 records whether
-    the A^2/2 constant is on the diagonal.
+    the A^2/2 constant is on the diagonal.  The dimension is read from
+    entries, so the two cannot disagree.
     """
 
-    dimension: int
     entries: np.ndarray
     basis: BasisSet
     laser: LaserField
     positions: np.ndarray = None
     include_a2: bool = True
+
+    @property
+    def dimension(self) -> int:
+        return self.entries.shape[0]
 
     def dump(self, path):
         """Binary dump: int64 LE dimension, then the row-major lower
@@ -129,7 +133,6 @@ def assemble(
         h[rows, cols] = scaled
         h[cols, rows] = scaled
     return PseudoHamiltonianMatrix(
-        dimension=dim,
         entries=h,
         basis=basis,
         laser=laser,

@@ -19,11 +19,9 @@ section sigma = 16*alpha*v/omega * sum_l |beta_l|^2 (in units of pi*a0^2)
 reproduces the textbook one-photon cross section in the weak-field limit.
 """
 
-import cmath
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 import scipy.special as sp
@@ -79,13 +77,11 @@ def photoelectron_energy(E_i: float, mu_branch: int, omega: float) -> float:
     return E_i - mu_branch * omega
 
 
-def eta_index(
-    E_i: float, omega: float, mu_branch: int, binding: float = BINDING_ENERGY_AU
-) -> float:
-    """Effective photon number (E_i + b)/omega - mu."""
+def eta_index(E_i: float, omega: float, mu_branch: int) -> float:
+    """Effective photon number (E_i + b)/omega - mu, b = BINDING_ENERGY_AU."""
     if omega <= 0:
         raise ConfigurationError("omega must be positive")
-    return (E_i + binding) / omega - mu_branch
+    return (E_i + BINDING_ENERGY_AU) / omega - mu_branch
 
 
 @lru_cache(maxsize=200_000)
@@ -199,17 +195,15 @@ def bound_free_element(
 
 
 def ionization_records(
-    decomp: EigenDecomposition,
-    dressed_index: int,
-    laser: LaserField,
-    binding: float = BINDING_ENERGY_AU,
-    l_max: int = None,
+    decomp: EigenDecomposition, dressed_index: int, laser: LaserField
 ):
-    """IonizationRecord per open mu branch; empty if no channel is open."""
+    """IonizationRecord per open mu branch; empty if no channel is open.
+
+    Each branch sums the continuum partial waves l_f = |mu| .. n0: the
+    largest bound l, n0 - 1, plus one dipole step.
+    """
     e_i = float(decomp.energies[dressed_index])
     n0 = decomp.basis.n0
-    if l_max is None:
-        l_max = n0  # largest bound l plus one dipole step
     alpha = CONSTANTS.fine_structure_alpha
     records = []
     for mu in range(-n0, n0 + 1):
@@ -219,7 +213,7 @@ def ionization_records(
         v = math.sqrt(2.0 * e_f0)
         betas = []
         rate = 0.0
-        for l_f in range(abs(mu), l_max + 1):
+        for l_f in range(abs(mu), n0 + 1):
             final = ContinuumState(energy_Ef0=e_f0, l=l_f, mu=mu)
             m_l = bound_free_element(decomp, dressed_index, final, laser)
             rate += 2.0 * math.pi * m_l**2
@@ -236,7 +230,7 @@ def ionization_records(
                 E_i=e_i,
                 mu_branch=mu,
                 E_f0=e_f0,
-                eta=eta_index(e_i, laser.omega, mu, binding),
+                eta=eta_index(e_i, laser.omega, mu),
                 beta_l=tuple(betas),
                 rate_P=rate,
                 sigma=sigma,
@@ -246,18 +240,18 @@ def ionization_records(
 
 
 def ionization_rate(
-    decomp: EigenDecomposition, dressed_index: int, laser: LaserField, **kwargs
+    decomp: EigenDecomposition, dressed_index: int, laser: LaserField
 ):
     """Total golden-rule rate and the per-branch records behind it."""
-    records = ionization_records(decomp, dressed_index, laser, **kwargs)
+    records = ionization_records(decomp, dressed_index, laser)
     return sum(r.rate_P for r in records), records
 
 
 def cross_section(
-    decomp: EigenDecomposition, dressed_index: int, laser: LaserField, **kwargs
+    decomp: EigenDecomposition, dressed_index: int, laser: LaserField
 ) -> float:
     """Total photoionization cross section in units of pi*a0^2."""
-    records = ionization_records(decomp, dressed_index, laser, **kwargs)
+    records = ionization_records(decomp, dressed_index, laser)
     return sum(r.sigma for r in records)
 
 
@@ -274,20 +268,15 @@ class IonizationScanPoint:
 
 
 def ionization_observation(
-    decomp: EigenDecomposition,
-    initial: QuantumNumbers,
-    laser: LaserField,
-    binding: float = BINDING_ENERGY_AU,
+    decomp: EigenDecomposition, initial: QuantumNumbers, laser: LaserField
 ):
     """(tracked initial dressed state, its position in the spectrum of the
     whole basis, its IonizationRecords) of one point."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a mixed state is reported by overlap
-        tracked = track_state(decomp, initial)
+    tracked = track_state(decomp, initial)
     return (
         tracked,
         global_index(decomp, tracked.index, laser),
-        ionization_records(decomp, tracked.index, laser, binding=binding),
+        ionization_records(decomp, tracked.index, laser),
     )
 
 
@@ -297,18 +286,13 @@ def ionization_intensity_scan(
     n0: int,
     axis_values=None,
     initial: QuantumNumbers = QuantumNumbers(1, 0, 0),
-    binding: float = BINDING_ENERGY_AU,
-    include_a2: bool = True,
 ):
     """Amplitude sweep of the tracked initial dressed state (Figs. 3/4 data)."""
     amplitudes_au = list(amplitudes_au)
     if axis_values is None:
         axis_values = amplitudes_au
     lasers = [LaserField(amp, omega_au) for amp in amplitudes_au]
-    observe = partial(ionization_observation, binding=binding)
-    results = scan(
-        enumerate_basis(n0), initial, lasers, observe, include_a2=include_a2
-    )
+    results = scan(enumerate_basis(n0), initial, lasers, ionization_observation)
     points = []
     for axis_value, amp, result in zip(axis_values, amplitudes_au, results):
         if isinstance(result, Exception):

@@ -14,7 +14,6 @@ assembles, solves and keeps that class alone.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -119,13 +118,11 @@ def scan(basis, initial, lasers, observe, include_a2=True):
 
 
 def spectrum_observation(
-    decomp: EigenDecomposition,
-    initial: QuantumNumbers,
-    laser: LaserField,
-    degeneracy_gap: float = DEGENERACY_GAP,
+    decomp: EigenDecomposition, initial: QuantumNumbers, laser: LaserField
 ):
-    """W table, near-degeneracy flag, |sum_b W - 1|, smallest level gap
-    (None for a single level) and outer-shell leakage of one scan point.
+    """W table, near-degeneracy flag (a level gap below DEGENERACY_GAP),
+    |sum_b W - 1|, smallest level gap (None for a single level) and
+    outer-shell leakage of one scan point.
 
     W near a pair of levels a gap apart carries rounding of about
     eps*|H|/gap.  The W that leaks into the outermost shell n = n0 is a
@@ -137,16 +134,15 @@ def spectrum_observation(
     leakage = float(table.probabilities[-decomp.basis.n0**2:].sum())
     return (
         table,
-        bool((gaps < degeneracy_gap).any()),
+        bool((gaps < DEGENERACY_GAP).any()),
         abs(float(table.probabilities.sum()) - 1.0),
         float(gaps.min()) if len(gaps) else None,
         leakage,
     )
 
 
-def _spectrum_result(n0, initial, lasers, axis_values, degeneracy_gap, metadata):
-    observe = partial(spectrum_observation, degeneracy_gap=degeneracy_gap)
-    results = scan(enumerate_basis(n0), initial, lasers, observe)
+def _spectrum_result(n0, initial, lasers, axis_values, metadata):
+    results = scan(enumerate_basis(n0), initial, lasers, spectrum_observation)
     rows = [
         ScanPoint(axis_value, None, False, np.nan, failed=True, error=str(result))
         if isinstance(result, Exception)
@@ -162,7 +158,6 @@ def spectrum_scan(
     initial: QuantumNumbers,
     n0: int,
     axis_values=None,
-    degeneracy_gap: float = DEGENERACY_GAP,
 ) -> ScanResult:
     """Photon-energy sweep at fixed amplitude (Fig. 1-style data)."""
     omegas_au = list(omegas_au)
@@ -172,7 +167,6 @@ def spectrum_scan(
         initial,
         lasers,
         omegas_au if axis_values is None else axis_values,
-        degeneracy_gap,
         {"n0": n0, "amplitude_au": amplitude_au, "initial": initial},
     )
 
@@ -183,7 +177,6 @@ def intensity_scan(
     initial: QuantumNumbers,
     n0: int,
     axis_values=None,
-    degeneracy_gap: float = DEGENERACY_GAP,
 ) -> ScanResult:
     """Amplitude sweep at fixed photon energy (Fig. 2-style data)."""
     amplitudes_au = list(amplitudes_au)
@@ -193,6 +186,5 @@ def intensity_scan(
         initial,
         lasers,
         amplitudes_au if axis_values is None else axis_values,
-        degeneracy_gap,
         {"n0": n0, "omega_au": omega_au, "initial": initial},
     )

@@ -11,7 +11,7 @@ a0 = hbar/(alpha*m*c) and E_h = alpha^2*m*c^2 hold to machine precision.
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -55,34 +55,9 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
-# Hydrogen ground-state binding energy in hartree (before any mass scaling).
+# Hydrogen ground-state binding energy in internal hartree: 0.5 with or
+# without the reduced mass, whose factor UnitSystem applies at I/O.
 BINDING_ENERGY_AU = 0.5
-
-_ENERGY_IN_JOULES = {
-    "hartree": CONSTANTS.hartree,
-    "eV": CONSTANTS.hartree / CONSTANTS.hartree_ev,  # == elementary charge
-    "joule": 1.0,
-}
-
-
-def convert_energy(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert an energy between the supported units {hartree, eV, joule}."""
-    try:
-        factor_from = _ENERGY_IN_JOULES[from_unit]
-        factor_to = _ENERGY_IN_JOULES[to_unit]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown energy unit {exc.args[0]!r}; "
-            f"supported: {sorted(_ENERGY_IN_JOULES)}"
-        ) from None
-    return value * (factor_from / factor_to)
-
-
-def convert_vector_potential(value_si: float) -> float:
-    """Convert a vector-potential amplitude from V*s/m to atomic units."""
-    if value_si < 0:
-        raise DomainError("vector-potential amplitude must be non-negative")
-    return value_si / CONSTANTS.vector_potential_au
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ def test_basis_n0_bounds():
 def test_bound_energy():
     assert bound_energy(1) == -0.5
     assert bound_energy(2) == -0.125
-    assert bound_energy(2, mass_factor=0.5) == -0.0625
     with pytest.raises(ConfigurationError):
         bound_energy(0)
 

@@ -239,12 +239,15 @@ def test_threads_option_removed(tmp_path, capsys):
               "--omega-ev", "0.5", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
-    ini = tmp_path / "run.ini"
-    ini.write_text("[run]\nmode = point\nthreads = 2\n")
-    assert main(["point", "--config", str(ini), "--amplitude-vspm", "1e-6",
-                 "--omega-ev", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
-    assert "unknown config key 'threads'" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    # removed config keys: threads, and degeneracy_gap (fixed at
+    # DEGENERACY_GAP)
+    for key, value in (("threads", "2"), ("degeneracy_gap", "1e-8")):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nmode = point\n{key} = {value}\n")
+        assert main(["point", "--config", str(ini), "--amplitude-vspm", "1e-6",
+                     "--omega-ev", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [_SPECTRUM, _INTENSITY, _POINT],

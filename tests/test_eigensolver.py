@@ -1,4 +1,6 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from laserhydrogen.hamiltonian import LaserField, PseudoHamiltonianMatrix, assem
 
 def _matrix_from(entries, basis):
     return PseudoHamiltonianMatrix(
-        dimension=entries.shape[0],
         entries=entries,
         basis=basis,
         laser=LaserField(0.0, 1.0),
@@ -90,7 +91,7 @@ def test_track_state_zero_field():
     assert decomp.energies[tracked.index] == pytest.approx(-0.125 - 0.1, rel=1e-12)
 
 
-def test_track_state_warns_when_strongly_mixed():
+def test_track_state_warns_when_strongly_mixed(caplog):
     basis = enumerate_basis(2)
     # hand-built decomposition: the (1,0,0) row is spread 1/3-1/3-1/3
     s2, s3, s6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
@@ -107,8 +108,12 @@ def test_track_state_warns_when_strongly_mixed():
         coefficients=c,
         basis=basis,
     )
-    with pytest.warns(UserWarning, match="strongly mixed"):
-        tracked = track_state(decomp, QuantumNumbers(1, 0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # reported through logging, not warnings
+        with caplog.at_level(logging.INFO, logger="laserhydrogen.eigensolver"):
+            tracked = track_state(decomp, QuantumNumbers(1, 0, 0))
+    assert [r.levelno for r in caplog.records] == [logging.INFO]
+    assert "strongly mixed" in caplog.text
     assert tracked.ambiguous
     assert tracked.overlap == pytest.approx(1 / 3, rel=1e-12)
     assert tracked.index == 0  # tie broken toward the lowest pseudo-energy

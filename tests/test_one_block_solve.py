@@ -14,7 +14,6 @@ scans used before.
 import csv
 import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +252,26 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     assert global_index(decomp, tracked.index, laser) == tie[_parity(initial)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 40),
+    diagonal=st.floats(0.0, 2.0),
+)
+def test_every_two_by_two_ldl_pivot_is_indefinite(seed, size, diagonal):
+    # global_index counts each 2x2 pivot of D as one negative eigenvalue:
+    # Bunch-Kaufman takes such a pivot only when its determinant is
+    # negative.  A small diagonal makes 2x2 pivots frequent.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((size, size))
+    a = a + a.T
+    a[np.diag_indices(size)] *= diagonal
+    _, d, _ = scipy.linalg.ldl(a)
+    pairs = np.flatnonzero(d.diagonal(-1))
+    a_kk, b, a_rr = d.diagonal()[pairs], d.diagonal(-1)[pairs], d.diagonal()[pairs + 1]
+    assert np.all(a_kk * a_rr - b * b < 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_cases())
 def test_a2_shifts_energies_and_keeps_w(case):
@@ -297,9 +316,7 @@ def test_ionization_records_are_physical(case):
     n0, initial, amplitude, omega = case
     laser = LaserField(amplitude, omega)
     decomp = _class_solve(enumerate_basis(n0), laser, initial)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # strongly mixed states are fine here
-        tracked = track_state(decomp, initial)
+    tracked = track_state(decomp, initial)
     for record in ionization_records(decomp, tracked.index, laser):
         assert record.E_f0 > 0
         assert record.sigma >= 0

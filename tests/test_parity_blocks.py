@@ -95,7 +95,7 @@ def test_matrix_coupling_the_classes_is_one_block():
     entries = np.diag([-0.5, -0.125, -0.2, -0.13, -0.3])
     entries[0, 3] = entries[3, 0] = 0.02  # couples (1,0,0) to (2,1,0)
     matrix = PseudoHamiltonianMatrix(
-        dimension=5, entries=entries, basis=basis, laser=LaserField(0.0, 1.0)
+        entries=entries, basis=basis, laser=LaserField(0.0, 1.0)
     )
     decomp = diagonalize(matrix)
     energies, vectors = scipy.linalg.eigh(matrix.entries)

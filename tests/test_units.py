@@ -2,14 +2,8 @@ import math
 
 import pytest
 
-from laserhydrogen.errors import ConfigurationError, DomainError
-from laserhydrogen.units import (
-    BINDING_ENERGY_AU,
-    CONSTANTS,
-    UnitSystem,
-    convert_energy,
-    convert_vector_potential,
-)
+from laserhydrogen.errors import DomainError
+from laserhydrogen.units import BINDING_ENERGY_AU, CONSTANTS, UnitSystem
 
 
 def test_hartree_in_ev():
@@ -38,29 +32,17 @@ def test_vector_potential_unit():
 
 
 def test_convert_energy_roundtrip():
-    for unit in ("hartree", "eV", "joule"):
-        assert convert_energy(
-            convert_energy(3.7, "hartree", unit), unit, "hartree"
-        ) == pytest.approx(3.7, rel=1e-14)
-    assert convert_energy(1.0, "hartree", "eV") == pytest.approx(
-        27.211386245988, rel=1e-11
-    )
-    assert convert_energy(1.0, "eV", "joule") == pytest.approx(
-        1.602176634e-19, rel=1e-14
-    )
-
-
-def test_convert_energy_unknown_unit():
-    with pytest.raises(ConfigurationError):
-        convert_energy(1.0, "hartree", "erg")
-    with pytest.raises(ConfigurationError):
-        convert_energy(1.0, "wavenumber", "eV")
+    u = UnitSystem()
+    assert u.ev_to_internal(u.internal_to_ev(3.7)) == pytest.approx(3.7, rel=1e-14)
+    assert u.internal_to_ev(1.0) == pytest.approx(27.211386245988, rel=1e-11)
+    assert u.ev_to_internal(27.211386245988) == pytest.approx(1.0, rel=1e-11)
 
 
 def test_convert_vector_potential():
-    assert convert_vector_potential(5e-6) == pytest.approx(0.40198, rel=1e-4)
+    u = UnitSystem()
+    assert u.vector_potential_to_internal(5e-6) == pytest.approx(0.40198, rel=1e-4)
     with pytest.raises(DomainError):
-        convert_vector_potential(-1e-6)
+        u.vector_potential_to_internal(-1e-6)
 
 
 def test_unit_system_plain():
