@@ -224,7 +224,7 @@ def run(config: RunConfig) -> int:
 
     failed_points = []
     degenerate_points = []
-    norm_errors, min_gaps, leakages = [], [], []
+    norm_errors, min_gaps, leakages, ambiguous_points = [], [], [], []
     csv_rows = [(IONIZATION_HEADER if ionization else SPECTRUM_HEADER).split(",")]
     for axis_value, result in zip(axis, results):
         if isinstance(result, Exception):
@@ -240,6 +240,8 @@ def run(config: RunConfig) -> int:
                 )
         elif ionization:
             tracked, index, records = result
+            if tracked.ambiguous:
+                ambiguous_points.append(axis_value)
             for rec in records:
                 csv_rows.append(
                     [axis_value, config.omega_ev, index,
@@ -280,7 +282,11 @@ def run(config: RunConfig) -> int:
         "failed_points": failed_points,
         "wall_time_s": time.time() - t_start,
     }
-    if not ionization:
+    if ionization:
+        # Points whose tracked state keeps less than half of the initial
+        # bare state: which dressed state the records follow is ambiguous.
+        metadata["ambiguous_axis_values"] = ambiguous_points
+    else:
         # Trust in each computed point: |sum_b W(initial, b) - 1| before the
         # w_min cut; the smallest level spacing in the initial state's class,
         # near which W carries rounding of about eps*|H|/gap; and the W that

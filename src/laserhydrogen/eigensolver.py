@@ -15,8 +15,7 @@ positions of its states.  Every observable of a scan follows one initial
 state and reads only that state's class, so a scan never holds a matrix
 over the whole basis.  The position of a class's dressed state in the
 spectrum of the whole basis (`global_index`) needs only the number of the
-other class's levels below it, which Sylvester's law of inertia gives
-from one LDL^T factorization, without that class's eigenvalues.
+other class's levels below it, which that class's eigenvalues give.
 
 A whole-basis matrix is solved class by class as well, and the vectors are
 placed in one full-basis C, at the columns of their energies in the global
@@ -29,7 +28,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import BasisSet, QuantumNumbers
 from .errors import ConfigurationError, ConvergenceError
@@ -146,11 +144,11 @@ def _parity_blocks(matrix: PseudoHamiltonianMatrix, check: bool):
     return [block for block in (even, odd) if len(block)]
 
 
-def _solve_block(sub, overwrite):
+def _solve_block(sub):
     """Eigenvalues and sign-fixed eigenvectors of the symmetric sub."""
     try:
-        energies, vectors = scipy.linalg.eigh(sub, overwrite_a=overwrite, driver="evd")
-    except scipy.linalg.LinAlgError as exc:
+        energies, vectors = np.linalg.eigh(sub)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     # Sign fix: largest-magnitude component of each column positive.
     pivot = np.argmax(np.abs(vectors), axis=0)
@@ -172,7 +170,7 @@ def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
         if not np.array_equal(h, h.T):
             raise ConfigurationError("pseudo-Hamiltonian matrix must be symmetric")
     elif len(matrix.positions) < len(matrix.basis):
-        energies, vectors = _solve_block(h, overwrite=False)
+        energies, vectors = _solve_block(h)
         return EigenDecomposition(
             energies=energies,
             coefficients=vectors,
@@ -181,9 +179,7 @@ def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
             include_a2=matrix.include_a2,
         )
     blocks = _parity_blocks(matrix, check=matrix.positions is None)
-    # The extracted block is C-ordered and symmetric, so its transpose is
-    # the same matrix in Fortran order, which LAPACK overwrites uncopied.
-    solved = [_solve_block(h[np.ix_(block, block)].T, overwrite=True) for block in blocks]
+    solved = [_solve_block(h[np.ix_(block, block)]) for block in blocks]
     # Column of every block eigenvalue in the global ascending order; the
     # stable sort keeps exact cross-block ties in block order.
     all_energies = np.concatenate([energies for energies, _ in solved])
@@ -212,16 +208,9 @@ def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> i
     whole basis at this field.
 
     For a decomposition of one parity class this is its rank in the class
-    plus the number of the other class's levels below E_i.  By Sylvester's
-    law of inertia that number is the count of negative eigenvalues of D in
-    the Bunch-Kaufman factorization H_other - E_i = L D L^T (Math. Comp.
-    31, 163, 1977), which costs less than that class's eigenvalues.  A
-    level equal to E_i counts as below when the other class is the even
-    one, which is where a whole-basis solve puts such a tie.
-
-    Bunch-Kaufman takes a 2x2 pivot [[a, b], [b, c]] only when
-    |a c| < alpha^2 b^2 (alpha = (1 + sqrt 17)/8), so its determinant is
-    negative and it holds exactly one negative eigenvalue.
+    plus the number of the other class's levels below E_i.  A level equal
+    to E_i counts as below when the other class is the even one, which is
+    where a whole-basis solve puts such a tie.
     """
     parity = decomp.parity
     if parity is None:
@@ -229,16 +218,10 @@ def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> i
     other = assemble(decomp.basis, laser, decomp.include_a2, parity=1 - parity)
     if other.dimension == 0:
         return index
-    shifted = other.entries
-    shifted[np.diag_indices_from(shifted)] -= decomp.energies[index]
-    _, d, _ = scipy.linalg.ldl(shifted, overwrite_a=True)
-    # D is block diagonal: a nonzero subdiagonal entry opens a 2x2 pivot,
-    # one negative eigenvalue; the other pivots are 1x1
-    pairs = np.flatnonzero(d.diagonal(-1))
-    single = np.delete(d.diagonal(), np.concatenate([pairs, pairs + 1]))
-    negative = np.count_nonzero(single < 0) + len(pairs)
-    zero = np.count_nonzero(single == 0)
-    return index + int(negative) + (int(zero) if parity == 1 else 0)
+    levels = np.linalg.eigvalsh(other.entries)
+    e_i = decomp.energies[index]
+    below = levels <= e_i if parity == 1 else levels < e_i
+    return index + int(np.count_nonzero(below))
 
 
 def track_state(

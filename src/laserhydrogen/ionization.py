@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.special as sp
 
 from .basis import (
     QuantumNumbers,
@@ -36,7 +35,7 @@ from .basis import (
 from .eigensolver import EigenDecomposition, global_index, track_state
 from .errors import ConfigurationError, DomainError
 from .hamiltonian import LaserField
-from .specfun import AppellF2Params, appell_f2
+from .specfun import AppellF2Params, _gauss_2f1, appell_f2, log_abs_gamma
 from .transitions import scan
 from .units import BINDING_ENERGY_AU, CONSTANTS
 
@@ -100,24 +99,23 @@ def _bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
     u = l_f + l_b + 4
     s = complex(1.0, -k * n) / 2.0
     q = complex(0.0, -k * n)
-    f2 = appell_f2(
-        AppellF2Params(
-            u=u,
-            a1=l_b + 1 - n,
-            a2=complex(l_f + 1, eta),
-            c1=2 * l_b + 2,
-            c2=2 * l_f + 2,
-            x=1.0 / s,
-            y=q / s,
-        )
-    )
+    a2, c1, c2 = complex(l_f + 1, eta), 2 * l_b + 2, 2 * l_f + 2
+    x, y = 1.0 / s, q / s
+    if n == l_f + 1 == l_b + 2:
+        # a1 = -1 leaves the F2 terms m = 0 and 1.  The m = 0 Gauss function
+        # is 1 - (c2 - a2) y / c2 after Euler's transformation, exactly zero
+        # at n = l_f + 1; summed in doubles it is rounding noise that would
+        # be re-summed in mpmath.  Keep the m = 1 term alone.
+        f2 = -u / c1 * x * _gauss_2f1(u + 1, a2, c2, y)
+    else:
+        f2 = appell_f2(AppellF2Params(u, l_b + 1 - n, a2, c1, c2, x, y))
     core = (n / 2.0) ** u * math.factorial(u - 1) * s ** (-u) * f2
     # log-space Coulomb normalization: C_l blows up at threshold otherwise
     log_cl = (
         l_f * math.log(2.0)
         - math.pi * eta / 2.0
-        + sp.loggamma(complex(l_f + 1, eta)).real
-        - sp.gammaln(2 * l_f + 2)
+        + log_abs_gamma(l_f, eta)
+        - math.lgamma(2 * l_f + 2)
     )
     pref = (
         math.sqrt(2.0 / (math.pi * k))

@@ -1,6 +1,7 @@
 """Special functions for the radial integrals and continuum amplitudes.
 
-Covers the Gamma function, the Kummer confluent hypergeometric function
+Covers the Gamma function and the closed-form log|Gamma(l + 1 + i eta)| of
+the Coulomb normalization, the Kummer confluent hypergeometric function
 F(a, c, z), the regular energy-normalized Coulomb radial wave, the Appell
 F2 double hypergeometric series, and the closed-form Laplace transform of a
 product of two Kummer functions,
@@ -26,7 +27,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-import scipy.special as sp
 
 from .errors import ConvergenceError, DomainError
 
@@ -65,8 +65,26 @@ def gamma_fn(z):
     if isinstance(z, (int, np.integer)):
         return math.factorial(int(z) - 1)
     if isinstance(z, complex):
-        return complex(sp.gamma(z))
-    return float(sp.gamma(z))
+        return complex(mpmath.gamma(z))
+    return math.gamma(z)
+
+
+def log_abs_gamma(l: int, eta: float) -> float:
+    """log|Gamma(l + 1 + i eta)| for an integer l >= 0 and real eta.
+
+    Closed form from |Gamma(1 + i eta)|^2 = pi eta / sinh(pi eta) and the
+    recurrence Gamma(z + 1) = z Gamma(z), so that
+    |Gamma(l + 1 + i eta)|^2 = pi eta / sinh(pi eta) prod_{s=1..l} (s^2 + eta^2)
+    (DLMF 5.4.3).  With x = pi |eta|, log(x / sinh x) is written as
+    log(2x) - x - log(1 - e^{-2x}), which does not overflow as eta grows
+    (the continuum threshold, k -> 0).
+    """
+    x = math.pi * abs(eta)
+    log_ratio = 0.0 if x == 0.0 else (
+        math.log(2.0 * x) - x - math.log(-math.expm1(-2.0 * x))
+    )
+    eta2 = eta * eta
+    return 0.5 * (log_ratio + math.fsum(math.log(s * s + eta2) for s in range(1, l + 1)))
 
 
 @dataclass(frozen=True)
@@ -348,7 +366,7 @@ _COULOMB_SERIES_RHO_MAX = 6.0
 @lru_cache(maxsize=4096)
 def _coulomb_norm(l: int, eta: float) -> float:
     """C_l(eta) = 2^l e^{-pi eta/2} |Gamma(l+1+i eta)| / (2l+1)!."""
-    g = abs(complex(sp.gamma(complex(l + 1, eta))))
+    g = abs(complex(mpmath.gamma(complex(l + 1, eta))))
     return 2.0 ** l * math.exp(-math.pi * eta / 2.0) * g / math.factorial(2 * l + 1)
 
 

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
-import scipy.linalg
 
 import laserhydrogen.cli as cli
 import laserhydrogen.transitions as transitions
@@ -298,11 +302,58 @@ def test_meta_records_the_smallest_level_gap(tmp_path):
     assert meta["min_eigen_gap"] == [{"axis_value": 0.5, "gap": None}]
 
 
+def test_meta_ambiguous_axis_values_are_the_csv_overlaps_below_half(tmp_path):
+    # (3, 0, 0) at n0 = 4, resonant with the n = 4 shell (omega = E_4 - E_3):
+    # its tracked overlap is 1 at A = 0, 0.497 at A = 0.01 and 0.503 at
+    # A = 0.02 (atomic units)
+    units = UnitSystem()
+    out = tmp_path / "out.csv"
+    assert main([
+        "ionization", "--n0", "4", "--initial", "3", "0", "0",
+        "--omega-ev", repr(units.internal_to_ev(7 / 288)),
+        "--a-vspm-start", "0",
+        "--a-vspm-stop", repr(units.vector_potential_to_si(0.02)),
+        "--count", "3", "--out", str(out),
+    ]) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    _, rows = _read_csv(out)
+    overlap = {float(r[0]): float(r[3]) for r in rows}
+    assert len(overlap) == 3  # every point has an open channel
+    below = [a for a, o in overlap.items() if o < 0.5]
+    assert len(below) == 1
+    assert meta["ambiguous_axis_values"] == below
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy's LAPACK does every solve: scipy's, with its own BLAS thread
+    # pool, is never loaded
+    script = (
+        "import sys\n"
+        "from laserhydrogen.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['ionization', '--n0', '3', '--omega-ev', '2.37',\n"
+        "             '--a-vspm-start', '5e-7', '--a-vspm-stop', '5e-6',\n"
+        "             '--count', '2', '--out', out + '/i.csv']) == 0\n"
+        "assert main(['point', '--n0', '3', '--amplitude-vspm', '5e-6',\n"
+        "             '--omega-ev', '0.5', '--out', out + '/p.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_eigensolver_failure_is_a_failed_point(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("injected: no convergence")
+        raise np.linalg.LinAlgError("injected: no convergence")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
     out = tmp_path / "out.csv"
     assert main(_SPECTRUM + ["--out", str(out)]) == 1
     meta = json.loads((tmp_path / "out.csv.meta.json").read_text())

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.eigensolver import (
@@ -129,9 +128,9 @@ def test_track_state_outside_basis():
 @pytest.mark.parametrize("parity", [0, None], ids=["vector-solve", "whole-basis-solve"])
 def test_lapack_failure_raises_convergence_error(monkeypatch, parity):
     def failing(a, *args, **kwargs):
-        raise scipy.linalg.LinAlgError("injected: no convergence")
+        raise np.linalg.LinAlgError("injected: no convergence")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
     matrix = assemble(enumerate_basis(3), LaserField(0.05, 0.1), parity=parity)
     with pytest.raises(ConvergenceError, match="eigensolver failed: injected"):
         diagonalize(matrix)

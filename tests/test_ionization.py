@@ -182,6 +182,35 @@ def test_cli_sigma_just_above_the_one_photon_threshold(tmp_path):
     assert sigma == pytest.approx(textbook, rel=0.1)
 
 
+# dressed_index and sigma (pi a0^2, mu = -10 .. -6) of the fig3 preset's
+# first and last point, as computed with scipy's log-Gamma and with every
+# Gauss polynomial summed
+_FIG3_SIGMA = {
+    "5e-07": ("20", (1.0718434850005073e-46, 5.123962548518281e-38,
+                     2.482443470656973e-30, 1.8233497796421783e-23,
+                     1.9086490771409887e-17)),
+    "5e-06": ("10", (4.706698302441926e-28, 1.2497905264914505e-21,
+                     2.6953797490220793e-16, 4.778878272001833e-12,
+                     3.736337484452967e-09)),
+}
+
+
+def test_fig3_sigma_matches_stored_values(tmp_path):
+    # the closed-form log|Gamma| and the skipped zero Gauss polynomial move
+    # sigma by rounding only (1.5e-14 relative at worst over the preset)
+    out = tmp_path / "fig3.csv"
+    assert main(["ionization", "--preset", "fig3", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for axis, (index, stored) in _FIG3_SIGMA.items():
+        got = [r for r in rows if r["A_vspm"] == axis]
+        assert [int(r["mu_branch"]) for r in got] == [-10, -9, -8, -7, -6]
+        assert {r["dressed_index"] for r in got} == {index}
+        np.testing.assert_allclose(
+            [float(r["sigma_pia02"]) for r in got], stored, rtol=1e-12, atol=0
+        )
+
+
 def test_weak_field_rate_quadratic_in_amplitude():
     omega = 20.0 / EV
     basis = enumerate_basis(3)

@@ -20,6 +20,7 @@ from laserhydrogen.specfun import (
     gamma_fn,
     kummer_1f1,
     laplace_1f1_product,
+    log_abs_gamma,
 )
 
 
@@ -42,6 +43,21 @@ def test_gamma_poles():
 @given(st.floats(min_value=0.1, max_value=20.0))
 def test_gamma_recurrence(z):
     assert gamma_fn(z + 1.0) == pytest.approx(z * gamma_fn(z), rel=1e-12)
+
+
+@given(l=st.integers(0, 30), k=st.floats(0.005, 5.0))
+def test_closed_form_log_abs_gamma_matches_scipy(l, k):
+    # the bound-free normalization's log|Gamma(l + 1 + i eta)| at eta = -1/k,
+    # from threshold (k = 0.005, eta = -200) to k = 5
+    eta = -1.0 / k
+    ref = sp.loggamma(complex(l + 1, eta)).real
+    assert abs(log_abs_gamma(l, eta) - ref) <= 1e-12
+
+
+def test_log_abs_gamma_at_real_arguments():
+    assert log_abs_gamma(0, 0.0) == 0.0
+    for l in (1, 5, 30):
+        assert log_abs_gamma(l, 0.0) == pytest.approx(math.lgamma(l + 1), abs=1e-12)
 
 
 # --- Kummer 1F1 ----------------------------------------------------------
