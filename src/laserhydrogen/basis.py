@@ -11,16 +11,13 @@ exact commutator relation
 
 holds in atomic units.  The dipole radial integrals (l and l - 1) are
 evaluated with Gordon's closed form, two terminating Gauss series summed in
-exact integer arithmetic; quadrature on `RadialGrid` is kept for
-validation.
+exact integer arithmetic.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ConfigurationError
 
@@ -86,17 +83,7 @@ def bound_energy(n: int) -> float:
     return -1.0 / (2.0 * n * n)
 
 
-# --- radial wavefunctions and quadrature --------------------------------
-
-@lru_cache(maxsize=1024)
-def _radial_poly_coeffs(n: int, l: int):
-    """Coefficients of the terminating Kummer F(l+1-n, 2l+2, t) in t."""
-    a, c = l + 1 - n, 2 * l + 2
-    coeffs = [1.0]
-    for j in range(n - l - 1):
-        coeffs.append(coeffs[-1] * (a + j) / ((c + j) * (j + 1)))
-    return tuple(coeffs)
-
+# --- radial normalization ---------------------------------------------
 
 @lru_cache(maxsize=1024)
 def _radial_norm(n: int, l: int) -> float:
@@ -106,50 +93,6 @@ def _radial_norm(n: int, l: int) -> float:
         / math.factorial(2 * l + 1) ** 2
     )
     return math.sqrt(norm_sq)
-
-
-def radial_wavefunction(n: int, l: int, r):
-    """Normalized radial function R_nl(r), int R^2 r^2 dr = 1."""
-    r = np.asarray(r, dtype=float)
-    t = 2.0 * r / n
-    poly = np.zeros_like(t)
-    for c in reversed(_radial_poly_coeffs(n, l)):
-        poly = poly * t + c
-    out = _radial_norm(n, l) * r ** l * np.exp(-r / n) * poly
-    return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Gauss-Laguerre nodes/weights for integrals over [0, inf)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    scale: float
-
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, values))
-
-
-def make_radial_grid(order: int, scale: float = 1.0) -> RadialGrid:
-    """Grid exact for e^{-scale*r} times polynomials of degree <= 2*order-1."""
-    x, w = np.polynomial.laguerre.laggauss(order)
-    return RadialGrid(nodes=x / scale, weights=w * np.exp(x) / scale, scale=scale)
-
-
-def _pair_grid(n1: int, n2: int, extra_degree: int = 0) -> RadialGrid:
-    order = 4 * max(n1, n2) + 20 + extra_degree
-    return make_radial_grid(order, scale=1.0 / n1 + 1.0 / n2)
-
-
-def overlap(a: QuantumNumbers, b: QuantumNumbers) -> float:
-    """Quadrature overlap <a|b>; angular part handled exactly."""
-    if (a.l, a.mu) != (b.l, b.mu):
-        return 0.0
-    grid = _pair_grid(a.n, b.n)
-    r = grid.nodes
-    vals = radial_wavefunction(a.n, a.l, r) * radial_wavefunction(b.n, b.l, r) * r**2
-    return grid.integrate(vals)
 
 
 # --- angular factors of x ------------------------------------------------

@@ -17,6 +17,7 @@ import configparser
 import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -311,9 +312,10 @@ def _write_files(outputs):
     """Write each (path, newline, write) output all-or-nothing.
 
     Every output is first written by write(fh) to a temporary file beside
-    its path; only when all of them are complete are they moved into place
-    with os.replace, so an error leaves the existing files untouched and no
-    partial or temporary file behind.
+    its path; only when all of them are complete, and no path is a
+    directory that os.replace would refuse, are they moved into place, so
+    an error leaves the existing files untouched and no partial or
+    temporary file behind.
     """
     temps = []
     try:
@@ -321,6 +323,9 @@ def _write_files(outputs):
             temps.append(f"{path}.{os.getpid()}.tmp")
             with open(temps[-1], "w", newline=newline) as fh:
                 write(fh)
+        for path, _, _ in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for tmp, (path, _, _) in zip(temps, outputs):
             os.replace(tmp, path)
     except BaseException:

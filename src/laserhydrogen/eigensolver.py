@@ -115,12 +115,6 @@ class EigenDecomposition:
         order = np.argsort(index)
         return index[order], gaps[order]
 
-    def near_degenerate_pairs(self, gap: float = DEGENERACY_GAP):
-        """Indices i whose next-higher state of the same block lies closer
-        than gap."""
-        index, gaps = self.level_gaps()
-        return index[gaps < gap]
-
 
 @dataclass(frozen=True)
 class TrackedState:

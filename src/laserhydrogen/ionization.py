@@ -9,8 +9,8 @@ density of states exactly one per unit energy.
 The bound-free radial integrals are evaluated in closed form via the
 Laplace transform of a product of two Kummer functions; the bound-state
 series terminates, and each continuum Gauss function becomes a terminating
-polynomial after Euler's transformation (`specfun._gauss_2f1`), so no
-analytic continuation is needed.  Per partial wave,
+polynomial after Euler's transformation (`specfun._gauss_2f1`, which sums
+no other kind of series).  Per partial wave,
 
     beta_l = sqrt(pi/(2 v)) * M_l / A,
 

@@ -1,37 +1,38 @@
 """Special functions for the radial integrals and continuum amplitudes.
 
-Covers the Gamma function and the closed-form log|Gamma(l + 1 + i eta)| of
-the Coulomb normalization, the Kummer confluent hypergeometric function
-F(a, c, z), the regular energy-normalized Coulomb radial wave, the Appell
-F2 double hypergeometric series, and the closed-form Laplace transform of a
-product of two Kummer functions,
+Covers the Gamma function, the closed-form log|Gamma(l + 1 + i eta)| of
+the Coulomb normalization, the Gauss function 2F1 and the Appell F2 double
+hypergeometric series of the bound-free radial integrals, and the
+closed-form Laplace transform of a product of two Kummer functions,
 
     int_0^inf e^{-s t} t^{u-1} F(a1, c1, t) F(a2, c2, q t) dt
         = Gamma(u) s^{-u} F2(u, a1, a2, c1, c2, 1/s, q/s).
 
-Terminating series are summed exactly (and stay exact for Fraction/int
-inputs, which the rational test oracle of the bound-bound radial integrals
-relies on; `basis.radial_length_integral` itself uses Gordon's closed
-form).  Non-terminating indices are summed numerically; the inner Gauss
-function of a singly terminating F2 is a polynomial after Euler's
-transformation whenever c - a or c - b is a non-positive integer, and is
-otherwise continued analytically outside its convergence disk.
+Only terminating series are summed: a Gauss function whose series is a
+polynomial directly or after Euler's transformation, and an F2 whose first
+index terminates.  Every bound-free radial integral is of that kind (see
+`_gauss_2f1`); other arguments raise DomainError, and nothing is continued
+analytically.  Sums in which both F2 indices terminate stay exact for
+Fraction/int inputs.
+
+`laplace_1f1_product`, `gamma_fn`, `KummerParams` and that exact F2 branch
+are the rational oracle of the bound-bound radial integrals
+(tests/test_radial_oracle.py); no program path calls them.  They stay here
+while the benchmark's span tracer still times `laplace_1f1_product` on the
+package.  The other oracles (quadrature on hydrogen wavefunctions, the
+series Kummer function and the Coulomb wave) live in tests/oracles.py.
 """
 
 import math
-import cmath
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
-_SERIES_CAP = 2000
-_SERIES_RTOL = 1e-16
 # A double-precision polynomial sum whose terms' moduli add up to more than
 # this multiple of the result is re-summed with mpmath at higher precision.
 _CANCELLATION_LIMIT = 1e4
@@ -98,53 +99,6 @@ class KummerParams:
         if _as_nonpositive_int(self.c) is not None:
             raise DomainError(f"Kummer lower parameter c={self.c} is a pole")
 
-    @property
-    def terminating(self) -> bool:
-        return _as_nonpositive_int(self.a) is not None
-
-    @property
-    def n_terms(self):
-        """Number of terms of a terminating series, or None."""
-        n = _as_nonpositive_int(self.a)
-        return None if n is None else n + 1
-
-
-def _kummer_series(a, c, z, n_terms=None):
-    # z*0 + 1 keeps the accumulator in z's arithmetic (Fraction stays exact)
-    total = z * 0 + 1
-    term = total
-    cap = n_terms if n_terms is not None else _SERIES_CAP
-    for j in range(cap):
-        term = term * (a + j) / (c + j) * z / (j + 1)
-        total += term
-        if n_terms is None and abs(term) <= _SERIES_RTOL * abs(total):
-            return total
-    if n_terms is not None:
-        return total
-    raise ConvergenceError(
-        f"Kummer series F({a},{c},{z}) did not converge in {_SERIES_CAP} terms",
-        iterations=_SERIES_CAP,
-        last_term=term,
-    )
-
-
-def kummer_1f1(p: KummerParams, z):
-    """Confluent hypergeometric F(a, c, z).
-
-    Terminating series are summed as exact finite sums.  Otherwise a direct
-    Taylor sum is used, with the Kummer transformation
-    F(a,c,z) = e^z F(c-a, c, -z) applied for arguments with negative real
-    part to avoid alternating-series cancellation.
-    """
-    n = _as_nonpositive_int(p.a)
-    if n is not None:
-        return _kummer_series(p.a, p.c, z, n_terms=n)
-    re_z = z.real if isinstance(z, complex) else z
-    if re_z < 0:
-        ez = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
-        return ez * _kummer_series(p.c - p.a, p.c, -z)
-    return _kummer_series(p.a, p.c, z)
-
 
 def _thread_mp_context():
     """This thread's own mpmath context, so that setting its precision
@@ -169,7 +123,7 @@ def _polynomial_2f1(a, b, c, z, n):
 
 
 def _gauss_2f1(a, b, c, z):
-    """Gauss 2F1(a, b; c; z), continued analytically when |z| is large.
+    """Gauss 2F1(a, b; c; z) for a series that terminates.
 
     A non-positive integer a or b makes the series a polynomial.  So does a
     non-positive integer c - a or c - b after Euler's transformation
@@ -178,8 +132,8 @@ def _gauss_2f1(a, b, c, z):
     integral lands there (c - a = l_f - l_b - 2 - m), on the circle
     |1-z| = 1 with |z| up to 2.  A polynomial whose alternating terms
     cancel is summed again with mpmath at as many extra bits as were lost.
-    Only genuinely non-terminating arguments are summed as a series
-    (|z| <= 0.9) or, as a fallback, continued by mpmath.
+    Arguments for which none of a, b, c - a and c - b is a non-positive
+    integer raise DomainError: there is no analytic continuation.
     """
     n = _as_nonpositive_int(a)
     m = _as_nonpositive_int(b)
@@ -190,40 +144,30 @@ def _gauss_2f1(a, b, c, z):
         or _as_nonpositive_int(c - b) is not None
     ):
         return (1 - z) ** (c - a - b) * _gauss_2f1(c - a, c - b, c, z)
-    if n is not None:
-        total, size = _polynomial_2f1(a, b, c, z, n)
-        if size <= _CANCELLATION_LIMIT * abs(total):
-            return total
-        # The terms cancelled: redo the same sum with as many extra bits as
-        # were lost (and 16 spare), until the loss is back within
-        # _CANCELLATION_LIMIT of the working precision.  An exact zero
-        # stops at _MAX_BITS.
-        ctx = _thread_mp_context()
-        bits = 53  # a double's
-        while bits < _MAX_BITS and size > (
-            _CANCELLATION_LIMIT * ctx.ldexp(abs(total), bits - 53)
-        ):
-            lost = ctx.mag(size) - ctx.mag(total) if total else bits
-            ctx.prec = bits = min(_MAX_BITS, bits + lost + 16)
-            total, size = _polynomial_2f1(
-                ctx.mpmathify(a), ctx.mpmathify(b),
-                ctx.mpmathify(c), ctx.mpmathify(z), n,
-            )
-        return complex(total) if isinstance(total, ctx.mpc) else float(total)
-    if abs(z) <= 0.9:
-        total = complex(1.0)
-        term = total
-        for j in range(_SERIES_CAP):
-            term = term * (a + j) * (b + j) / (c + j) * z / (j + 1)
-            total += term
-            if abs(term) <= _SERIES_RTOL * abs(total):
-                return total if isinstance(z, complex) else total.real
-        raise ConvergenceError(
-            f"2F1({a},{b};{c};{z}) series stalled",
-            iterations=_SERIES_CAP,
-            last_term=term,
+    if n is None:
+        raise DomainError(
+            f"2F1({a}, {b}; {c}; z) does not terminate: none of a, b, c - a "
+            "and c - b is a non-positive integer"
         )
-    return complex(mpmath.hyp2f1(a, b, c, z))
+    total, size = _polynomial_2f1(a, b, c, z, n)
+    if size <= _CANCELLATION_LIMIT * abs(total):
+        return total
+    # The terms cancelled: redo the same sum with as many extra bits as
+    # were lost (and 16 spare), until the loss is back within
+    # _CANCELLATION_LIMIT of the working precision.  An exact zero
+    # stops at _MAX_BITS.
+    ctx = _thread_mp_context()
+    bits = 53  # a double's
+    while bits < _MAX_BITS and size > (
+        _CANCELLATION_LIMIT * ctx.ldexp(abs(total), bits - 53)
+    ):
+        lost = ctx.mag(size) - ctx.mag(total) if total else bits
+        ctx.prec = bits = min(_MAX_BITS, bits + lost + 16)
+        total, size = _polynomial_2f1(
+            ctx.mpmathify(a), ctx.mpmathify(b),
+            ctx.mpmathify(c), ctx.mpmathify(z), n,
+        )
+    return complex(total) if isinstance(total, ctx.mpc) else float(total)
 
 
 @dataclass(frozen=True)
@@ -248,27 +192,26 @@ class AppellF2Params:
 
 
 def appell_f2(p: AppellF2Params):
-    """Appell F2(u; a1, a2; c1, c2; x, y).
+    """Appell F2(u; a1, a2; c1, c2; x, y) with a terminating first index.
 
     F2 = sum_{m,p} (u)_{m+p} (a1)_m (a2)_p / ((c1)_m (c2)_p m! p!) x^m y^p.
 
-    Indices with non-positive-integer numerator parameters are summed
-    exactly (staying in exact arithmetic for rational inputs).  A
-    non-terminating second index is summed as a Gauss 2F1 per first-index
-    term, valid beyond |x|+|y| < 1 by analytic continuation; for the
-    bound-free radial integrals each of those 2F1 is a polynomial after
-    Euler's transformation (see `_gauss_2f1`), and mpmath is only the
-    fallback for arguments where no transformation terminates.  If neither
-    index terminates the arguments must lie inside the convergence domain.
+    a1 must be a non-positive integer; otherwise DomainError.  If a2 is one
+    too, the finite double sum is summed directly (staying in exact
+    arithmetic for rational inputs).  Otherwise the second index is summed
+    as one Gauss 2F1(u + m, a2; c2; y) per first-index term, which must
+    terminate as `_gauss_2f1` requires; for the bound-free radial
+    integrals each is a polynomial after Euler's transformation.
     """
     n1 = _as_nonpositive_int(p.a1)
     n2 = _as_nonpositive_int(p.a2)
-    if n1 is None and n2 is not None:
-        # F2 is symmetric under (a1, c1, x) <-> (a2, c2, y).
-        swapped = AppellF2Params(p.u, p.a2, p.a1, p.c2, p.c1, p.y, p.x)
-        return appell_f2(swapped)
+    if n1 is None:
+        raise DomainError(
+            f"Appell F2 first index a1={p.a1} does not terminate: it must be "
+            "a non-positive integer"
+        )
 
-    if n1 is not None and n2 is not None:
+    if n2 is not None:
         total = _zero_like(p.x, p.y)
         outer = _one_like(p.x, p.y)  # (u)_m (a1)_m / ((c1)_m m!) x^m
         for m in range(n1 + 1):
@@ -283,41 +226,14 @@ def appell_f2(p: AppellF2Params):
             outer = outer * (p.u + m) * (p.a1 + m) / ((p.c1 + m) * (m + 1)) * p.x
         return total
 
-    if n1 is not None:
-        total = complex(0.0)
-        outer = complex(1.0)
-        for m in range(n1 + 1):
-            total += outer * _gauss_2f1(p.u + m, p.a2, p.c2, p.y)
-            outer = outer * (p.u + m) * (p.a1 + m) / ((p.c1 + m) * (m + 1)) * p.x
-        if all(not isinstance(v, complex) for v in (p.u, p.a2, p.x, p.y)):
-            return total.real
-        return total
-
-    if abs(p.x) + abs(p.y) >= 1:
-        raise DomainError(
-            "Appell F2 with neither index terminating requires |x|+|y| < 1; "
-            f"got |x|+|y| = {abs(p.x) + abs(p.y):.6g}"
-        )
     total = complex(0.0)
-    row_start = complex(1.0)
-    for m in range(_SERIES_CAP):
-        term = row_start
-        row = term
-        for q in range(_SERIES_CAP):
-            term = term * (p.u + m + q) * (p.a2 + q) / ((p.c2 + q) * (q + 1)) * p.y
-            row += term
-            if abs(term) <= _SERIES_RTOL * (abs(row) + 1e-300):
-                break
-        total += row
-        if abs(row) <= _SERIES_RTOL * (abs(total) + 1e-300) and m > 2:
-            if all(not isinstance(v, complex) for v in
-                   (p.u, p.a1, p.a2, p.x, p.y)):
-                return total.real
-            return total
-        row_start = row_start * (p.u + m) * (p.a1 + m) / ((p.c1 + m) * (m + 1)) * p.x
-    raise ConvergenceError(
-        "Appell F2 double series stalled", iterations=_SERIES_CAP
-    )
+    outer = complex(1.0)
+    for m in range(n1 + 1):
+        total += outer * _gauss_2f1(p.u + m, p.a2, p.c2, p.y)
+        outer = outer * (p.u + m) * (p.a1 + m) / ((p.c1 + m) * (m + 1)) * p.x
+    if all(not isinstance(v, complex) for v in (p.u, p.a2, p.x, p.y)):
+        return total.real
+    return total
 
 
 def _zero_like(x, y):
@@ -356,42 +272,3 @@ def laplace_1f1_product(s, u, k1: KummerParams, k2: KummerParams, q):
             and isinstance(y, Fraction):
         return math.factorial(int(u) - 1) * s ** (-int(u)) * f2
     return gamma_fn(u) * s ** (-u) * f2
-
-
-# --- Coulomb continuum radial wave -------------------------------------
-
-_COULOMB_SERIES_RHO_MAX = 6.0
-
-
-@lru_cache(maxsize=4096)
-def _coulomb_norm(l: int, eta: float) -> float:
-    """C_l(eta) = 2^l e^{-pi eta/2} |Gamma(l+1+i eta)| / (2l+1)!."""
-    g = abs(complex(mpmath.gamma(complex(l + 1, eta))))
-    return 2.0 ** l * math.exp(-math.pi * eta / 2.0) * g / math.factorial(2 * l + 1)
-
-
-def coulomb_radial(energy: float, l: int, r: float, charge: float = 1.0) -> float:
-    """Energy-normalized regular Coulomb radial wave u_{El}(r).
-
-    Returns the reduced radial function (r times the full radial factor) of
-    an electron with kinetic energy `energy` (hartree) in the attractive
-    field of the given nuclear charge, normalized so <E|E'> = delta(E-E').
-    u behaves like r^{l+1} at the origin; charge=0 reduces to the free
-    spherical wave k r j_l(k r).
-    """
-    if energy <= 0:
-        raise DomainError("continuum energy must be positive")
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    k = math.sqrt(2.0 * energy)
-    eta = -charge / k
-    rho = k * r
-    norm = math.sqrt(2.0 / (math.pi * k))
-    if rho <= _COULOMB_SERIES_RHO_MAX:
-        m = _kummer_series(
-            complex(l + 1, eta), float(2 * l + 2), complex(0.0, -2.0 * rho)
-        )
-        f = _coulomb_norm(l, eta) * rho ** (l + 1) * (cmath.exp(1j * rho) * m).real
-    else:
-        f = float(mpmath.coulombf(l, eta, rho))
-    return norm * f

@@ -23,7 +23,6 @@ class PhysicalConstants:
     elementary_charge: float = 1.602176634e-19     # C (exact)
     hbar: float = 1.054571817e-34                  # J*s
     light_speed: float = 299792458.0               # m/s (exact)
-    vacuum_permittivity: float = 8.8541878128e-12  # F/m
     proton_mass: float = 1.67262192369e-27         # kg
 
     @property

@@ -14,12 +14,7 @@ import pytest
 import scipy.integrate
 
 from conftest import w_matrix
-from laserhydrogen.basis import (
-    QuantumNumbers,
-    enumerate_basis,
-    overlap,
-    radial_wavefunction,
-)
+from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.eigensolver import diagonalize, track_state
 from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import (
@@ -29,13 +24,9 @@ from laserhydrogen.ionization import (
     ionization_rate,
     ionization_records,
 )
-from laserhydrogen.specfun import (
-    KummerParams,
-    coulomb_radial,
-    kummer_1f1,
-    laplace_1f1_product,
-)
+from laserhydrogen.specfun import KummerParams, laplace_1f1_product
 from laserhydrogen.units import CONSTANTS, UnitSystem
+from oracles import coulomb_radial, kummer_1f1, overlap, radial_wavefunction
 
 GROUND = QuantumNumbers(1, 0, 0)
 UNITS = UnitSystem()

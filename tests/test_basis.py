@@ -9,14 +9,12 @@ from laserhydrogen.basis import (
     angular_x,
     bound_energy,
     enumerate_basis,
-    make_radial_grid,
-    overlap,
     px_matrix_element,
     radial_length_integral,
-    radial_wavefunction,
     x_matrix_element,
 )
 from laserhydrogen.errors import ConfigurationError
+from oracles import make_radial_grid, overlap, radial_wavefunction
 
 
 # --- labels and enumeration ----------------------------------------------

@@ -219,6 +219,28 @@ def test_failed_metadata_write_leaves_earlier_output(tmp_path, monkeypatch, caps
     ]
 
 
+def test_directory_at_the_metadata_path_leaves_earlier_csv(tmp_path, capsys):
+    # the CSV would be replaced first; a directory where the metadata goes
+    # must fail the write before anything is moved into place
+    out = tmp_path / "out.csv"
+    out.write_text("earlier,run\n")
+    meta = tmp_path / "out.csv.meta.json"
+    meta.mkdir()
+    (meta / "kept").write_text("x")
+    rc = main(
+        ["point", "--n0", "3", "--amplitude-vspm", "5e-6",
+         "--omega-ev", "0.7", "--out", str(out)]
+    )
+    assert rc == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert out.read_text() == "earlier,run\n"
+    assert [p.name for p in meta.iterdir()] == ["kept"]
+    assert (meta / "kept").read_text() == "x"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out.csv", "out.csv.meta.json"
+    ]
+
+
 def test_successful_write_leaves_no_temporary_file(tmp_path):
     out = tmp_path / "out.csv"
     out.write_text("earlier,run\n")

@@ -10,7 +10,6 @@ from laserhydrogen.basis import (
     angular_x,
     bound_energy,
     enumerate_basis,
-    radial_wavefunction,
 )
 from laserhydrogen.cli import main
 from laserhydrogen.eigensolver import diagonalize, track_state
@@ -27,8 +26,8 @@ from laserhydrogen.ionization import (
     ionization_records,
     photoelectron_energy,
 )
-from laserhydrogen.specfun import coulomb_radial
 from laserhydrogen.units import CONSTANTS
+from oracles import coulomb_radial, radial_wavefunction
 
 GROUND = QuantumNumbers(1, 0, 0)
 EV = 27.211386245988

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import laserhydrogen.cli as cli
 import laserhydrogen.transitions as transitions
 from laserhydrogen import (
+    DEGENERACY_GAP,
     ConfigurationError,
     ContinuumState,
     EigenDecomposition,
@@ -82,8 +83,10 @@ def test_only_the_initial_block_has_vectors(one_block):
         np.abs(decomp.coefficients),
         np.abs(full.coefficients[np.ix_(decomp.positions, cols)]), rtol=0, atol=1e-12,
     )
-    pairs = [i for i in full.near_degenerate_pairs() if full.block_labels[i] == 0]
-    assert list(decomp.near_degenerate_pairs()) == list(np.searchsorted(cols, pairs))
+    index, gaps = full.level_gaps()
+    pairs = [i for i in index[gaps < DEGENERACY_GAP] if full.block_labels[i] == 0]
+    index, gaps = decomp.level_gaps()
+    assert list(index[gaps < DEGENERACY_GAP]) == list(np.searchsorted(cols, pairs))
 
 
 def test_reading_the_unsolved_block_raises(one_block):

@@ -120,8 +120,9 @@ def test_near_degenerate_pairs_only_inside_a_block():
     )
     # columns 0/1: an exact tie between the classes, not flagged;
     # columns 2/3: a 1e-12 gap inside class 0, flagged
-    assert list(decomp.near_degenerate_pairs(1e-10)) == [2]
-    assert list(decomp.near_degenerate_pairs(1e-14)) == []
+    index, gaps = decomp.level_gaps()
+    assert list(index[gaps < 1e-10]) == [2]
+    assert list(index[gaps < 1e-14]) == []
 
 
 def test_near_degenerate_pairs_skip_other_block_between():
@@ -133,4 +134,5 @@ def test_near_degenerate_pairs_skip_other_block_between():
         block_labels=np.array([0, 1, 0, 1, 0]),
     )
     # columns 0 and 2 are neighbours within class 0
-    assert list(decomp.near_degenerate_pairs(1e-10)) == [0]
+    index, gaps = decomp.level_gaps()
+    assert list(index[gaps < 1e-10]) == [0]

@@ -2,26 +2,25 @@ import math
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import laserhydrogen.specfun as specfun
+from laserhydrogen.basis import N0_CAP
 from laserhydrogen.errors import DomainError
 from laserhydrogen.specfun import (
     AppellF2Params,
     KummerParams,
+    _as_nonpositive_int,
     _gauss_2f1,
     appell_f2,
-    coulomb_radial,
     gamma_fn,
-    kummer_1f1,
     laplace_1f1_product,
     log_abs_gamma,
 )
+from oracles import coulomb_radial, kummer_1f1
 
 
 # --- Gamma ---------------------------------------------------------------
@@ -64,7 +63,6 @@ def test_log_abs_gamma_at_real_arguments():
 
 def test_kummer_terminating_polynomial():
     p = KummerParams(-2, 2.0)
-    assert p.terminating and p.n_terms == 3
     for z in (0.0, 0.7, -3.0, 12.0):
         assert kummer_1f1(p, z) == pytest.approx(1 - z + z * z / 6, rel=1e-14)
 
@@ -119,25 +117,9 @@ def test_kummer_complex_argument():
 
 # --- Gauss 2F1 ------------------------------------------------------------
 
-_MP_HYP2F1 = mpmath.hyp2f1  # the reference, unaffected by `hyp2f1_calls`
-
-
 def _mp_2f1(a, b, c, z):
     with mpmath.workdps(40):
-        return complex(_MP_HYP2F1(a, b, c, z))
-
-
-@pytest.fixture
-def hyp2f1_calls(monkeypatch):
-    """Count the calls `_gauss_2f1` makes to its mpmath continuation."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _MP_HYP2F1(*args)
-
-    monkeypatch.setattr(specfun.mpmath, "hyp2f1", counted)
-    return calls
+        return complex(mpmath.hyp2f1(a, b, c, z))
 
 
 _Z_OUTSIDE = complex(1.2, 1.1)  # |z| > 1, off the cut [1, inf)
@@ -151,27 +133,42 @@ _Z_OUTSIDE = complex(1.2, 1.1)  # |z| > 1, off the cut [1, inf)
         (3.0, complex(0.4, -2.5), 3.0),  # c - a = 0: (1 - z)^(-b)
     ],
 )
-def test_gauss_2f1_euler_branch(a, b, c, hyp2f1_calls):
+def test_gauss_2f1_euler_branch(a, b, c):
     value = _gauss_2f1(a, b, c, _Z_OUTSIDE)
     assert value == pytest.approx(_mp_2f1(a, b, c, _Z_OUTSIDE), rel=1e-13)
     if a == c:
         assert value == pytest.approx((1 - _Z_OUTSIDE) ** (-b), rel=1e-14)
-    assert hyp2f1_calls == []  # a polynomial: no continuation needed
 
 
-def test_gauss_2f1_series_inside_disk(hyp2f1_calls):
-    a, b, c, z = 1.3, complex(0.7, 0.2), 2.9, complex(0.5, -0.6)
-    assert _gauss_2f1(a, b, c, z) == pytest.approx(_mp_2f1(a, b, c, z), rel=1e-13)
-    assert hyp2f1_calls == []
+@pytest.mark.parametrize(
+    "a,b,c,z",
+    [
+        (1.3, complex(0.7, 0.2), 2.9, complex(0.5, -0.6)),
+        (1.3, complex(0.4, 0.5), 2.9, _Z_OUTSIDE),
+    ],
+    ids=["inside-disk", "outside-disk"],
+)
+def test_gauss_2f1_nonterminating_outside_domain(a, b, c, z):
+    # none of a, b, c - a and c - b is a non-positive integer
+    with pytest.raises(DomainError, match=r"2F1\(1\.3, .* does not terminate"):
+        _gauss_2f1(a, b, c, z)
 
 
-def test_gauss_2f1_continuation_outside_disk(hyp2f1_calls):
-    # c - a and c - b are not integers: no transformation terminates
-    a, b, c = 1.3, complex(0.4, 0.5), 2.9
-    assert _gauss_2f1(a, b, c, _Z_OUTSIDE) == pytest.approx(
-        _mp_2f1(a, b, c, _Z_OUTSIDE), rel=1e-12
-    )
-    assert len(hyp2f1_calls) == 1
+def test_every_bound_free_gauss_function_terminates():
+    # _bound_free_radial asks for 2F1(u + m, a2; c2; y) with u = l_f + l_b + 4,
+    # c2 = 2 l_f + 2 and m = 0 .. n - l_b - 1.  Euler's transformation makes
+    # it a polynomial of degree u + m - c2 = l_b - l_f + 2 + m, so no input
+    # reaches the DomainError of a non-terminating Gauss function.
+    for n in range(1, N0_CAP + 1):
+        for l_b in range(n):
+            for l_f in (l_b - 1, l_b + 1):
+                if l_f < 0:
+                    continue
+                u, c2 = l_f + l_b + 4, 2 * l_f + 2
+                for m in range(n - l_b):
+                    assert _as_nonpositive_int(c2 - (u + m)) is not None, (
+                        n, l_b, l_f, m,
+                    )
 
 
 def test_gauss_2f1_cancelling_polynomial_resummed():
@@ -214,29 +211,23 @@ def test_appell_f2_exact_fractions():
     assert val == expected
 
 
-def test_appell_f2_double_series_region():
-    # neither index terminating, inside |x| + |y| < 1: compare to brute force
-    u, a1, a2, c1, c2, x, y = 1.3, 0.7, 1.1, 2.2, 3.1, 0.35, 0.25
-    val = appell_f2(AppellF2Params(u, a1, a2, c1, c2, x, y))
-    brute = mpmath.mpf(0)
-    for m in range(60):
-        for p in range(60):
-            brute += (
-                mpmath.rf(u, m + p) * mpmath.rf(a1, m) * mpmath.rf(a2, p)
-                / (mpmath.rf(c1, m) * mpmath.rf(c2, p)
-                   * mpmath.factorial(m) * mpmath.factorial(p))
-                * x**m * y**p
-            )
-    assert val == pytest.approx(float(brute), rel=1e-12)
-
-
-def test_appell_f2_nonterminating_outside_domain():
-    with pytest.raises(DomainError):
-        appell_f2(AppellF2Params(1.5, 0.7, 1.1, 2.0, 3.0, 0.8, 0.5))
+@pytest.mark.parametrize(
+    "params",
+    [
+        (1.5, 0.7, 1.1, 2.0, 3.0, 0.8, 0.5),
+        (1.3, 0.7, 1.1, 2.2, 3.1, 0.35, 0.25),
+        (4, complex(1.0, 0.5), -2, 4.0, 3.0, complex(1.2, 1.1), 0.3),
+    ],
+    ids=["neither-index", "neither-index-inside-domain", "second-index-only"],
+)
+def test_appell_f2_nonterminating_outside_domain(params):
+    with pytest.raises(DomainError, match="a1=.* does not terminate"):
+        appell_f2(AppellF2Params(*params))
 
 
 def test_appell_f2_singly_terminating_continued():
-    # terminating first index, |y| > 1: per-term 2F1 continuation must kick in
+    # terminating first index, |y| > 1: each per-term 2F1 terminates after
+    # Euler's transformation (c2 - u - m = -m)
     y = complex(1.2, 1.1)
     val = appell_f2(AppellF2Params(4, -2, complex(1.0, 0.5), 3.0, 4.0, 0.3, y))
     brute = mpmath.mpf(0)
