@@ -33,6 +33,9 @@ result = intensity_scan(
 
 prev = None
 for point, amp_au in zip(result.rows, amps_au):
+    if point.failed:
+        print(f"{point.axis_value:12.2e}  FAILED: {point.error}")
+        continue
     survival = point.table.probability(ground)
     total_out = 1.0 - survival
     note = ""

@@ -27,12 +27,7 @@ from .eigensolver import (
     track_state,
 )
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .hamiltonian import (
-    LaserField,
-    PseudoHamiltonianMatrix,
-    assemble,
-    load_matrix_entries,
-)
+from .hamiltonian import LaserField, PseudoHamiltonianMatrix, assemble
 from .ionization import (
     ContinuumState,
     IonizationRecord,
@@ -88,7 +83,6 @@ __all__ = [
     "LaserField",
     "PseudoHamiltonianMatrix",
     "assemble",
-    "load_matrix_entries",
     "ContinuumState",
     "IonizationRecord",
     "bound_free_element",

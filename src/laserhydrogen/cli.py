@@ -29,8 +29,8 @@ from .basis import N0_CAP, QuantumNumbers, enumerate_basis
 from .eigensolver import DEGENERACY_GAP
 from .errors import ConfigurationError
 from .hamiltonian import LaserField
-from .ionization import ionization_observation
-from .transitions import scan, spectrum_observation
+from .ionization import IonizationScanPoint
+from .transitions import ScanPoint, scan
 from .units import UnitSystem
 
 SPECTRUM_HEADER = (
@@ -215,57 +215,19 @@ def run(config: RunConfig) -> int:
     t_start = time.time()
     units = UnitSystem(reduced_mass=config.reduced_mass)
     axis, lasers = _sweep(config, units)
-    ini = config.initial_state
     ionization = config.mode == "ionization"
-    results = scan(
-        enumerate_basis(config.n0), ini, lasers,
-        ionization_observation if ionization else spectrum_observation,
+    points = list(scan(
+        enumerate_basis(config.n0), config.initial_state, axis, lasers,
+        IonizationScanPoint if ionization else ScanPoint,
         include_a2=not config.drop_a2,
-    )
-
-    failed_points = []
-    degenerate_points = []
-    norm_errors, min_gaps, leakages, ambiguous_points = [], [], [], []
+    ))
     csv_rows = [(IONIZATION_HEADER if ionization else SPECTRUM_HEADER).split(",")]
-    for axis_value, result in zip(axis, results):
-        if isinstance(result, Exception):
-            failed_points.append({"axis_value": axis_value, "error": str(result)})
-            if ionization:
-                csv_rows.append(
-                    [axis_value, config.omega_ev, -1, "nan", "nan", 0,
-                     "nan", "nan", "failed"]
-                )
-            else:
-                csv_rows.append(
-                    [axis_value, ini.n, ini.l, ini.mu, -1, -1, 0, "nan", "failed"]
-                )
-        elif ionization:
-            tracked, index, records = result
-            if tracked.ambiguous:
-                ambiguous_points.append(axis_value)
-            for rec in records:
-                csv_rows.append(
-                    [axis_value, config.omega_ev, index,
-                     repr(float(tracked.overlap)),
-                     repr(float(rec.E_i * units.mass_factor)), rec.mu_branch,
-                     repr(float(units.internal_to_ev(rec.E_f0))),
-                     repr(float(rec.eta)),
-                     repr(float(units.cross_section_to_pi_a0sq(rec.sigma)))]
-                )
-        else:
-            table, degenerate, norm_error, min_gap, leakage = result
-            if degenerate:
-                degenerate_points.append(axis_value)
-            norm_errors.append({"axis_value": axis_value, "error": norm_error})
-            min_gaps.append({"axis_value": axis_value, "gap": min_gap})
-            leakages.append({"axis_value": axis_value, "leakage": leakage})
-            for state, w in zip(table.basis.states, table.probabilities):
-                if w < config.w_min:
-                    continue
-                csv_rows.append(
-                    [axis_value, ini.n, ini.l, ini.mu, state.n, state.l,
-                     state.mu, repr(float(w)), int(degenerate)]
-                )
+    for p in points:
+        csv_rows.extend(
+            _ionization_rows(p, config, units) if ionization
+            else _spectrum_rows(p, config)
+        )
+    computed = [p for p in points if not p.failed]
     metadata = {
         "package_version": __version__,
         "config": dataclasses.asdict(config),
@@ -279,22 +241,37 @@ def run(config: RunConfig) -> int:
             "w_min": config.w_min,
             "degeneracy_gap": DEGENERACY_GAP,
         },
-        "near_degenerate_axis_values": degenerate_points,
-        "failed_points": failed_points,
+        "near_degenerate_axis_values": [
+            p.axis_value for p in computed if not ionization and p.near_degenerate
+        ],
+        "failed_points": [
+            {"axis_value": p.axis_value, **dataclasses.asdict(p.failure)}
+            for p in points if p.failed
+        ],
         "wall_time_s": time.time() - t_start,
     }
     if ionization:
         # Points whose tracked state keeps less than half of the initial
         # bare state: which dressed state the records follow is ambiguous.
-        metadata["ambiguous_axis_values"] = ambiguous_points
+        metadata["ambiguous_axis_values"] = [
+            p.axis_value for p in points if p.ambiguous
+        ]
     else:
         # Trust in each computed point: |sum_b W(initial, b) - 1| before the
         # w_min cut; the smallest level spacing in the initial state's class,
         # near which W carries rounding of about eps*|H|/gap; and the W that
         # reaches the outermost shell n = n0, a proxy for truncation error.
-        metadata["w_normalization_error"] = norm_errors
-        metadata["min_eigen_gap"] = min_gaps
-        metadata["outer_shell_leakage"] = leakages
+        metadata["w_normalization_error"] = [
+            {"axis_value": p.axis_value, "error": p.normalization_error}
+            for p in computed
+        ]
+        metadata["min_eigen_gap"] = [
+            {"axis_value": p.axis_value, "gap": p.min_eigen_gap} for p in computed
+        ]
+        metadata["outer_shell_leakage"] = [
+            {"axis_value": p.axis_value, "leakage": p.outer_shell_leakage}
+            for p in computed
+        ]
     try:
         _write_files([
             (config.output_path, "",
@@ -305,7 +282,36 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    return 1 if failed_points else 0
+    return 1 if metadata["failed_points"] else 0
+
+
+def _spectrum_rows(point, config):
+    """CSV rows of one ScanPoint: W out of the initial state, w_min cut."""
+    ini = config.initial_state
+    if point.failed:
+        return [[point.axis_value, ini.n, ini.l, ini.mu, -1, -1, 0, "nan", "failed"]]
+    return [
+        [point.axis_value, ini.n, ini.l, ini.mu, state.n, state.l, state.mu,
+         repr(float(w)), int(point.near_degenerate)]
+        for state, w in zip(point.table.basis.states, point.table.probabilities)
+        if not w < config.w_min  # a NaN W is written
+    ]
+
+
+def _ionization_rows(point, config, units):
+    """CSV rows of one IonizationScanPoint, one per open mu branch."""
+    if point.failed:
+        return [[point.axis_value, config.omega_ev, -1, "nan", "nan", 0,
+                 "nan", "nan", "failed"]]
+    return [
+        [point.axis_value, config.omega_ev, point.dressed_index,
+         repr(float(point.overlap)),
+         repr(float(rec.E_i * units.mass_factor)), rec.mu_branch,
+         repr(float(units.internal_to_ev(rec.E_f0))),
+         repr(float(rec.eta)),
+         repr(float(units.cross_section_to_pi_a0sq(rec.sigma)))]
+        for rec in point.records
+    ]
 
 
 def _write_files(outputs):

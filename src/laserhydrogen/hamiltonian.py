@@ -21,7 +21,6 @@ be dropped for sensitivity studies.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,24 +75,6 @@ class PseudoHamiltonianMatrix:
     @property
     def dimension(self) -> int:
         return self.entries.shape[0]
-
-    def dump(self, path):
-        """Binary dump: int64 LE dimension, then the row-major lower
-        triangle (diagonal included) as little-endian float64."""
-        lower = self.entries[np.tril_indices(self.dimension)]
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<q", self.dimension))
-            fh.write(lower.astype("<f8").tobytes())
-
-
-def load_matrix_entries(path) -> np.ndarray:
-    """Read back a matrix written by PseudoHamiltonianMatrix.dump."""
-    with open(path, "rb") as fh:
-        (dim,) = struct.unpack("<q", fh.read(8))
-        lower = np.frombuffer(fh.read(), dtype="<f8")
-    out = np.zeros((dim, dim))
-    out[np.tril_indices(dim)] = lower
-    return out + np.tril(out, -1).T
 
 
 def assemble(

@@ -36,7 +36,7 @@ from .eigensolver import EigenDecomposition, global_index, track_state
 from .errors import ConfigurationError, DomainError
 from .hamiltonian import LaserField
 from .specfun import AppellF2Params, _gauss_2f1, appell_f2, log_abs_gamma
-from .transitions import scan
+from .transitions import ScanRecord, scan
 from .units import BINDING_ENERGY_AU, CONSTANTS
 
 _COEFF_CUTOFF = 1e-15
@@ -254,28 +254,27 @@ def cross_section(
 
 
 @dataclass(frozen=True)
-class IonizationScanPoint:
-    axis_value: float          # amplitude in I/O units
+class IonizationScanPoint(ScanRecord):
+    """The tracked initial dressed state at one field point and its
+    IonizationRecords; a failed point has none."""
+
     amplitude_au: float
-    dressed_index: int = -1
+    dressed_index: int = -1    # position in the spectrum of the whole basis
     overlap: float = float("nan")
     ambiguous: bool = False
     records: tuple = ()
-    failed: bool = False
-    error: str = ""
 
+    @classmethod
+    def observe(cls, decomp, initial, laser, axis_value) -> "IonizationScanPoint":
+        tracked = track_state(decomp, initial)
+        index = global_index(decomp, tracked.index, laser)
+        records = tuple(ionization_records(decomp, tracked.index, laser))
+        return cls(axis_value, laser.amplitude_A, index, tracked.overlap,
+                   tracked.ambiguous, records)
 
-def ionization_observation(
-    decomp: EigenDecomposition, initial: QuantumNumbers, laser: LaserField
-):
-    """(tracked initial dressed state, its position in the spectrum of the
-    whole basis, its IonizationRecords) of one point."""
-    tracked = track_state(decomp, initial)
-    return (
-        tracked,
-        global_index(decomp, tracked.index, laser),
-        ionization_records(decomp, tracked.index, laser),
-    )
+    @classmethod
+    def from_failure(cls, axis_value, laser, failure) -> "IonizationScanPoint":
+        return cls(axis_value, laser.amplitude_A, failure=failure)
 
 
 def ionization_intensity_scan(
@@ -287,26 +286,6 @@ def ionization_intensity_scan(
 ):
     """Amplitude sweep of the tracked initial dressed state (Figs. 3/4 data)."""
     amplitudes_au = list(amplitudes_au)
-    if axis_values is None:
-        axis_values = amplitudes_au
     lasers = [LaserField(amp, omega_au) for amp in amplitudes_au]
-    results = scan(enumerate_basis(n0), initial, lasers, ionization_observation)
-    points = []
-    for axis_value, amp, result in zip(axis_values, amplitudes_au, results):
-        if isinstance(result, Exception):
-            points.append(
-                IonizationScanPoint(axis_value, amp, failed=True, error=str(result))
-            )
-            continue
-        tracked, index, records = result
-        points.append(
-            IonizationScanPoint(
-                axis_value=axis_value,
-                amplitude_au=amp,
-                dressed_index=index,
-                overlap=tracked.overlap,
-                ambiguous=tracked.ambiguous,
-                records=tuple(records),
-            )
-        )
-    return points
+    axis = amplitudes_au if axis_values is None else list(axis_values)
+    return list(scan(enumerate_basis(n0), initial, axis, lasers, IonizationScanPoint))

@@ -8,9 +8,10 @@ probability before averaging is the multi-periodic
 
 Every sweep, the library scans and the command line alike, runs through
 `scan`, which assembles, diagonalizes and observes one field point after
-another and hands back each point's observation or its exception.  W out
-of the initial state is exactly 0 outside its parity class, so a scan
-assembles, solves and keeps that class alone.
+another and yields one record per point, a `ScanPoint` (W table) or an
+`ionization.IonizationScanPoint`, failed points included.  W out of the
+initial state is exactly 0 outside its parity class, so a scan assembles,
+solves and keeps that class alone.
 """
 
 from dataclasses import dataclass, field
@@ -40,15 +41,77 @@ class TransitionTable:
 
 
 @dataclass(frozen=True)
-class ScanPoint:
+class PointFailure:
+    """Why a scan point failed: the exception's message, its type name and
+    the module.function of the frame that raised it, as strings only (its
+    traceback would keep the point's decomposition alive)."""
+
+    error: str
+    type: str
+    where: str
+
+    @classmethod
+    def of(cls, exc: BaseException) -> "PointFailure":
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        frame = tb.tb_frame
+        where = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}"
+        return cls(str(exc), type(exc).__name__, where)
+
+
+@dataclass(frozen=True)
+class ScanRecord:
+    """What `scan` yields per point: its axis value and, if the point
+    raised, its failure (None for a computed point)."""
+
     axis_value: float  # swept parameter in I/O units
+    failure: PointFailure = field(default=None, kw_only=True)
+
+    @property
+    def failed(self) -> bool:
+        return self.failure is not None
+
+    @property
+    def error(self) -> str:
+        return "" if self.failure is None else self.failure.error
+
+
+@dataclass(frozen=True)
+class ScanPoint(ScanRecord):
+    """W table out of the initial state at one field point, with how far it
+    can be trusted; a failed point has no table."""
+
     table: TransitionTable
-    near_degenerate: bool
-    normalization_error: float
+    normalization_error: float  # |sum_b W - 1|
     min_eigen_gap: float = None  # smallest level spacing in the initial class
     outer_shell_leakage: float = None  # sum of W into the n = n0 shell
-    failed: bool = False
-    error: str = ""
+
+    @property
+    def near_degenerate(self) -> bool:
+        """A level gap of the initial class below DEGENERACY_GAP."""
+        return self.min_eigen_gap is not None and self.min_eigen_gap < DEGENERACY_GAP
+
+    @classmethod
+    def observe(cls, decomp, initial, laser, axis_value) -> "ScanPoint":
+        """W table, |sum_b W - 1|, smallest level gap (None for a single
+        level) and outer-shell leakage of one scan point.
+
+        W near a pair of levels a gap apart carries rounding of about
+        eps*|H|/gap.  The W that leaks into the outermost shell n = n0 is a
+        proxy for the truncation error of the basis.
+        """
+        table = transition_table(decomp, initial, laser)
+        _, gaps = decomp.level_gaps()
+        # enumerate_basis orders the states by n: the last n0**2 are n = n0
+        leakage = float(table.probabilities[-decomp.basis.n0**2:].sum())
+        norm_error = abs(float(table.probabilities.sum()) - 1.0)
+        min_gap = float(gaps.min()) if len(gaps) else None
+        return cls(axis_value, table, norm_error, min_gap, leakage)
+
+    @classmethod
+    def from_failure(cls, axis_value, laser, failure) -> "ScanPoint":
+        return cls(axis_value, None, np.nan, failure=failure)
 
 
 @dataclass(frozen=True)
@@ -95,61 +158,37 @@ def time_resolved_probability(
     return float(np.abs(np.dot(c_from * c_to, phases)) ** 2)
 
 
-def scan(basis, initial, lasers, observe, include_a2=True):
+def scan(basis, initial, axis_values, lasers, point, include_a2=True):
     """Run assemble -> diagonalize -> observe at each field of a sweep.
 
-    Yields, per laser, observe(decomp, initial, laser), or the exception
-    that point raised: a failed point does not stop the scan.  Only the
-    initial state's parity class is assembled and solved.  Neither the
-    matrix nor the decomposition is bound to a name, so neither stays alive
-    while the generator waits at its yield and the next point is solved.
+    Yields, per axis value and laser (two sequences of equal length), the
+    record point.observe(decomp, initial, laser, axis_value), where point
+    is ScanPoint or IonizationScanPoint, or point.from_failure(...) if that
+    point raised: a failed point does not stop the scan.  Only the initial
+    state's parity class is assembled and solved.  Neither the matrix nor
+    the decomposition is bound to a name, so neither stays alive while the
+    generator waits at its yield and the next point is solved.
     """
+    if len(axis_values) != len(lasers):
+        raise ConfigurationError(
+            f"{len(axis_values)} axis values for {len(lasers)} field points"
+        )
     parity = (initial.l + initial.mu) % 2
-    for laser in lasers:
+    for axis_value, laser in zip(axis_values, lasers):
         try:
-            result = observe(
+            record = point.observe(
                 diagonalize(assemble(basis, laser, include_a2, parity=parity)),
-                initial,
-                laser,
+                initial, laser, axis_value,
             )
         except Exception as exc:  # the point fails, the scan goes on
-            result = exc
-        yield result
-
-
-def spectrum_observation(
-    decomp: EigenDecomposition, initial: QuantumNumbers, laser: LaserField
-):
-    """W table, near-degeneracy flag (a level gap below DEGENERACY_GAP),
-    |sum_b W - 1|, smallest level gap (None for a single level) and
-    outer-shell leakage of one scan point.
-
-    W near a pair of levels a gap apart carries rounding of about
-    eps*|H|/gap.  The W that leaks into the outermost shell n = n0 is a
-    proxy for the truncation error of the basis.
-    """
-    table = transition_table(decomp, initial, laser)
-    _, gaps = decomp.level_gaps()
-    # enumerate_basis orders the states by n: the last n0**2 are n = n0
-    leakage = float(table.probabilities[-decomp.basis.n0**2:].sum())
-    return (
-        table,
-        bool((gaps < DEGENERACY_GAP).any()),
-        abs(float(table.probabilities.sum()) - 1.0),
-        float(gaps.min()) if len(gaps) else None,
-        leakage,
-    )
+            record = point.from_failure(axis_value, laser, PointFailure.of(exc))
+        yield record
 
 
 def _spectrum_result(n0, initial, lasers, axis_values, metadata):
-    results = scan(enumerate_basis(n0), initial, lasers, spectrum_observation)
-    rows = [
-        ScanPoint(axis_value, None, False, np.nan, failed=True, error=str(result))
-        if isinstance(result, Exception)
-        else ScanPoint(axis_value, *result)
-        for axis_value, result in zip(axis_values, results)
-    ]
-    return ScanResult(axis=list(axis_values), rows=rows, metadata=metadata)
+    axis_values = list(axis_values)
+    rows = list(scan(enumerate_basis(n0), initial, axis_values, lasers, ScanPoint))
+    return ScanResult(axis=axis_values, rows=rows, metadata=metadata)
 
 
 def spectrum_scan(

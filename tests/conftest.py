@@ -36,10 +36,10 @@ def bound_free_fails_at_second_point(monkeypatch):
         calls["records"] += 1
         return real_records(*args, **kwargs)
 
-    def radial(n, l_b, l_f, k):
+    def _bound_free_radial(n, l_b, l_f, k):
         if calls["records"] == 2:
             raise DomainError("injected bound-free failure")
         return real_radial(n, l_b, l_f, k)
 
     monkeypatch.setattr(ionization, "ionization_records", counting_records)
-    monkeypatch.setattr(ionization, "_bound_free_radial", radial)
+    monkeypatch.setattr(ionization, "_bound_free_radial", _bound_free_radial)

@@ -10,7 +10,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-import pytest
 import scipy.integrate
 
 from conftest import w_matrix
@@ -18,7 +17,6 @@ from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.eigensolver import diagonalize, track_state
 from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import (
-    bound_free_element,
     cross_section,
     ionization_intensity_scan,
     ionization_rate,

@@ -13,7 +13,10 @@ import pytest
 import laserhydrogen.cli as cli
 import laserhydrogen.transitions as transitions
 from laserhydrogen.cli import IONIZATION_HEADER, SPECTRUM_HEADER, main, parse_config
+from laserhydrogen.basis import QuantumNumbers
 from laserhydrogen.errors import ConfigurationError
+from laserhydrogen.ionization import ionization_intensity_scan
+from laserhydrogen.transitions import intensity_scan, spectrum_scan
 from laserhydrogen.units import UnitSystem
 
 
@@ -383,6 +386,8 @@ def test_eigensolver_failure_is_a_failed_point(tmp_path, monkeypatch):
     for point in meta["failed_points"]:
         assert point["error"].startswith("eigensolver failed")
         assert "injected" in point["error"]
+        assert point["type"] == "ConvergenceError"
+        assert point["where"].startswith("laserhydrogen.eigensolver.")
     _, rows = _read_csv(out)
     assert [r[0] for r in rows] == ["0.2", "0.6"]
     assert all(r[8] == "failed" for r in rows)
@@ -424,6 +429,8 @@ def test_failed_point_fault_injection(tmp_path, monkeypatch):
     meta = json.loads((tmp_path / "flaky.csv.meta.json").read_text())
     assert meta["failed_points"][0]["axis_value"] == 0.4
     assert "synthetic" in meta["failed_points"][0]["error"]
+    assert meta["failed_points"][0]["type"] == "RuntimeError"
+    assert meta["failed_points"][0]["where"].endswith(".flaky")
 
 
 _IONIZATION = ["ionization", "--n0", "6", "--omega-ev", "2.37",
@@ -444,6 +451,9 @@ def test_failed_bound_free_integral_fails_one_point(
     assert len(meta["failed_points"]) == 1
     assert meta["failed_points"][0]["axis_value"] == pytest.approx(3e-6)
     assert "injected bound-free failure" in meta["failed_points"][0]["error"]
+    assert meta["failed_points"][0]["type"] == "DomainError"
+    # the module.function of the frame that raised: the (injected) integral
+    assert meta["failed_points"][0]["where"].split(".")[-1] == "_bound_free_radial"
     # the neighbouring points are exactly what an undisturbed run writes (the
     # injected failure only hits the second point of a process, so this
     # second run computes every point)
@@ -454,6 +464,116 @@ def test_failed_bound_free_integral_fails_one_point(
         r for r in ref_rows if r[0] != failed[0][0]
     ]
     assert {r[0] for r in ref_rows} == {r[0] for r in rows}
+
+
+# --- the library scans and the CLI write the same records --------------------
+
+GROUND = QuantumNumbers(1, 0, 0)
+
+
+def _axis_of(rows):
+    """The axis values of a CSV, in order, as the floats the CLI swept."""
+    return [float(a) for a in dict.fromkeys(r[0] for r in rows)]
+
+
+def _failed_points_of(points):
+    return [
+        {"axis_value": p.axis_value, "error": p.error, "type": p.failure.type,
+         "where": p.failure.where}
+        for p in points if p.failed
+    ]
+
+
+@pytest.mark.parametrize("mode", ["spectrum", "intensity"])
+def test_spectrum_scans_agree_with_the_cli(tmp_path, monkeypatch, mode):
+    units = UnitSystem()
+    if mode == "spectrum":  # 5e-6 V*s/m, 0.25 .. 0.75 eV; the middle point fails
+        argv = ["spectrum", "--amplitude-vspm", "5e-6",
+                "--omega-ev-start", "0.25", "--omega-ev-stop", "0.75"]
+        omega_mid = units.ev_to_internal(0.5)
+        _fail_diagonalize_when(
+            monkeypatch, lambda laser: abs(laser.omega - omega_mid) < 1e-12
+        )
+    else:  # 0.5 eV, A = 0 .. 2e-6 V*s/m; degenerate at A = 0, the last fails
+        argv = ["intensity", "--omega-ev", "0.5",
+                "--a-vspm-start", "0", "--a-vspm-stop", "2e-6"]
+        a_mid = units.vector_potential_to_internal(1.5e-6)
+        _fail_diagonalize_when(monkeypatch, lambda laser: laser.amplitude_A > a_mid)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--n0", "4", "--count", "3", "--out", str(out)]) == 1
+    _, rows = _read_csv(out)
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    axis = _axis_of(rows)
+    if mode == "spectrum":
+        result = spectrum_scan(
+            units.vector_potential_to_internal(5e-6),
+            [units.ev_to_internal(w) for w in axis], GROUND, n0=4, axis_values=axis,
+        )
+    else:
+        result = intensity_scan(
+            units.ev_to_internal(0.5),
+            [units.vector_potential_to_internal(a) for a in axis], GROUND, n0=4,
+            axis_values=axis,
+        )
+    head = [str(GROUND.n), str(GROUND.l), str(GROUND.mu)]
+    expected = []
+    for p in result.rows:
+        if p.failed:
+            expected.append([repr(p.axis_value)] + head + ["-1", "-1", "0", "nan",
+                                                          "failed"])
+            continue
+        for state, w in zip(p.table.basis.states, p.table.probabilities):
+            if w >= 1e-12:
+                expected.append(
+                    [repr(p.axis_value)] + head
+                    + [str(state.n), str(state.l), str(state.mu), repr(float(w)),
+                       str(int(p.near_degenerate))]
+                )
+    assert rows == expected
+    assert [p.failed for p in result.rows].count(True) == 1
+    assert meta["failed_points"] == _failed_points_of(result.rows)
+    assert meta["near_degenerate_axis_values"] == [
+        p.axis_value for p in result.rows if p.near_degenerate
+    ]
+    if mode == "intensity":
+        assert meta["near_degenerate_axis_values"] == [0.0]
+
+
+def test_ionization_scan_agrees_with_the_cli(tmp_path, monkeypatch):
+    units = UnitSystem()
+    a_mid = units.vector_potential_to_internal(3e-6)
+    _fail_diagonalize_when(
+        monkeypatch, lambda laser: math.isclose(laser.amplitude_A, a_mid, rel_tol=1e-9),
+    )
+    out = tmp_path / "ion.csv"
+    assert main(_IONIZATION + ["--out", str(out)]) == 1
+    _, rows = _read_csv(out)
+    meta = json.loads((tmp_path / "ion.csv.meta.json").read_text())
+    axis = _axis_of(rows)
+    points = ionization_intensity_scan(
+        units.ev_to_internal(2.37),
+        [units.vector_potential_to_internal(a) for a in axis],
+        n0=6,
+        axis_values=axis,
+    )
+    expected = []
+    for p in points:
+        if p.failed:
+            expected.append([repr(p.axis_value), "2.37", "-1", "nan", "nan", "0",
+                             "nan", "nan", "failed"])
+        for rec in p.records:
+            expected.append([
+                repr(p.axis_value), "2.37", str(p.dressed_index), repr(p.overlap),
+                repr(rec.E_i), str(rec.mu_branch),
+                repr(units.internal_to_ev(rec.E_f0)), repr(rec.eta),
+                repr(units.cross_section_to_pi_a0sq(rec.sigma)),
+            ])
+    assert rows == expected
+    assert [p.failed for p in points] == [False, True, False]
+    assert meta["failed_points"] == _failed_points_of(points)
+    assert meta["ambiguous_axis_values"] == [
+        p.axis_value for p in points if p.ambiguous
+    ]
 
 
 @pytest.mark.parametrize(

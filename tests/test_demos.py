@@ -1,11 +1,14 @@
 """Run every walkthrough in demos/ as the README tells a reader to."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import laserhydrogen.transitions as transitions
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -27,3 +30,22 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_reports_a_failed_point(demo, monkeypatch, capsys):
+    """A point that fails is printed as FAILED and the walkthrough goes on."""
+    solved = []
+    real = transitions.diagonalize
+
+    def second_point_fails(matrix):
+        solved.append(matrix.laser)
+        if len(solved) == 2:
+            raise RuntimeError("injected failure")
+        return real(matrix)
+
+    monkeypatch.setattr(transitions, "diagonalize", second_point_fails)
+    runpy.run_path(str(demo))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(solved) >= 3
+    assert sum("FAILED: injected failure" in line for line in lines) == 1

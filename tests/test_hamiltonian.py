@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -11,12 +10,7 @@ from laserhydrogen.basis import (
     px_matrix_element,
 )
 from laserhydrogen.errors import ConfigurationError
-from laserhydrogen.hamiltonian import (
-    LaserField,
-    assemble,
-    coupling_arrays,
-    load_matrix_entries,
-)
+from laserhydrogen.hamiltonian import LaserField, assemble, coupling_arrays
 from laserhydrogen.ionization import ionization_intensity_scan
 from laserhydrogen.transitions import intensity_scan, spectrum_scan
 
@@ -110,17 +104,6 @@ def test_assemble_empty_basis_rejected():
     object.__setattr__(basis, "states", ())
     with pytest.raises(ConfigurationError):
         assemble(basis, LaserField(0.1, 0.1))
-
-
-def test_dump_and_load_roundtrip(tmp_path):
-    basis = enumerate_basis(3)
-    matrix = assemble(basis, LaserField(0.4, 0.018))
-    path = tmp_path / "hps.bin"
-    matrix.dump(path)
-    d = matrix.dimension
-    assert os.path.getsize(path) == 8 + 8 * d * (d + 1) // 2
-    back = load_matrix_entries(path)
-    np.testing.assert_array_equal(back, matrix.entries)
 
 
 def test_coupling_arrays_are_the_px_formula():

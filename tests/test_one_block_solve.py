@@ -42,7 +42,7 @@ from laserhydrogen import (
     transition_table,
 )
 from laserhydrogen.eigensolver import global_index
-from laserhydrogen.ionization import ionization_observation
+from laserhydrogen.ionization import IonizationScanPoint
 
 GROUND = QuantumNumbers(1, 0, 0)
 ODD = QuantumNumbers(2, 1, 0)  # (l + mu) odd: the class without the ground state
@@ -144,18 +144,18 @@ def test_reading_the_solved_block_matches_the_full_solve(one_block):
 def test_initial_state_outside_the_basis():
     with pytest.raises(ConfigurationError, match="parity must be"):
         assemble(enumerate_basis(2), LaserField(0.1, 0.1), parity=2)
-    observe = transitions.spectrum_observation
     (result,) = transitions.scan(
-        enumerate_basis(2), QuantumNumbers(3, 0, 0), [LaserField(0.1, 0.1)], observe
+        enumerate_basis(2), QuantumNumbers(3, 0, 0), [0.1], [LaserField(0.1, 0.1)],
+        transitions.ScanPoint,
     )
-    assert isinstance(result, ConfigurationError)
-    assert "not in basis" in str(result)
+    assert result.failure.type == "ConfigurationError"
+    assert "not in basis" in result.error
     # at n0 = 1 the class of an odd initial state is empty
     (result,) = transitions.scan(
-        enumerate_basis(1), ODD, [LaserField(0.1, 0.1)], observe
+        enumerate_basis(1), ODD, [0.1], [LaserField(0.1, 0.1)], transitions.ScanPoint
     )
-    assert isinstance(result, ConfigurationError)
-    assert "no state of the n0=1 basis has parity 1" in str(result)
+    assert result.failure.type == "ConfigurationError"
+    assert "no state of the n0=1 basis has parity 1" in result.error
 
 
 def test_hand_built_decomposition_reads_every_column():
@@ -337,18 +337,18 @@ def _largest_step(run):
     return largest
 
 
-@pytest.mark.parametrize("observe", [
-    transitions.spectrum_observation, ionization_observation,
+@pytest.mark.parametrize("point", [
+    transitions.ScanPoint, IonizationScanPoint,
 ], ids=["spectrum", "ionization"])
-def test_scan_point_allocates_no_whole_basis_matrix(observe):
+def test_scan_point_allocates_no_whole_basis_matrix(point):
     basis = enumerate_basis(14)
     units = UnitSystem()
     laser = LaserField(
         units.vector_potential_to_internal(5e-6), units.ev_to_internal(2.37)
     )
     def run():
-        for result in transitions.scan(basis, GROUND, [laser], observe):
-            assert not isinstance(result, Exception)
+        for result in transitions.scan(basis, GROUND, [2.37], [laser], point):
+            assert not result.failed
 
     run()  # fill the coupling and bound-free caches first
     whole = 8 * len(basis) ** 2

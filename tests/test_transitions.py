@@ -1,11 +1,15 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import laserhydrogen.transitions as transitions
 from conftest import w_matrix
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.eigensolver import diagonalize
-from laserhydrogen.errors import ConfigurationError
+from laserhydrogen.errors import ConfigurationError, DomainError
 from laserhydrogen.hamiltonian import LaserField, assemble
+from laserhydrogen.ionization import ionization_intensity_scan
 from laserhydrogen.transitions import (
     averaged_probability,
     intensity_scan,
@@ -105,3 +109,47 @@ def test_intensity_scan():
 def test_intensity_scan_rejects_negative_amplitude():
     with pytest.raises(ConfigurationError):
         intensity_scan(0.018, [-0.1], GROUND, n0=3)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: spectrum_scan(0.05, [0.1, 0.2, 0.3], GROUND, n0=3, axis_values=[1.0]),
+     "1 axis values for 3 field points"),
+    (lambda: intensity_scan(0.018, [0.1], GROUND, n0=3, axis_values=[1, 2, 3]),
+     "3 axis values for 1 field points"),
+    (lambda: ionization_intensity_scan(0.087, [0.05], n0=3, axis_values=[1, 2]),
+     "2 axis values for 1 field points"),
+], ids=["spectrum", "intensity", "ionization"])
+def test_mismatched_axis_values_rejected_before_the_first_point(
+    monkeypatch, run, message
+):
+    solved = []
+    real = transitions.diagonalize
+    monkeypatch.setattr(
+        transitions, "diagonalize", lambda m: solved.append(m) or real(m)
+    )
+    with pytest.raises(ConfigurationError, match=message):
+        run()
+    assert solved == []
+
+
+def test_failed_record_keeps_only_strings(monkeypatch):
+    """A failed point records the exception's message, type and raising
+    function, and keeps neither the exception nor its decomposition."""
+    solved = []
+
+    def failing_table(decomp, initial, laser):
+        solved.append(weakref.ref(decomp))
+        raise DomainError("injected table failure")
+
+    monkeypatch.setattr(transitions, "transition_table", failing_table)
+    (record,) = transitions.scan(
+        enumerate_basis(3), GROUND, [0.1], [LaserField(0.1, 0.1)],
+        transitions.ScanPoint,
+    )
+    assert record.failed and record.table is None
+    assert record.failure == transitions.PointFailure(
+        "injected table failure", "DomainError", f"{__name__}.failing_table"
+    )
+    assert record.error == "injected table failure"
+    assert not record.near_degenerate
+    assert solved[0]() is None  # freed without a garbage collection
