@@ -11,13 +11,17 @@ exact commutator relation
 
 holds in atomic units.  The dipole radial integrals (l and l - 1) are
 evaluated with Gordon's closed form, two terminating Gauss series summed in
-exact integer arithmetic.
+exact integer arithmetic.  `coupling_arrays` holds every nonzero p_x element
+of a basis at its basis positions.  This module alone knows the state order
+and the parity rule; other modules read them from `BasisSet`.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -40,23 +44,64 @@ class QuantumNumbers:
         if abs(self.mu) > self.l:
             raise ConfigurationError(f"|mu|={abs(self.mu)} exceeds l={self.l}")
 
+    @property
+    def parity(self) -> int:
+        """z-reflection parity (l + mu) mod 2.  A field in the xy-plane
+        conserves it, so H couples no two states of different parity."""
+        return (self.l + self.mu) % 2
+
+
+def _position(n, l, mu):
+    """Index of (n, l, mu) in the enumerate_basis order; broadcasts over
+    numpy arrays."""
+    return (n - 1) * n * (2 * n - 1) // 6 + l * l + l + mu
+
 
 @dataclass(frozen=True)
 class BasisSet:
-    """All (n, l, mu) with n <= n0, in ascending (n, l, mu) order."""
+    """All (n, l, mu) with n <= n0, in ascending (n, l, mu) order; n0 alone
+    decides equality and the hash.  parity, energy (E_n) and mu are read-only
+    arrays of each state's value in basis order."""
 
     n0: int
-    states: tuple
-    index: dict = field(repr=False)
+    states: tuple = field(repr=False, compare=False)
 
     def __len__(self):
         return len(self.states)
 
-    def position(self, state: QuantumNumbers) -> int:
-        return self.index[state]
-
     def __contains__(self, state):
-        return state in self.index
+        return isinstance(state, QuantumNumbers) and state.n <= self.n0
+
+    def position(self, state: QuantumNumbers) -> int:
+        if state not in self:
+            raise ConfigurationError(f"{state} not in basis (n0={self.n0})")
+        return _position(state.n, state.l, state.mu)
+
+    @cached_property
+    def parity(self) -> np.ndarray:
+        return _read_only([s.parity for s in self.states])
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        return _read_only([bound_energy(s.n) for s in self.states])
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return _read_only([s.mu for s in self.states])
+
+    def class_positions(self, parity) -> np.ndarray:
+        """Basis positions of the states of parity 0 or 1, ascending; None
+        gives every position."""
+        if parity is None:
+            return np.arange(len(self))
+        return np.flatnonzero(self.parity == parity)
+
+
+def _read_only(values) -> np.ndarray:
+    """values as an array that cannot be written to (an array is not copied)."""
+    arr = np.asarray(values)
+    arr.flags.writeable = False
+    return arr
 
 
 def enumerate_basis(n0: int) -> BasisSet:
@@ -68,8 +113,7 @@ def enumerate_basis(n0: int) -> BasisSet:
         for l in range(n)
         for mu in range(-l, l + 1)
     )
-    index = {s: i for i, s in enumerate(states)}
-    return BasisSet(n0=n0, states=states, index=index)
+    return BasisSet(n0=n0, states=states)
 
 
 def bound_energy(n: int) -> float:
@@ -209,3 +253,42 @@ def px_matrix_element(a: QuantumNumbers, b: QuantumNumbers) -> float:
     if a.n == b.n:
         return 0.0
     return (bound_energy(b.n) - bound_energy(a.n)) * x_matrix_element(a, b)
+
+
+@lru_cache(maxsize=1)
+def coupling_arrays(n0: int):
+    """Nonzero <a|p_x|b> of the n0 basis with l_b = l_a + 1.
+
+    Returns read-only (rows, cols, values) with values[k] ==
+    px_matrix_element(states[rows[k]], states[cols[k]]); the matrix is
+    symmetric, so the mirrored entries carry the same values.  Only the
+    latest basis is kept: a sweep stays on one basis, and an n0 ladder
+    never returns to an earlier one.
+    """
+    rows, cols, values = [], [], []
+    for l1 in range(n0 - 1):
+        l2 = l1 + 1
+        mu1 = np.repeat(np.arange(-l1, l1 + 1), 2)
+        mu2 = mu1 + np.tile([-1, 1], 2 * l1 + 1)
+        angular = np.array([
+            angular_x(l1, m1, l2, m2)
+            for m1, m2 in zip(mu1.tolist(), mu2.tolist())
+        ])
+        pairs = [
+            (n1, n2)
+            for n1 in range(l1 + 1, n0 + 1)
+            for n2 in range(l2 + 1, n0 + 1)
+            if n1 != n2
+        ]
+        radial = np.array([radial_length_integral(a, l1, b, l2) for a, b in pairs])
+        de = np.array([bound_energy(b) - bound_energy(a) for a, b in pairs])
+        n1, n2 = np.array(pairs).T
+        rows.append(_position(n1[:, None], l1, mu1).ravel())
+        cols.append(_position(n2[:, None], l2, mu2).ravel())
+        # px(a, b) = (E_b - E_a) * X(a, b) with X = angular * radial, the
+        # same arithmetic as px_matrix_element
+        values.append((de[:, None] * (angular * radial[:, None])).ravel())
+    return tuple(
+        _read_only(np.concatenate(part) if part else np.zeros(0, dtype=dtype))
+        for part, dtype in ((rows, np.intp), (cols, np.intp), (values, float))
+    )

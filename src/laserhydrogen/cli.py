@@ -7,9 +7,10 @@ Subcommands
     point       single (A, omega) transition table
 
 Inputs are in I/O units (energies in eV, amplitudes in V*s/m); presets
-fig1, fig2 and fig3 encode the published figure parameters.  Exit codes:
-0 success, 1 at least one scan point failed, 2 configuration error, 3 I/O
-error.
+fig1, fig2 and fig3 encode the published figure parameters.  A key that
+the chosen mode does not read (from a preset, a config file or a flag) is
+a configuration error.  Exit codes: 0 success, 1 at least one scan point
+failed, 2 configuration error, 3 I/O error.
 """
 
 import argparse
@@ -70,6 +71,18 @@ PRESETS = {
 }
 
 
+# Keys every mode reads, and the keys each mode reads besides them; a mode
+# requires each of its keys that has no default.
+_COMMON_KEYS = ("mode", "n0", "initial_n", "initial_l", "initial_mu", "reduced_mass",
+                "drop_a2", "output_path")
+MODE_KEYS = {
+    "spectrum": ("amplitude_vspm", "omega_ev_start", "omega_ev_stop", "count", "w_min"),
+    "intensity": ("omega_ev", "a_vspm_start", "a_vspm_stop", "count", "w_min"),
+    "ionization": ("omega_ev", "a_vspm_start", "a_vspm_stop", "count"),
+    "point": ("amplitude_vspm", "omega_ev", "w_min"),
+}
+
+
 @dataclasses.dataclass
 class RunConfig:
     mode: str
@@ -93,9 +106,14 @@ class RunConfig:
     def initial_state(self) -> QuantumNumbers:
         return QuantumNumbers(self.initial_n, self.initial_l, self.initial_mu)
 
-    def validate(self):
-        if self.mode not in ("spectrum", "intensity", "ionization", "point"):
+    def validate(self, given):
+        """Check the config; the mode must read every key in given."""
+        if self.mode not in MODE_KEYS:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        unread = sorted(set(given) - set(_COMMON_KEYS) - set(MODE_KEYS[self.mode]))
+        if unread:
+            raise ConfigurationError(f"mode {self.mode!r} does not read key(s) "
+                                     + ", ".join(map(repr, unread)))
         if not 1 <= self.n0 <= N0_CAP:
             raise ConfigurationError(f"n0 must be in [1, {N0_CAP}], got {self.n0}")
         if self.count < 1:
@@ -110,19 +128,13 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type is float and value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
-        need = {
-            "spectrum": ("amplitude_vspm", "omega_ev_start", "omega_ev_stop"),
-            "intensity": ("omega_ev", "a_vspm_start", "a_vspm_stop"),
-            "ionization": ("omega_ev", "a_vspm_start", "a_vspm_stop"),
-            "point": ("amplitude_vspm", "omega_ev"),
-        }[self.mode]
-        for key in need:
+        for key in MODE_KEYS[self.mode]:
             value = getattr(self, key)
             if value is None:
                 raise ConfigurationError(f"mode {self.mode!r} requires key {key!r}")
             if key.startswith("omega") and value <= 0:
                 raise ConfigurationError(f"{key} must be positive, got {value}")
-            if not key.startswith("omega") and value < 0:
+            if key.startswith(("amplitude", "a_vspm")) and value < 0:
                 raise ConfigurationError(f"{key} must be >= 0, got {value}")
         if self.mode == "spectrum" and self.omega_ev_start > self.omega_ev_stop:
             raise ConfigurationError("omega range must be increasing")
@@ -162,7 +174,7 @@ def parse_config(path=None, overrides=None, preset=None) -> RunConfig:
         config = RunConfig(**values)
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from exc
-    config.validate()
+    config.validate(given=values)  # the keys set by preset, file or flag
     return config
 
 
@@ -348,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hydrogen in a circularly polarized laser",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("spectrum", "intensity", "ionization", "point"):
+    for mode in MODE_KEYS:
         p = sub.add_parser(mode)
         p.add_argument("--config", dest="config_path")
         p.add_argument("--preset", choices=sorted(PRESETS))

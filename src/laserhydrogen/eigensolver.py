@@ -19,9 +19,9 @@ other class's levels below it, which that class's eigenvalues give.
 
 A whole-basis matrix is solved class by class as well, and the vectors are
 placed in one full-basis C, at the columns of their energies in the global
-ascending order.  Symmetry and the zeros between the classes are checked
-only for a matrix made outside `assemble`; one that couples the classes is
-solved as one block.
+ascending order.  Only matrices that `assemble` built are solved: they are
+symmetric and have exact zeros between the classes by construction, and
+one made elsewhere (without positions) raises ConfigurationError.
 """
 
 import logging
@@ -71,21 +71,17 @@ class EigenDecomposition:
 
     @property
     def parity(self):
-        """(l + mu) % 2 of the class held, or None for the whole basis."""
+        """Parity of the class held, or None for the whole basis."""
         if self.positions is None:
             return None
-        state = self.basis.states[self.positions[0]]
-        return (state.l + state.mu) % 2
+        return int(self.basis.parity[self.positions[0]])
 
     def row(self, state: QuantumNumbers) -> np.ndarray:
         """Coefficients of bare state `state` in every dressed state."""
-        if state not in self.basis:
-            raise ConfigurationError(f"{state} not in basis (n0={self.basis.n0})")
         position = self.basis.position(state)
-        if self.positions is None:
-            return self.coefficients[position]
-        k = int(np.searchsorted(self.positions, position))
-        if k == len(self.positions) or self.positions[k] != position:
+        rows = self.rows
+        k = int(np.searchsorted(rows, position))
+        if k == len(rows) or rows[k] != position:
             raise ConfigurationError(
                 f"state {state} lies in a parity class this decomposition "
                 "does not hold; diagonalize the whole basis to read it"
@@ -125,19 +121,6 @@ class TrackedState:
     ambiguous: bool  # True when the bare state is strongly mixed
 
 
-def _parity_blocks(matrix: PseudoHamiltonianMatrix, check: bool):
-    """Basis positions of each diagonal block of a whole-basis matrix.
-
-    The two (l + mu) parity classes; with check, the whole basis as one
-    block when an entry between the classes is not exactly zero.
-    """
-    parity = np.array([(s.l + s.mu) % 2 for s in matrix.basis.states])
-    even, odd = np.nonzero(parity == 0)[0], np.nonzero(parity == 1)[0]
-    if check and len(even) and len(odd) and matrix.entries[np.ix_(even, odd)].any():
-        return [np.arange(matrix.dimension)]
-    return [block for block in (even, odd) if len(block)]
-
-
 def _solve_block(sub):
     """Eigenvalues and sign-fixed eigenvectors of the symmetric sub."""
     try:
@@ -157,13 +140,16 @@ def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
 
     A matrix of one parity class gives the decomposition of that class;
     LAPACK works on a copy, so the matrix is left as it was.  A whole-basis
-    matrix gives every class, with a full-basis C.
+    matrix gives every class, with a full-basis C.  A matrix without
+    positions was not built by `assemble` and raises ConfigurationError.
     """
+    if matrix.positions is None:
+        raise ConfigurationError(
+            "diagonalize solves only matrices built by assemble "
+            "(this one has no positions)"
+        )
     h = matrix.entries
-    if matrix.positions is None:  # made outside assemble: check it here
-        if not np.array_equal(h, h.T):
-            raise ConfigurationError("pseudo-Hamiltonian matrix must be symmetric")
-    elif len(matrix.positions) < len(matrix.basis):
+    if len(matrix.positions) < len(matrix.basis):
         energies, vectors = _solve_block(h)
         return EigenDecomposition(
             energies=energies,
@@ -172,7 +158,8 @@ def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
             positions=matrix.positions,
             include_a2=matrix.include_a2,
         )
-    blocks = _parity_blocks(matrix, check=matrix.positions is None)
+    classes = (matrix.basis.class_positions(p) for p in (0, 1))
+    blocks = [block for block in classes if len(block)]  # n0 = 1: no odd state
     solved = [_solve_block(h[np.ix_(block, block)]) for block in blocks]
     # Column of every block eigenvalue in the global ascending order; the
     # stable sort keeps exact cross-block ties in block order.
@@ -210,8 +197,6 @@ def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> i
     if parity is None:
         return index
     other = assemble(decomp.basis, laser, decomp.include_a2, parity=1 - parity)
-    if other.dimension == 0:
-        return index
     levels = np.linalg.eigvalsh(other.entries)
     e_i = decomp.energies[index]
     below = levels <= e_i if parity == 1 else levels < e_i

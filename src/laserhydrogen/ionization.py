@@ -25,13 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import (
-    QuantumNumbers,
-    _radial_norm,
-    angular_x,
-    bound_energy,
-    enumerate_basis,
-)
+from .basis import QuantumNumbers, _radial_norm, angular_x, enumerate_basis
 from .eigensolver import EigenDecomposition, global_index, track_state
 from .errors import ConfigurationError, DomainError
 from .hamiltonian import LaserField
@@ -128,7 +122,7 @@ def _bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
 
 
 @lru_cache(maxsize=2)
-def _bound_free_channels(n0: int, parity):
+def _bound_free_channels(basis, parity):
     """The bound states each continuum channel (mu_f, l_f) couples to.
 
     Maps (mu_f, l_f) to arrays over the states with |l_f - l_b| = 1 and
@@ -138,11 +132,8 @@ def _bound_free_channels(n0: int, parity):
     phases give -1) and E_b.
     """
     channels = {}
-    rows = (
-        s for s in enumerate_basis(n0).states
-        if parity is None or (s.l + s.mu) % 2 == parity
-    )
-    for row, b in enumerate(rows):
+    for row, position in enumerate(basis.class_positions(parity).tolist()):
+        b = basis.states[position]
         for l_f in (b.l - 1, b.l + 1):
             for mu_f in (b.mu - 1, b.mu + 1):
                 if l_f < abs(mu_f):
@@ -150,7 +141,7 @@ def _bound_free_channels(n0: int, parity):
                 angular = angular_x(l_f, mu_f, b.l, b.mu)
                 factor = -angular if l_f == b.l + 1 else angular
                 channels.setdefault((mu_f, l_f), []).append(
-                    (row, b.n, b.l, factor, bound_energy(b.n))
+                    (row, b.n, b.l, factor, basis.energy[position])
                 )
     return {
         key: tuple(np.array(column) for column in zip(*entries))
@@ -174,7 +165,7 @@ def bound_free_element(
     coeffs = decomp.column(dressed_index)
     if laser.amplitude_A == 0.0:
         return 0.0
-    channel = _bound_free_channels(decomp.basis.n0, decomp.parity).get(
+    channel = _bound_free_channels(decomp.basis, decomp.parity).get(
         (final.mu, final.l)
     )
     if channel is None:
@@ -258,7 +249,6 @@ class IonizationScanPoint(ScanRecord):
     """The tracked initial dressed state at one field point and its
     IonizationRecords; a failed point has none."""
 
-    amplitude_au: float
     dressed_index: int = -1    # position in the spectrum of the whole basis
     overlap: float = float("nan")
     ambiguous: bool = False
@@ -269,12 +259,11 @@ class IonizationScanPoint(ScanRecord):
         tracked = track_state(decomp, initial)
         index = global_index(decomp, tracked.index, laser)
         records = tuple(ionization_records(decomp, tracked.index, laser))
-        return cls(axis_value, laser.amplitude_A, index, tracked.overlap,
-                   tracked.ambiguous, records)
+        return cls(axis_value, index, tracked.overlap, tracked.ambiguous, records)
 
     @classmethod
-    def from_failure(cls, axis_value, laser, failure) -> "IonizationScanPoint":
-        return cls(axis_value, laser.amplitude_A, failure=failure)
+    def from_failure(cls, axis_value, failure) -> "IonizationScanPoint":
+        return cls(axis_value, failure=failure)
 
 
 def ionization_intensity_scan(

@@ -110,7 +110,7 @@ class ScanPoint(ScanRecord):
         return cls(axis_value, table, norm_error, min_gap, leakage)
 
     @classmethod
-    def from_failure(cls, axis_value, laser, failure) -> "ScanPoint":
+    def from_failure(cls, axis_value, failure) -> "ScanPoint":
         return cls(axis_value, None, np.nan, failure=failure)
 
 
@@ -173,7 +173,7 @@ def scan(basis, initial, axis_values, lasers, point, include_a2=True):
         raise ConfigurationError(
             f"{len(axis_values)} axis values for {len(lasers)} field points"
         )
-    parity = (initial.l + initial.mu) % 2
+    parity = initial.parity
     for axis_value, laser in zip(axis_values, lasers):
         try:
             record = point.observe(
@@ -181,7 +181,7 @@ def scan(basis, initial, axis_values, lasers, point, include_a2=True):
                 initial, laser, axis_value,
             )
         except Exception as exc:  # the point fails, the scan goes on
-            record = point.from_failure(axis_value, laser, PointFailure.of(exc))
+            record = point.from_failure(axis_value, PointFailure.of(exc))
         yield record
 
 

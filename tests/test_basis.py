@@ -5,6 +5,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from laserhydrogen.basis import (
+    N0_CAP,
     QuantumNumbers,
     angular_x,
     bound_energy,
@@ -47,6 +48,34 @@ def test_basis_ordering_and_lookup():
         assert basis.position(s) == i
     assert QuantumNumbers(3, 2, 2) in basis
     assert QuantumNumbers(4, 0, 0) not in basis
+
+
+@pytest.mark.parametrize("n0", range(1, N0_CAP + 1))
+def test_position_is_the_enumeration_index(n0):
+    basis = enumerate_basis(n0)
+    assert [basis.position(s) for s in basis.states] == list(range(len(basis)))
+    assert all(s in basis for s in basis.states)
+    outside = [QuantumNumbers(n0 + 1, l, mu) for l in range(n0 + 1)
+               for mu in range(-l, l + 1)]
+    assert not any(s in basis for s in outside)
+    with pytest.raises(ConfigurationError, match="not in basis"):
+        basis.position(outside[0])
+
+
+@pytest.mark.parametrize("n0", [1, 4, 18])
+def test_state_arrays_are_the_per_state_values(n0):
+    basis = enumerate_basis(n0)
+    parity = [(s.l + s.mu) % 2 for s in basis.states]
+    assert [s.parity for s in basis.states] == parity
+    assert basis.parity.tolist() == parity
+    assert basis.energy.tolist() == [bound_energy(s.n) for s in basis.states]
+    assert basis.mu.tolist() == [s.mu for s in basis.states]
+    for arr in (basis.parity, basis.energy, basis.mu):
+        assert not arr.flags.writeable
+    for p in (0, 1):
+        positions = basis.class_positions(p).tolist()
+        assert positions == [i for i, q in enumerate(parity) if q == p]
+    assert basis.class_positions(None).tolist() == list(range(len(basis)))
 
 
 def test_basis_n0_bounds():

@@ -662,3 +662,42 @@ def test_bad_input_rejected_at_the_boundary(tmp_path, capsys, argv, message):
     assert err.startswith("configuration error: ")
     assert re.search(message, err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (_POINT + ["--count", "7", "--a-vspm-start", "1", "--omega-ev-start", "9"],
+         ["a_vspm_start", "count", "omega_ev_start"]),
+        (_IONIZATION + ["--w-min", "1e-6"], ["w_min"]),
+        (["point", "--preset", "fig3"], ["a_vspm_start", "a_vspm_stop", "count"]),
+        (_SPECTRUM + ["--omega-ev", "0.5"], ["omega_ev"]),
+        (_INTENSITY + ["--amplitude-vspm", "1e-6"], ["amplitude_vspm"]),
+        (_POINT + ["--config", "unread.ini"], ["a_vspm_stop"]),
+    ],
+    ids=["point-sweep-flags", "ionization-w-min", "point-fig3-preset",
+         "spectrum-omega", "intensity-amplitude", "point-config-file"],
+)
+def test_keys_the_mode_does_not_read_are_rejected(tmp_path, monkeypatch, capsys,
+                                                 argv, keys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "unread.ini").write_text("[laser]\na_vspm_stop = 1e-6\n")
+    out = tmp_path / "bad.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"does not read key(s) {', '.join(map(repr, keys))}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", list(cli.MODE_KEYS))
+def test_every_key_a_mode_reads_is_accepted(mode):
+    presets = {"spectrum": "fig1", "intensity": "fig2", "ionization": "fig3"}
+    values = {"amplitude_vspm": 1e-6, "omega_ev": 0.5, "omega_ev_start": 0.2,
+              "omega_ev_stop": 0.6, "a_vspm_start": 0.0, "a_vspm_stop": 1e-6,
+              "count": 2, "w_min": 0.0}
+    overrides = {key: values[key] for key in cli.MODE_KEYS[mode]}
+    config = parse_config(overrides={"mode": mode, "n0": 3, **overrides},
+                          preset=presets.get(mode))
+    for key, value in overrides.items():
+        assert getattr(config, key) == value

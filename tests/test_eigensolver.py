@@ -16,10 +16,12 @@ from laserhydrogen.hamiltonian import LaserField, PseudoHamiltonianMatrix, assem
 
 
 def _matrix_from(entries, basis):
+    """A hand-built whole-basis matrix, with the positions assemble sets."""
     return PseudoHamiltonianMatrix(
         entries=entries,
         basis=basis,
         laser=LaserField(0.0, 1.0),
+        positions=np.arange(len(basis)),
     )
 
 
@@ -65,11 +67,26 @@ def test_zero_field_reproduces_bare_energies():
 
 
 def test_nonsymmetric_rejected():
+    # only a matrix from assemble (symmetric by construction) is solved; a
+    # matrix made elsewhere carries no positions and is refused
     basis = enumerate_basis(2)
     entries = np.diag([-0.5, -0.125, -0.2, -0.3, -0.4])
     entries[0, 1] = 1e-3  # not mirrored
+    matrix = PseudoHamiltonianMatrix(
+        entries=entries, basis=basis, laser=LaserField(0.0, 1.0)
+    )
     with pytest.raises(ConfigurationError):
-        diagonalize(_matrix_from(entries, basis))
+        diagonalize(matrix)
+
+
+@pytest.mark.parametrize("n0", [1, 3])
+def test_matrix_without_positions_rejected(n0):
+    matrix = assemble(enumerate_basis(n0), LaserField(0.05, 0.1))
+    outside = PseudoHamiltonianMatrix(
+        entries=matrix.entries, basis=matrix.basis, laser=matrix.laser
+    )
+    with pytest.raises(ConfigurationError, match="built by assemble"):
+        diagonalize(outside)
 
 
 def test_near_degenerate_pairs():

@@ -6,11 +6,12 @@ import pytest
 from laserhydrogen.basis import (
     QuantumNumbers,
     bound_energy,
+    coupling_arrays,
     enumerate_basis,
     px_matrix_element,
 )
 from laserhydrogen.errors import ConfigurationError
-from laserhydrogen.hamiltonian import LaserField, assemble, coupling_arrays
+from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import ionization_intensity_scan
 from laserhydrogen.transitions import intensity_scan, spectrum_scan
 

@@ -295,5 +295,5 @@ def test_ionization_scan_domain_error_fails_one_point(
     assert [p.failed for p in points] == [False, True, False]
     assert points[1].error == "injected bound-free failure"
     assert points[1].records == () and points[1].dressed_index == -1
-    assert points[1].amplitude_au == 0.1
+    assert points[1].axis_value == 0.1
     assert points[0].records and points[2].records

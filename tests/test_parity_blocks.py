@@ -20,7 +20,6 @@ from laserhydrogen import (
     diagonalize,
     enumerate_basis,
 )
-from laserhydrogen.hamiltonian import PseudoHamiltonianMatrix
 
 from conftest import w_matrix
 
@@ -88,26 +87,6 @@ def test_block_solve_equals_full_solve(n0, amplitude, omega):
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     parity = _parity(basis)
     assert not w[np.ix_(parity == 0, parity == 1)].any()
-
-
-def test_matrix_coupling_the_classes_is_one_block():
-    basis = enumerate_basis(2)  # parities of (1,0,0) .. (2,1,1): 0 0 0 1 0
-    entries = np.diag([-0.5, -0.125, -0.2, -0.13, -0.3])
-    entries[0, 3] = entries[3, 0] = 0.02  # couples (1,0,0) to (2,1,0)
-    matrix = PseudoHamiltonianMatrix(
-        entries=entries, basis=basis, laser=LaserField(0.0, 1.0)
-    )
-    decomp = diagonalize(matrix)
-    energies, vectors = scipy.linalg.eigh(matrix.entries)
-    np.testing.assert_allclose(decomp.energies, energies, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(
-        np.abs(decomp.coefficients), np.abs(vectors), rtol=0, atol=1e-14
-    )
-    assert set(decomp.block_labels) == {0}
-    ground = basis.position(QuantumNumbers(1, 0, 0))
-    mixed = basis.position(QuantumNumbers(2, 1, 0))
-    assert np.dot(decomp.coefficients[ground] ** 2,
-                  decomp.coefficients[mixed] ** 2) > 1e-3
 
 
 def test_near_degenerate_pairs_only_inside_a_block():
