@@ -240,22 +240,16 @@ def run(config: RunConfig) -> int:
             else _spectrum_rows(p, config)
         )
     computed = [p for p in points if not p.failed]
+    read = _COMMON_KEYS + MODE_KEYS[config.mode]
     metadata = {
         "package_version": __version__,
-        "config": dataclasses.asdict(config),
+        "config": {k: v for k, v in dataclasses.asdict(config).items() if k in read},
         "constants": "CODATA 2018",
         "units": {
             "axis": "V*s/m" if config.mode in ("intensity", "ionization") else "eV",
             "hartree_eV": units.internal_to_ev(1.0),
             "vector_potential_au_vspm": units.vector_potential_to_si(1.0),
         },
-        "tolerances": {
-            "w_min": config.w_min,
-            "degeneracy_gap": DEGENERACY_GAP,
-        },
-        "near_degenerate_axis_values": [
-            p.axis_value for p in computed if not ionization and p.near_degenerate
-        ],
         "failed_points": [
             {"axis_value": p.axis_value, **dataclasses.asdict(p.failure)}
             for p in points if p.failed
@@ -269,6 +263,13 @@ def run(config: RunConfig) -> int:
             p.axis_value for p in points if p.ambiguous
         ]
     else:
+        metadata["tolerances"] = {
+            "w_min": config.w_min,
+            "degeneracy_gap": DEGENERACY_GAP,
+        }
+        metadata["near_degenerate_axis_values"] = [
+            p.axis_value for p in computed if p.near_degenerate
+        ]
         # Trust in each computed point: |sum_b W(initial, b) - 1| before the
         # w_min cut; the smallest level spacing in the initial state's class,
         # near which W carries rounding of about eps*|H|/gap; and the W that

@@ -12,11 +12,12 @@ series terminates, and each continuum Gauss function becomes a terminating
 polynomial after Euler's transformation (`specfun._gauss_2f1`, which sums
 no other kind of series).  Per partial wave,
 
-    beta_l = sqrt(pi/(2 v)) * M_l / A,
+    beta_l = sqrt(pi/(2 v)) * p_l,
 
-with M_l the golden-rule matrix element, normalized so that the cross
-section sigma = 16*alpha*v/omega * sum_l |beta_l|^2 (in units of pi*a0^2)
-reproduces the textbook one-photon cross section in the weak-field limit.
+with p_l = <psi_f0|p_x|phi_i> the golden-rule matrix element per unit A,
+normalized so that the cross section sigma = 16*alpha*v/omega *
+sum_l |beta_l|^2 (in units of pi*a0^2) reproduces the textbook one-photon
+cross section in the weak-field limit, which it equals at A = 0.
 """
 
 import math
@@ -84,7 +85,7 @@ def _bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
     u is the energy-normalized reduced Coulomb wave with momentum k.  Every
     Gauss function of the F2 sum is a polynomial (Euler's transformation);
     near threshold its terms cancel, by up to fifteen digits at n = 30 and
-    k = 0.014, and such sums are redone at raised precision.  Against a
+    k = 0.014, and such sums are redone exactly.  Against a
     60-digit evaluation of this formula the result agrees to 3e-12 relative
     or better on the grid of tests/test_bound_free_oracle.py: n up to 30,
     l_f = l_b +- 1, k from 0.014 (E_f0 of about 1e-4 hartree) to 3.
@@ -97,9 +98,10 @@ def _bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
     x, y = 1.0 / s, q / s
     if n == l_f + 1 == l_b + 2:
         # a1 = -1 leaves the F2 terms m = 0 and 1.  The m = 0 Gauss function
-        # is 1 - (c2 - a2) y / c2 after Euler's transformation, exactly zero
-        # at n = l_f + 1; summed in doubles it is rounding noise that would
-        # be re-summed in mpmath.  Keep the m = 1 term alone.
+        # is 1 - (c2 - a2) y / c2 after Euler's transformation, zero at
+        # n = l_f + 1.  Its rounded arguments leave a residue even when it
+        # is summed exactly, which would move sigma by up to 1e-14 relative.
+        # Keep the m = 1 term alone.
         f2 = -u / c1 * x * _gauss_2f1(u + 1, a2, c2, y)
     else:
         f2 = appell_f2(AppellF2Params(u, l_b + 1 - n, a2, c1, c2, x, y))
@@ -150,21 +152,17 @@ def _bound_free_channels(basis, parity):
 
 
 def bound_free_element(
-    decomp: EigenDecomposition,
-    dressed_index: int,
-    final: ContinuumState,
-    laser: LaserField,
+    decomp: EigenDecomposition, dressed_index: int, final: ContinuumState
 ) -> float:
-    """<psi_f0| A p_x + A^2/2 |phi_i> with the i^l real phase convention.
+    """<psi_f0|p_x|phi_i> with the i^l real phase convention.
 
-    The A^2/2 constant contributes exactly zero: bound and continuum
+    The golden-rule element of A p_x + A^2/2 is A times this: the A^2/2
+    constant contributes exactly zero, because bound and continuum
     eigenstates of the Coulomb Hamiltonian are orthogonal.  Components
     below _COEFF_CUTOFF are skipped, and the terms are summed in basis
     order.
     """
     coeffs = decomp.column(dressed_index)
-    if laser.amplitude_A == 0.0:
-        return 0.0
     channel = _bound_free_channels(decomp.basis, decomp.parity).get(
         (final.mu, final.l)
     )
@@ -180,7 +178,7 @@ def bound_free_element(
     ])
     # p_x(f, b) = (E_b - E_f0) * x_fb, the commutator relation of the basis
     terms = c[keep] * ((energy[keep] - final.energy_Ef0) * (factor[keep] * radial))
-    return laser.amplitude_A * sum(terms.tolist(), 0.0)
+    return sum(terms.tolist(), 0.0)
 
 
 def ionization_records(
@@ -204,14 +202,9 @@ def ionization_records(
         rate = 0.0
         for l_f in range(abs(mu), n0 + 1):
             final = ContinuumState(energy_Ef0=e_f0, l=l_f, mu=mu)
-            m_l = bound_free_element(decomp, dressed_index, final, laser)
-            rate += 2.0 * math.pi * m_l**2
-            if laser.amplitude_A > 0:
-                betas.append(
-                    math.sqrt(math.pi / (2.0 * v)) * m_l / laser.amplitude_A
-                )
-            else:
-                betas.append(0.0)
+            p_l = bound_free_element(decomp, dressed_index, final)
+            rate += 2.0 * math.pi * (laser.amplitude_A * p_l) ** 2
+            betas.append(math.sqrt(math.pi / (2.0 * v)) * p_l)
         sigma = 16.0 * alpha * v / laser.omega * sum(b * b for b in betas)
         records.append(
             IonizationRecord(

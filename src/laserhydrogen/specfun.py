@@ -13,7 +13,8 @@ polynomial directly or after Euler's transformation, and an F2 whose first
 index terminates.  Every bound-free radial integral is of that kind (see
 `_gauss_2f1`); other arguments raise DomainError, and nothing is continued
 analytically.  Sums in which both F2 indices terminate stay exact for
-Fraction/int inputs.
+Fraction/int inputs.  A Gauss polynomial whose double-precision terms
+cancel is summed again exactly, in Gaussian integers, and rounded once.
 
 `laplace_1f1_product`, `gamma_fn`, `KummerParams` and that exact F2 branch
 are the rational oracle of the bound-bound radial integrals
@@ -24,7 +25,6 @@ series Kummer function and the Coulomb wave) live in tests/oracles.py.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,10 +34,9 @@ import numpy as np
 from .errors import DomainError
 
 # A double-precision polynomial sum whose terms' moduli add up to more than
-# this multiple of the result is re-summed with mpmath at higher precision.
+# this multiple of the result has lost more than four of its sixteen digits;
+# it is summed again exactly.
 _CANCELLATION_LIMIT = 1e4
-_MAX_BITS = 400  # about 120 digits
-_THREAD_MP = threading.local()
 
 
 def _as_nonpositive_int(value):
@@ -53,7 +52,7 @@ def _as_nonpositive_int(value):
             return -int(value)
         return None
     if isinstance(value, float):
-        if value <= 0 and value == int(value):
+        if value <= 0 and value.is_integer():
             return -int(value)
         return None
     return None
@@ -100,15 +99,6 @@ class KummerParams:
             raise DomainError(f"Kummer lower parameter c={self.c} is a pole")
 
 
-def _thread_mp_context():
-    """This thread's own mpmath context, so that setting its precision
-    cannot change the precision of mpmath work in another thread."""
-    ctx = getattr(_THREAD_MP, "ctx", None)
-    if ctx is None:
-        ctx = _THREAD_MP.ctx = mpmath.MPContext()
-    return ctx
-
-
 def _polynomial_2f1(a, b, c, z, n):
     """Sum of the terminating 2F1 series with a = -n, and the sum of the
     moduli of its terms (the scale its rounding errors are relative to)."""
@@ -122,6 +112,35 @@ def _polynomial_2f1(a, b, c, z, n):
     return total, size
 
 
+def _exact_polynomial_2f1(n, b, c, z):
+    """F(-n, b; c; z) summed exactly and rounded once, for real c.
+
+    Floats are dyadic rationals: over the common denominator d of the real
+    and imaginary parts, b = B/d, c = C/d and z = Z/d with B and Z Gaussian
+    integers.  Horner's rule F = 1 + r_0 (1 + r_1 (1 + ...)) with
+    r_j = (j - n)(B + j d) Z / ((C + j d)(j + 1) d) then keeps the partial
+    sum as a Gaussian integer over an integer; int/int true division rounds
+    each part correctly.
+    """
+    try:
+        parts = [Fraction(v) for v in (b.real, b.imag, c, z.real, z.imag)]
+    except (ValueError, OverflowError):
+        raise DomainError(f"2F1(-{n}, {b}; {c}; {z}) has a non-finite argument") \
+            from None
+    d = math.lcm(*(f.denominator for f in parts))
+    b_re, b_im, c_int, z_re, z_im = (f.numerator * (d // f.denominator) for f in parts)
+    bz_re, bz_im = b_re * z_re - b_im * z_im, b_re * z_im + b_im * z_re
+    p_re, p_im, q = 1, 0, 1
+    for j in range(n - 1, -1, -1):
+        r_re, r_im = (j - n) * (bz_re + j * d * z_re), (j - n) * (bz_im + j * d * z_im)
+        m = (c_int + j * d) * (j + 1) * d
+        p_re, p_im = m * q + r_re * p_re - r_im * p_im, r_re * p_im + r_im * p_re
+        q *= m
+    if isinstance(b, complex) or isinstance(z, complex):
+        return complex(p_re / q, p_im / q)
+    return p_re / q
+
+
 def _gauss_2f1(a, b, c, z):
     """Gauss 2F1(a, b; c; z) for a series that terminates.
 
@@ -131,9 +150,10 @@ def _gauss_2f1(a, b, c, z):
     valid for every z off the cut [1, inf).  Every bound-free radial
     integral lands there (c - a = l_f - l_b - 2 - m), on the circle
     |1-z| = 1 with |z| up to 2.  A polynomial whose alternating terms
-    cancel is summed again with mpmath at as many extra bits as were lost.
-    Arguments for which none of a, b, c - a and c - b is a non-positive
-    integer raise DomainError: there is no analytic continuation.
+    cancel, or that overflows, is summed again exactly, where a non-finite
+    argument raises DomainError.  Arguments for which none of a, b, c - a
+    and c - b is a non-positive integer raise DomainError: there is no
+    analytic continuation.
     """
     n = _as_nonpositive_int(a)
     m = _as_nonpositive_int(b)
@@ -150,24 +170,9 @@ def _gauss_2f1(a, b, c, z):
             "and c - b is a non-positive integer"
         )
     total, size = _polynomial_2f1(a, b, c, z, n)
-    if size <= _CANCELLATION_LIMIT * abs(total):
+    if size <= _CANCELLATION_LIMIT * abs(total) < math.inf:
         return total
-    # The terms cancelled: redo the same sum with as many extra bits as
-    # were lost (and 16 spare), until the loss is back within
-    # _CANCELLATION_LIMIT of the working precision.  An exact zero
-    # stops at _MAX_BITS.
-    ctx = _thread_mp_context()
-    bits = 53  # a double's
-    while bits < _MAX_BITS and size > (
-        _CANCELLATION_LIMIT * ctx.ldexp(abs(total), bits - 53)
-    ):
-        lost = ctx.mag(size) - ctx.mag(total) if total else bits
-        ctx.prec = bits = min(_MAX_BITS, bits + lost + 16)
-        total, size = _polynomial_2f1(
-            ctx.mpmathify(a), ctx.mpmathify(b),
-            ctx.mpmathify(c), ctx.mpmathify(z), n,
-        )
-    return complex(total) if isinstance(total, ctx.mpc) else float(total)
+    return _exact_polynomial_2f1(n, b, c, z)
 
 
 @dataclass(frozen=True)

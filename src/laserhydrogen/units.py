@@ -9,21 +9,22 @@ radius and the hartree are *derived* from them so the defining identities
 a0 = hbar/(alpha*m*c) and E_h = alpha^2*m*c^2 hold to machine precision.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA 2018 constants in SI units."""
+    """CODATA 2018 constants in SI units, as class attributes that neither
+    the constructor nor an assignment can change."""
 
-    fine_structure_alpha: float = 7.2973525693e-3
-    electron_mass: float = 9.1093837015e-31        # kg
-    elementary_charge: float = 1.602176634e-19     # C (exact)
-    hbar: float = 1.054571817e-34                  # J*s
-    light_speed: float = 299792458.0               # m/s (exact)
-    proton_mass: float = 1.67262192369e-27         # kg
+    fine_structure_alpha = 7.2973525693e-3
+    electron_mass = 9.1093837015e-31        # kg
+    elementary_charge = 1.602176634e-19     # C (exact)
+    hbar = 1.054571817e-34                  # J*s
+    light_speed = 299792458.0               # m/s (exact)
+    proton_mass = 1.67262192369e-27         # kg
 
     @property
     def bohr_radius_a0(self) -> float:
@@ -71,15 +72,14 @@ class UnitSystem:
     """
 
     reduced_mass: bool = False
-    constants: PhysicalConstants = field(default=CONSTANTS)
 
     @property
     def mass_factor(self) -> float:
         """Ratio of the working mass to the electron mass."""
         if not self.reduced_mass:
             return 1.0
-        me = self.constants.electron_mass
-        mp = self.constants.proton_mass
+        me = CONSTANTS.electron_mass
+        mp = CONSTANTS.proton_mass
         return mp / (me + mp)
 
     @property
@@ -88,20 +88,20 @@ class UnitSystem:
 
     def ev_to_internal(self, value_ev: float) -> float:
         """eV -> internal (mass-scaled) hartree."""
-        return value_ev / (self.constants.hartree_ev * self.mass_factor)
+        return value_ev / (CONSTANTS.hartree_ev * self.mass_factor)
 
     def internal_to_ev(self, value_au: float) -> float:
         """Internal (mass-scaled) hartree -> eV."""
-        return value_au * self.constants.hartree_ev * self.mass_factor
+        return value_au * CONSTANTS.hartree_ev * self.mass_factor
 
     def vector_potential_to_internal(self, value_si: float) -> float:
         """V*s/m -> internal (mass-scaled) atomic units of A."""
         if value_si < 0:
             raise DomainError("vector-potential amplitude must be non-negative")
-        return value_si / (self.constants.vector_potential_au * self.mass_factor)
+        return value_si / (CONSTANTS.vector_potential_au * self.mass_factor)
 
     def vector_potential_to_si(self, value_au: float) -> float:
-        return value_au * self.constants.vector_potential_au * self.mass_factor
+        return value_au * CONSTANTS.vector_potential_au * self.mass_factor
 
     def cross_section_to_pi_a0sq(self, value_internal: float) -> float:
         """Cross section in internal units of pi*a_mass^2 -> units of pi*a0^2."""

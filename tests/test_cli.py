@@ -112,6 +112,8 @@ _SPECTRUM = ["spectrum", "--n0", "3", "--amplitude-vspm", "5e-6",
              "--omega-ev-start", "0.2", "--omega-ev-stop", "0.6", "--count", "2"]
 _INTENSITY = ["intensity", "--n0", "3", "--omega-ev", "0.5",
               "--a-vspm-start", "1e-6", "--a-vspm-stop", "5e-6", "--count", "2"]
+_IONIZATION = ["ionization", "--n0", "6", "--omega-ev", "2.37",
+               "--a-vspm-start", "2e-6", "--a-vspm-stop", "4e-6", "--count", "3"]
 
 
 def test_point_run_csv_schema(tmp_path):
@@ -292,6 +294,21 @@ def test_meta_records_w_normalization_error(tmp_path, argv):
     assert all(0 <= e["error"] < 1e-12 for e in errors)
 
 
+@pytest.mark.parametrize("argv", [_SPECTRUM, _INTENSITY, _POINT, _IONIZATION],
+                         ids=["spectrum", "intensity", "point", "ionization"])
+def test_meta_records_only_the_settings_the_mode_reads(tmp_path, argv):
+    mode = argv[0]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    assert set(meta["config"]) == set(cli._COMMON_KEYS + cli.MODE_KEYS[mode])
+    w_mode = mode != "ionization"
+    assert ("tolerances" in meta) is w_mode
+    assert ("near_degenerate_axis_values" in meta) is w_mode
+    assert ("ambiguous_axis_values" in meta) is not w_mode
+    if w_mode:
+        assert meta["tolerances"]["w_min"] == meta["config"]["w_min"]
+
+
 def test_meta_outer_shell_leakage_is_the_csv_w_of_the_outer_shell(tmp_path):
     out = tmp_path / "out.csv"
     assert main(_SPECTRUM + ["--w-min", "0", "--out", str(out)]) == 0
@@ -431,10 +448,6 @@ def test_failed_point_fault_injection(tmp_path, monkeypatch):
     assert "synthetic" in meta["failed_points"][0]["error"]
     assert meta["failed_points"][0]["type"] == "RuntimeError"
     assert meta["failed_points"][0]["where"].endswith(".flaky")
-
-
-_IONIZATION = ["ionization", "--n0", "6", "--omega-ev", "2.37",
-               "--a-vspm-start", "2e-6", "--a-vspm-stop", "4e-6", "--count", "3"]
 
 
 def test_failed_bound_free_integral_fails_one_point(

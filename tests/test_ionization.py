@@ -11,6 +11,7 @@ from laserhydrogen.basis import (
     bound_energy,
     enumerate_basis,
 )
+from laserhydrogen import specfun
 from laserhydrogen.cli import main
 from laserhydrogen.eigensolver import diagonalize, track_state
 from laserhydrogen.errors import ConfigurationError, DomainError
@@ -26,7 +27,7 @@ from laserhydrogen.ionization import (
     ionization_records,
     photoelectron_energy,
 )
-from laserhydrogen.units import CONSTANTS
+from laserhydrogen.units import CONSTANTS, UnitSystem
 from oracles import coulomb_radial, radial_wavefunction
 
 GROUND = QuantumNumbers(1, 0, 0)
@@ -79,16 +80,31 @@ def test_bound_free_radial_vs_quadrature(n, l_b, l_f, k):
     )
 
 
-def test_bound_free_element_zero_at_zero_field():
-    basis = enumerate_basis(2)
-    laser = LaserField(0.0, 0.8)
+def _ground_records(basis, laser):
     decomp = diagonalize(assemble(basis, laser))
-    tracked = track_state(decomp, GROUND)
-    final = ContinuumState(0.3, 1, -1)
-    assert bound_free_element(decomp, tracked.index, final, laser) == 0.0
+    return ionization_records(decomp, track_state(decomp, GROUND).index, laser)
 
 
-def _bound_free_loop(decomp, dressed_index, final, laser):
+def test_zero_field_records_are_the_one_photon_limit():
+    # at A = 0 nothing ionizes, but sigma per unit flux is the weak-field limit
+    omega = 20.0 / EV
+    basis = enumerate_basis(4)
+    records = _ground_records(basis, LaserField(0.0, omega))
+    weak = _ground_records(
+        basis, LaserField(UnitSystem().vector_potential_to_internal(1e-12), omega)
+    )
+    assert [r.mu_branch for r in records] == [r.mu_branch for r in weak]
+    assert all(r.rate_P == 0.0 for r in records)
+    sigma = {r.mu_branch: r.sigma for r in records}
+    one_photon = sigma.pop(-1)
+    assert one_photon == pytest.approx(
+        next(r.sigma for r in weak if r.mu_branch == -1), rel=1e-9
+    )
+    assert one_photon == pytest.approx(_stobbe_sigma_pi_a0sq(omega), rel=5e-3)
+    assert sigma and all(value == 0.0 for value in sigma.values())
+
+
+def _bound_free_loop(decomp, dressed_index, final):
     """bound_free_element as a loop over every state the decomposition holds,
     the reference for its per-channel arrays."""
     k = math.sqrt(2.0 * final.energy_Ef0)
@@ -103,7 +119,7 @@ def _bound_free_loop(decomp, dressed_index, final, laser):
         if final.l == b.l + 1:
             x_fb = -x_fb
         total += c * ((bound_energy(b.n) - final.energy_Ef0) * x_fb)
-    return laser.amplitude_A * total
+    return total
 
 
 @pytest.mark.parametrize("parity", [None, 0, 1], ids=["whole", "even", "odd"])
@@ -116,8 +132,8 @@ def test_bound_free_channels_equal_the_loop_over_the_basis(parity):
             for l_f in range(abs(mu), n0 + 1):
                 final = ContinuumState(0.2, l_f, mu)
                 # same terms, same order, same arithmetic: equal to the bit
-                assert bound_free_element(decomp, index, final, laser) == (
-                    _bound_free_loop(decomp, index, final, laser)
+                assert bound_free_element(decomp, index, final) == (
+                    _bound_free_loop(decomp, index, final)
                 )
 
 
@@ -127,12 +143,8 @@ def test_bound_free_element_selection_rules():
     decomp = diagonalize(assemble(basis, laser))
     tracked = track_state(decomp, GROUND)
     # ground dressed state is almost pure (1,0,0): l_f = 2 unreachable
-    near_zero = bound_free_element(
-        decomp, tracked.index, ContinuumState(0.3, 2, -1), laser
-    )
-    allowed = bound_free_element(
-        decomp, tracked.index, ContinuumState(0.3, 1, -1), laser
-    )
+    near_zero = bound_free_element(decomp, tracked.index, ContinuumState(0.3, 2, -1))
+    allowed = bound_free_element(decomp, tracked.index, ContinuumState(0.3, 1, -1))
     assert abs(near_zero) < 1e-8 * abs(allowed)
 
 
@@ -179,6 +191,28 @@ def test_cli_sigma_just_above_the_one_photon_threshold(tmp_path):
     # dressed value is about 6% lower (tracked-state overlap 0.94)
     textbook = _stobbe_sigma_pi_a0sq(0.5 + float(row["E_f0_eV"]) / EV)
     assert sigma == pytest.approx(textbook, rel=0.1)
+
+
+class _NoMpmath:
+    def __getattr__(self, name):
+        raise AssertionError(f"mpmath.{name} was used")
+
+
+def test_near_threshold_run_sums_exactly_without_mpmath(tmp_path, monkeypatch):
+    argv = ["ionization", "--n0", "10", "--omega-ev", "13.585",
+            "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-7", "--count", "1"]
+    _bound_free_radial.cache_clear()
+    assert main(argv + ["--out", str(tmp_path / "reference.csv")]) == 0
+    exact_sums = []
+    exact = specfun._exact_polynomial_2f1
+    monkeypatch.setattr(specfun, "_exact_polynomial_2f1",
+                        lambda *args: exact_sums.append(args) or exact(*args))
+    monkeypatch.setattr(specfun, "mpmath", _NoMpmath())
+    _bound_free_radial.cache_clear()
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert exact_sums  # 85 cancelling Gauss polynomials at this energy
+    assert (tmp_path / "out.csv").read_bytes() == (
+        tmp_path / "reference.csv").read_bytes()
 
 
 # dressed_index and sigma (pi a0^2, mu = -10 .. -6) of the fig3 preset's

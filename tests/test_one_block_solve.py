@@ -105,9 +105,7 @@ def test_reading_the_unsolved_block_raises(one_block):
     # the class holds only its own dressed states
     for index in (decomp.dimension, -1):
         with pytest.raises(ConfigurationError, match="not among"):
-            bound_free_element(decomp, index, final, laser)
-        with pytest.raises(ConfigurationError, match="not among"):
-            bound_free_element(decomp, index, final, LaserField(0.0, laser.omega))
+            bound_free_element(decomp, index, final)
     # the whole-basis solve answers the same questions: W across the classes is 0
     assert averaged_probability(full, GROUND, ODD) == 0.0
     assert transition_table(full, ODD, laser).probability(GROUND) == 0.0
@@ -133,9 +131,9 @@ def test_reading_the_solved_block_matches_the_full_solve(one_block):
         rel=1e-10,
     )
     continuum = ContinuumState(0.1, 1, -1)
-    assert abs(bound_free_element(decomp, tracked.index, continuum, laser)) == (
+    assert abs(bound_free_element(decomp, tracked.index, continuum)) == (
         pytest.approx(
-            abs(bound_free_element(full, tracked_full.index, continuum, laser)),
+            abs(bound_free_element(full, tracked_full.index, continuum)),
             rel=1e-10,
         )
     )

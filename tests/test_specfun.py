@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from laserhydrogen.basis import N0_CAP
 from laserhydrogen.errors import DomainError
 from laserhydrogen.specfun import (
+    _CANCELLATION_LIMIT,
     AppellF2Params,
     KummerParams,
     _as_nonpositive_int,
     _gauss_2f1,
+    _polynomial_2f1,
     appell_f2,
     gamma_fn,
     laplace_1f1_product,
@@ -171,19 +173,70 @@ def test_every_bound_free_gauss_function_terminates():
                     )
 
 
-def test_gauss_2f1_cancelling_polynomial_resummed():
-    # a bound-free Gauss polynomial at n = 30, k = 0.014 whose terms cancel
-    # by about fifteen digits in double precision
+def _round_once(x):
+    """The double nearest to the mpf x (int/int true division rounds once)."""
+    man, exp = x.man_exp  # man is |mantissa|
+    man = -man if x < 0 else man
+    return man * 2**exp if exp >= 0 else man / 2**-exp
+
+
+def _mp_polynomial_2f1(n, b, c, z):
+    """F(-n, b; c; z) summed term by term at 80 digits from the exact
+    values of the double arguments."""
+    with mpmath.workdps(80):
+        b, c, z = mpmath.mpc(b), mpmath.mpf(c), mpmath.mpc(z)
+        term = total = mpmath.mpc(1)
+        for j in range(n):
+            term = term * (j - n) * (b + j) / ((c + j) * (j + 1)) * z
+            total += term
+        return complex(_round_once(total.real), _round_once(total.imag))
+
+
+def test_exact_sum_of_cancelling_polynomials_is_mpmath_rounded_once():
+    # The Gauss polynomials of _bound_free_radial(30, l_b, l_f, 0.014) after
+    # Euler's transformation: F(-N, c2 - a2; c2; y), N = u + m - c2.  Those
+    # that cancel in double precision are summed exactly and must equal the
+    # 80-digit sum rounded once, bit for bit.
     k, n = 0.014, 30
-    z = complex(0.0, -k * n) / (complex(1.0, -k * n) / 2.0)
-    b = complex(2.0, 1.0 / k)
-    ref = _mp_2f1(-31, b, 4, z)
-    assert _gauss_2f1(-31, b, 4, z) == pytest.approx(ref, rel=1e-12)
+    s = complex(1.0, -k * n) / 2.0
+    y = complex(0.0, -k * n) / s
+    cancelling = 0
+    for l_b in range(n):
+        for l_f in (l_b - 1, l_b + 1):
+            if l_f < 0:
+                continue
+            u, c2 = l_f + l_b + 4, 2 * l_f + 2
+            b = c2 - complex(l_f + 1, -1.0 / k)
+            for m in range(n - l_b):
+                order = u + m - c2
+                total, size = _polynomial_2f1(-order, b, c2, y, order)
+                if size <= _CANCELLATION_LIMIT * abs(total):
+                    continue
+                cancelling += 1
+                assert _gauss_2f1(-order, b, c2, y) == (
+                    _mp_polynomial_2f1(order, b, c2, y)
+                ), (l_b, l_f, m)
+    assert cancelling > 100
 
 
 def test_gauss_2f1_exact_zero_polynomial():
-    # 1 - b z / c vanishes exactly; re-summing cannot gain digits and stops
+    # 1 - b z / c cancels to nothing in doubles; its exact sum is zero too
     assert _gauss_2f1(-1, 2, 4, 2.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "b,c,z",
+    [
+        (complex(2.0, math.nan), 4, complex(0.3, -0.7)),
+        (complex(2.0, math.inf), 4, complex(0.3, -0.7)),
+        (2.0, math.nan, 0.5),
+        (2.0, 4, complex(math.inf, 0.0)),
+        (-math.inf, 4, 0.5),
+    ],
+)
+def test_gauss_2f1_non_finite_argument_raises_domain_error(b, c, z):
+    with pytest.raises(DomainError, match="non-finite"):
+        _gauss_2f1(-3, b, c, z)
 
 
 # --- Appell F2 -----------------------------------------------------------
