@@ -89,11 +89,8 @@ class BasisSet:
     def mu(self) -> np.ndarray:
         return _read_only([s.mu for s in self.states])
 
-    def class_positions(self, parity) -> np.ndarray:
-        """Basis positions of the states of parity 0 or 1, ascending; None
-        gives every position."""
-        if parity is None:
-            return np.arange(len(self))
+    def class_positions(self, parity: int) -> np.ndarray:
+        """Basis positions of the states of parity 0 or 1, ascending."""
         return np.flatnonzero(self.parity == parity)
 
 

@@ -128,6 +128,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type is float and value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        if not 0 <= self.w_min <= 1:
+            raise ConfigurationError(f"w_min must be in [0, 1], got {self.w_min}")
         for key in MODE_KEYS[self.mode]:
             value = getattr(self, key)
             if value is None:
@@ -331,10 +333,11 @@ def _write_files(outputs):
     """Write each (path, newline, write) output all-or-nothing.
 
     Every output is first written by write(fh) to a temporary file beside
-    its path; only when all of them are complete, and no path is a
-    directory that os.replace would refuse, are they moved into place, so
-    an error leaves the existing files untouched and no partial or
-    temporary file behind.
+    its path; only when all of them are complete, and nothing but a regular
+    file sits at any path (os.replace would turn a FIFO or a device node
+    into a file, and refuse a directory), are they moved into place, so an
+    error leaves the existing files untouched and no partial or temporary
+    file behind.
     """
     temps = []
     try:
@@ -345,6 +348,8 @@ def _write_files(outputs):
         for path, _, _ in outputs:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise FileExistsError(errno.EEXIST, "not a regular file", path)
         for tmp, (path, _, _) in zip(temps, outputs):
             os.replace(tmp, path)
     except BaseException:

@@ -10,12 +10,4 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A series or iteration failed to converge within its cap.
-
-    Carries partial diagnostics so callers can report what was attempted.
-    """
-
-    def __init__(self, message, *, iterations=None, last_term=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.last_term = last_term
+    """A solver or series failed to converge; the message says which."""

@@ -1,4 +1,4 @@
-"""Assembly of the rotating-frame pseudo-Hamiltonian matrix.
+"""Assembly of the rotating-frame pseudo-Hamiltonian, one parity class.
 
 In the i^l-phased truncated bound basis the matrix is real symmetric:
 
@@ -8,11 +8,11 @@ In the i^l-phased truncated bound basis the matrix is real symmetric:
 The p_x elements depend only on the basis, so their positions and values
 are built once per n0 (`basis.coupling_arrays`) and each field point costs
 one diagonal fill plus one scaled scatter of those values.  Every nonzero
-element joins states of equal z-reflection parity (l + mu) mod 2, so the
-matrix is block diagonal in the two parity classes, and `assemble` can
-build one class alone: its block, in Fortran order, from the couplings of
-that class, with no matrix over the whole basis.  A scan follows one
-initial state, so it assembles only that state's class.
+element joins states of equal z-reflection parity (l + mu) mod 2, so H is
+block diagonal in the two parity classes, and `assemble` builds one class:
+its block, in Fortran order, from the couplings of that class.  No matrix
+over the whole basis is ever built; a scan follows one initial state and
+assembles only that state's class.
 
 All quantities in atomic units.  The dipole (k*a0 << 1) coupling is used;
 the A^2/2 ponderomotive-type constant is kept on the diagonal by default
@@ -50,20 +50,19 @@ class LaserField:
 
 @dataclass(frozen=True)
 class PseudoHamiltonianMatrix:
-    """H restricted to the basis positions `positions` (rows and columns).
+    """H restricted to the states of one parity class (rows and columns in
+    the order of `basis.class_positions(parity)`).
 
-    `assemble` sets positions, to the whole basis or to one parity class,
-    and builds the matrix symmetric and without entries between the
-    classes.  A matrix made elsewhere leaves positions None, and
-    `diagonalize` refuses it.  include_a2 records whether the A^2/2
-    constant is on the diagonal.  The dimension is read from entries, so
-    the two cannot disagree.
+    `assemble` builds entries symmetric and read-only, and `diagonalize`
+    refuses entries that are writeable or not of the class's size.
+    include_a2 records whether the A^2/2 constant is on the diagonal.  The
+    dimension is read from entries, so the two cannot disagree.
     """
 
     entries: np.ndarray
     basis: BasisSet
     laser: LaserField
-    positions: np.ndarray = None
+    parity: int
     include_a2: bool = True
 
     @property
@@ -72,16 +71,15 @@ class PseudoHamiltonianMatrix:
 
 
 def assemble(
-    basis: BasisSet, laser: LaserField, include_a2: bool = True, parity: int = None
+    basis: BasisSet, laser: LaserField, include_a2: bool = True, parity: int = 0
 ) -> PseudoHamiltonianMatrix:
-    """Build the real symmetric pseudo-Hamiltonian in the given basis.
+    """Build the real symmetric pseudo-Hamiltonian of one parity class.
 
-    With parity 0 or 1 only the states of that parity are built: the
-    matrix is that class's diagonal block of the whole-basis H, entry for
-    entry, and its positions are the class's basis positions.
+    The matrix is the diagonal block of the class `parity` (0 or 1) in the
+    whole-basis H, entry for entry.  Class 0 holds the 1s state.
     """
-    if parity not in (None, 0, 1):
-        raise ConfigurationError(f"parity must be 0, 1 or None, got {parity!r}")
+    if parity not in (0, 1):
+        raise ConfigurationError(f"parity must be 0 or 1, got {parity!r}")
     positions = basis.class_positions(parity)
     if len(positions) == 0:  # n0 = 1 has no odd state
         raise ConfigurationError(
@@ -95,18 +93,12 @@ def assemble(
     )
     if laser.amplitude_A != 0.0:
         rows, cols, values = coupling_arrays(basis.n0)
-        if parity is not None:
-            keep = basis.parity[rows] == parity  # a coupling never crosses classes
-            local = np.empty(len(basis), dtype=np.intp)
-            local[positions] = np.arange(dim)
-            rows, cols, values = local[rows[keep]], local[cols[keep]], values[keep]
-        scaled = laser.amplitude_A * values
+        keep = basis.parity[rows] == parity  # a coupling never crosses classes
+        local = np.empty(len(basis), dtype=np.intp)
+        local[positions] = np.arange(dim)
+        rows, cols = local[rows[keep]], local[cols[keep]]
+        scaled = laser.amplitude_A * values[keep]
         h[rows, cols] = scaled
         h[cols, rows] = scaled
-    return PseudoHamiltonianMatrix(
-        entries=h,
-        basis=basis,
-        laser=laser,
-        positions=positions,
-        include_a2=include_a2,
-    )
+    h.flags.writeable = False
+    return PseudoHamiltonianMatrix(h, basis, laser, parity, include_a2)

@@ -129,7 +129,7 @@ def _bound_free_channels(basis, parity):
 
     Maps (mu_f, l_f) to arrays over the states with |l_f - l_b| = 1 and
     |mu_f - mu_b| = 1, in basis order: their rows in a decomposition of the
-    parity class `parity` (None: the whole basis), n_b, l_b, the signed
+    parity class `parity`, n_b, l_b, the signed
     angular factor of x_fb (negative for l_f = l_b + 1, where the i^l
     phases give -1) and E_b.
     """

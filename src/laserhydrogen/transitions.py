@@ -132,8 +132,8 @@ def transition_table(
     decomp: EigenDecomposition, initial: QuantumNumbers, laser: LaserField
 ) -> TransitionTable:
     # W(initial, b) is exactly 0 for b outside the rows held (another class).
-    # Squared in C order, the product sums as it did over a C-ordered C, so
-    # W keeps the digits of the whole-basis layout.
+    # Squared into a C-ordered array: the product's summation order, and so
+    # the last digits of W, follow the layout of that operand.
     probs = np.zeros(len(decomp.basis))
     probs[decomp.rows] = np.square(decomp.coefficients, order="C") @ (
         decomp.row(initial) ** 2

@@ -19,7 +19,8 @@ def decomp5(basis5):
 
 
 def w_matrix(decomp) -> np.ndarray:
-    """Full time-averaged transition matrix W(a, b) = sum_i C_a^2 C_b^2."""
+    """Time-averaged transition matrix W(a, b) = sum_i C_a^2 C_b^2 between
+    the states of the decomposition's class."""
     c2 = decomp.coefficients**2
     return c2 @ c2.T
 

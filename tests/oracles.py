@@ -4,7 +4,9 @@ The program evaluates every radial integral in closed form; the tests check
 those closed forms against independent routes built from the functions
 here: normalized hydrogen radial functions integrated on Gauss-Laguerre
 grids, the Kummer function F(a, c, z) summed as a Taylor series, and the
-energy-normalized Coulomb wave.
+energy-normalized Coulomb wave.  The program builds and solves one parity
+class at a time; `whole_hamiltonian` is H over the whole basis, which the
+tests hold the class blocks and class spectra to.
 """
 
 import cmath
@@ -15,12 +17,29 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from laserhydrogen.basis import QuantumNumbers, _radial_norm
+from laserhydrogen.basis import QuantumNumbers, _radial_norm, coupling_arrays
 from laserhydrogen.errors import ConvergenceError, DomainError
 from laserhydrogen.specfun import KummerParams, _as_nonpositive_int
 
 _SERIES_CAP = 2000
 _SERIES_RTOL = 1e-16
+
+
+# --- the pseudo-Hamiltonian over the whole basis ------------------------
+
+def whole_hamiltonian(basis, laser, include_a2=True) -> np.ndarray:
+    """H_ps = H_0 + omega*L_z + A*p_x (+ A^2/2) over every state of the
+    basis, in basis order, scattered straight from `coupling_arrays`."""
+    dim = len(basis)
+    h = np.zeros((dim, dim), order="F")
+    a2_shift = 0.5 * laser.amplitude_A**2 if include_a2 else 0.0
+    np.fill_diagonal(h, basis.energy + basis.mu * laser.omega + a2_shift)
+    if laser.amplitude_A != 0.0:
+        rows, cols, values = coupling_arrays(basis.n0)
+        scaled = laser.amplitude_A * values
+        h[rows, cols] = scaled
+        h[cols, rows] = scaled
+    return h
 
 
 # --- hydrogen radial functions and quadrature ---------------------------
@@ -92,9 +111,8 @@ def _kummer_series(a, c, z, n_terms=None):
     if n_terms is not None:
         return total
     raise ConvergenceError(
-        f"Kummer series F({a},{c},{z}) did not converge in {_SERIES_CAP} terms",
-        iterations=_SERIES_CAP,
-        last_term=term,
+        f"Kummer series F({a},{c},{z}) did not converge in {_SERIES_CAP} terms "
+        f"(last term {term})"
     )
 
 

@@ -24,7 +24,13 @@ from laserhydrogen.ionization import (
 )
 from laserhydrogen.specfun import KummerParams, laplace_1f1_product
 from laserhydrogen.units import CONSTANTS, UnitSystem
-from oracles import coulomb_radial, kummer_1f1, overlap, radial_wavefunction
+from oracles import (
+    coulomb_radial,
+    kummer_1f1,
+    overlap,
+    radial_wavefunction,
+    whole_hamiltonian,
+)
 
 GROUND = QuantumNumbers(1, 0, 0)
 UNITS = UnitSystem()
@@ -38,9 +44,19 @@ def _report(num, ok, detail):
 
 
 @lru_cache(maxsize=4)
-def _decomp(n0, amplitude_au, omega_au):
+def _decomp(n0, amplitude_au, omega_au, parity=0):
     basis = enumerate_basis(n0)
-    return diagonalize(assemble(basis, LaserField(amplitude_au, omega_au)))
+    return diagonalize(
+        assemble(basis, LaserField(amplitude_au, omega_au), parity=parity)
+    )
+
+
+def _ground_w_row(decomp):
+    """W(1s, b) for every basis state b, 0 outside the ground state's class."""
+    c2 = decomp.coefficients**2
+    w = np.zeros(len(decomp.basis))
+    w[decomp.rows] = c2 @ decomp.row(GROUND) ** 2
+    return w
 
 
 def test_criterion_1_basis_integrity():
@@ -72,18 +88,25 @@ def test_criterion_1_basis_integrity():
 def test_criterion_2_matrix_eigen_integrity_n0_18():
     t0 = time.time()
     omega = UNITS.ev_to_internal(0.5)
-    decomp = _decomp(18, FIG1_AMPLITUDE_AU, omega)
-    dim_ok = decomp.dimension == 2109
-    h = assemble(enumerate_basis(18), LaserField(FIG1_AMPLITUDE_AU, omega)).entries
-    c, e = decomp.coefficients, decomp.energies
-    h_norm = float(np.max(np.abs(e)))  # 2-norm of a symmetric matrix
-    residual = float(np.max(np.linalg.norm(h @ c - c * e, axis=0)))
-    ortho = float(np.max(np.abs(c.T @ c - np.eye(decomp.dimension))))
+    decomps = [_decomp(18, FIG1_AMPLITUDE_AU, omega, parity) for parity in (0, 1)]
+    dims = [d.dimension for d in decomps]
+    dim_ok = sum(dims) == 2109
+    # each class's dressed states against the whole-basis H
+    h = whole_hamiltonian(decomps[0].basis, LaserField(FIG1_AMPLITUDE_AU, omega))
+    h_norm = max(float(np.max(np.abs(d.energies))) for d in decomps)  # 2-norm
+    residual = ortho = 0.0
+    for d in decomps:
+        c = np.zeros((len(h), d.dimension))
+        c[d.rows] = d.coefficients
+        residual = max(
+            residual, float(np.max(np.linalg.norm(h @ c - c * d.energies, axis=0)))
+        )
+        ortho = max(ortho, float(np.max(np.abs(c.T @ c - np.eye(d.dimension)))))
     elapsed = time.time() - t0
     ok = dim_ok and residual <= 1e-9 * h_norm and ortho <= 1e-9 and elapsed < 300
     _report(
         2, ok,
-        f"dim {decomp.dimension} (=2109), residual/|H| "
+        f"dim {dims[0]} + {dims[1]} (=2109), residual/|H| "
         f"{residual / h_norm:.2e} (<=1e-9), |C^T C - I| {ortho:.2e} (<=1e-9), "
         f"runtime {elapsed:.0f}s (<300s)",
     )
@@ -91,16 +114,18 @@ def test_criterion_2_matrix_eigen_integrity_n0_18():
 
 def test_criterion_3_transition_table_laws():
     worst_sym, worst_stoch = 0.0, 0.0
-    for amp, omega in [(0.1, 0.018), (0.402, 0.018), (0.05, 0.375), (0.3, 0.1)]:
-        w = w_matrix(_decomp(6, amp, omega))
-        worst_sym = max(worst_sym, float(np.max(np.abs(w - w.T))))
-        worst_stoch = max(
-            worst_stoch,
-            float(np.max(np.abs(w.sum(axis=0) - 1.0))),
-            float(np.max(np.abs(w.sum(axis=1) - 1.0))),
-        )
-    w0 = w_matrix(_decomp(6, 0.0, 0.1))
-    identity_exact = np.array_equal(w0, np.eye(w0.shape[0]))
+    identity_exact = True
+    for parity in (0, 1):
+        for amp, omega in [(0.1, 0.018), (0.402, 0.018), (0.05, 0.375), (0.3, 0.1)]:
+            w = w_matrix(_decomp(6, amp, omega, parity))
+            worst_sym = max(worst_sym, float(np.max(np.abs(w - w.T))))
+            worst_stoch = max(
+                worst_stoch,
+                float(np.max(np.abs(w.sum(axis=0) - 1.0))),
+                float(np.max(np.abs(w.sum(axis=1) - 1.0))),
+            )
+        w0 = w_matrix(_decomp(6, 0.0, 0.1, parity))
+        identity_exact = identity_exact and np.array_equal(w0, np.eye(w0.shape[0]))
     ok = worst_sym < 1e-9 and worst_stoch < 1e-9 and identity_exact
     _report(
         3, ok,
@@ -117,20 +142,23 @@ def test_criterion_4_weak_field_bohr_recovery():
     # transition, so those pairs are excluded from the bound.
     omega_off = 0.2
     basis5 = enumerate_basis(5)
-    w_off = w_matrix(_decomp(5, 1e-5, omega_off))
-    pseudo = np.array(
-        [-1 / (2 * s.n**2) + s.mu * omega_off for s in basis5.states]
-    )
-    distinct = np.abs(pseudo[:, None] - pseudo[None, :]) > 1e-9
-    max_offdiag = float(np.max(np.abs(w_off) * distinct))
+    max_offdiag = 0.0
+    for parity in (0, 1):  # W between the classes is exactly 0
+        decomp = _decomp(5, 1e-5, omega_off, parity)
+        w_off = w_matrix(decomp)
+        pseudo = np.array(
+            [-1 / (2 * s.n**2) + s.mu * omega_off
+             for s in (basis5.states[j] for j in decomp.rows)]
+        )
+        distinct = np.abs(pseudo[:, None] - pseudo[None, :]) > 1e-9
+        max_offdiag = max(max_offdiag, float(np.max(np.abs(w_off) * distinct)))
     # 1s-2p resonance: hbar*omega = 10.2 eV = 3/8 hartree exactly
     omega_res = 0.375
     basis = enumerate_basis(5)
     decomp = diagonalize(assemble(basis, LaserField(1e-5, omega_res)))
-    i = basis.position(GROUND)
-    j = basis.position(QuantumNumbers(2, 1, -1))
-    c2 = decomp.coefficients**2
-    w_pair = float(np.dot(c2[i], c2[j]))
+    w_pair = float(np.dot(
+        decomp.row(GROUND) ** 2, decomp.row(QuantumNumbers(2, 1, -1)) ** 2
+    ))
     # 2x2 degenerate-perturbation oracle: exactly on resonance the pair
     # mixes 50/50, so W(1s, 2p_{-1}) -> 2*(1/2)^2 = 1/2
     ok = max_offdiag <= 1e-4 and abs(w_pair - 0.5) <= 0.01
@@ -145,12 +173,12 @@ def test_criterion_5_perturbative_scaling():
     amps = np.array([1e-6, 2e-6, 4e-6])
     # allowed bound-bound W: 1s -> 2p_{+1} at an off-resonant frequency
     basis = enumerate_basis(4)
-    i = basis.position(GROUND)
-    j = basis.position(QuantumNumbers(2, 1, 1))
     w_vals = []
     for a in amps:
-        c2 = diagonalize(assemble(basis, LaserField(a, 0.2))).coefficients ** 2
-        w_vals.append(float(np.dot(c2[i], c2[j])))
+        decomp = diagonalize(assemble(basis, LaserField(a, 0.2)))
+        w_vals.append(float(np.dot(
+            decomp.row(GROUND) ** 2, decomp.row(QuantumNumbers(2, 1, 1)) ** 2
+        )))
     slope_w = np.polyfit(np.log(amps), np.log(w_vals), 1)[0]
     # ionization: the golden-rule rate is proportional to intensity (A^2);
     # the flux-normalized sigma is A-independent by construction (see
@@ -256,8 +284,9 @@ def test_criterion_8_special_function_identity():
         if abs(beta) < 1e-6 * beta_scale:
             continue
         m_quad = 0.0
-        for jb, b in enumerate(basis.states):
-            if abs(b.l - l_f) != 1 or abs(b.mu + 1) != 1 or abs(coeffs[jb]) < 1e-14:
+        for coeff, jb in zip(coeffs, decomp.rows):
+            b = basis.states[jb]
+            if abs(b.l - l_f) != 1 or abs(b.mu + 1) != 1 or abs(coeff) < 1e-14:
                 continue
             from laserhydrogen.basis import angular_x, bound_energy
 
@@ -272,7 +301,7 @@ def test_criterion_8_special_function_identity():
             x_fb = angular_x(l_f, -1, b.l, b.mu) * radial
             if l_f == b.l + 1:
                 x_fb = -x_fb
-            m_quad += coeffs[jb] * (bound_energy(b.n) - rec.E_f0) * x_fb
+            m_quad += coeff * (bound_energy(b.n) - rec.E_f0) * x_fb
         m_quad *= laser.amplitude_A
         beta_quad = math.sqrt(math.pi / (2.0 * k)) * m_quad / laser.amplitude_A
         worst_beta = max(worst_beta, abs(beta - beta_quad) / abs(beta_quad))
@@ -327,12 +356,8 @@ def test_criterion_10_truncation_convergence():
     omega = UNITS.ev_to_internal(0.5)
     d16 = _decomp(16, FIG1_AMPLITUDE_AU, omega)
     d18 = _decomp(18, FIG1_AMPLITUDE_AU, omega)
-    i16 = d16.basis.position(GROUND)
-    i18 = d18.basis.position(GROUND)
-    c16 = d16.coefficients**2
-    c18 = d18.coefficients**2
-    w16 = c16 @ c16[i16]
-    w18 = c18 @ c18[i18]
+    w16 = _ground_w_row(d16)
+    w18 = _ground_w_row(d18)
     common = len(d16.basis)
     # positions coincide for the common states: ordering is (n, l, mu)
     l1_diff = float(np.sum(np.abs(w18[:common] - w16)))

@@ -75,7 +75,8 @@ def test_state_arrays_are_the_per_state_values(n0):
     for p in (0, 1):
         positions = basis.class_positions(p).tolist()
         assert positions == [i for i, q in enumerate(parity) if q == p]
-    assert basis.class_positions(None).tolist() == list(range(len(basis)))
+    both = np.concatenate([basis.class_positions(p) for p in (0, 1)])
+    assert sorted(both.tolist()) == list(range(len(basis)))  # a partition
 
 
 def test_basis_n0_bounds():

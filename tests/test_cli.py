@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,18 @@ def test_ionization_run_csv_schema(tmp_path):
         assert eta * 2.37 - 13.605693122994 == pytest.approx(e_f0_ev, rel=1e-6)
 
 
+def test_ionization_at_n0_1_has_no_other_class(tmp_path):
+    # the n0 = 1 basis is the 1s state alone: its class is the whole basis
+    # and the odd class is empty, so no level lies below the tracked one
+    out = tmp_path / "n1.csv"
+    rc = main(["ionization", "--n0", "1", "--omega-ev", "20", "--a-vspm-start", "1e-7",
+               "--a-vspm-stop", "1e-7", "--count", "1", "--out", str(out)])
+    assert rc == 0
+    _, rows = _read_csv(out)
+    assert [(row[2], row[5]) for row in rows] == [("0", "-1")]
+    assert float(rows[0][8]) == 0.025142209430668406
+
+
 def test_intensity_run(tmp_path):
     out = tmp_path / "int.csv"
     rc = main(
@@ -199,6 +212,21 @@ def test_exit_code_3_on_unwritable_output():
          "--omega-ev", "0.5", "--out", "/nonexistent-dir/x.csv"]
     )
     assert rc == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_fifo_at_the_output_path_is_left_in_place(tmp_path, capsys):
+    fifo = tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    rc = main(
+        ["point", "--n0", "2", "--amplitude-vspm", "1e-6",
+         "--omega-ev", "0.5", "--out", str(fifo)]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "not a regular file" in err and str(fifo) in err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_failed_metadata_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
@@ -663,12 +691,19 @@ def test_reduced_mass_shifts_energies(tmp_path):
          r"initial state \(n, l, mu\) = \(5, 0, 0\) is outside the n0=4 basis"),
         # finite in V*s/m, but not in atomic units
         (_POINT + ["--amplitude-vspm", "1e308"], "amplitude_A must be finite"),
+        (_POINT + ["--w-min", "2"], r"w_min must be in \[0, 1\], got 2.0"),
+        (_SPECTRUM + ["--w-min=-1"], r"w_min must be in \[0, 1\], got -1.0"),
+        (_POINT + ["--config", "w_min.ini"], r"w_min must be in \[0, 1\], got 1.5"),
     ],
     ids=["n0-above-cap", "omega-nan", "omega-negative", "amplitude-negative",
          "amplitude-inf", "omega-start-zero", "initial-outside-basis",
-         "amplitude-overflows"],
+         "amplitude-overflows", "w-min-above-one", "w-min-negative",
+         "w-min-config-file"],
 )
-def test_bad_input_rejected_at_the_boundary(tmp_path, capsys, argv, message):
+def test_bad_input_rejected_at_the_boundary(tmp_path, monkeypatch, capsys, argv,
+                                           message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w_min.ini").write_text("[output]\nw_min = 1.5\n")
     out = tmp_path / "bad.csv"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -15,21 +15,19 @@ from laserhydrogen.errors import ConfigurationError, ConvergenceError
 from laserhydrogen.hamiltonian import LaserField, PseudoHamiltonianMatrix, assemble
 
 
-def _matrix_from(entries, basis):
-    """A hand-built whole-basis matrix, with the positions assemble sets."""
+def _matrix_from(entries, basis, parity=0):
+    """A hand-built matrix of one class, read-only as assemble leaves it."""
+    entries.flags.writeable = False
     return PseudoHamiltonianMatrix(
-        entries=entries,
-        basis=basis,
-        laser=LaserField(0.0, 1.0),
-        positions=np.arange(len(basis)),
+        entries=entries, basis=basis, laser=LaserField(0.0, 1.0), parity=parity
     )
 
 
 def test_two_by_two_analytic():
     # restrict to a hand-built 2x2: eigenvalues (a+c)/2 +- sqrt(((a-c)/2)^2+b^2)
-    basis = enumerate_basis(2)
+    basis = enumerate_basis(2)  # class 0: (1,0,0), (2,0,0), (2,1,-1), (2,1,1)
     a, b, c = -0.5, 0.03, -0.125
-    entries = np.diag([a, c, -1.0, -1.1, -1.2])
+    entries = np.diag([a, c, -1.0, -1.2])
     entries[0, 1] = entries[1, 0] = b
     decomp = diagonalize(_matrix_from(entries, basis))
     mean, half = (a + c) / 2, math.hypot((a - c) / 2, b)
@@ -61,37 +59,64 @@ def test_sign_convention(decomp5):
 def test_zero_field_reproduces_bare_energies():
     basis = enumerate_basis(3)
     omega = 0.1
-    decomp = diagonalize(assemble(basis, LaserField(0.0, omega)))
-    bare = sorted(-1 / (2 * s.n**2) + s.mu * omega for s in basis.states)
-    np.testing.assert_allclose(decomp.energies, bare, atol=1e-15)
+    for parity in (0, 1):
+        decomp = diagonalize(assemble(basis, LaserField(0.0, omega), parity=parity))
+        bare = sorted(-1 / (2 * s.n**2) + s.mu * omega
+                      for s in basis.states if s.parity == parity)
+        np.testing.assert_allclose(decomp.energies, bare, atol=1e-15)
 
 
 def test_nonsymmetric_rejected():
-    # only a matrix from assemble (symmetric by construction) is solved; a
-    # matrix made elsewhere carries no positions and is refused
+    # only a matrix from assemble (symmetric by construction, read-only) is
+    # solved; an unmirrored matrix made elsewhere is refused, whole-basis or
+    # of the class's size, writeable or not
     basis = enumerate_basis(2)
-    entries = np.diag([-0.5, -0.125, -0.2, -0.3, -0.4])
-    entries[0, 1] = 1e-3  # not mirrored
-    matrix = PseudoHamiltonianMatrix(
-        entries=entries, basis=basis, laser=LaserField(0.0, 1.0)
-    )
-    with pytest.raises(ConfigurationError):
-        diagonalize(matrix)
+    whole = np.diag([-0.5, -0.125, -0.2, -0.3, -0.4])
+    whole[0, 1] = 1e-3  # not mirrored
+    whole_read_only = whole.copy()
+    whole_read_only.flags.writeable = False
+    one_class = np.diag([-0.5, -0.125, -0.2, -0.4])
+    one_class[0, 1] = 1e-3
+    for entries in (whole, whole_read_only, one_class):
+        matrix = PseudoHamiltonianMatrix(
+            entries=entries, basis=basis, laser=LaserField(0.0, 1.0), parity=0
+        )
+        with pytest.raises(ConfigurationError, match="built by assemble"):
+            diagonalize(matrix)
 
 
 @pytest.mark.parametrize("n0", [1, 3])
 def test_matrix_without_positions_rejected(n0):
+    # the entries of an assembled matrix, copied into a writeable array,
+    # are no longer a matrix that assemble built
     matrix = assemble(enumerate_basis(n0), LaserField(0.05, 0.1))
     outside = PseudoHamiltonianMatrix(
-        entries=matrix.entries, basis=matrix.basis, laser=matrix.laser
+        entries=matrix.entries.copy(), basis=matrix.basis, laser=matrix.laser,
+        parity=matrix.parity,
     )
     with pytest.raises(ConfigurationError, match="built by assemble"):
         diagonalize(outside)
+    other_class = PseudoHamiltonianMatrix(
+        entries=matrix.entries, basis=matrix.basis, laser=matrix.laser, parity=1
+    )
+    with pytest.raises(ConfigurationError, match="built by assemble"):
+        diagonalize(other_class)
+
+
+def test_default_solve_is_the_class_of_the_ground_state():
+    basis = enumerate_basis(4)
+    laser = LaserField(0.3, 0.1)
+    default = diagonalize(assemble(basis, laser))
+    even = diagonalize(assemble(basis, laser, parity=0))
+    assert default.parity == even.parity == 0
+    np.testing.assert_array_equal(default.energies, even.energies)
+    np.testing.assert_array_equal(default.coefficients, even.coefficients)
+    np.testing.assert_array_equal(default.rows, basis.class_positions(0))
 
 
 def test_near_degenerate_pairs():
     basis = enumerate_basis(2)
-    entries = np.diag([-0.5, -0.5 + 1e-12, -0.3, -0.2, -0.1])
+    entries = np.diag([-0.5, -0.5 + 1e-12, -0.3, -0.1])
     decomp = diagonalize(_matrix_from(entries, basis))
     index, gaps = decomp.level_gaps()
     assert list(index[gaps < 1e-10]) == [0]
@@ -110,9 +135,9 @@ def test_track_state_zero_field():
 
 def test_track_state_warns_when_strongly_mixed(caplog):
     basis = enumerate_basis(2)
-    # hand-built decomposition: the (1,0,0) row is spread 1/3-1/3-1/3
+    # hand-built class-0 decomposition: the (1,0,0) row is spread 1/3-1/3-1/3
     s2, s3, s6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
-    c = np.eye(5)
+    c = np.eye(4)
     c[:3, :3] = np.array(
         [
             [1 / s3, 1 / s3, 1 / s3],
@@ -121,9 +146,10 @@ def test_track_state_warns_when_strongly_mixed(caplog):
         ]
     )
     decomp = EigenDecomposition(
-        energies=np.array([-0.5, -0.4, -0.3, -0.2, -0.1]),
+        energies=np.array([-0.5, -0.4, -0.3, -0.1]),
         coefficients=c,
         basis=basis,
+        parity=0,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # reported through logging, not warnings
@@ -143,7 +169,7 @@ def test_track_state_outside_basis():
         track_state(decomp, QuantumNumbers(5, 0, 0))
 
 
-@pytest.mark.parametrize("parity", [0, None], ids=["vector-solve", "whole-basis-solve"])
+@pytest.mark.parametrize("parity", [0], ids=["vector-solve"])
 def test_lapack_failure_raises_convergence_error(monkeypatch, parity):
     def failing(a, *args, **kwargs):
         raise np.linalg.LinAlgError("injected: no convergence")

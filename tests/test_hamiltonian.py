@@ -14,6 +14,18 @@ from laserhydrogen.errors import ConfigurationError
 from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import ionization_intensity_scan
 from laserhydrogen.transitions import intensity_scan, spectrum_scan
+from oracles import whole_hamiltonian
+
+
+def _assert_class_blocks(basis, laser, whole, include_a2=True):
+    """Each parity class assembled alone is its block of the whole-basis H,
+    entry for entry."""
+    for parity in (0, 1):
+        block = basis.class_positions(parity)
+        np.testing.assert_array_equal(
+            assemble(basis, laser, include_a2, parity=parity).entries,
+            whole[np.ix_(block, block)],
+        )
 
 
 def test_laser_field_validation():
@@ -53,43 +65,61 @@ def test_every_library_scan_rejects_a_bad_amplitude(bad):
 
 def test_assemble_symmetric_and_real():
     basis = enumerate_basis(4)
-    h = assemble(basis, LaserField(0.4, 0.05)).entries
-    assert h.dtype == np.float64
-    assert np.array_equal(h, h.T)
+    for parity in (0, 1):
+        h = assemble(basis, LaserField(0.4, 0.05), parity=parity).entries
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 1] = 1e-3  # diagonalize trusts that nothing unmirrored it
+
+
+@pytest.mark.parametrize("parity", [None, 2, -1])
+def test_assemble_needs_a_parity_class(parity):
+    with pytest.raises(ConfigurationError, match="parity must be 0 or 1"):
+        assemble(enumerate_basis(3), LaserField(0.1, 0.1), parity=parity)
 
 
 def test_assemble_diagonal():
     basis = enumerate_basis(3)
     amp, omega = 0.3, 0.07
-    h = assemble(basis, LaserField(amp, omega)).entries
+    laser = LaserField(amp, omega)
+    h = whole_hamiltonian(basis, laser)
     for i, s in enumerate(basis.states):
         expected = bound_energy(s.n) + s.mu * omega + 0.5 * amp**2
         assert h[i, i] == pytest.approx(expected, rel=1e-15)
+    _assert_class_blocks(basis, laser, h)
 
 
 def test_assemble_drop_a2():
     basis = enumerate_basis(3)
     amp, omega = 0.3, 0.07
-    with_a2 = assemble(basis, LaserField(amp, omega)).entries
-    without = assemble(basis, LaserField(amp, omega), include_a2=False).entries
+    laser = LaserField(amp, omega)
+    with_a2 = whole_hamiltonian(basis, laser)
+    without = whole_hamiltonian(basis, laser, include_a2=False)
     np.testing.assert_allclose(
         np.diag(with_a2) - np.diag(without), 0.5 * amp**2, rtol=1e-14
     )
     np.testing.assert_array_equal(
         with_a2 - np.diag(np.diag(with_a2)), without - np.diag(np.diag(without))
     )
+    _assert_class_blocks(basis, laser, with_a2)
+    _assert_class_blocks(basis, laser, without, include_a2=False)
 
 
 def test_assemble_zero_field_is_diagonal():
     basis = enumerate_basis(4)
-    h = assemble(basis, LaserField(0.0, 0.1)).entries
+    laser = LaserField(0.0, 0.1)
+    h = whole_hamiltonian(basis, laser)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
+    _assert_class_blocks(basis, laser, h)
 
 
 def test_off_diagonal_selection_rules_and_values():
     basis = enumerate_basis(4)
     amp = 0.25
-    h = assemble(basis, LaserField(amp, 0.05)).entries
+    laser = LaserField(amp, 0.05)
+    h = whole_hamiltonian(basis, laser)
+    _assert_class_blocks(basis, laser, h)
     for i, a in enumerate(basis.states):
         for j, b in enumerate(basis.states):
             if i == j:
@@ -131,9 +161,11 @@ def test_assemble_has_no_cross_parity_entries():
     basis = enumerate_basis(6)
     parity = np.array([(s.l + s.mu) % 2 for s in basis.states])
     for amp, omega in ((0.3, 0.07), (0.01, 0.4), (0.5, 0.002)):
-        h = assemble(basis, LaserField(amp, omega)).entries
+        laser = LaserField(amp, omega)
+        h = whole_hamiltonian(basis, laser)
         assert np.count_nonzero(h[np.ix_(parity == 0, parity == 1)]) == 0
         assert np.count_nonzero(h[np.ix_(parity == 1, parity == 0)]) == 0
+        _assert_class_blocks(basis, laser, h)
 
 
 def test_second_point_of_a_sweep_hits_the_coupling_cache():

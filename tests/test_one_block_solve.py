@@ -2,13 +2,13 @@
 
 A scan assembles only the class of its initial state
 (`assemble(..., parity=p)`) and `diagonalize` stores that class's
-energies, vectors and basis positions.  These tests hold it to the
-whole-basis solve and to the full-matrix `scipy.linalg.eigh`, check that
+energies and vectors.  These tests hold it to `numpy.linalg.eigh` and
+`scipy.linalg.eigh` of the whole-basis H of `tests/oracles.py`, check that
 the other class cannot be read, that `global_index` counts the other
-class's levels as a whole-basis solve orders them, that no matrix over the
-whole basis is allocated on the scan path, and hold the CLI's CSVs to the
-full-matrix `scipy.linalg.eigh` with its default LAPACK routine, as the
-scans used before.
+class's levels as a stable merge of both classes' spectra orders them,
+that no matrix over the whole basis is allocated on the scan path, and
+hold the CLI's CSVs to the full-matrix `scipy.linalg.eigh` with its
+default LAPACK routine, as the scans used before.
 """
 
 import csv
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laserhydrogen.cli as cli
+import laserhydrogen.ionization as ionization
 import laserhydrogen.transitions as transitions
 from laserhydrogen import (
     DEGENERACY_GAP,
@@ -43,6 +44,7 @@ from laserhydrogen import (
 )
 from laserhydrogen.eigensolver import global_index
 from laserhydrogen.ionization import IonizationScanPoint
+from oracles import whole_hamiltonian
 
 GROUND = QuantumNumbers(1, 0, 0)
 ODD = QuantumNumbers(2, 1, 0)  # (l + mu) odd: the class without the ground state
@@ -59,38 +61,67 @@ def _class_solve(basis, laser, initial, include_a2=True):
     )
 
 
-def _class_columns(full, parity):
-    """Columns of a whole-basis decomposition that belong to one class."""
-    return np.nonzero(full.block_labels == parity)[0]
+def _whole_eigh_of_class(basis, laser, parity, include_a2=True, eigh=np.linalg.eigh):
+    """eigh of the whole-basis H, restricted to the rows and the dressed
+    states of one class, as a decomposition of that class.
+
+    A column's class is that of its largest component; at the fields used
+    here the whole solve does not mix the classes.  Also returns the column
+    of each of the class's levels in the whole spectrum.
+    """
+    energies, vectors = eigh(whole_hamiltonian(basis, laser, include_a2))
+    rows = basis.class_positions(parity)
+    cols = np.flatnonzero(basis.parity[np.argmax(np.abs(vectors), axis=0)] == parity)
+    decomp = EigenDecomposition(
+        energies[cols], vectors[np.ix_(rows, cols)], basis, parity, include_a2
+    )
+    return decomp, cols
+
+
+def _merged_columns(basis, laser):
+    """Column of each level of class 0 and of class 1 in the stable merge
+    of both classes' eigenvalues of the whole-basis H, class 0 first in a
+    tie; and the merged energies."""
+    whole = whole_hamiltonian(basis, laser)
+    levels = [
+        np.linalg.eigvalsh(whole[np.ix_(rows, rows)])
+        for rows in (basis.class_positions(p) for p in (0, 1))
+    ]
+    energies = np.concatenate(levels)
+    order = np.argsort(energies, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    return (column[:len(levels[0])], column[len(levels[0]):]), energies[order]
 
 
 @pytest.fixture(scope="module")
 def one_block():
     laser = LaserField(0.3, 0.1)
     basis = enumerate_basis(4)
-    return _class_solve(basis, laser, GROUND), diagonalize(assemble(basis, laser)), laser
+    whole = _whole_eigh_of_class(basis, laser, 0)
+    return _class_solve(basis, laser, GROUND), whole, laser
 
 
 def test_only_the_initial_block_has_vectors(one_block):
-    decomp, full, laser = one_block
+    decomp, _, laser = one_block
     parity = np.array([_parity(s) for s in decomp.basis.states])
-    np.testing.assert_array_equal(decomp.positions, np.nonzero(parity == 0)[0])
-    assert decomp.coefficients.shape == (len(decomp.positions),) * 2
-    cols = _class_columns(full, 0)
-    # the class block is handed to LAPACK as the whole-basis solve hands it
-    np.testing.assert_allclose(decomp.energies, full.energies[cols], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(decomp.rows, np.nonzero(parity == 0)[0])
+    assert decomp.parity == 0
+    assert decomp.coefficients.shape == (len(decomp.rows),) * 2
+    # the class is handed to LAPACK as the class block of the whole-basis H
+    block = whole_hamiltonian(decomp.basis, laser)[np.ix_(decomp.rows, decomp.rows)]
+    energies, vectors = np.linalg.eigh(block)
+    np.testing.assert_allclose(decomp.energies, energies, rtol=0, atol=1e-15)
     np.testing.assert_allclose(
-        np.abs(decomp.coefficients),
-        np.abs(full.coefficients[np.ix_(decomp.positions, cols)]), rtol=0, atol=1e-12,
+        np.abs(decomp.coefficients), np.abs(vectors), rtol=0, atol=1e-12,
     )
-    index, gaps = full.level_gaps()
-    pairs = [i for i in index[gaps < DEGENERACY_GAP] if full.block_labels[i] == 0]
+    pairs = np.flatnonzero(np.diff(energies) < DEGENERACY_GAP)
     index, gaps = decomp.level_gaps()
-    assert list(index[gaps < DEGENERACY_GAP]) == list(np.searchsorted(cols, pairs))
+    assert list(index[gaps < DEGENERACY_GAP]) == list(pairs)
 
 
 def test_reading_the_unsolved_block_raises(one_block):
-    decomp, full, laser = one_block
+    decomp, _, laser = one_block
     final = ContinuumState(0.1, 2, 1)
     with pytest.raises(ConfigurationError, match="parity class"):
         transition_table(decomp, ODD, laser)
@@ -106,20 +137,21 @@ def test_reading_the_unsolved_block_raises(one_block):
     for index in (decomp.dimension, -1):
         with pytest.raises(ConfigurationError, match="not among"):
             bound_free_element(decomp, index, final)
-    # the whole-basis solve answers the same questions: W across the classes is 0
-    assert averaged_probability(full, GROUND, ODD) == 0.0
-    assert transition_table(full, ODD, laser).probability(GROUND) == 0.0
+    # each class's table answers the other class's question: W across is 0
+    odd = _class_solve(decomp.basis, laser, ODD)
+    assert transition_table(decomp, GROUND, laser).probability(ODD) == 0.0
+    assert transition_table(odd, ODD, laser).probability(GROUND) == 0.0
 
 
 def test_reading_the_solved_block_matches_the_full_solve(one_block):
-    decomp, full, laser = one_block
+    decomp, (full, cols), laser = one_block
     table, reference = (transition_table(d, GROUND, laser) for d in (decomp, full))
     np.testing.assert_allclose(
         table.probabilities, reference.probabilities, rtol=0, atol=1e-14
     )
     tracked, tracked_full = track_state(decomp, GROUND), track_state(full, GROUND)
     assert tracked.overlap == pytest.approx(tracked_full.overlap, rel=1e-12)
-    assert global_index(decomp, tracked.index, laser) == tracked_full.index
+    assert global_index(decomp, tracked.index, laser) == cols[tracked_full.index]
     final = QuantumNumbers(3, 2, 2)
     assert averaged_probability(decomp, GROUND, final) == pytest.approx(
         averaged_probability(full, GROUND, final), rel=1e-12
@@ -156,16 +188,6 @@ def test_initial_state_outside_the_basis():
     assert "no state of the n0=1 basis has parity 1" in result.error
 
 
-def test_hand_built_decomposition_reads_every_column():
-    basis = enumerate_basis(2)
-    decomp = EigenDecomposition(
-        energies=np.arange(5.0), coefficients=np.eye(5), basis=basis
-    )
-    table = transition_table(decomp, ODD, LaserField(0.0, 0.1))
-    assert table.probability(ODD) == 1.0
-    np.testing.assert_array_equal(decomp.column(4), np.eye(5)[:, 4])
-
-
 @pytest.mark.parametrize("n0", [10, 18])
 @pytest.mark.parametrize("initial", [GROUND, ODD], ids=["even", "odd"])
 def test_class_solve_matches_full_eigh_fig1_field(n0, initial):
@@ -175,7 +197,7 @@ def test_class_solve_matches_full_eigh_fig1_field(n0, initial):
     )
     basis = enumerate_basis(n0)
     decomp = _class_solve(basis, laser, initial)
-    energies, vectors = scipy.linalg.eigh(assemble(basis, laser).entries)
+    energies, vectors = scipy.linalg.eigh(whole_hamiltonian(basis, laser))
     parity = np.array([_parity(s) for s in basis.states])
     # a column's class is that of its largest component
     in_class = parity[np.argmax(np.abs(vectors), axis=0)] == _parity(initial)
@@ -204,11 +226,21 @@ def test_one_block_solve_equals_full_solve(case):
     laser = LaserField(amplitude, omega)
     basis = enumerate_basis(n0)
     decomp = _class_solve(basis, laser, initial)
-    full = diagonalize(assemble(basis, laser))
-    cols = _class_columns(full, _parity(initial))
-    np.testing.assert_allclose(decomp.energies, full.energies[cols], rtol=0, atol=1e-12)
+    whole = whole_hamiltonian(basis, laser)
+    # the class's levels are its part of the whole-basis spectrum
+    cols, merged = _merged_columns(basis, laser)
+    np.testing.assert_allclose(merged, np.linalg.eigvalsh(whole), rtol=0, atol=1e-12)
+    cols = cols[_parity(initial)]
+    np.testing.assert_allclose(decomp.energies, merged[cols], rtol=0, atol=1e-12)
+    # W against the vectors of the class block of the whole-basis H; with
+    # exactly tied levels in the two classes, an eigh of the whole matrix
+    # may return any mixture of them
+    rows = decomp.rows
+    _, vectors = np.linalg.eigh(whole[np.ix_(rows, rows)])
+    start = int(np.searchsorted(rows, basis.position(initial)))
+    w_full = np.zeros(len(basis))
+    w_full[rows] = (vectors**2) @ (vectors[start] ** 2)
     w = transition_table(decomp, initial, laser).probabilities
-    w_full = transition_table(full, initial, laser).probabilities
     np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-12)
     assert abs(w.sum() - 1.0) < 1e-12
 
@@ -220,17 +252,17 @@ def test_dressed_index_is_the_position_in_the_full_spectrum(case):
     laser = LaserField(amplitude, omega)
     basis = enumerate_basis(n0)
     decomp = _class_solve(basis, laser, initial)
-    full = diagonalize(assemble(basis, laser))
-    # the whole-basis solve puts the class's i-th level at column cols[i]
-    cols = _class_columns(full, _parity(initial))
-    other = np.delete(full.energies, cols)
+    # the stable merge puts the class's i-th level at column cols[i]
+    cols, merged = _merged_columns(basis, laser)
+    cols = cols[_parity(initial)]
+    other = np.delete(merged, cols)
     # Levels with no partner in the field are exactly diagonal entries, and
     # two of them in different classes can tie exactly; evd returns such a
-    # level to within a few ulp, so rounding orders a tie, in the whole-basis
-    # solve and in the other class's eigenvalues that global_index counts,
-    # each its own way (exact ties: test_exact_cross_class_tie_at_zero_field).
-    # Compare the other levels.
-    resolution = 64 * np.finfo(float).eps * np.abs(full.energies).max()
+    # level to within a few ulp, so rounding orders a tie, in the class's
+    # vector solve and in the eigenvalues alone that the merge and
+    # global_index compare, each its own way (exact ties:
+    # test_exact_cross_class_tie_at_zero_field).  Compare the other levels.
+    resolution = 64 * np.finfo(float).eps * np.abs(merged).max()
     for i, e_i in enumerate(decomp.energies):
         if not np.any(np.abs(other - e_i) <= resolution):
             assert global_index(decomp, i, laser) == cols[i]
@@ -239,15 +271,17 @@ def test_dressed_index_is_the_position_in_the_full_spectrum(case):
 @pytest.mark.parametrize("initial", [QuantumNumbers(2, 0, 0), ODD], ids=["even", "odd"])
 def test_exact_cross_class_tie_at_zero_field(initial):
     # At A = 0 the levels are the diagonal E_n + mu*omega: (2, 0, 0), even,
-    # and (2, 1, 0), odd, both lie exactly at E_2.  The whole-basis solve
-    # merges the classes with a stable sort, even class first, so the even
-    # state of the tie comes first and the odd one second.
+    # and (2, 1, 0), odd, both lie exactly at E_2.  A stable merge of the
+    # classes' spectra, even class first, puts the even state of the tie
+    # first and the odd one second.
     laser = LaserField(0.0, 0.05)
     basis = enumerate_basis(3)
-    full = diagonalize(assemble(basis, laser))
-    even, odd = (full.row(QuantumNumbers(2, 0, 0)), full.row(ODD))
-    tie = (int(np.argmax(even**2)), int(np.argmax(odd**2)))
-    assert full.energies[tie[0]] == full.energies[tie[1]] == -0.125
+    cols, merged = _merged_columns(basis, laser)
+    tie = tuple(
+        int(cols[_parity(s)][track_state(_class_solve(basis, laser, s), s).index])
+        for s in (QuantumNumbers(2, 0, 0), ODD)
+    )
+    assert merged[tie[0]] == merged[tie[1]] == -0.125
     assert tie[1] == tie[0] + 1
     decomp = _class_solve(basis, laser, initial)
     tracked = track_state(decomp, initial)
@@ -360,35 +394,31 @@ def test_scan_point_allocates_no_whole_basis_matrix(point):
 # --- CLI output against the full-matrix solve -------------------------------
 
 
-def _full_eigh(matrix):
+class _FullEigh:
     """The scans' earlier eigensolve: `scipy.linalg.eigh` with its default
-    LAPACK routine on the whole matrix, every eigenvector computed."""
-    whole = assemble(matrix.basis, matrix.laser, matrix.include_a2)
-    energies, vectors = scipy.linalg.eigh(whole.entries)
-    parity = np.array([_parity(s) for s in matrix.basis.states])
-    # a column's class is that of its largest component; the full solve
-    # does not mix the classes, because the matrix has no entries between them
-    labels = parity[np.argmax(np.abs(vectors), axis=0)]
-    return EigenDecomposition(energies, vectors, matrix.basis, block_labels=labels)
+    LAPACK routine on the whole matrix, every eigenvector computed, then
+    restricted to the class a matrix holds, as the scan keeps it.
 
+    `index` gives the column of a class level in that whole spectrum: the
+    dressed_index of the earlier scans.
+    """
 
-def _full_eigh_of_class(matrix):
-    """`_full_eigh` restricted to the class `matrix` holds, as the scan keeps it."""
-    full = _full_eigh(matrix)
-    state = matrix.basis.states[matrix.positions[0]]
-    cols = _class_columns(full, _parity(state))
-    return EigenDecomposition(
-        full.energies[cols],
-        full.coefficients[np.ix_(matrix.positions, cols)],
-        matrix.basis,
-        positions=matrix.positions,
-    )
+    def __call__(self, matrix):
+        decomp, self.cols = _whole_eigh_of_class(
+            matrix.basis, matrix.laser, matrix.parity, matrix.include_a2,
+            eigh=scipy.linalg.eigh,
+        )
+        return decomp
+
+    def index(self, decomp, index, laser):
+        return int(self.cols[index])
 
 
 def _run_both(tmp_path, monkeypatch, argv, reference):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     assert cli.main(argv + ["--out", str(new)]) == 0
     monkeypatch.setattr(transitions, "diagonalize", reference)
+    monkeypatch.setattr(ionization, "global_index", reference.index)
     assert cli.main(argv + ["--out", str(ref)]) == 0
     rows = []
     for path in (new, ref):
@@ -400,7 +430,7 @@ def _run_both(tmp_path, monkeypatch, argv, reference):
 def test_spectrum_csv_matches_full_solve_fig1_field(tmp_path, monkeypatch):
     new, ref = _run_both(
         tmp_path, monkeypatch, ["spectrum", "--preset", "fig1", "--count", "2"],
-        _full_eigh_of_class,
+        _FullEigh(),
     )
     assert [r[:7] + r[8:] for r in new] == [r[:7] + r[8:] for r in ref]
     assert {r[0] for r in new} == {"0.1", "1.0"}
@@ -410,11 +440,10 @@ def test_spectrum_csv_matches_full_solve_fig1_field(tmp_path, monkeypatch):
 
 
 def test_ionization_csv_matches_full_solve_fig3_field(tmp_path, monkeypatch):
-    # the reference is the whole-basis decomposition, so its dressed_index is
-    # the tracked column of the full spectrum, not a count of the other
-    # class's levels
+    # the reference's dressed_index is the tracked column of the full
+    # spectrum, not a count of the other class's levels
     new, ref = _run_both(
-        tmp_path, monkeypatch, ["ionization", "--preset", "fig3"], _full_eigh
+        tmp_path, monkeypatch, ["ionization", "--preset", "fig3"], _FullEigh()
     )
     assert len(new) == len(ref) > 10
     exact = (0, 1, 2, 5)  # A, omega, dressed_index, mu_branch

@@ -1,8 +1,9 @@
-"""The parity-block eigensolve against the plain full-matrix solve.
+"""The parity-class eigensolves against the plain full-matrix solve.
 
 The field lies in the xy-plane, so the z-reflection parity (l + mu) mod 2
-of the bare states is conserved and `diagonalize` solves the two classes
-separately.  These tests hold it to `scipy.linalg.eigh` of the whole matrix.
+of the bare states is conserved and `assemble` and `diagonalize` handle one
+class at a time.  These tests hold the two class solves together to
+`scipy.linalg.eigh` of the whole-basis H of `tests/oracles.py`.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laserhydrogen import (
-    EigenDecomposition,
     LaserField,
     QuantumNumbers,
     UnitSystem,
@@ -21,11 +21,32 @@ from laserhydrogen import (
     enumerate_basis,
 )
 
-from conftest import w_matrix
+from oracles import whole_hamiltonian
 
 
 def _parity(basis):
     return np.array([(s.l + s.mu) % 2 for s in basis.states])
+
+
+def _both_classes(basis, laser):
+    """The solves of both parity classes as one spectrum of the whole basis.
+
+    Returns the energies in a stable merge (class 0 first in a tie), the
+    coefficients over every basis state at those columns and each column's
+    class.
+    """
+    decomps = [diagonalize(assemble(basis, laser, parity=p)) for p in (0, 1)]
+    energies = np.concatenate([d.energies for d in decomps])
+    labels = np.repeat([0, 1], [d.dimension for d in decomps])
+    coefficients = np.zeros((len(basis), len(basis)))
+    start = 0
+    for d in decomps:
+        coefficients[np.ix_(d.rows, np.arange(start, start + d.dimension))] = (
+            d.coefficients
+        )
+        start += d.dimension
+    order = np.argsort(energies, kind="stable")
+    return energies[order], coefficients[:, order], labels[order]
 
 
 def _cluster_projectors(energies, vectors, gap):
@@ -50,17 +71,14 @@ def test_block_solve_matches_full_eigh_fig1_field(n0):
         units.vector_potential_to_internal(5e-6), units.ev_to_internal(0.5)
     )
     basis = enumerate_basis(n0)
-    matrix = assemble(basis, laser)
-    decomp = diagonalize(matrix)
-    energies, vectors = scipy.linalg.eigh(matrix.entries)
-    np.testing.assert_allclose(decomp.energies, energies, rtol=0, atol=1e-12)
+    block_energies, coefficients, labels = _both_classes(basis, laser)
+    energies, vectors = scipy.linalg.eigh(whole_hamiltonian(basis, laser))
+    np.testing.assert_allclose(block_energies, energies, rtol=0, atol=1e-12)
     ground = basis.position(QuantumNumbers(1, 0, 0))
-    w_block = (decomp.coefficients**2) @ (decomp.coefficients[ground] ** 2)
+    w_block = (coefficients**2) @ (coefficients[ground] ** 2)
     w_full = (vectors**2) @ (vectors[ground] ** 2)
     np.testing.assert_allclose(w_block, w_full, rtol=0, atol=1e-12)
-    assert sorted(np.bincount(decomp.block_labels)) == sorted(
-        np.bincount(_parity(basis))
-    )
+    assert sorted(np.bincount(labels)) == sorted(np.bincount(_parity(basis)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -71,47 +89,20 @@ def test_block_solve_matches_full_eigh_fig1_field(n0):
 )
 def test_block_solve_equals_full_solve(n0, amplitude, omega):
     basis = enumerate_basis(n0)
-    matrix = assemble(basis, LaserField(amplitude, omega))
-    decomp = diagonalize(matrix)
-    energies, vectors = scipy.linalg.eigh(matrix.entries)
-    np.testing.assert_allclose(decomp.energies, energies, rtol=0, atol=1e-12)
-    block, bounds = _cluster_projectors(decomp.energies, decomp.coefficients, 1e-6)
+    laser = LaserField(amplitude, omega)
+    block_energies, coefficients, _ = _both_classes(basis, laser)
+    energies, vectors = scipy.linalg.eigh(whole_hamiltonian(basis, laser))
+    np.testing.assert_allclose(block_energies, energies, rtol=0, atol=1e-12)
+    block, bounds = _cluster_projectors(block_energies, coefficients, 1e-6)
     full, full_bounds = _cluster_projectors(energies, vectors, 1e-6)
     assert np.array_equal(bounds, full_bounds)
     for p_block, p_full in zip(block, full):
         np.testing.assert_allclose(p_block, p_full, rtol=0, atol=1e-8)
 
-    w = w_matrix(decomp)
+    c2 = coefficients**2
+    w = c2 @ c2.T
     np.testing.assert_allclose(w, w.T, rtol=0, atol=1e-14)
     np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     parity = _parity(basis)
     assert not w[np.ix_(parity == 0, parity == 1)].any()
-
-
-def test_near_degenerate_pairs_only_inside_a_block():
-    basis = enumerate_basis(2)
-    decomp = EigenDecomposition(
-        energies=np.array([-0.5, -0.5, -0.3, -0.3 + 1e-12, -0.1]),
-        coefficients=np.eye(5),
-        basis=basis,
-        block_labels=np.array([0, 1, 0, 0, 1]),
-    )
-    # columns 0/1: an exact tie between the classes, not flagged;
-    # columns 2/3: a 1e-12 gap inside class 0, flagged
-    index, gaps = decomp.level_gaps()
-    assert list(index[gaps < 1e-10]) == [2]
-    assert list(index[gaps < 1e-14]) == []
-
-
-def test_near_degenerate_pairs_skip_other_block_between():
-    basis = enumerate_basis(2)
-    decomp = EigenDecomposition(
-        energies=np.array([-0.5, -0.5 + 5e-13, -0.5 + 1e-12, -0.2, -0.1]),
-        coefficients=np.eye(5),
-        basis=basis,
-        block_labels=np.array([0, 1, 0, 1, 0]),
-    )
-    # columns 0 and 2 are neighbours within class 0
-    index, gaps = decomp.level_gaps()
-    assert list(index[gaps < 1e-10]) == [0]

@@ -33,10 +33,12 @@ def test_w_doubly_stochastic_and_symmetric(decomp5):
 def test_transition_table_matches_averaged_probability(decomp5):
     decomp, laser = decomp5
     table = transition_table(decomp, GROUND, laser)
-    for final in (GROUND, QuantumNumbers(2, 1, 1), QuantumNumbers(4, 3, -2)):
+    for final in (GROUND, QuantumNumbers(2, 1, 1), QuantumNumbers(4, 3, -3)):
         assert table.probability(final) == pytest.approx(
             averaged_probability(decomp, GROUND, final), rel=1e-13
         )
+    # the decomposition holds the ground state's class; W into the other is 0
+    assert table.probability(QuantumNumbers(4, 3, -2)) == 0.0
     assert float(table.probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
     assert table.as_dict()[GROUND] == table.probability(GROUND)
 
@@ -56,7 +58,7 @@ def test_time_resolved_at_t0_is_kronecker(decomp5):
         decomp, GROUND, GROUND, 0.0, laser.omega
     ) == pytest.approx(1.0, abs=1e-12)
     assert time_resolved_probability(
-        decomp, GROUND, QuantumNumbers(3, 1, 0), 0.0, laser.omega
+        decomp, GROUND, QuantumNumbers(3, 1, 1), 0.0, laser.omega
     ) == pytest.approx(0.0, abs=1e-12)
 
 
