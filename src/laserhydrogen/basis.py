@@ -12,8 +12,9 @@ exact commutator relation
 holds in atomic units.  The dipole radial integrals (l and l - 1) are
 evaluated with Gordon's closed form, two terminating Gauss series summed in
 exact integer arithmetic.  `coupling_arrays` holds every nonzero p_x element
-of a basis at its basis positions.  This module alone knows the state order
-and the parity rule; other modules read them from `BasisSet`.
+of a basis at its basis positions.  This module alone knows the state order,
+the parity rule and the two mu halves of a class; other modules read them
+from `BasisSet`.
 """
 
 import math
@@ -92,6 +93,13 @@ class BasisSet:
     def class_positions(self, parity: int) -> np.ndarray:
         """Basis positions of the states of parity 0 or 1, ascending."""
         return np.flatnonzero(self.parity == parity)
+
+    def class_halves(self, parity: int):
+        """Rows of the class `parity` (indices into its class_positions)
+        whose mu is even, and those whose mu is odd, each ascending.  p_x
+        changes mu by one, so every coupling joins one half to the other."""
+        odd = self.mu[self.class_positions(parity)] % 2 == 1
+        return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
 def _read_only(values) -> np.ndarray:

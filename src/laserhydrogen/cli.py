@@ -264,6 +264,12 @@ def run(config: RunConfig) -> int:
         metadata["ambiguous_axis_values"] = [
             p.axis_value for p in points if p.ambiguous
         ]
+        # Points whose tracked state the folded solve could not certify, so
+        # the solve of the whole class gave it.  Its small components, and so
+        # sigma of strongly suppressed branches, carry that solve's rounding.
+        metadata["full_solve_axis_values"] = [
+            p.axis_value for p in computed if p.full_solve
+        ]
     else:
         metadata["tolerances"] = {
             "w_min": config.w_min,

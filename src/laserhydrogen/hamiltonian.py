@@ -9,10 +9,12 @@ The p_x elements depend only on the basis, so their positions and values
 are built once per n0 (`basis.coupling_arrays`) and each field point costs
 one diagonal fill plus one scaled scatter of those values.  Every nonzero
 element joins states of equal z-reflection parity (l + mu) mod 2, so H is
-block diagonal in the two parity classes, and `assemble` builds one class:
-its block, in Fortran order, from the couplings of that class.  No matrix
-over the whole basis is ever built; a scan follows one initial state and
-assembles only that state's class.
+block diagonal in the two parity classes.  `class_terms` gives the pieces
+of one class, its diagonal and its scaled couplings; `assemble` scatters
+them into that class's block, in Fortran order, and the folded solve of
+the eigensolver into the block between the class's two mu halves.  No
+matrix over the whole basis is ever built; a scan follows one initial
+state and solves only in that state's class.
 
 All quantities in atomic units.  The dipole (k*a0 << 1) coupling is used;
 the A^2/2 ponderomotive-type constant is kept on the diagonal by default
@@ -70,13 +72,17 @@ class PseudoHamiltonianMatrix:
         return self.entries.shape[0]
 
 
-def assemble(
-    basis: BasisSet, laser: LaserField, include_a2: bool = True, parity: int = 0
-) -> PseudoHamiltonianMatrix:
-    """Build the real symmetric pseudo-Hamiltonian of one parity class.
+def class_terms(
+    basis: BasisSet, laser: LaserField, include_a2: bool, parity: int
+):
+    """The pieces of the class `parity` (0 or 1) of H: its diagonal and its
+    couplings (rows, cols, A * p_x) with rows and cols indices into
+    `basis.class_positions(parity)`, each coupling listed once.
 
-    The matrix is the diagonal block of the class `parity` (0 or 1) in the
-    whole-basis H, entry for entry.  Class 0 holds the 1s state.
+    `assemble` scatters them into the class matrix; the folded solve of
+    `eigensolver.solve_tracked` into the block between the class's two mu
+    halves.  Raises ConfigurationError for a parity other than 0 or 1 and
+    for an empty class.
     """
     if parity not in (0, 1):
         raise ConfigurationError(f"parity must be 0 or 1, got {parity!r}")
@@ -85,20 +91,34 @@ def assemble(
         raise ConfigurationError(
             f"no state of the n0={basis.n0} basis has parity {parity}"
         )
-    dim = len(positions)
-    h = np.zeros((dim, dim), order="F")
     a2_shift = 0.5 * laser.amplitude_A**2 if include_a2 else 0.0
-    np.fill_diagonal(
-        h, basis.energy[positions] + basis.mu[positions] * laser.omega + a2_shift
+    diagonal = basis.energy[positions] + basis.mu[positions] * laser.omega + a2_shift
+    if laser.amplitude_A == 0.0:
+        none = np.zeros(0, dtype=np.intp)
+        return diagonal, none, none, np.zeros(0)
+    rows, cols, values = coupling_arrays(basis.n0)
+    keep = basis.parity[rows] == parity  # a coupling never crosses classes
+    local = np.empty(len(basis), dtype=np.intp)
+    local[positions] = np.arange(len(positions))
+    return (
+        diagonal, local[rows[keep]], local[cols[keep]],
+        laser.amplitude_A * values[keep],
     )
-    if laser.amplitude_A != 0.0:
-        rows, cols, values = coupling_arrays(basis.n0)
-        keep = basis.parity[rows] == parity  # a coupling never crosses classes
-        local = np.empty(len(basis), dtype=np.intp)
-        local[positions] = np.arange(dim)
-        rows, cols = local[rows[keep]], local[cols[keep]]
-        scaled = laser.amplitude_A * values[keep]
-        h[rows, cols] = scaled
-        h[cols, rows] = scaled
+
+
+def assemble(
+    basis: BasisSet, laser: LaserField, include_a2: bool = True, parity: int = 0
+) -> PseudoHamiltonianMatrix:
+    """Build the real symmetric pseudo-Hamiltonian of one parity class.
+
+    The matrix is the diagonal block of the class `parity` (0 or 1) in the
+    whole-basis H, entry for entry.  Class 0 holds the 1s state.
+    """
+    diagonal, rows, cols, scaled = class_terms(basis, laser, include_a2, parity)
+    dim = len(diagonal)
+    h = np.zeros((dim, dim), order="F")
+    np.fill_diagonal(h, diagonal)
+    h[rows, cols] = scaled
+    h[cols, rows] = scaled
     h.flags.writeable = False
     return PseudoHamiltonianMatrix(h, basis, laser, parity, include_a2)

@@ -18,6 +18,15 @@ with p_l = <psi_f0|p_x|phi_i> the golden-rule matrix element per unit A,
 normalized so that the cross section sigma = 16*alpha*v/omega *
 sum_l |beta_l|^2 (in units of pi*a0^2) reproduces the textbook one-photon
 cross section in the weak-field limit, which it equals at A = 0.
+
+A scan point (`IonizationScanPoint`) reads one dressed state, the one
+tracked from the initial bare state, and `eigensolver.solve_tracked`
+solves for it alone on half of its parity class.  Where that result
+cannot be certified, the point diagonalizes the whole class instead and
+records that it did (`full_solve`): the small components of such a
+vector, and so sigma of strongly suppressed branches, carry the full
+solve's rounding of about eps*|H|, while the folded solve's components
+are good to about 1e-13 relative.
 """
 
 import math
@@ -27,9 +36,11 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import QuantumNumbers, _radial_norm, angular_x, enumerate_basis
-from .eigensolver import EigenDecomposition, global_index, track_state
+from .eigensolver import (
+    EigenDecomposition, diagonalize, global_index, solve_tracked, track_state,
+)
 from .errors import ConfigurationError, DomainError
-from .hamiltonian import LaserField
+from .hamiltonian import LaserField, assemble
 from .specfun import AppellF2Params, _gauss_2f1, appell_f2, log_abs_gamma
 from .transitions import ScanRecord, scan
 from .units import BINDING_ENERGY_AU, CONSTANTS
@@ -189,7 +200,7 @@ def ionization_records(
     Each branch sums the continuum partial waves l_f = |mu| .. n0: the
     largest bound l, n0 - 1, plus one dipole step.
     """
-    e_i = float(decomp.energies[dressed_index])
+    e_i = decomp.energy(dressed_index)
     n0 = decomp.basis.n0
     alpha = CONSTANTS.fine_structure_alpha
     records = []
@@ -240,19 +251,35 @@ def cross_section(
 @dataclass(frozen=True)
 class IonizationScanPoint(ScanRecord):
     """The tracked initial dressed state at one field point and its
-    IonizationRecords; a failed point has none."""
+    IonizationRecords; a failed point has none.  full_solve marks a point
+    whose tracked state came from the solve of its whole class."""
 
     dressed_index: int = -1    # position in the spectrum of the whole basis
     overlap: float = float("nan")
     ambiguous: bool = False
     records: tuple = ()
+    full_solve: bool = False
 
     @classmethod
-    def observe(cls, decomp, initial, laser, axis_value) -> "IonizationScanPoint":
-        tracked = track_state(decomp, initial)
-        index = global_index(decomp, tracked.index, laser)
+    def observe(cls, basis, initial, laser, include_a2, axis_value):
+        """The state tracked from `initial` and its records at one field.
+
+        `solve_tracked` finds it on half of its class; where that result
+        cannot be certified, the class is assembled and diagonalized and
+        `track_state` and `global_index` pick and place the state.
+        """
+        solved = solve_tracked(basis, laser, initial, include_a2)
+        if solved is None:
+            decomp = diagonalize(
+                assemble(basis, laser, include_a2, parity=initial.parity)
+            )
+            tracked = track_state(decomp, initial)
+            index = global_index(decomp, tracked.index, laser)
+        else:
+            decomp, tracked, index = solved
         records = tuple(ionization_records(decomp, tracked.index, laser))
-        return cls(axis_value, index, tracked.overlap, tracked.ambiguous, records)
+        return cls(axis_value, index, tracked.overlap, tracked.ambiguous, records,
+                   full_solve=solved is None)
 
     @classmethod
     def from_failure(cls, axis_value, failure) -> "IonizationScanPoint":

@@ -7,11 +7,11 @@ probability before averaging is the multi-periodic
 |sum_i C_a(i) C_b(i) e^{-i(E_i - mu_b omega) t}|^2.
 
 Every sweep, the library scans and the command line alike, runs through
-`scan`, which assembles, diagonalizes and observes one field point after
-another and yields one record per point, a `ScanPoint` (W table) or an
-`ionization.IonizationScanPoint`, failed points included.  W out of the
-initial state is exactly 0 outside its parity class, so a scan assembles,
-solves and keeps that class alone.
+`scan`, which observes one field point after another and yields one record
+per point, a `ScanPoint` (W table) or an `ionization.IonizationScanPoint`,
+failed points included.  W out of the initial state is exactly 0 outside
+its parity class, so a `ScanPoint` assembles and solves that class alone;
+an ionization point reads one dressed state of it.
 """
 
 from dataclasses import dataclass, field
@@ -93,14 +93,16 @@ class ScanPoint(ScanRecord):
         return self.min_eigen_gap is not None and self.min_eigen_gap < DEGENERACY_GAP
 
     @classmethod
-    def observe(cls, decomp, initial, laser, axis_value) -> "ScanPoint":
+    def observe(cls, basis, initial, laser, include_a2, axis_value) -> "ScanPoint":
         """W table, |sum_b W - 1|, smallest level gap (None for a single
-        level) and outer-shell leakage of one scan point.
+        level) and outer-shell leakage of one scan point, from the solve of
+        the initial state's class.
 
         W near a pair of levels a gap apart carries rounding of about
         eps*|H|/gap.  The W that leaks into the outermost shell n = n0 is a
         proxy for the truncation error of the basis.
         """
+        decomp = diagonalize(assemble(basis, laser, include_a2, parity=initial.parity))
         table = transition_table(decomp, initial, laser)
         _, gaps = decomp.level_gaps()
         # enumerate_basis orders the states by n: the last n0**2 are n = n0
@@ -159,27 +161,25 @@ def time_resolved_probability(
 
 
 def scan(basis, initial, axis_values, lasers, point, include_a2=True):
-    """Run assemble -> diagonalize -> observe at each field of a sweep.
+    """Observe each field point of a sweep, one record per point.
 
     Yields, per axis value and laser (two sequences of equal length), the
-    record point.observe(decomp, initial, laser, axis_value), where point
-    is ScanPoint or IonizationScanPoint, or point.from_failure(...) if that
-    point raised: a failed point does not stop the scan.  Only the initial
-    state's parity class is assembled and solved.  Neither the matrix nor
-    the decomposition is bound to a name, so neither stays alive while the
-    generator waits at its yield and the next point is solved.
+    record point.observe(basis, initial, laser, include_a2, axis_value),
+    where point is ScanPoint or IonizationScanPoint, or
+    point.from_failure(...) if that point raised: a failed point does not
+    stop the scan.  Each record type solves what it reads, and only in the
+    initial state's parity class: a ScanPoint assembles and diagonalizes
+    the class, an IonizationScanPoint solves for its tracked state alone
+    where it can.  No solve outlives its observe call, so none stays alive
+    while the generator waits at its yield and the next point is solved.
     """
     if len(axis_values) != len(lasers):
         raise ConfigurationError(
             f"{len(axis_values)} axis values for {len(lasers)} field points"
         )
-    parity = initial.parity
     for axis_value, laser in zip(axis_values, lasers):
         try:
-            record = point.observe(
-                diagonalize(assemble(basis, laser, include_a2, parity=parity)),
-                initial, laser, axis_value,
-            )
+            record = point.observe(basis, initial, laser, include_a2, axis_value)
         except Exception as exc:  # the point fails, the scan goes on
             record = point.from_failure(axis_value, PointFailure.of(exc))
         yield record

@@ -6,7 +6,9 @@ here: normalized hydrogen radial functions integrated on Gauss-Laguerre
 grids, the Kummer function F(a, c, z) summed as a Taylor series, and the
 energy-normalized Coulomb wave.  The program builds and solves one parity
 class at a time; `whole_hamiltonian` is H over the whole basis, which the
-tests hold the class blocks and class spectra to.
+tests hold the class blocks and class spectra to, and `refined_eigenpair`
+refines one eigenpair of a class in extended precision, which the tests
+hold the tracked dressed state and its sigma to.
 """
 
 import cmath
@@ -40,6 +42,49 @@ def whole_hamiltonian(basis, laser, include_a2=True) -> np.ndarray:
         h[rows, cols] = scaled
         h[cols, rows] = scaled
     return h
+
+
+_REFINE_STEPS = 3
+_REFINE_DPS = 50
+
+
+def refined_eigenpair(entries, vector, energy):
+    """(vector, energy) of symmetric `entries` refined by mixed-precision
+    inverse iteration, both rounded to floats once at the end.
+
+    The float entries are taken as exact.  Each step takes the residual
+    r = H v - E v in mpmath (`_REFINE_DPS` digits) over the nonzero entries
+    of each row, solves the bordered system [[H - E, -v], [-v^T, 0]] for a
+    correction orthogonal to v and a shift of E with `numpy.linalg.solve`
+    on the dense class, and adds both in mpmath; three steps reach every
+    component a float can hold.
+    """
+    h = np.asarray(entries, dtype=float)
+    dim = len(h)
+    with mpmath.workdps(_REFINE_DPS):
+        rows = [
+            [(j, mpmath.mpf(float(h[i, j]))) for j in np.flatnonzero(h[i]).tolist()]
+            for i in range(dim)
+        ]
+        v = [mpmath.mpf(float(x)) for x in vector]
+        e = mpmath.mpf(float(energy))
+        bordered = np.zeros((dim + 1, dim + 1))
+        for _ in range(_REFINE_STEPS):
+            residual = [
+                mpmath.fsum(a * v[j] for j, a in row) - e * v[i]
+                for i, row in enumerate(rows)
+            ]
+            v_float = np.array([float(x) for x in v])
+            bordered[:dim, :dim] = h - float(e) * np.eye(dim)
+            bordered[:dim, dim] = bordered[dim, :dim] = -v_float
+            step = np.linalg.solve(
+                bordered, np.append([-float(r) for r in residual], 0.0)
+            )
+            v = [x + mpmath.mpf(float(d)) for x, d in zip(v, step[:dim])]
+            e += mpmath.mpf(float(step[dim]))
+            norm = mpmath.sqrt(mpmath.fsum(x * x for x in v))
+            v = [x / norm for x in v]
+        return np.array([float(x) for x in v]), float(e)
 
 
 # --- hydrogen radial functions and quadrature ---------------------------

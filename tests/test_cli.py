@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import laserhydrogen.cli as cli
+import laserhydrogen.ionization as ionization
 import laserhydrogen.transitions as transitions
 from laserhydrogen.cli import IONIZATION_HEADER, SPECTRUM_HEADER, main, parse_config
 from laserhydrogen.basis import QuantumNumbers
@@ -451,6 +452,19 @@ def _fail_diagonalize_when(monkeypatch, fails):
     monkeypatch.setattr(transitions, "diagonalize", flaky)
 
 
+def _fail_tracked_solve_when(monkeypatch, fails):
+    """An ionization point's solve of its tracked state raises at each
+    point whose laser fails."""
+    real = ionization.solve_tracked
+
+    def flaky(basis, laser, target, include_a2):
+        if fails(laser):
+            raise RuntimeError("synthetic mid-scan failure")
+        return real(basis, laser, target, include_a2)
+
+    monkeypatch.setattr(ionization, "solve_tracked", flaky)
+
+
 def test_failed_point_fault_injection(tmp_path, monkeypatch):
     omega = UnitSystem().ev_to_internal(0.4)
     _fail_diagonalize_when(
@@ -583,7 +597,7 @@ def test_spectrum_scans_agree_with_the_cli(tmp_path, monkeypatch, mode):
 def test_ionization_scan_agrees_with_the_cli(tmp_path, monkeypatch):
     units = UnitSystem()
     a_mid = units.vector_potential_to_internal(3e-6)
-    _fail_diagonalize_when(
+    _fail_tracked_solve_when(
         monkeypatch, lambda laser: math.isclose(laser.amplitude_A, a_mid, rel_tol=1e-9),
     )
     out = tmp_path / "ion.csv"
@@ -638,7 +652,7 @@ def test_ionization_rows_print_the_configured_omega(tmp_path, monkeypatch):
     units = UnitSystem()
     assert units.internal_to_ev(units.ev_to_internal(4.0)) != 4.0
     a_mid = units.vector_potential_to_internal(1.5e-6)
-    _fail_diagonalize_when(monkeypatch, lambda laser: laser.amplitude_A > a_mid)
+    _fail_tracked_solve_when(monkeypatch, lambda laser: laser.amplitude_A > a_mid)
     out = tmp_path / "ion.csv"
     argv = ["ionization", "--n0", "4", "--omega-ev", "4.0",
             "--a-vspm-start", "1e-6", "--a-vspm-stop", "2e-6", "--count", "2"]

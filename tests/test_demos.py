@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import laserhydrogen.ionization as ionization
 import laserhydrogen.transitions as transitions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,19 +33,25 @@ def test_demo_runs(demo):
     assert result.stdout.strip()
 
 
+# The solve each walkthrough's scan runs once per point: an ionization
+# point solves for its tracked state, a W table diagonalizes its class.
+_SOLVES = {"demo_photoionization.py": (ionization, "solve_tracked")}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_reports_a_failed_point(demo, monkeypatch, capsys):
     """A point that fails is printed as FAILED and the walkthrough goes on."""
     solved = []
-    real = transitions.diagonalize
+    module, name = _SOLVES.get(demo.name, (transitions, "diagonalize"))
+    real = getattr(module, name)
 
-    def second_point_fails(matrix):
-        solved.append(matrix.laser)
+    def second_point_fails(*args):
+        solved.append(args)
         if len(solved) == 2:
             raise RuntimeError("injected failure")
-        return real(matrix)
+        return real(*args)
 
-    monkeypatch.setattr(transitions, "diagonalize", second_point_fails)
+    monkeypatch.setattr(module, name, second_point_fails)
     runpy.run_path(str(demo))
     lines = capsys.readouterr().out.splitlines()
     assert len(solved) >= 3

@@ -216,21 +216,21 @@ def test_near_threshold_run_sums_exactly_without_mpmath(tmp_path, monkeypatch):
 
 
 # dressed_index and sigma (pi a0^2, mu = -10 .. -6) of the fig3 preset's
-# first and last point, as computed with scipy's log-Gamma and with every
-# Gauss polynomial summed
+# first and last point: sigma of the tracked eigenpair refined in extended
+# precision (oracles.refined_eigenpair, held to these values by
+# test_tracked_solve).  The small components of a full-class eigh column
+# carry its rounding, which moved the first point's sigma by 8.1e-10.
 _FIG3_SIGMA = {
-    "5e-07": ("20", (1.0718434850005073e-46, 5.123962548518281e-38,
-                     2.482443470656973e-30, 1.8233497796421783e-23,
-                     1.9086490771409887e-17)),
-    "5e-06": ("10", (4.706698302441926e-28, 1.2497905264914505e-21,
-                     2.6953797490220793e-16, 4.778878272001833e-12,
-                     3.736337484452967e-09)),
+    "5e-07": ("20", (1.0718434841306858e-46, 5.123962545622508e-38,
+                     2.4824434693691248e-30, 1.8233497785246728e-23,
+                     1.9086490766546738e-17)),
+    "5e-06": ("10", (4.706698302443968e-28, 1.2497905264915193e-21,
+                     2.6953797490222006e-16, 4.778878272001851e-12,
+                     3.736337484452822e-09)),
 }
 
 
 def test_fig3_sigma_matches_stored_values(tmp_path):
-    # the closed-form log|Gamma| and the skipped zero Gauss polynomial move
-    # sigma by rounding only (1.5e-14 relative at worst over the preset)
     out = tmp_path / "fig3.csv"
     assert main(["ionization", "--preset", "fig3", "--out", str(out)]) == 0
     with open(out, newline="") as fh:

@@ -418,6 +418,9 @@ def _run_both(tmp_path, monkeypatch, argv, reference):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     assert cli.main(argv + ["--out", str(new)]) == 0
     monkeypatch.setattr(transitions, "diagonalize", reference)
+    # an ionization point takes the full path: the reference solve and index
+    monkeypatch.setattr(ionization, "solve_tracked", lambda *args: None)
+    monkeypatch.setattr(ionization, "diagonalize", reference)
     monkeypatch.setattr(ionization, "global_index", reference.index)
     assert cli.main(argv + ["--out", str(ref)]) == 0
     rows = []
