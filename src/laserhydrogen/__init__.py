@@ -32,10 +32,8 @@ from .ionization import (
     ContinuumState,
     IonizationRecord,
     bound_free_element,
-    cross_section,
     eta_index,
     ionization_intensity_scan,
-    ionization_rate,
     ionization_records,
     photoelectron_energy,
 )
@@ -49,7 +47,6 @@ from .transitions import (
     ScanPoint,
     ScanResult,
     TransitionTable,
-    averaged_probability,
     intensity_scan,
     spectrum_scan,
     time_resolved_probability,
@@ -86,10 +83,8 @@ __all__ = [
     "ContinuumState",
     "IonizationRecord",
     "bound_free_element",
-    "cross_section",
     "eta_index",
     "ionization_intensity_scan",
-    "ionization_rate",
     "ionization_records",
     "photoelectron_energy",
     "AppellF2Params",
@@ -97,7 +92,6 @@ __all__ = [
     "ScanPoint",
     "ScanResult",
     "TransitionTable",
-    "averaged_probability",
     "intensity_scan",
     "spectrum_scan",
     "time_resolved_probability",

@@ -6,10 +6,10 @@ xy-plane, so the z-reflection parity (l + mu) mod 2 is conserved: H has
 exact zeros between the two parity classes, and `assemble` builds one class.
 `diagonalize` solves it with LAPACK's divide-and-conquer solver (`syevd`,
 Gu & Eisenstat 1995), whose merges are BLAS-3 and use every BLAS thread.
-Output is made deterministic by fixing each column's sign so its
-largest-magnitude component is positive.
+A column's sign is whatever the solver returns: every observable reads
+squares of a column or products of two entries of one column.
 
-A decomposition holds one class: its energies, its sign-fixed vectors and,
+A decomposition holds one class: its energies, its vectors and,
 through the basis and the parity, the basis positions of its states.  Every
 observable of a scan follows one initial state and reads only that state's
 class.  The position of a class's dressed state in the spectrum of the
@@ -126,7 +126,11 @@ class TrackedState:
 
     index: int
     overlap: float  # squared coefficient of the target bare state
-    ambiguous: bool  # True when the bare state is strongly mixed
+
+    @property
+    def ambiguous(self) -> bool:
+        """The bare state is strongly mixed: overlap below 1/2."""
+        return self.overlap < 0.5
 
 
 def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
@@ -148,11 +152,6 @@ def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    # Sign fix: largest-magnitude component of each column positive.
-    pivot = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[pivot, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    vectors *= signs
     return EigenDecomposition(
         energies, vectors, matrix.basis, matrix.parity, matrix.include_a2
     )
@@ -189,11 +188,11 @@ def track_state(
     """
     row = decomp.row(target) ** 2
     best = int(np.argmax(row))  # argmax returns the first (lowest-energy) max
-    overlap = float(row[best])
-    ambiguous = overlap < 0.5
-    if ambiguous:
-        _log.info("state %s is strongly mixed (max overlap %.3f)", target, overlap)
-    return TrackedState(index=best, overlap=overlap, ambiguous=ambiguous)
+    tracked = TrackedState(index=best, overlap=float(row[best]))
+    if tracked.ambiguous:
+        _log.info("state %s is strongly mixed (max overlap %.3f)", target,
+                  tracked.overlap)
+    return tracked
 
 
 # --- the tracked state alone, on one mu half of its class -----------------
@@ -324,12 +323,10 @@ def solve_tracked(basis, laser, target, include_a2):
         return None
     column = np.empty(len(d_k) + len(d_x))
     column[rows_k], column[rows_x] = x_k, x_x
-    if column[np.argmax(np.abs(column))] < 0:  # the sign rule of diagonalize
-        column = -column
     decomp = EigenDecomposition(
         np.array([rho]), column[:, None], basis, parity, include_a2, rank
     )
-    return decomp, TrackedState(rank, overlap, False), rank + other
+    return decomp, TrackedState(rank, overlap), rank + other
 
 
 def _other_levels_below(basis, laser, include_a2, parity, rho):

@@ -67,7 +67,6 @@ class ContinuumState:
 class IonizationRecord:
     """Per-branch photoionization observables for one dressed state."""
 
-    dressed_state_index: int
     E_i: float           # pseudo-energy, hartree
     mu_branch: int
     E_f0: float          # photoelectron energy, hartree
@@ -219,7 +218,6 @@ def ionization_records(
         sigma = 16.0 * alpha * v / laser.omega * sum(b * b for b in betas)
         records.append(
             IonizationRecord(
-                dressed_state_index=dressed_index,
                 E_i=e_i,
                 mu_branch=mu,
                 E_f0=e_f0,
@@ -232,22 +230,6 @@ def ionization_records(
     return records
 
 
-def ionization_rate(
-    decomp: EigenDecomposition, dressed_index: int, laser: LaserField
-):
-    """Total golden-rule rate and the per-branch records behind it."""
-    records = ionization_records(decomp, dressed_index, laser)
-    return sum(r.rate_P for r in records), records
-
-
-def cross_section(
-    decomp: EigenDecomposition, dressed_index: int, laser: LaserField
-) -> float:
-    """Total photoionization cross section in units of pi*a0^2."""
-    records = ionization_records(decomp, dressed_index, laser)
-    return sum(r.sigma for r in records)
-
-
 @dataclass(frozen=True)
 class IonizationScanPoint(ScanRecord):
     """The tracked initial dressed state at one field point and its
@@ -256,9 +238,14 @@ class IonizationScanPoint(ScanRecord):
 
     dressed_index: int = -1    # position in the spectrum of the whole basis
     overlap: float = float("nan")
-    ambiguous: bool = False
     records: tuple = ()
     full_solve: bool = False
+
+    @property
+    def ambiguous(self) -> bool:
+        """The initial bare state is strongly mixed: overlap below 1/2
+        (False for a failed point, whose overlap is NaN)."""
+        return self.overlap < 0.5
 
     @classmethod
     def observe(cls, basis, initial, laser, include_a2, axis_value):
@@ -278,7 +265,7 @@ class IonizationScanPoint(ScanRecord):
         else:
             decomp, tracked, index = solved
         records = tuple(ionization_records(decomp, tracked.index, laser))
-        return cls(axis_value, index, tracked.overlap, tracked.ambiguous, records,
+        return cls(axis_value, index, tracked.overlap, records,
                    full_solve=solved is None)
 
     @classmethod

@@ -36,9 +36,6 @@ class TransitionTable:
     def probability(self, final: QuantumNumbers) -> float:
         return float(self.probabilities[self.basis.position(final)])
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.basis.states, self.probabilities.tolist()))
-
 
 @dataclass(frozen=True)
 class PointFailure:
@@ -121,13 +118,6 @@ class ScanResult:
     axis: list
     rows: list
     metadata: dict = field(default_factory=dict)
-
-
-def averaged_probability(
-    decomp: EigenDecomposition, from_state: QuantumNumbers, to_state: QuantumNumbers
-) -> float:
-    c_from, c_to = decomp.row(from_state), decomp.row(to_state)
-    return float(np.dot(c_from**2, c_to**2))
 
 
 def transition_table(

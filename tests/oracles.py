@@ -8,7 +8,9 @@ energy-normalized Coulomb wave.  The program builds and solves one parity
 class at a time; `whole_hamiltonian` is H over the whole basis, which the
 tests hold the class blocks and class spectra to, and `refined_eigenpair`
 refines one eigenpair of a class in extended precision, which the tests
-hold the tracked dressed state and its sigma to.
+hold the tracked dressed state and its sigma to.  `averaged_probability`
+is one W(a, b) summed from two rows of a decomposition, which the tests
+hold `transition_table` to.
 """
 
 import cmath
@@ -25,6 +27,15 @@ from laserhydrogen.specfun import KummerParams, _as_nonpositive_int
 
 _SERIES_CAP = 2000
 _SERIES_RTOL = 1e-16
+
+
+# --- the time-averaged transition probability ----------------------------
+
+def averaged_probability(decomp, from_state, to_state) -> float:
+    """W(a, b) = sum_i C_a(i)^2 C_b(i)^2 over the dressed states of the
+    decomposition's class; a state of another class raises."""
+    c_from, c_to = decomp.row(from_state), decomp.row(to_state)
+    return float(np.dot(c_from**2, c_to**2))
 
 
 # --- the pseudo-Hamiltonian over the whole basis ------------------------

@@ -1,6 +1,7 @@
 import logging
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,15 @@ from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.eigensolver import (
     EigenDecomposition,
     diagonalize,
+    solve_tracked,
     track_state,
 )
 from laserhydrogen.errors import ConfigurationError, ConvergenceError
 from laserhydrogen.hamiltonian import LaserField, PseudoHamiltonianMatrix, assemble
+from laserhydrogen.ionization import ionization_records
+from laserhydrogen.transitions import time_resolved_probability, transition_table
+
+GROUND = QuantumNumbers(1, 0, 0)
 
 
 def _matrix_from(entries, basis, parity=0):
@@ -49,11 +55,36 @@ def test_energies_ascending(decomp5):
     assert np.all(np.diff(decomp.energies) >= 0)
 
 
-def test_sign_convention(decomp5):
-    decomp, _ = decomp5
-    c = decomp.coefficients
-    pivots = np.argmax(np.abs(c), axis=0)
-    assert np.all(c[pivots, np.arange(c.shape[1])] > 0)
+def test_no_output_reads_the_sign_of_a_dressed_state():
+    # A dressed state's column has no fixed sign: W, the ionization records'
+    # E_f0, eta, rate and sigma, and the time-resolved probability read only
+    # squares of a column or products of two entries of one column, so they
+    # are bit for bit the same with any set of columns negated.
+    basis = enumerate_basis(4)
+    laser = LaserField(0.02, 0.6)  # the four branches mu < 0 of 1s are open
+    decomp = diagonalize(assemble(basis, laser))
+    tracked = track_state(decomp, GROUND)
+    flip = np.random.default_rng(7).random(decomp.dimension) < 0.5
+    flip[tracked.index] = True
+    signs = np.where(flip, -1.0, 1.0)
+    flipped = replace(decomp, coefficients=decomp.coefficients * signs)
+    folded, state, _ = solve_tracked(basis, laser, GROUND, True)
+    negated = replace(folded, coefficients=-folded.coefficients)
+
+    def observed(d, index):
+        return [(r.E_f0, r.eta, r.rate_P, r.sigma)
+                for r in ionization_records(d, index, laser)]
+
+    assert np.array_equal(transition_table(decomp, GROUND, laser).probabilities,
+                          transition_table(flipped, GROUND, laser).probabilities)
+    assert len(observed(decomp, tracked.index)) == 4
+    assert observed(decomp, tracked.index) == observed(flipped, tracked.index)
+    assert observed(folded, state.index) == observed(negated, state.index)
+    for final in (GROUND, QuantumNumbers(2, 1, 1), QuantumNumbers(4, 3, -3)):
+        for t in (0.0, 3.7, 250.0):
+            assert time_resolved_probability(
+                decomp, GROUND, final, t, laser.omega
+            ) == time_resolved_probability(flipped, GROUND, final, t, laser.omega)
 
 
 def test_zero_field_reproduces_bare_energies():

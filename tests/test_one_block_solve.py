@@ -33,7 +33,6 @@ from laserhydrogen import (
     QuantumNumbers,
     UnitSystem,
     assemble,
-    averaged_probability,
     bound_free_element,
     diagonalize,
     enumerate_basis,
@@ -44,7 +43,7 @@ from laserhydrogen import (
 )
 from laserhydrogen.eigensolver import global_index
 from laserhydrogen.ionization import IonizationScanPoint
-from oracles import whole_hamiltonian
+from oracles import averaged_probability, whole_hamiltonian
 
 GROUND = QuantumNumbers(1, 0, 0)
 ODD = QuantumNumbers(2, 1, 0)  # (l + mu) odd: the class without the ground state

@@ -8,6 +8,7 @@ ORACLES = {
     "KummerParams",
     "laplace_1f1_product",
     "gamma_fn",
+    "averaged_probability",
 }
 
 
@@ -21,3 +22,14 @@ def test_test_oracles_are_not_exported():
     # laplace_1f1_product stays reachable for the benchmark's span tracer
     reachable = {name for name in ORACLES if hasattr(laserhydrogen, name)}
     assert reachable == {"laplace_1f1_product"}
+
+
+def test_sums_over_the_records_are_not_api():
+    # the total rate and sigma are sums over ionization_records, and a
+    # TransitionTable is read through probability(final)
+    for name in ("ionization_rate", "cross_section"):
+        assert name not in laserhydrogen.__all__
+        assert not hasattr(laserhydrogen, name)
+        assert not hasattr(laserhydrogen.ionization, name)
+    assert not hasattr(laserhydrogen.transitions, "averaged_probability")
+    assert not hasattr(laserhydrogen.TransitionTable, "as_dict")

@@ -61,7 +61,7 @@ def _check_against_full_path(basis, laser, initial):
         point = IonizationScanPoint.observe(basis, initial, laser, True, 0.5)
         records = tuple(ionization_records(decomp, tracked.index, laser))
         assert point == IonizationScanPoint(
-            0.5, index, tracked.overlap, tracked.ambiguous, records, True
+            0.5, index, tracked.overlap, records, True
         )
         return False
     one, state, position = folded
