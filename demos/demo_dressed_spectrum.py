@@ -28,12 +28,12 @@ print(f"amplitude A = {AMPLITUDE_SI} V*s/m = {amplitude_au:.4f} a.u., "
       f"basis n0 = {N0}")
 print()
 
-result = spectrum_scan(
+points = spectrum_scan(
     amplitude_au, omegas_au, QuantumNumbers(1, 0, 0), n0=N0,
     axis_values=list(PHOTON_EV),
 )
 
-for point in result.rows:
+for point in points:
     if point.failed:
         print(f"hw = {point.axis_value:5.2f} eV  FAILED: {point.error}")
         continue

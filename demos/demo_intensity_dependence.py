@@ -27,12 +27,12 @@ print(f"photon energy {PHOTON_EV} eV, basis n0 = {N0}")
 print(f"{'A [V*s/m]':>12} {'A [a.u.]':>10} {'survival':>10} "
       f"{'sum of transitions':>20}")
 
-result = intensity_scan(
+points = intensity_scan(
     omega_au, amps_au, ground, n0=N0, axis_values=list(AMPLITUDES_SI)
 )
 
 prev = None
-for point, amp_au in zip(result.rows, amps_au):
+for point, amp_au in zip(points, amps_au):
     if point.failed:
         print(f"{point.axis_value:12.2e}  FAILED: {point.error}")
         continue

@@ -45,7 +45,6 @@ from .specfun import laplace_1f1_product  # noqa: F401
 
 from .transitions import (
     ScanPoint,
-    ScanResult,
     TransitionTable,
     intensity_scan,
     spectrum_scan,
@@ -90,7 +89,6 @@ __all__ = [
     "AppellF2Params",
     "appell_f2",
     "ScanPoint",
-    "ScanResult",
     "TransitionTable",
     "intensity_scan",
     "spectrum_scan",

@@ -22,8 +22,9 @@ changes mu by one, so H - rho folds exactly onto the mu half of the class
 that holds the initial state (Loewdin partitioning).  Rayleigh-quotient
 iteration on that half finds the state, and Sylvester's law of inertia
 counts the levels below it in both classes (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4).  Where a result cannot be certified it
-returns None, and the caller solves the class with `diagonalize`.
+Eigenvalue Problem, ch. 4).  It returns that one state as a decomposition
+of a single column; where the result cannot be certified it returns None,
+and the caller solves the class with `diagonalize`.
 
 Only matrices that `assemble` built are solved: they are symmetric by
 construction and read-only, and a writeable matrix, or one not of its
@@ -53,24 +54,20 @@ _log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Pseudo-energies and real dressed-state coefficients of one parity
-    class, or of a run of its dressed states.
+    class.
 
-    coefficients[k, j] = C of basis state rows[k] in dressed state
-    first + j, and energies[j] is that state's pseudo-energy, where rows
-    are the basis positions of the class `parity`; over the whole class
-    (first = 0, as `diagonalize` returns it) C is orthogonal.  A partial
-    decomposition, such as the one state of `solve_tracked`, answers
-    `energy` and `column` for the states it holds and nothing that needs
-    them all.  Reading a state of the other class raises.  include_a2
-    records whether the energies carry the A^2/2 constant.
+    coefficients[k, j] = C of basis state rows[k] in dressed state j, and
+    energies[j] is that state's pseudo-energy, where rows are the basis
+    positions of the class `parity`; C is orthogonal when it holds every
+    dressed state of the class, as `diagonalize` returns it.  The single
+    column of `solve_tracked` answers `energy` and `column` and no `row`.
+    Reading a state of the other class raises.
     """
 
     energies: np.ndarray
     coefficients: np.ndarray
     basis: BasisSet
     parity: int
-    include_a2: bool = True
-    first: int = 0
 
     @property
     def dimension(self) -> int:
@@ -85,9 +82,9 @@ class EigenDecomposition:
     def row(self, state: QuantumNumbers) -> np.ndarray:
         """Coefficients of bare state `state` in every dressed state."""
         rows = self.rows
-        if self.first != 0 or self.dimension != len(rows):
+        if self.dimension != len(rows):
             raise ConfigurationError(
-                f"a partial decomposition holds {self.dimension} of the "
+                f"this decomposition holds {self.dimension} of the "
                 f"{len(rows)} dressed states; diagonalize the class to read a row"
             )
         position = self.basis.position(state)
@@ -100,11 +97,11 @@ class EigenDecomposition:
         return self.coefficients[k]
 
     def _held(self, index: int) -> int:
-        if not 0 <= index - self.first < self.dimension:
+        if not 0 <= index < self.dimension:
             raise ConfigurationError(
                 f"dressed state {index} not among the {self.dimension} held"
             )
-        return index - self.first
+        return index
 
     def energy(self, index: int) -> float:
         """Pseudo-energy of dressed state `index`."""
@@ -113,11 +110,6 @@ class EigenDecomposition:
     def column(self, index: int) -> np.ndarray:
         """Coefficients of dressed state `index` over the rows."""
         return self.coefficients[:, self._held(index)]
-
-    def level_gaps(self):
-        """(i, E_{i+1} - E_i) for each level i but the highest, ascending
-        in i.  The levels of one class can mix, so each spacing is a gap."""
-        return np.arange(self.dimension - 1), np.diff(self.energies)
 
 
 @dataclass(frozen=True)
@@ -152,14 +144,15 @@ def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    return EigenDecomposition(
-        energies, vectors, matrix.basis, matrix.parity, matrix.include_a2
-    )
+    return EigenDecomposition(energies, vectors, matrix.basis, matrix.parity)
 
 
-def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> int:
+def global_index(
+    decomp: EigenDecomposition, index: int, laser: LaserField, include_a2: bool
+) -> int:
     """Position of dressed state `index` in the ascending spectrum of the
-    whole basis at this field.
+    whole basis at this field, whose class `decomp` solves with or without
+    the A^2/2 constant as include_a2 says.
 
     This is its rank in the class plus the number of the other class's
     levels below E_i; an empty other class (n0 = 1) has none.  In a tie
@@ -170,7 +163,7 @@ def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> i
     if len(decomp.basis.class_positions(other)) == 0:
         return index
     levels = np.linalg.eigvalsh(
-        assemble(decomp.basis, laser, decomp.include_a2, parity=other).entries
+        assemble(decomp.basis, laser, include_a2, parity=other).entries
     )
     e_i = decomp.energy(index)
     below = levels <= e_i if other == 0 else levels < e_i
@@ -294,8 +287,9 @@ def solve_tracked(basis, laser, target, include_a2):
     rank) and, folding whichever half of the other class has no bare level
     near E_i, in the other class (`global_index` without a solve of it).
 
-    Returns (decomposition holding that one state, TrackedState, position
-    in the spectrum of the whole basis), or None at A = 0, without
+    Returns (decomposition of that one state, TrackedState of its index
+    0, position in the spectrum of the whole basis: the class rank plus the
+    other class's levels below), or None at A = 0, without
     convergence, at overlap <= 1/2, or if a sign the count reads lies
     within _SIGN_GUARD of zero, which covers exact ties.
     """
@@ -323,10 +317,8 @@ def solve_tracked(basis, laser, target, include_a2):
         return None
     column = np.empty(len(d_k) + len(d_x))
     column[rows_k], column[rows_x] = x_k, x_x
-    decomp = EigenDecomposition(
-        np.array([rho]), column[:, None], basis, parity, include_a2, rank
-    )
-    return decomp, TrackedState(rank, overlap), rank + other
+    decomp = EigenDecomposition(np.array([rho]), column[:, None], basis, parity)
+    return decomp, TrackedState(0, overlap), rank + other
 
 
 def _other_levels_below(basis, laser, include_a2, parity, rho):

@@ -19,7 +19,9 @@ state and solves only in that state's class.
 All quantities in atomic units.  The dipole (k*a0 << 1) coupling is used;
 the A^2/2 ponderomotive-type constant is kept on the diagonal by default
 because it drives the intensity dependence of the pseudo-energies, and can
-be dropped for sensitivity studies.
+be dropped for sensitivity studies (include_a2=False).  A matrix keeps only
+its entries, basis and parity class; the caller that assembled it holds the
+field and that choice.
 """
 
 import math
@@ -56,16 +58,13 @@ class PseudoHamiltonianMatrix:
     the order of `basis.class_positions(parity)`).
 
     `assemble` builds entries symmetric and read-only, and `diagonalize`
-    refuses entries that are writeable or not of the class's size.
-    include_a2 records whether the A^2/2 constant is on the diagonal.  The
+    refuses entries that are writeable or not of the class's size.  The
     dimension is read from entries, so the two cannot disagree.
     """
 
     entries: np.ndarray
     basis: BasisSet
-    laser: LaserField
     parity: int
-    include_a2: bool = True
 
     @property
     def dimension(self) -> int:
@@ -121,4 +120,4 @@ def assemble(
     h[rows, cols] = scaled
     h[cols, rows] = scaled
     h.flags.writeable = False
-    return PseudoHamiltonianMatrix(h, basis, laser, parity, include_a2)
+    return PseudoHamiltonianMatrix(h, basis, parity)

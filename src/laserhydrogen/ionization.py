@@ -261,7 +261,7 @@ class IonizationScanPoint(ScanRecord):
                 assemble(basis, laser, include_a2, parity=initial.parity)
             )
             tracked = track_state(decomp, initial)
-            index = global_index(decomp, tracked.index, laser)
+            index = global_index(decomp, tracked.index, laser, include_a2)
         else:
             decomp, tracked, index = solved
         records = tuple(ionization_records(decomp, tracked.index, laser))
@@ -280,7 +280,8 @@ def ionization_intensity_scan(
     axis_values=None,
     initial: QuantumNumbers = QuantumNumbers(1, 0, 0),
 ):
-    """Amplitude sweep of the tracked initial dressed state (Figs. 3/4 data)."""
+    """Amplitude sweep of the tracked initial dressed state (Figs. 3/4 data):
+    one IonizationScanPoint per amplitude, failed points included."""
     amplitudes_au = list(amplitudes_au)
     lasers = [LaserField(amp, omega_au) for amp in amplitudes_au]
     axis = amplitudes_au if axis_values is None else list(axis_values)

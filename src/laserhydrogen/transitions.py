@@ -9,7 +9,8 @@ probability before averaging is the multi-periodic
 Every sweep, the library scans and the command line alike, runs through
 `scan`, which observes one field point after another and yields one record
 per point, a `ScanPoint` (W table) or an `ionization.IonizationScanPoint`,
-failed points included.  W out of the initial state is exactly 0 outside
+failed points included; `spectrum_scan` and `intensity_scan` return those
+records as a list.  W out of the initial state is exactly 0 outside
 its parity class, so a `ScanPoint` assembles and solves that class alone;
 an ionization point reads one dressed state of it.
 """
@@ -28,10 +29,8 @@ from .hamiltonian import LaserField, assemble
 class TransitionTable:
     """Time-averaged probabilities out of one initial state."""
 
-    initial: QuantumNumbers
     basis: BasisSet
     probabilities: np.ndarray  # aligned with basis.states
-    laser: LaserField
 
     def probability(self, final: QuantumNumbers) -> float:
         return float(self.probabilities[self.basis.position(final)])
@@ -100,8 +99,9 @@ class ScanPoint(ScanRecord):
         proxy for the truncation error of the basis.
         """
         decomp = diagonalize(assemble(basis, laser, include_a2, parity=initial.parity))
-        table = transition_table(decomp, initial, laser)
-        _, gaps = decomp.level_gaps()
+        table = transition_table(decomp, initial)
+        # the levels of one class can mix, so each spacing is a gap
+        gaps = np.diff(decomp.energies)
         # enumerate_basis orders the states by n: the last n0**2 are n = n0
         leakage = float(table.probabilities[-decomp.basis.n0**2:].sum())
         norm_error = abs(float(table.probabilities.sum()) - 1.0)
@@ -113,15 +113,8 @@ class ScanPoint(ScanRecord):
         return cls(axis_value, None, np.nan, failure=failure)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    axis: list
-    rows: list
-    metadata: dict = field(default_factory=dict)
-
-
 def transition_table(
-    decomp: EigenDecomposition, initial: QuantumNumbers, laser: LaserField
+    decomp: EigenDecomposition, initial: QuantumNumbers
 ) -> TransitionTable:
     # W(initial, b) is exactly 0 for b outside the rows held (another class).
     # Squared into a C-ordered array: the product's summation order, and so
@@ -130,9 +123,7 @@ def transition_table(
     probs[decomp.rows] = np.square(decomp.coefficients, order="C") @ (
         decomp.row(initial) ** 2
     )
-    return TransitionTable(
-        initial=initial, basis=decomp.basis, probabilities=probs, laser=laser
-    )
+    return TransitionTable(decomp.basis, probs)
 
 
 def time_resolved_probability(
@@ -175,29 +166,19 @@ def scan(basis, initial, axis_values, lasers, point, include_a2=True):
         yield record
 
 
-def _spectrum_result(n0, initial, lasers, axis_values, metadata):
-    axis_values = list(axis_values)
-    rows = list(scan(enumerate_basis(n0), initial, axis_values, lasers, ScanPoint))
-    return ScanResult(axis=axis_values, rows=rows, metadata=metadata)
-
-
 def spectrum_scan(
     amplitude_au: float,
     omegas_au,
     initial: QuantumNumbers,
     n0: int,
     axis_values=None,
-) -> ScanResult:
-    """Photon-energy sweep at fixed amplitude (Fig. 1-style data)."""
+) -> list:
+    """Photon-energy sweep at fixed amplitude (Fig. 1-style data): one
+    ScanPoint per photon energy, failed points included."""
     omegas_au = list(omegas_au)
     lasers = [LaserField(amplitude_au, w) for w in omegas_au]
-    return _spectrum_result(
-        n0,
-        initial,
-        lasers,
-        omegas_au if axis_values is None else axis_values,
-        {"n0": n0, "amplitude_au": amplitude_au, "initial": initial},
-    )
+    axis = omegas_au if axis_values is None else list(axis_values)
+    return list(scan(enumerate_basis(n0), initial, axis, lasers, ScanPoint))
 
 
 def intensity_scan(
@@ -206,14 +187,10 @@ def intensity_scan(
     initial: QuantumNumbers,
     n0: int,
     axis_values=None,
-) -> ScanResult:
-    """Amplitude sweep at fixed photon energy (Fig. 2-style data)."""
+) -> list:
+    """Amplitude sweep at fixed photon energy (Fig. 2-style data): one
+    ScanPoint per amplitude, failed points included."""
     amplitudes_au = list(amplitudes_au)
     lasers = [LaserField(a, omega_au) for a in amplitudes_au]
-    return _spectrum_result(
-        n0,
-        initial,
-        lasers,
-        amplitudes_au if axis_values is None else axis_values,
-        {"n0": n0, "omega_au": omega_au, "initial": initial},
-    )
+    axis = amplitudes_au if axis_values is None else list(axis_values)
+    return list(scan(enumerate_basis(n0), initial, axis, lasers, ScanPoint))

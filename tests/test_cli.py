@@ -441,14 +441,23 @@ def test_eigensolver_failure_is_a_failed_point(tmp_path, monkeypatch):
 
 
 def _fail_diagonalize_when(monkeypatch, fails):
-    """The scan engine's eigensolve raises at each point whose laser fails."""
-    real = transitions.diagonalize
+    """The scan engine's eigensolve raises at each point whose laser fails.
+
+    A matrix does not keep its laser, so the laser of the last assemble
+    call, which each point makes just before its solve, is the one read."""
+    real_assemble, real_diagonalize = transitions.assemble, transitions.diagonalize
+    lasers = []
+
+    def assemble(basis, laser, *args, **kwargs):
+        lasers.append(laser)
+        return real_assemble(basis, laser, *args, **kwargs)
 
     def flaky(matrix):
-        if fails(matrix.laser):
+        if fails(lasers[-1]):
             raise RuntimeError("synthetic mid-scan failure")
-        return real(matrix)
+        return real_diagonalize(matrix)
 
+    monkeypatch.setattr(transitions, "assemble", assemble)
     monkeypatch.setattr(transitions, "diagonalize", flaky)
 
 
@@ -560,19 +569,19 @@ def test_spectrum_scans_agree_with_the_cli(tmp_path, monkeypatch, mode):
     meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
     axis = _axis_of(rows)
     if mode == "spectrum":
-        result = spectrum_scan(
+        points = spectrum_scan(
             units.vector_potential_to_internal(5e-6),
             [units.ev_to_internal(w) for w in axis], GROUND, n0=4, axis_values=axis,
         )
     else:
-        result = intensity_scan(
+        points = intensity_scan(
             units.ev_to_internal(0.5),
             [units.vector_potential_to_internal(a) for a in axis], GROUND, n0=4,
             axis_values=axis,
         )
     head = [str(GROUND.n), str(GROUND.l), str(GROUND.mu)]
     expected = []
-    for p in result.rows:
+    for p in points:
         if p.failed:
             expected.append([repr(p.axis_value)] + head + ["-1", "-1", "0", "nan",
                                                           "failed"])
@@ -585,10 +594,10 @@ def test_spectrum_scans_agree_with_the_cli(tmp_path, monkeypatch, mode):
                        str(int(p.near_degenerate))]
                 )
     assert rows == expected
-    assert [p.failed for p in result.rows].count(True) == 1
-    assert meta["failed_points"] == _failed_points_of(result.rows)
+    assert [p.failed for p in points].count(True) == 1
+    assert meta["failed_points"] == _failed_points_of(points)
     assert meta["near_degenerate_axis_values"] == [
-        p.axis_value for p in result.rows if p.near_degenerate
+        p.axis_value for p in points if p.near_degenerate
     ]
     if mode == "intensity":
         assert meta["near_degenerate_axis_values"] == [0.0]

@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import laserhydrogen.transitions as transitions
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.eigensolver import (
+    DEGENERACY_GAP,
     EigenDecomposition,
     diagonalize,
     solve_tracked,
@@ -24,9 +26,7 @@ GROUND = QuantumNumbers(1, 0, 0)
 def _matrix_from(entries, basis, parity=0):
     """A hand-built matrix of one class, read-only as assemble leaves it."""
     entries.flags.writeable = False
-    return PseudoHamiltonianMatrix(
-        entries=entries, basis=basis, laser=LaserField(0.0, 1.0), parity=parity
-    )
+    return PseudoHamiltonianMatrix(entries=entries, basis=basis, parity=parity)
 
 
 def test_two_by_two_analytic():
@@ -75,8 +75,8 @@ def test_no_output_reads_the_sign_of_a_dressed_state():
         return [(r.E_f0, r.eta, r.rate_P, r.sigma)
                 for r in ionization_records(d, index, laser)]
 
-    assert np.array_equal(transition_table(decomp, GROUND, laser).probabilities,
-                          transition_table(flipped, GROUND, laser).probabilities)
+    assert np.array_equal(transition_table(decomp, GROUND).probabilities,
+                          transition_table(flipped, GROUND).probabilities)
     assert len(observed(decomp, tracked.index)) == 4
     assert observed(decomp, tracked.index) == observed(flipped, tracked.index)
     assert observed(folded, state.index) == observed(negated, state.index)
@@ -109,9 +109,7 @@ def test_nonsymmetric_rejected():
     one_class = np.diag([-0.5, -0.125, -0.2, -0.4])
     one_class[0, 1] = 1e-3
     for entries in (whole, whole_read_only, one_class):
-        matrix = PseudoHamiltonianMatrix(
-            entries=entries, basis=basis, laser=LaserField(0.0, 1.0), parity=0
-        )
+        matrix = PseudoHamiltonianMatrix(entries=entries, basis=basis, parity=0)
         with pytest.raises(ConfigurationError, match="built by assemble"):
             diagonalize(matrix)
 
@@ -122,13 +120,12 @@ def test_matrix_without_positions_rejected(n0):
     # are no longer a matrix that assemble built
     matrix = assemble(enumerate_basis(n0), LaserField(0.05, 0.1))
     outside = PseudoHamiltonianMatrix(
-        entries=matrix.entries.copy(), basis=matrix.basis, laser=matrix.laser,
-        parity=matrix.parity,
+        entries=matrix.entries.copy(), basis=matrix.basis, parity=matrix.parity
     )
     with pytest.raises(ConfigurationError, match="built by assemble"):
         diagonalize(outside)
     other_class = PseudoHamiltonianMatrix(
-        entries=matrix.entries, basis=matrix.basis, laser=matrix.laser, parity=1
+        entries=matrix.entries, basis=matrix.basis, parity=1
     )
     with pytest.raises(ConfigurationError, match="built by assemble"):
         diagonalize(other_class)
@@ -145,13 +142,18 @@ def test_default_solve_is_the_class_of_the_ground_state():
     np.testing.assert_array_equal(default.rows, basis.class_positions(0))
 
 
-def test_near_degenerate_pairs():
+def test_near_degenerate_pairs(monkeypatch):
+    # a scan point reads the smallest spacing of its class's levels, and
+    # one below DEGENERACY_GAP marks it near-degenerate
     basis = enumerate_basis(2)
     entries = np.diag([-0.5, -0.5 + 1e-12, -0.3, -0.1])
     decomp = diagonalize(_matrix_from(entries, basis))
-    index, gaps = decomp.level_gaps()
-    assert list(index[gaps < 1e-10]) == [0]
-    assert list(index[gaps < 1e-14]) == []
+    monkeypatch.setattr(transitions, "diagonalize", lambda matrix: decomp)
+    point = transitions.ScanPoint.observe(
+        basis, GROUND, LaserField(0.0, 1.0), True, 0.0
+    )
+    assert 1e-14 < point.min_eigen_gap < DEGENERACY_GAP
+    assert point.near_degenerate
 
 
 def test_track_state_zero_field():

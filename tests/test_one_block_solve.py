@@ -72,7 +72,7 @@ def _whole_eigh_of_class(basis, laser, parity, include_a2=True, eigh=np.linalg.e
     rows = basis.class_positions(parity)
     cols = np.flatnonzero(basis.parity[np.argmax(np.abs(vectors), axis=0)] == parity)
     decomp = EigenDecomposition(
-        energies[cols], vectors[np.ix_(rows, cols)], basis, parity, include_a2
+        energies[cols], vectors[np.ix_(rows, cols)], basis, parity
     )
     return decomp, cols
 
@@ -115,15 +115,15 @@ def test_only_the_initial_block_has_vectors(one_block):
         np.abs(decomp.coefficients), np.abs(vectors), rtol=0, atol=1e-12,
     )
     pairs = np.flatnonzero(np.diff(energies) < DEGENERACY_GAP)
-    index, gaps = decomp.level_gaps()
-    assert list(index[gaps < DEGENERACY_GAP]) == list(pairs)
+    gaps = np.diff(decomp.energies)
+    assert list(np.flatnonzero(gaps < DEGENERACY_GAP)) == list(pairs)
 
 
 def test_reading_the_unsolved_block_raises(one_block):
     decomp, _, laser = one_block
     final = ContinuumState(0.1, 2, 1)
     with pytest.raises(ConfigurationError, match="parity class"):
-        transition_table(decomp, ODD, laser)
+        transition_table(decomp, ODD)
     with pytest.raises(ConfigurationError, match="parity class"):
         track_state(decomp, ODD)
     with pytest.raises(ConfigurationError, match="parity class"):
@@ -138,19 +138,19 @@ def test_reading_the_unsolved_block_raises(one_block):
             bound_free_element(decomp, index, final)
     # each class's table answers the other class's question: W across is 0
     odd = _class_solve(decomp.basis, laser, ODD)
-    assert transition_table(decomp, GROUND, laser).probability(ODD) == 0.0
-    assert transition_table(odd, ODD, laser).probability(GROUND) == 0.0
+    assert transition_table(decomp, GROUND).probability(ODD) == 0.0
+    assert transition_table(odd, ODD).probability(GROUND) == 0.0
 
 
 def test_reading_the_solved_block_matches_the_full_solve(one_block):
     decomp, (full, cols), laser = one_block
-    table, reference = (transition_table(d, GROUND, laser) for d in (decomp, full))
+    table, reference = (transition_table(d, GROUND) for d in (decomp, full))
     np.testing.assert_allclose(
         table.probabilities, reference.probabilities, rtol=0, atol=1e-14
     )
     tracked, tracked_full = track_state(decomp, GROUND), track_state(full, GROUND)
     assert tracked.overlap == pytest.approx(tracked_full.overlap, rel=1e-12)
-    assert global_index(decomp, tracked.index, laser) == cols[tracked_full.index]
+    assert global_index(decomp, tracked.index, laser, True) == cols[tracked_full.index]
     final = QuantumNumbers(3, 2, 2)
     assert averaged_probability(decomp, GROUND, final) == pytest.approx(
         averaged_probability(full, GROUND, final), rel=1e-12
@@ -203,7 +203,7 @@ def test_class_solve_matches_full_eigh_fig1_field(n0, initial):
     np.testing.assert_allclose(decomp.energies, energies[in_class], rtol=0, atol=1e-12)
     start = basis.position(initial)
     w_full = (vectors**2) @ (vectors[start] ** 2)
-    w = transition_table(decomp, initial, laser).probabilities
+    w = transition_table(decomp, initial).probabilities
     np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-12)
 
 
@@ -239,7 +239,7 @@ def test_one_block_solve_equals_full_solve(case):
     start = int(np.searchsorted(rows, basis.position(initial)))
     w_full = np.zeros(len(basis))
     w_full[rows] = (vectors**2) @ (vectors[start] ** 2)
-    w = transition_table(decomp, initial, laser).probabilities
+    w = transition_table(decomp, initial).probabilities
     np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-12)
     assert abs(w.sum() - 1.0) < 1e-12
 
@@ -264,7 +264,7 @@ def test_dressed_index_is_the_position_in_the_full_spectrum(case):
     resolution = 64 * np.finfo(float).eps * np.abs(merged).max()
     for i, e_i in enumerate(decomp.energies):
         if not np.any(np.abs(other - e_i) <= resolution):
-            assert global_index(decomp, i, laser) == cols[i]
+            assert global_index(decomp, i, laser, True) == cols[i]
 
 
 @pytest.mark.parametrize("initial", [QuantumNumbers(2, 0, 0), ODD], ids=["even", "odd"])
@@ -284,7 +284,7 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     assert tie[1] == tie[0] + 1
     decomp = _class_solve(basis, laser, initial)
     tracked = track_state(decomp, initial)
-    assert global_index(decomp, tracked.index, laser) == tie[_parity(initial)]
+    assert global_index(decomp, tracked.index, laser, True) == tie[_parity(initial)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -303,8 +303,8 @@ def test_a2_shifts_energies_and_keeps_w(case):
     tolerance = _w_tolerance(without)
     if tolerance is not None:
         np.testing.assert_allclose(
-            transition_table(with_a2, initial, laser).probabilities,
-            transition_table(without, initial, laser).probabilities,
+            transition_table(with_a2, initial).probabilities,
+            transition_table(without, initial).probabilities,
             rtol=0, atol=tolerance,
         )
 
@@ -399,26 +399,34 @@ class _FullEigh:
     restricted to the class a matrix holds, as the scan keeps it.
 
     `index` gives the column of a class level in that whole spectrum: the
-    dressed_index of the earlier scans.
+    dressed_index of the earlier scans.  A matrix does not keep its field,
+    so `assemble` stands in for the scans' own and records the field of the
+    matrix that the solve after it reads.
     """
 
+    def assemble(self, basis, laser, include_a2=True, parity=0):
+        self.field = laser, include_a2
+        return assemble(basis, laser, include_a2, parity)
+
     def __call__(self, matrix):
+        laser, include_a2 = self.field
         decomp, self.cols = _whole_eigh_of_class(
-            matrix.basis, matrix.laser, matrix.parity, matrix.include_a2,
-            eigh=scipy.linalg.eigh,
+            matrix.basis, laser, matrix.parity, include_a2, eigh=scipy.linalg.eigh,
         )
         return decomp
 
-    def index(self, decomp, index, laser):
+    def index(self, decomp, index, laser, include_a2):
         return int(self.cols[index])
 
 
 def _run_both(tmp_path, monkeypatch, argv, reference):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     assert cli.main(argv + ["--out", str(new)]) == 0
+    monkeypatch.setattr(transitions, "assemble", reference.assemble)
     monkeypatch.setattr(transitions, "diagonalize", reference)
     # an ionization point takes the full path: the reference solve and index
     monkeypatch.setattr(ionization, "solve_tracked", lambda *args: None)
+    monkeypatch.setattr(ionization, "assemble", reference.assemble)
     monkeypatch.setattr(ionization, "diagonalize", reference)
     monkeypatch.setattr(ionization, "global_index", reference.index)
     assert cli.main(argv + ["--out", str(ref)]) == 0

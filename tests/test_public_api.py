@@ -1,3 +1,7 @@
+import ast
+import pathlib
+from dataclasses import fields
+
 import laserhydrogen
 
 ORACLES = {
@@ -33,3 +37,46 @@ def test_sums_over_the_records_are_not_api():
         assert not hasattr(laserhydrogen.ionization, name)
     assert not hasattr(laserhydrogen.transitions, "averaged_probability")
     assert not hasattr(laserhydrogen.TransitionTable, "as_dict")
+
+
+def test_objects_keep_no_copy_of_their_inputs():
+    # a scan returns its records as a list; a table, matrix or decomposition
+    # holds what it computed, and its caller the field and initial state
+    assert not hasattr(laserhydrogen, "ScanResult")
+    assert not hasattr(laserhydrogen.transitions, "ScanResult")
+    names = {
+        cls: [f.name for f in fields(cls)]
+        for cls in (laserhydrogen.TransitionTable,
+                    laserhydrogen.PseudoHamiltonianMatrix,
+                    laserhydrogen.EigenDecomposition)
+    }
+    assert names == {
+        laserhydrogen.TransitionTable: ["basis", "probabilities"],
+        laserhydrogen.PseudoHamiltonianMatrix: ["entries", "basis", "parity"],
+        laserhydrogen.EigenDecomposition: [
+            "energies", "coefficients", "basis", "parity"
+        ],
+    }
+    assert not hasattr(laserhydrogen.EigenDecomposition, "level_gaps")
+
+
+def _settable_values(source):
+    """Defaulted parameters plus annotated dataclass fields in `source`."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    # The size of the public surface as the ROADMAP counts it.  Each value a
+    # caller can set is one more path to test; the count only goes down.
+    package = pathlib.Path(laserhydrogen.__file__).parent
+    total = sum(_settable_values(p.read_text()) for p in package.glob("*.py"))
+    assert total <= 78

@@ -32,7 +32,7 @@ def test_w_doubly_stochastic_and_symmetric(decomp5):
 
 def test_transition_table_matches_averaged_probability(decomp5):
     decomp, laser = decomp5
-    table = transition_table(decomp, GROUND, laser)
+    table = transition_table(decomp, GROUND)
     for final in (GROUND, QuantumNumbers(2, 1, 1), QuantumNumbers(4, 3, -3)):
         assert table.probability(final) == pytest.approx(
             averaged_probability(decomp, GROUND, final), rel=1e-13
@@ -45,7 +45,7 @@ def test_transition_table_matches_averaged_probability(decomp5):
 def test_zero_field_table_is_identity():
     basis = enumerate_basis(4)
     decomp = diagonalize(assemble(basis, LaserField(0.0, 0.1)))
-    table = transition_table(decomp, GROUND, LaserField(0.0, 0.1))
+    table = transition_table(decomp, GROUND)
     expected = np.zeros(len(basis))
     expected[basis.position(GROUND)] = 1.0
     np.testing.assert_allclose(table.probabilities, expected, atol=1e-24)
@@ -81,15 +81,18 @@ def test_time_resolved_rejects_negative_time(decomp5):
 
 def test_spectrum_scan():
     omegas = [0.1, 0.2, 0.3]
-    result = spectrum_scan(0.05, omegas, GROUND, n0=3)
-    assert result.axis == omegas
-    assert len(result.rows) == 3
-    for point, omega in zip(result.rows, omegas):
+    points = spectrum_scan(0.05, omegas, GROUND, n0=3)
+    assert isinstance(points, list)
+    assert [p.axis_value for p in points] == omegas
+    for point, omega in zip(points, omegas):
         assert not point.failed
-        assert point.axis_value == omega
         assert point.normalization_error < 1e-12
-        assert point.table.laser.omega == omega
-    assert result.metadata["n0"] == 3
+        assert point.table.basis.n0 == 3
+        # each point is the table of its own field
+        decomp = diagonalize(assemble(point.table.basis, LaserField(0.05, omega)))
+        np.testing.assert_array_equal(
+            point.table.probabilities, transition_table(decomp, GROUND).probabilities
+        )
 
 
 def test_spectrum_scan_rejects_bad_omega():
@@ -99,9 +102,10 @@ def test_spectrum_scan_rejects_bad_omega():
 
 def test_intensity_scan():
     amps = [0.0, 0.1, 0.2]
-    result = intensity_scan(0.018, amps, GROUND, n0=3, axis_values=[1, 2, 3])
-    assert result.axis == [1, 2, 3]
-    ground_w = [p.table.probability(GROUND) for p in result.rows]
+    points = intensity_scan(0.018, amps, GROUND, n0=3, axis_values=[1, 2, 3])
+    assert isinstance(points, list)
+    assert [p.axis_value for p in points] == [1, 2, 3]
+    ground_w = [p.table.probability(GROUND) for p in points]
     # survival probability decreases as the field is turned up
     assert ground_w[0] == pytest.approx(1.0, abs=1e-14)
     assert ground_w[0] > ground_w[1] > ground_w[2]
@@ -138,7 +142,7 @@ def test_failed_record_keeps_only_strings(monkeypatch):
     function, and keeps neither the exception nor its decomposition."""
     solved = []
 
-    def failing_table(decomp, initial, laser):
+    def failing_table(decomp, initial):
         solved.append(weakref.ref(decomp))
         raise DomainError("injected table failure")
 
