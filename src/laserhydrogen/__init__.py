@@ -15,9 +15,7 @@ from .basis import (
     angular_x,
     bound_energy,
     enumerate_basis,
-    px_matrix_element,
     radial_length_integral,
-    x_matrix_element,
 )
 from .eigensolver import (
     DEGENERACY_GAP,
@@ -65,9 +63,7 @@ __all__ = [
     "angular_x",
     "bound_energy",
     "enumerate_basis",
-    "px_matrix_element",
     "radial_length_integral",
-    "x_matrix_element",
     "DEGENERACY_GAP",
     "EigenDecomposition",
     "TrackedState",

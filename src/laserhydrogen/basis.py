@@ -4,17 +4,17 @@ States are labelled by (n, l, mu) and carry the i^l phase convention
 (Condon-Shortley spherical harmonics), which makes every matrix element of
 the rotating-frame Hamiltonian real.  In that convention the momentum
 operator p_x has a real symmetric representation while x has the form
-i * X with X real and antisymmetric; `x_matrix_element` returns X, so the
+i * X with X real and antisymmetric, X(a, b) = +-angular_x * radial, so the
 exact commutator relation
 
-    px_matrix_element(a, b) == (E_b - E_a) * x_matrix_element(a, b)
+    <a|p_x|b> == (E_b - E_a) * X(a, b)
 
 holds in atomic units.  The dipole radial integrals (l and l - 1) are
 evaluated with Gordon's closed form, two terminating Gauss series summed in
 exact integer arithmetic.  `coupling_arrays` holds every nonzero p_x element
-of a basis at its basis positions.  This module alone knows the state order,
-the parity rule and the two mu halves of a class; other modules read them
-from `BasisSet`.
+of a basis at its basis positions, and is the one builder of them.  This
+module alone knows the state order, the parity rule and the two mu halves
+of a class; other modules read them from `BasisSet`.
 """
 
 import math
@@ -234,38 +234,13 @@ def radial_length_integral(n1: int, l1: int, n2: int, l2: int) -> float:
     return magnitude if (num > 0) == (den > 0) else -magnitude
 
 
-def x_matrix_element(a: QuantumNumbers, b: QuantumNumbers) -> float:
-    """Real representative X of <a|x|b> in the i^l convention.
-
-    The phased matrix element is i*X; X is antisymmetric under a <-> b
-    (the operator itself stays Hermitian).
-    """
-    if abs(a.l - b.l) != 1 or abs(a.mu - b.mu) != 1:
-        return 0.0
-    radial = radial_length_integral(a.n, a.l, b.n, b.l)
-    u = angular_x(a.l, a.mu, b.l, b.mu) * radial
-    return -u if a.l == b.l + 1 else u
-
-
-def px_matrix_element(a: QuantumNumbers, b: QuantumNumbers) -> float:
-    """Real matrix element <a|p_x|b> in the i^l convention (symmetric).
-
-    Evaluated through the exact commutator route p_x = i[H0, x] between
-    bound Coulomb eigenstates; vanishes identically for degenerate pairs.
-    """
-    if abs(a.l - b.l) != 1 or abs(a.mu - b.mu) != 1:
-        return 0.0
-    if a.n == b.n:
-        return 0.0
-    return (bound_energy(b.n) - bound_energy(a.n)) * x_matrix_element(a, b)
-
-
 @lru_cache(maxsize=1)
 def coupling_arrays(n0: int):
     """Nonzero <a|p_x|b> of the n0 basis with l_b = l_a + 1.
 
-    Returns read-only (rows, cols, values) with values[k] ==
-    px_matrix_element(states[rows[k]], states[cols[k]]); the matrix is
+    Returns read-only (rows, cols, values) with values[k] the p_x element
+    of states[rows[k]] and states[cols[k]], bit for bit the element-wise
+    reference `px_matrix_element` of tests/oracles.py; the matrix is
     symmetric, so the mirrored entries carry the same values.  Only the
     latest basis is kept: a sweep stays on one basis, and an n0 ladder
     never returns to an earlier one.
@@ -290,8 +265,7 @@ def coupling_arrays(n0: int):
         n1, n2 = np.array(pairs).T
         rows.append(_position(n1[:, None], l1, mu1).ravel())
         cols.append(_position(n2[:, None], l2, mu2).ravel())
-        # px(a, b) = (E_b - E_a) * X(a, b) with X = angular * radial, the
-        # same arithmetic as px_matrix_element
+        # px(a, b) = (E_b - E_a) * X(a, b) with X = angular * radial
         values.append((de[:, None] * (angular * radial[:, None])).ravel())
     return tuple(
         _read_only(np.concatenate(part) if part else np.zeros(0, dtype=dtype))

@@ -74,11 +74,11 @@ PRESETS = {
 # Keys every mode reads, and the keys each mode reads besides them; a mode
 # requires each of its keys that has no default.
 _COMMON_KEYS = ("mode", "n0", "initial_n", "initial_l", "initial_mu", "reduced_mass",
-                "drop_a2", "output_path")
+                "output_path")
 MODE_KEYS = {
     "spectrum": ("amplitude_vspm", "omega_ev_start", "omega_ev_stop", "count", "w_min"),
     "intensity": ("omega_ev", "a_vspm_start", "a_vspm_stop", "count", "w_min"),
-    "ionization": ("omega_ev", "a_vspm_start", "a_vspm_stop", "count"),
+    "ionization": ("omega_ev", "a_vspm_start", "a_vspm_stop", "count", "drop_a2"),
     "point": ("amplitude_vspm", "omega_ev", "w_min"),
 }
 

@@ -14,7 +14,9 @@ through the basis and the parity, the basis positions of its states.  Every
 observable of a scan follows one initial state and reads only that state's
 class.  The position of a class's dressed state in the spectrum of the
 whole basis (`global_index`) needs only the number of the other class's
-levels below it, which that class's eigenvalues give.
+levels below it, which that class's eigenvalues give.  Every class is
+solved as `assemble` builds it, A^2/2 on the diagonal: the constant moves
+all levels of both classes alike, so no state, fold or count depends on it.
 
 Photoionization reads one dressed state, the one tracked from the initial
 bare state, and `solve_tracked` finds it without a full solve.  p_x
@@ -147,12 +149,10 @@ def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
     return EigenDecomposition(energies, vectors, matrix.basis, matrix.parity)
 
 
-def global_index(
-    decomp: EigenDecomposition, index: int, laser: LaserField, include_a2: bool
-) -> int:
+def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> int:
     """Position of dressed state `index` in the ascending spectrum of the
-    whole basis at this field, whose class `decomp` solves with or without
-    the A^2/2 constant as include_a2 says.
+    whole basis at this field, whose class `decomp` solves (A^2/2 included,
+    as `assemble` builds every class).
 
     This is its rank in the class plus the number of the other class's
     levels below E_i; an empty other class (n0 = 1) has none.  In a tie
@@ -162,9 +162,7 @@ def global_index(
     other = 1 - decomp.parity
     if len(decomp.basis.class_positions(other)) == 0:
         return index
-    levels = np.linalg.eigvalsh(
-        assemble(decomp.basis, laser, include_a2, parity=other).entries
-    )
+    levels = np.linalg.eigvalsh(assemble(decomp.basis, laser, parity=other).entries)
     e_i = decomp.energy(index)
     below = levels <= e_i if other == 0 else levels < e_i
     return index + int(np.count_nonzero(below))
@@ -190,10 +188,10 @@ def track_state(
 
 # --- the tracked state alone, on one mu half of its class -----------------
 
-def _halves(basis, laser, include_a2, parity):
+def _halves(basis, laser, parity):
     """(rows, diagonal) of the even and of the odd mu half of the class
     `parity`, and the block C of H between them (even rows, odd columns)."""
-    diagonal, rows, cols, values = class_terms(basis, laser, include_a2, parity)
+    diagonal, rows, cols, values = class_terms(basis, laser, parity)
     even, odd = basis.class_halves(parity)
     in_half = np.empty(len(diagonal), dtype=np.intp)
     in_half[even] = np.arange(len(even))
@@ -272,7 +270,7 @@ def _rayleigh_quotient_iteration(d_k, d_x, c, start):
     return None
 
 
-def solve_tracked(basis, laser, target, include_a2):
+def solve_tracked(basis, laser, target):
     """The dressed state tracked from bare state `target`, solved on half
     of its parity class, or None where the result cannot be certified.
 
@@ -296,7 +294,7 @@ def solve_tracked(basis, laser, target, include_a2):
     if laser.amplitude_A == 0.0:
         return None
     parity = target.parity
-    even, odd, c = _halves(basis, laser, include_a2, parity)
+    even, odd, c = _halves(basis, laser, parity)
     target_row = int(np.searchsorted(basis.class_positions(parity),
                                      basis.position(target)))
     if target_row in even[0]:
@@ -312,7 +310,7 @@ def solve_tracked(basis, laser, target, include_a2):
     if not overlap > 0.5:
         return None
     rank = _levels_below(d_k, d_x, c, rho, at_rho=1)
-    other = _other_levels_below(basis, laser, include_a2, 1 - parity, rho)
+    other = _other_levels_below(basis, laser, 1 - parity, rho)
     if rank is None or other is None:
         return None
     column = np.empty(len(d_k) + len(d_x))
@@ -321,12 +319,12 @@ def solve_tracked(basis, laser, target, include_a2):
     return decomp, TrackedState(0, overlap), rank + other
 
 
-def _other_levels_below(basis, laser, include_a2, parity, rho):
+def _other_levels_below(basis, laser, parity, rho):
     """Levels of the class `parity` below rho, folding away the half whose
     bare levels lie farthest from rho; None if the count is unsure."""
     if len(basis.class_positions(parity)) == 0:
         return 0
-    even, odd, c = _halves(basis, laser, include_a2, parity)
+    even, odd, c = _halves(basis, laser, parity)
 
     def gap(d):
         return np.abs(d - rho).min(initial=math.inf)

@@ -16,12 +16,14 @@ the eigensolver into the block between the class's two mu halves.  No
 matrix over the whole basis is ever built; a scan follows one initial
 state and solves only in that state's class.
 
-All quantities in atomic units.  The dipole (k*a0 << 1) coupling is used;
-the A^2/2 ponderomotive-type constant is kept on the diagonal by default
-because it drives the intensity dependence of the pseudo-energies, and can
-be dropped for sensitivity studies (include_a2=False).  A matrix keeps only
-its entries, basis and parity class; the caller that assembled it holds the
-field and that choice.
+All quantities in atomic units.  The dipole (k*a0 << 1) coupling is used.
+The A^2/2 ponderomotive-type constant is always on the diagonal: it drives
+the intensity dependence of the pseudo-energies, and as a multiple of the
+identity it shifts every level alike and changes no dressed state, so a
+study without it shifts E_i afterwards (`--drop-a2`, read by the
+ionization scan alone) instead of solving another matrix.  A matrix keeps
+only its entries, basis and parity class; the caller that assembled it
+holds the field.
 """
 
 import math
@@ -71,9 +73,7 @@ class PseudoHamiltonianMatrix:
         return self.entries.shape[0]
 
 
-def class_terms(
-    basis: BasisSet, laser: LaserField, include_a2: bool, parity: int
-):
+def class_terms(basis: BasisSet, laser: LaserField, parity: int):
     """The pieces of the class `parity` (0 or 1) of H: its diagonal and its
     couplings (rows, cols, A * p_x) with rows and cols indices into
     `basis.class_positions(parity)`, each coupling listed once.
@@ -90,8 +90,8 @@ def class_terms(
         raise ConfigurationError(
             f"no state of the n0={basis.n0} basis has parity {parity}"
         )
-    a2_shift = 0.5 * laser.amplitude_A**2 if include_a2 else 0.0
-    diagonal = basis.energy[positions] + basis.mu[positions] * laser.omega + a2_shift
+    diagonal = (basis.energy[positions] + basis.mu[positions] * laser.omega
+                + 0.5 * laser.amplitude_A**2)
     if laser.amplitude_A == 0.0:
         none = np.zeros(0, dtype=np.intp)
         return diagonal, none, none, np.zeros(0)
@@ -106,14 +106,14 @@ def class_terms(
 
 
 def assemble(
-    basis: BasisSet, laser: LaserField, include_a2: bool = True, parity: int = 0
+    basis: BasisSet, laser: LaserField, *, parity: int = 0
 ) -> PseudoHamiltonianMatrix:
     """Build the real symmetric pseudo-Hamiltonian of one parity class.
 
     The matrix is the diagonal block of the class `parity` (0 or 1) in the
     whole-basis H, entry for entry.  Class 0 holds the 1s state.
     """
-    diagonal, rows, cols, scaled = class_terms(basis, laser, include_a2, parity)
+    diagonal, rows, cols, scaled = class_terms(basis, laser, parity)
     dim = len(diagonal)
     h = np.zeros((dim, dim), order="F")
     np.fill_diagonal(h, diagonal)

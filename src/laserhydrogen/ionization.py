@@ -30,7 +30,7 @@ are good to about 1e-13 relative.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -253,17 +253,20 @@ class IonizationScanPoint(ScanRecord):
 
         `solve_tracked` finds it on half of its class; where that result
         cannot be certified, the class is assembled and diagonalized and
-        `track_state` and `global_index` pick and place the state.
+        `track_state` and `global_index` pick and place the state.  Without
+        include_a2 the records read E_i less A^2/2: the constant shifts
+        every level alike, so the state, its overlap and its place stay.
         """
-        solved = solve_tracked(basis, laser, initial, include_a2)
+        solved = solve_tracked(basis, laser, initial)
         if solved is None:
-            decomp = diagonalize(
-                assemble(basis, laser, include_a2, parity=initial.parity)
-            )
+            decomp = diagonalize(assemble(basis, laser, parity=initial.parity))
             tracked = track_state(decomp, initial)
-            index = global_index(decomp, tracked.index, laser, include_a2)
+            index = global_index(decomp, tracked.index, laser)
         else:
             decomp, tracked, index = solved
+        if not include_a2:
+            shift = 0.5 * laser.amplitude_A**2
+            decomp = replace(decomp, energies=decomp.energies - shift)
         records = tuple(ionization_records(decomp, tracked.index, laser))
         return cls(axis_value, index, tracked.overlap, records,
                    full_solve=solved is None)

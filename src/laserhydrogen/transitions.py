@@ -12,7 +12,10 @@ per point, a `ScanPoint` (W table) or an `ionization.IonizationScanPoint`,
 failed points included; `spectrum_scan` and `intensity_scan` return those
 records as a list.  W out of the initial state is exactly 0 outside
 its parity class, so a `ScanPoint` assembles and solves that class alone;
-an ionization point reads one dressed state of it.
+an ionization point reads one dressed state of it.  `scan`'s include_a2
+reaches each point's observe, and only the ionization point reads it: the
+A^2/2 constant shifts every pseudo-energy alike, so it changes no W and no
+level gap, but it does change E_i, and with it E_f0 and eta.
 """
 
 from dataclasses import dataclass, field
@@ -92,13 +95,14 @@ class ScanPoint(ScanRecord):
     def observe(cls, basis, initial, laser, include_a2, axis_value) -> "ScanPoint":
         """W table, |sum_b W - 1|, smallest level gap (None for a single
         level) and outer-shell leakage of one scan point, from the solve of
-        the initial state's class.
+        the initial state's class.  include_a2 is not read: the A^2/2
+        constant shifts every level alike and moves no W and no gap.
 
         W near a pair of levels a gap apart carries rounding of about
         eps*|H|/gap.  The W that leaks into the outermost shell n = n0 is a
         proxy for the truncation error of the basis.
         """
-        decomp = diagonalize(assemble(basis, laser, include_a2, parity=initial.parity))
+        decomp = diagonalize(assemble(basis, laser, parity=initial.parity))
         table = transition_table(decomp, initial)
         # the levels of one class can mix, so each spacing is a gap
         gaps = np.diff(decomp.energies)

@@ -4,13 +4,15 @@ The program evaluates every radial integral in closed form; the tests check
 those closed forms against independent routes built from the functions
 here: normalized hydrogen radial functions integrated on Gauss-Laguerre
 grids, the Kummer function F(a, c, z) summed as a Taylor series, and the
-energy-normalized Coulomb wave.  The program builds and solves one parity
-class at a time; `whole_hamiltonian` is H over the whole basis, which the
-tests hold the class blocks and class spectra to, and `refined_eigenpair`
-refines one eigenpair of a class in extended precision, which the tests
-hold the tracked dressed state and its sigma to.  `averaged_probability`
-is one W(a, b) summed from two rows of a decomposition, which the tests
-hold `transition_table` to.
+energy-normalized Coulomb wave.  `px_matrix_element` and `x_matrix_element`
+give one element of p_x and of x for one pair of states, which the tests
+hold `coupling_arrays`, the program's one builder of them, to.  The program
+builds and solves one parity class at a time; `whole_hamiltonian` is H over
+the whole basis, which the tests hold the class blocks and class spectra
+to, and `refined_eigenpair` refines one eigenpair of a class in extended
+precision, which the tests hold the tracked dressed state and its sigma
+to.  `averaged_probability` is one W(a, b) summed from two rows of a
+decomposition, which the tests hold `transition_table` to.
 """
 
 import cmath
@@ -21,7 +23,14 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from laserhydrogen.basis import QuantumNumbers, _radial_norm, coupling_arrays
+from laserhydrogen.basis import (
+    QuantumNumbers,
+    _radial_norm,
+    angular_x,
+    bound_energy,
+    coupling_arrays,
+    radial_length_integral,
+)
 from laserhydrogen.errors import ConvergenceError, DomainError
 from laserhydrogen.specfun import KummerParams, _as_nonpositive_int
 
@@ -38,15 +47,44 @@ def averaged_probability(decomp, from_state, to_state) -> float:
     return float(np.dot(c_from**2, c_to**2))
 
 
+# --- one-electron matrix elements, one pair of states at a time ---------
+
+def x_matrix_element(a: QuantumNumbers, b: QuantumNumbers) -> float:
+    """Real representative X of <a|x|b> in the i^l convention.
+
+    The phased matrix element is i*X; X is antisymmetric under a <-> b
+    (the operator itself stays Hermitian).
+    """
+    if abs(a.l - b.l) != 1 or abs(a.mu - b.mu) != 1:
+        return 0.0
+    radial = radial_length_integral(a.n, a.l, b.n, b.l)
+    u = angular_x(a.l, a.mu, b.l, b.mu) * radial
+    return -u if a.l == b.l + 1 else u
+
+
+def px_matrix_element(a: QuantumNumbers, b: QuantumNumbers) -> float:
+    """Real matrix element <a|p_x|b> in the i^l convention (symmetric).
+
+    Evaluated through the exact commutator route p_x = i[H0, x] between
+    bound Coulomb eigenstates; vanishes identically for degenerate pairs.
+    """
+    if abs(a.l - b.l) != 1 or abs(a.mu - b.mu) != 1:
+        return 0.0
+    if a.n == b.n:
+        return 0.0
+    return (bound_energy(b.n) - bound_energy(a.n)) * x_matrix_element(a, b)
+
+
 # --- the pseudo-Hamiltonian over the whole basis ------------------------
 
-def whole_hamiltonian(basis, laser, include_a2=True) -> np.ndarray:
-    """H_ps = H_0 + omega*L_z + A*p_x (+ A^2/2) over every state of the
+def whole_hamiltonian(basis, laser) -> np.ndarray:
+    """H_ps = H_0 + omega*L_z + A*p_x + A^2/2 over every state of the
     basis, in basis order, scattered straight from `coupling_arrays`."""
     dim = len(basis)
     h = np.zeros((dim, dim), order="F")
-    a2_shift = 0.5 * laser.amplitude_A**2 if include_a2 else 0.0
-    np.fill_diagonal(h, basis.energy + basis.mu * laser.omega + a2_shift)
+    np.fill_diagonal(
+        h, basis.energy + basis.mu * laser.omega + 0.5 * laser.amplitude_A**2
+    )
     if laser.amplitude_A != 0.0:
         rows, cols, values = coupling_arrays(basis.n0)
         scaled = laser.amplitude_A * values

@@ -10,12 +10,16 @@ from laserhydrogen.basis import (
     angular_x,
     bound_energy,
     enumerate_basis,
-    px_matrix_element,
     radial_length_integral,
-    x_matrix_element,
 )
 from laserhydrogen.errors import ConfigurationError
-from oracles import make_radial_grid, overlap, radial_wavefunction
+from oracles import (
+    make_radial_grid,
+    overlap,
+    px_matrix_element,
+    radial_wavefunction,
+    x_matrix_element,
+)
 
 
 # --- labels and enumeration ----------------------------------------------

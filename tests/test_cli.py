@@ -466,10 +466,10 @@ def _fail_tracked_solve_when(monkeypatch, fails):
     point whose laser fails."""
     real = ionization.solve_tracked
 
-    def flaky(basis, laser, target, include_a2):
+    def flaky(basis, laser, target):
         if fails(laser):
             raise RuntimeError("synthetic mid-scan failure")
-        return real(basis, laser, target, include_a2)
+        return real(basis, laser, target)
 
     monkeypatch.setattr(ionization, "solve_tracked", flaky)
 
@@ -672,20 +672,28 @@ def test_ionization_rows_print_the_configured_omega(tmp_path, monkeypatch):
     assert {r[1] for r in rows} == {"4.0"}  # computed and failed rows alike
 
 
-def test_drop_a2_changes_results(tmp_path):
-    base = ["point", "--n0", "3", "--amplitude-vspm", "5e-6", "--omega-ev", "0.5"]
+def _tracked_by_axis(rows):
+    """(dressed_index, overlap, E_i) per axis value of an ionization CSV;
+    every branch row of a point repeats them."""
+    return {r[0]: (r[2], r[3], r[4]) for r in rows}
+
+
+def test_drop_a2_shifts_e_i_and_keeps_the_tracked_state(tmp_path):
+    # A^2/2 is a multiple of the identity: without it the very same dressed
+    # state is tracked, and only its pseudo-energy moves, by exactly A^2/2
+    base = ["ionization", "--preset", "fig3"]
     out1, out2 = tmp_path / "a2.csv", tmp_path / "noa2.csv"
     assert main(base + ["--out", str(out1)]) == 0
     assert main(base + ["--out", str(out2), "--drop-a2"]) == 0
     meta2 = json.loads((tmp_path / "noa2.csv.meta.json").read_text())
     assert meta2["config"]["drop_a2"] is True
-    # W tables coincide to solver precision: a constant diagonal shift cannot
-    # change eigenvectors, only pseudo-energies
-    _, rows1 = _read_csv(out1)
-    _, rows2 = _read_csv(out2)
-    assert [r[:7] for r in rows1] == [r[:7] for r in rows2]
-    for r1, r2 in zip(rows1, rows2):
-        assert float(r1[7]) == pytest.approx(float(r2[7]), rel=1e-9)
+    with_a2 = _tracked_by_axis(_read_csv(out1)[1])
+    without = _tracked_by_axis(_read_csv(out2)[1])
+    assert list(without) == list(with_a2) and len(with_a2) == 10
+    units = UnitSystem()
+    for axis, (index, overlap, e_i) in with_a2.items():
+        amplitude = units.vector_potential_to_internal(float(axis))
+        assert without[axis] == (index, overlap, repr(float(e_i) - 0.5 * amplitude**2))
 
 
 def test_reduced_mass_shifts_energies(tmp_path):
@@ -745,9 +753,11 @@ def test_bad_input_rejected_at_the_boundary(tmp_path, monkeypatch, capsys, argv,
         (_SPECTRUM + ["--omega-ev", "0.5"], ["omega_ev"]),
         (_INTENSITY + ["--amplitude-vspm", "1e-6"], ["amplitude_vspm"]),
         (_POINT + ["--config", "unread.ini"], ["a_vspm_stop"]),
+        (_POINT + ["--drop-a2"], ["drop_a2"]),
     ],
     ids=["point-sweep-flags", "ionization-w-min", "point-fig3-preset",
-         "spectrum-omega", "intensity-amplitude", "point-config-file"],
+         "spectrum-omega", "intensity-amplitude", "point-config-file",
+         "point-drop-a2"],
 )
 def test_keys_the_mode_does_not_read_are_rejected(tmp_path, monkeypatch, capsys,
                                                  argv, keys):
@@ -766,7 +776,7 @@ def test_every_key_a_mode_reads_is_accepted(mode):
     presets = {"spectrum": "fig1", "intensity": "fig2", "ionization": "fig3"}
     values = {"amplitude_vspm": 1e-6, "omega_ev": 0.5, "omega_ev_start": 0.2,
               "omega_ev_stop": 0.6, "a_vspm_start": 0.0, "a_vspm_stop": 1e-6,
-              "count": 2, "w_min": 0.0}
+              "count": 2, "w_min": 0.0, "drop_a2": True}
     overrides = {key: values[key] for key in cli.MODE_KEYS[mode]}
     config = parse_config(overrides={"mode": mode, "n0": 3, **overrides},
                           preset=presets.get(mode))

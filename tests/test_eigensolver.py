@@ -68,7 +68,7 @@ def test_no_output_reads_the_sign_of_a_dressed_state():
     flip[tracked.index] = True
     signs = np.where(flip, -1.0, 1.0)
     flipped = replace(decomp, coefficients=decomp.coefficients * signs)
-    folded, state, _ = solve_tracked(basis, laser, GROUND, True)
+    folded, state, _ = solve_tracked(basis, laser, GROUND)
     negated = replace(folded, coefficients=-folded.coefficients)
 
     def observed(d, index):

@@ -8,22 +8,21 @@ from laserhydrogen.basis import (
     bound_energy,
     coupling_arrays,
     enumerate_basis,
-    px_matrix_element,
 )
 from laserhydrogen.errors import ConfigurationError
 from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import ionization_intensity_scan
 from laserhydrogen.transitions import intensity_scan, spectrum_scan
-from oracles import whole_hamiltonian
+from oracles import px_matrix_element, whole_hamiltonian
 
 
-def _assert_class_blocks(basis, laser, whole, include_a2=True):
+def _assert_class_blocks(basis, laser, whole):
     """Each parity class assembled alone is its block of the whole-basis H,
     entry for entry."""
     for parity in (0, 1):
         block = basis.class_positions(parity)
         np.testing.assert_array_equal(
-            assemble(basis, laser, include_a2, parity=parity).entries,
+            assemble(basis, laser, parity=parity).entries,
             whole[np.ix_(block, block)],
         )
 
@@ -79,6 +78,16 @@ def test_assemble_needs_a_parity_class(parity):
         assemble(enumerate_basis(3), LaserField(0.1, 0.1), parity=parity)
 
 
+def test_assemble_takes_the_parity_by_keyword_only():
+    # a flag passed positionally must not silently pick a parity class
+    basis, laser = enumerate_basis(3), LaserField(0.1, 0.1)
+    with pytest.raises(TypeError):
+        assemble(basis, laser, False)
+    np.testing.assert_array_equal(
+        assemble(basis, laser).entries, assemble(basis, laser, parity=0).entries
+    )
+
+
 def test_assemble_diagonal():
     basis = enumerate_basis(3)
     amp, omega = 0.3, 0.07
@@ -88,22 +97,6 @@ def test_assemble_diagonal():
         expected = bound_energy(s.n) + s.mu * omega + 0.5 * amp**2
         assert h[i, i] == pytest.approx(expected, rel=1e-15)
     _assert_class_blocks(basis, laser, h)
-
-
-def test_assemble_drop_a2():
-    basis = enumerate_basis(3)
-    amp, omega = 0.3, 0.07
-    laser = LaserField(amp, omega)
-    with_a2 = whole_hamiltonian(basis, laser)
-    without = whole_hamiltonian(basis, laser, include_a2=False)
-    np.testing.assert_allclose(
-        np.diag(with_a2) - np.diag(without), 0.5 * amp**2, rtol=1e-14
-    )
-    np.testing.assert_array_equal(
-        with_a2 - np.diag(np.diag(with_a2)), without - np.diag(np.diag(without))
-    )
-    _assert_class_blocks(basis, laser, with_a2)
-    _assert_class_blocks(basis, laser, without, include_a2=False)
 
 
 def test_assemble_zero_field_is_diagonal():

@@ -53,14 +53,12 @@ def _parity(state):
     return (state.l + state.mu) % 2
 
 
-def _class_solve(basis, laser, initial, include_a2=True):
+def _class_solve(basis, laser, initial):
     """The scan's eigensolve: the initial state's class alone."""
-    return diagonalize(
-        assemble(basis, laser, include_a2, parity=_parity(initial))
-    )
+    return diagonalize(assemble(basis, laser, parity=_parity(initial)))
 
 
-def _whole_eigh_of_class(basis, laser, parity, include_a2=True, eigh=np.linalg.eigh):
+def _whole_eigh_of_class(basis, laser, parity, eigh=np.linalg.eigh):
     """eigh of the whole-basis H, restricted to the rows and the dressed
     states of one class, as a decomposition of that class.
 
@@ -68,7 +66,7 @@ def _whole_eigh_of_class(basis, laser, parity, include_a2=True, eigh=np.linalg.e
     here the whole solve does not mix the classes.  Also returns the column
     of each of the class's levels in the whole spectrum.
     """
-    energies, vectors = eigh(whole_hamiltonian(basis, laser, include_a2))
+    energies, vectors = eigh(whole_hamiltonian(basis, laser))
     rows = basis.class_positions(parity)
     cols = np.flatnonzero(basis.parity[np.argmax(np.abs(vectors), axis=0)] == parity)
     decomp = EigenDecomposition(
@@ -150,7 +148,7 @@ def test_reading_the_solved_block_matches_the_full_solve(one_block):
     )
     tracked, tracked_full = track_state(decomp, GROUND), track_state(full, GROUND)
     assert tracked.overlap == pytest.approx(tracked_full.overlap, rel=1e-12)
-    assert global_index(decomp, tracked.index, laser, True) == cols[tracked_full.index]
+    assert global_index(decomp, tracked.index, laser) == cols[tracked_full.index]
     final = QuantumNumbers(3, 2, 2)
     assert averaged_probability(decomp, GROUND, final) == pytest.approx(
         averaged_probability(full, GROUND, final), rel=1e-12
@@ -264,7 +262,7 @@ def test_dressed_index_is_the_position_in_the_full_spectrum(case):
     resolution = 64 * np.finfo(float).eps * np.abs(merged).max()
     for i, e_i in enumerate(decomp.energies):
         if not np.any(np.abs(other - e_i) <= resolution):
-            assert global_index(decomp, i, laser, True) == cols[i]
+            assert global_index(decomp, i, laser) == cols[i]
 
 
 @pytest.mark.parametrize("initial", [QuantumNumbers(2, 0, 0), ODD], ids=["even", "odd"])
@@ -284,45 +282,7 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     assert tie[1] == tie[0] + 1
     decomp = _class_solve(basis, laser, initial)
     tracked = track_state(decomp, initial)
-    assert global_index(decomp, tracked.index, laser, True) == tie[_parity(initial)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=_cases())
-def test_a2_shifts_energies_and_keeps_w(case):
-    n0, initial, amplitude, omega = case
-    laser = LaserField(amplitude, omega)
-    basis = enumerate_basis(n0)
-    with_a2, without = (
-        _class_solve(basis, laser, initial, include_a2=flag) for flag in (True, False)
-    )
-    # evd's reduction is not exactly shift-invariant, so this is not bitwise
-    np.testing.assert_allclose(
-        with_a2.energies, without.energies + amplitude**2 / 2, rtol=0, atol=1e-12
-    )
-    tolerance = _w_tolerance(without)
-    if tolerance is not None:
-        np.testing.assert_allclose(
-            transition_table(with_a2, initial).probabilities,
-            transition_table(without, initial).probabilities,
-            rtol=0, atol=tolerance,
-        )
-
-
-def _w_tolerance(decomp):
-    """1e-12, or the rounding bound of W near a close pair of levels.
-
-    Rounding of order eps*|H| turns a dressed state by about eps*|H|/gap,
-    gap its distance to the nearest level of its class; evd's W near such
-    a pair moves by up to that much (7e-12 at n0 = 3, A = 0.0625,
-    omega = 0.5, where the gap is 9.6e-6).  None for an exactly degenerate
-    level, whose eigenvectors and hence W are not unique.
-    """
-    gap = np.diff(decomp.energies).min(initial=np.inf)
-    if gap == 0.0:
-        return None
-    norm = np.abs(decomp.energies).max()
-    return max(1e-12, 4 * np.finfo(float).eps * norm / gap)
+    assert global_index(decomp, tracked.index, laser) == tie[_parity(initial)]
 
 
 @settings(max_examples=15, deadline=None)
@@ -404,18 +364,17 @@ class _FullEigh:
     matrix that the solve after it reads.
     """
 
-    def assemble(self, basis, laser, include_a2=True, parity=0):
-        self.field = laser, include_a2
-        return assemble(basis, laser, include_a2, parity)
+    def assemble(self, basis, laser, *, parity=0):
+        self.laser = laser
+        return assemble(basis, laser, parity=parity)
 
     def __call__(self, matrix):
-        laser, include_a2 = self.field
         decomp, self.cols = _whole_eigh_of_class(
-            matrix.basis, laser, matrix.parity, include_a2, eigh=scipy.linalg.eigh,
+            matrix.basis, self.laser, matrix.parity, eigh=scipy.linalg.eigh,
         )
         return decomp
 
-    def index(self, decomp, index, laser, include_a2):
+    def index(self, decomp, index, laser):
         return int(self.cols[index])
 
 

@@ -13,6 +13,8 @@ ORACLES = {
     "laplace_1f1_product",
     "gamma_fn",
     "averaged_probability",
+    "px_matrix_element",
+    "x_matrix_element",
 }
 
 
@@ -79,4 +81,4 @@ def test_settable_values_do_not_grow():
     # caller can set is one more path to test; the count only goes down.
     package = pathlib.Path(laserhydrogen.__file__).parent
     total = sum(_settable_values(p.read_text()) for p in package.glob("*.py"))
-    assert total <= 78
+    assert total <= 77

@@ -46,17 +46,17 @@ BENCH_SEED0 = ["ionization", "--n0", "10", "--omega-ev", "2.37",
                "--count", "40"]
 
 
-def _full_path(basis, laser, initial, include_a2=True):
-    decomp = diagonalize(assemble(basis, laser, include_a2, parity=initial.parity))
+def _full_path(basis, laser, initial):
+    decomp = diagonalize(assemble(basis, laser, parity=initial.parity))
     tracked = track_state(decomp, initial)
-    return decomp, tracked, global_index(decomp, tracked.index, laser, include_a2)
+    return decomp, tracked, global_index(decomp, tracked.index, laser)
 
 
 def _check_against_full_path(basis, laser, initial):
     """solve_tracked agrees with the full path where it certifies, and the
     scan point is the full path's where it does not; True if certified."""
     decomp, tracked, index = _full_path(basis, laser, initial)
-    folded = solve_tracked(basis, laser, initial, True)
+    folded = solve_tracked(basis, laser, initial)
     if folded is None:
         point = IonizationScanPoint.observe(basis, initial, laser, True, 0.5)
         records = tuple(ionization_records(decomp, tracked.index, laser))
@@ -124,8 +124,8 @@ def test_folded_solve_agrees_with_the_full_path(case):
 
 def test_zero_field_and_the_empty_other_class():
     basis = enumerate_basis(1)
-    assert solve_tracked(basis, LaserField(0.0, 0.7), GROUND, True) is None
-    one, state, index = solve_tracked(basis, LaserField(0.02, 0.7), GROUND, True)
+    assert solve_tracked(basis, LaserField(0.0, 0.7), GROUND) is None
+    one, state, index = solve_tracked(basis, LaserField(0.02, 0.7), GROUND)
     assert (state.index, index, state.overlap) == (0, 0, 1.0)
     assert one.energy(0) == -0.5 + 0.5 * 0.02**2
 
@@ -158,7 +158,7 @@ def test_tracked_column_matches_the_refined_eigenpair(n0, initial):
     basis = enumerate_basis(n0)
     laser = LaserField(UNITS.vector_potential_to_internal(5e-7),
                        UNITS.ev_to_internal(2.37))
-    one, state, _ = solve_tracked(basis, laser, initial, True)
+    one, state, _ = solve_tracked(basis, laser, initial)
     matrix = assemble(basis, laser, parity=initial.parity)
     column = one.column(state.index)
     vector, energy = refined_eigenpair(matrix.entries, column, one.energy(state.index))
