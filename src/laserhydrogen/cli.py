@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .basis import N0_CAP, QuantumNumbers, enumerate_basis
@@ -230,11 +231,13 @@ def run(config: RunConfig) -> int:
     units = UnitSystem(reduced_mass=config.reduced_mass)
     axis, lasers = _sweep(config, units)
     ionization = config.mode == "ionization"
-    points = list(scan(
-        enumerate_basis(config.n0), config.initial_state, axis, lasers,
-        IonizationScanPoint if ionization else ScanPoint,
-        include_a2=not config.drop_a2,
-    ))
+    basis, initial = enumerate_basis(config.n0), config.initial_state
+    if ionization:
+        observe = partial(IonizationScanPoint.observe, basis, initial,
+                          include_a2=not config.drop_a2)
+    else:
+        observe = partial(ScanPoint.observe, basis, initial)
+    points = scan(axis, lasers, observe)
     csv_rows = [(IONIZATION_HEADER if ionization else SPECTRUM_HEADER).split(",")]
     for p in points:
         csv_rows.extend(
@@ -252,17 +255,14 @@ def run(config: RunConfig) -> int:
             "hartree_eV": units.internal_to_ev(1.0),
             "vector_potential_au_vspm": units.vector_potential_to_si(1.0),
         },
-        "failed_points": [
-            {"axis_value": p.axis_value, **dataclasses.asdict(p.failure)}
-            for p in points if p.failed
-        ],
+        "failed_points": [dataclasses.asdict(p) for p in points if p.failed],
         "wall_time_s": time.time() - t_start,
     }
     if ionization:
         # Points whose tracked state keeps less than half of the initial
         # bare state: which dressed state the records follow is ambiguous.
         metadata["ambiguous_axis_values"] = [
-            p.axis_value for p in points if p.ambiguous
+            p.axis_value for p in computed if p.ambiguous
         ]
         # Points whose tracked state the folded solve could not certify, so
         # the solve of the whole class gave it.  Its small components, and so

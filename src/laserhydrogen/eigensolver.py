@@ -220,6 +220,9 @@ def _levels_below(d_k, d_x, c, rho, at_rho):
     `at_rho` (0 or 1) levels of H at rho left out; None unless exactly
     `at_rho` eigenvalues of S, and no d_x - rho, lie within the guard of 0.
     """
+    scale = max(np.abs(d_x).max(initial=0.0), abs(rho))
+    if (np.abs(d_x - rho) <= _SIGN_GUARD * scale).any():
+        return None  # before the fold, which divides by each d_x - rho
     s, w = _fold(d_k, d_x, c, rho)
     mu = np.linalg.eigvalsh(s)
     # S is summed from terms up to this size, and rounded on that scale
@@ -227,10 +230,7 @@ def _levels_below(d_k, d_x, c, rho, at_rho):
         np.abs(c) @ (np.abs(w) * np.abs(c).sum(axis=0))
     ).max(initial=0.0)
     at_zero = np.abs(mu) <= _SIGN_GUARD * size
-    scale = max(np.abs(d_x).max(initial=0.0), abs(rho))
-    if np.count_nonzero(at_zero) != at_rho or (
-        np.abs(d_x - rho) <= _SIGN_GUARD * scale
-    ).any():
+    if np.count_nonzero(at_zero) != at_rho:
         return None
     return int(np.count_nonzero(d_x < rho) + np.count_nonzero(mu[~at_zero] < 0))
 
@@ -238,9 +238,10 @@ def _levels_below(d_k, d_x, c, rho, at_rho):
 def _rayleigh_quotient_iteration(d_k, d_x, c, start):
     """(rho, x_k, x_x) of the eigenpair of [[D_k, C], [C^T, D_x]] that
     Rayleigh-quotient iteration from unit vector `start` of the k half
-    reaches, or None within _RQI_STEPS.  Each step solves (H - rho) y = x
-    on the k half through S(rho) and the x half by back-substitution; it
-    stops one step after the residual over the whole class first passes."""
+    reaches, or None within _RQI_STEPS or where rho equals a d_x exactly.
+    Each step solves (H - rho) y = x on the k half through S(rho) and the x
+    half by back-substitution; it stops one step after the residual over
+    the whole class first passes."""
     size = max(np.abs(d_k).max(initial=0.0), np.abs(d_x).max(initial=0.0)) + max(
         np.abs(c).sum(axis=1).max(initial=0.0), np.abs(c).sum(axis=0).max(initial=0.0)
     )
@@ -257,6 +258,8 @@ def _rayleigh_quotient_iteration(d_k, d_x, c, start):
             if passed or residual == 0.0:
                 return rho, x_k, x_x
             passed = True
+        if (d_x == rho).any():  # rho is a bare level of the x half: no fold
+            return None
         s, w = _fold(d_k, d_x, c, rho)
         try:
             y_k = np.linalg.solve(s, x_k - c @ (w * x_x))

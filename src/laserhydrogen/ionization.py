@@ -26,12 +26,15 @@ cannot be certified, the point diagonalizes the whole class instead and
 records that it did (`full_solve`): the small components of such a
 vector, and so sigma of strongly suppressed branches, carry the full
 solve's rounding of about eps*|H|, while the folded solve's components
-are good to about 1e-13 relative.
+are good to about 1e-13 relative.  Its observe is the one function that
+takes `include_a2` (the command line's --drop-a2): without it the records
+read E_i less A^2/2, a shift of every level alike that moves no state.
+A point that raises is a `transitions.PointFailure` in the list `scan` returns.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -233,22 +236,21 @@ def ionization_records(
 @dataclass(frozen=True)
 class IonizationScanPoint(ScanRecord):
     """The tracked initial dressed state at one field point and its
-    IonizationRecords; a failed point has none.  full_solve marks a point
-    whose tracked state came from the solve of its whole class."""
+    IonizationRecords.  full_solve marks a point whose tracked state came
+    from the solve of its whole class."""
 
-    dressed_index: int = -1    # position in the spectrum of the whole basis
-    overlap: float = float("nan")
-    records: tuple = ()
-    full_solve: bool = False
+    dressed_index: int  # position in the spectrum of the whole basis
+    overlap: float
+    records: tuple
+    full_solve: bool
 
     @property
     def ambiguous(self) -> bool:
-        """The initial bare state is strongly mixed: overlap below 1/2
-        (False for a failed point, whose overlap is NaN)."""
+        """The initial bare state is strongly mixed: overlap below 1/2."""
         return self.overlap < 0.5
 
     @classmethod
-    def observe(cls, basis, initial, laser, include_a2, axis_value):
+    def observe(cls, basis, initial, laser, axis_value, *, include_a2=True):
         """The state tracked from `initial` and its records at one field.
 
         `solve_tracked` finds it on half of its class; where that result
@@ -271,10 +273,6 @@ class IonizationScanPoint(ScanRecord):
         return cls(axis_value, index, tracked.overlap, records,
                    full_solve=solved is None)
 
-    @classmethod
-    def from_failure(cls, axis_value, failure) -> "IonizationScanPoint":
-        return cls(axis_value, failure=failure)
-
 
 def ionization_intensity_scan(
     omega_au: float,
@@ -288,4 +286,5 @@ def ionization_intensity_scan(
     amplitudes_au = list(amplitudes_au)
     lasers = [LaserField(amp, omega_au) for amp in amplitudes_au]
     axis = amplitudes_au if axis_values is None else list(axis_values)
-    return list(scan(enumerate_basis(n0), initial, axis, lasers, IonizationScanPoint))
+    return scan(axis, lasers,
+                partial(IonizationScanPoint.observe, enumerate_basis(n0), initial))

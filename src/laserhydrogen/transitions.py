@@ -7,18 +7,18 @@ probability before averaging is the multi-periodic
 |sum_i C_a(i) C_b(i) e^{-i(E_i - mu_b omega) t}|^2.
 
 Every sweep, the library scans and the command line alike, runs through
-`scan`, which observes one field point after another and yields one record
-per point, a `ScanPoint` (W table) or an `ionization.IonizationScanPoint`,
-failed points included; `spectrum_scan` and `intensity_scan` return those
-records as a list.  W out of the initial state is exactly 0 outside
-its parity class, so a `ScanPoint` assembles and solves that class alone;
-an ionization point reads one dressed state of it.  `scan`'s include_a2
-reaches each point's observe, and only the ionization point reads it: the
-A^2/2 constant shifts every pseudo-energy alike, so it changes no W and no
-level gap, but it does change E_i, and with it E_f0 and eta.
+`scan`, which calls one observe function on one field point after another
+and returns a list with one record per point: what observe returned, a
+`ScanPoint` (W table) or an `ionization.IonizationScanPoint`, or a
+`PointFailure` where it raised.  W out of the initial state is exactly 0
+outside its parity class, so a `ScanPoint` assembles and solves that class
+alone; an ionization point reads one dressed state of it.  The A^2/2
+constant shifts every pseudo-energy alike, so it changes no W and no level
+gap; only the ionization point's observe reads whether E_i includes it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,51 +40,44 @@ class TransitionTable:
 
 
 @dataclass(frozen=True)
-class PointFailure:
-    """Why a scan point failed: the exception's message, its type name and
+class ScanRecord:
+    """The base of every record `scan` stores: the point's axis value, and
+    `failed`, True only for a `PointFailure`."""
+
+    axis_value: float  # swept parameter in I/O units
+    failed = False
+
+
+@dataclass(frozen=True)
+class PointFailure(ScanRecord):
+    """A scan point that raised: the exception's message, its type name and
     the module.function of the frame that raised it, as strings only (its
     traceback would keep the point's decomposition alive)."""
 
     error: str
     type: str
     where: str
+    failed = True
 
     @classmethod
-    def of(cls, exc: BaseException) -> "PointFailure":
+    def of(cls, axis_value, exc: BaseException) -> "PointFailure":
         tb = exc.__traceback__
         while tb.tb_next is not None:
             tb = tb.tb_next
         frame = tb.tb_frame
         where = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}"
-        return cls(str(exc), type(exc).__name__, where)
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    """What `scan` yields per point: its axis value and, if the point
-    raised, its failure (None for a computed point)."""
-
-    axis_value: float  # swept parameter in I/O units
-    failure: PointFailure = field(default=None, kw_only=True)
-
-    @property
-    def failed(self) -> bool:
-        return self.failure is not None
-
-    @property
-    def error(self) -> str:
-        return "" if self.failure is None else self.failure.error
+        return cls(axis_value, str(exc), type(exc).__name__, where)
 
 
 @dataclass(frozen=True)
 class ScanPoint(ScanRecord):
     """W table out of the initial state at one field point, with how far it
-    can be trusted; a failed point has no table."""
+    can be trusted."""
 
     table: TransitionTable
     normalization_error: float  # |sum_b W - 1|
-    min_eigen_gap: float = None  # smallest level spacing in the initial class
-    outer_shell_leakage: float = None  # sum of W into the n = n0 shell
+    min_eigen_gap: float  # smallest level spacing in the initial class
+    outer_shell_leakage: float  # sum of W into the n = n0 shell
 
     @property
     def near_degenerate(self) -> bool:
@@ -92,11 +85,10 @@ class ScanPoint(ScanRecord):
         return self.min_eigen_gap is not None and self.min_eigen_gap < DEGENERACY_GAP
 
     @classmethod
-    def observe(cls, basis, initial, laser, include_a2, axis_value) -> "ScanPoint":
+    def observe(cls, basis, initial, laser, axis_value) -> "ScanPoint":
         """W table, |sum_b W - 1|, smallest level gap (None for a single
         level) and outer-shell leakage of one scan point, from the solve of
-        the initial state's class.  include_a2 is not read: the A^2/2
-        constant shifts every level alike and moves no W and no gap.
+        the initial state's class.
 
         W near a pair of levels a gap apart carries rounding of about
         eps*|H|/gap.  The W that leaks into the outermost shell n = n0 is a
@@ -111,10 +103,6 @@ class ScanPoint(ScanRecord):
         norm_error = abs(float(table.probabilities.sum()) - 1.0)
         min_gap = float(gaps.min()) if len(gaps) else None
         return cls(axis_value, table, norm_error, min_gap, leakage)
-
-    @classmethod
-    def from_failure(cls, axis_value, failure) -> "ScanPoint":
-        return cls(axis_value, None, np.nan, failure=failure)
 
 
 def transition_table(
@@ -145,29 +133,29 @@ def time_resolved_probability(
     return float(np.abs(np.dot(c_from * c_to, phases)) ** 2)
 
 
-def scan(basis, initial, axis_values, lasers, point, include_a2=True):
+def scan(axis_values, lasers, observe) -> list:
     """Observe each field point of a sweep, one record per point.
 
-    Yields, per axis value and laser (two sequences of equal length), the
-    record point.observe(basis, initial, laser, include_a2, axis_value),
-    where point is ScanPoint or IonizationScanPoint, or
-    point.from_failure(...) if that point raised: a failed point does not
-    stop the scan.  Each record type solves what it reads, and only in the
-    initial state's parity class: a ScanPoint assembles and diagonalizes
-    the class, an IonizationScanPoint solves for its tracked state alone
-    where it can.  No solve outlives its observe call, so none stays alive
-    while the generator waits at its yield and the next point is solved.
+    Returns, per axis value and laser (two sequences of equal length), the
+    record observe(laser, axis_value), or PointFailure.of(axis_value, exc)
+    if that call raised: a failed point does not stop the scan.  observe is
+    `ScanPoint.observe` or `IonizationScanPoint.observe` with the basis and
+    the initial state bound (functools.partial).  Each solves what it reads,
+    and only in the initial state's parity class: a ScanPoint assembles and
+    diagonalizes the class, an IonizationScanPoint solves for its tracked
+    state alone where it can.  No solve outlives its observe call.
     """
     if len(axis_values) != len(lasers):
         raise ConfigurationError(
             f"{len(axis_values)} axis values for {len(lasers)} field points"
         )
+    records = []
     for axis_value, laser in zip(axis_values, lasers):
         try:
-            record = point.observe(basis, initial, laser, include_a2, axis_value)
+            records.append(observe(laser, axis_value))
         except Exception as exc:  # the point fails, the scan goes on
-            record = point.from_failure(axis_value, PointFailure.of(exc))
-        yield record
+            records.append(PointFailure.of(axis_value, exc))
+    return records
 
 
 def spectrum_scan(
@@ -182,7 +170,8 @@ def spectrum_scan(
     omegas_au = list(omegas_au)
     lasers = [LaserField(amplitude_au, w) for w in omegas_au]
     axis = omegas_au if axis_values is None else list(axis_values)
-    return list(scan(enumerate_basis(n0), initial, axis, lasers, ScanPoint))
+    return scan(axis, lasers,
+                partial(ScanPoint.observe, enumerate_basis(n0), initial))
 
 
 def intensity_scan(
@@ -197,4 +186,5 @@ def intensity_scan(
     amplitudes_au = list(amplitudes_au)
     lasers = [LaserField(a, omega_au) for a in amplitudes_au]
     axis = amplitudes_au if axis_values is None else list(axis_values)
-    return list(scan(enumerate_basis(n0), initial, axis, lasers, ScanPoint))
+    return scan(axis, lasers,
+                partial(ScanPoint.observe, enumerate_basis(n0), initial))

@@ -82,10 +82,6 @@ class UnitSystem:
         mp = CONSTANTS.proton_mass
         return mp / (me + mp)
 
-    @property
-    def binding_energy_ev(self) -> float:
-        return self.internal_to_ev(BINDING_ENERGY_AU)
-
     def ev_to_internal(self, value_ev: float) -> float:
         """eV -> internal (mass-scaled) hartree."""
         return value_ev / (CONSTANTS.hartree_ev * self.mass_factor)

@@ -542,8 +542,8 @@ def _axis_of(rows):
 
 def _failed_points_of(points):
     return [
-        {"axis_value": p.axis_value, "error": p.error, "type": p.failure.type,
-         "where": p.failure.where}
+        {"axis_value": p.axis_value, "error": p.error, "type": p.type,
+         "where": p.where}
         for p in points if p.failed
     ]
 
@@ -597,7 +597,7 @@ def test_spectrum_scans_agree_with_the_cli(tmp_path, monkeypatch, mode):
     assert [p.failed for p in points].count(True) == 1
     assert meta["failed_points"] == _failed_points_of(points)
     assert meta["near_degenerate_axis_values"] == [
-        p.axis_value for p in points if p.near_degenerate
+        p.axis_value for p in points if not p.failed and p.near_degenerate
     ]
     if mode == "intensity":
         assert meta["near_degenerate_axis_values"] == [0.0]
@@ -625,6 +625,7 @@ def test_ionization_scan_agrees_with_the_cli(tmp_path, monkeypatch):
         if p.failed:
             expected.append([repr(p.axis_value), "2.37", "-1", "nan", "nan", "0",
                              "nan", "nan", "failed"])
+            continue
         for rec in p.records:
             expected.append([
                 repr(p.axis_value), "2.37", str(p.dressed_index), repr(p.overlap),
@@ -636,7 +637,7 @@ def test_ionization_scan_agrees_with_the_cli(tmp_path, monkeypatch):
     assert [p.failed for p in points] == [False, True, False]
     assert meta["failed_points"] == _failed_points_of(points)
     assert meta["ambiguous_axis_values"] == [
-        p.axis_value for p in points if p.ambiguous
+        p.axis_value for p in points if not p.failed and p.ambiguous
     ]
 
 

@@ -149,9 +149,7 @@ def test_near_degenerate_pairs(monkeypatch):
     entries = np.diag([-0.5, -0.5 + 1e-12, -0.3, -0.1])
     decomp = diagonalize(_matrix_from(entries, basis))
     monkeypatch.setattr(transitions, "diagonalize", lambda matrix: decomp)
-    point = transitions.ScanPoint.observe(
-        basis, GROUND, LaserField(0.0, 1.0), True, 0.0
-    )
+    point = transitions.ScanPoint.observe(basis, GROUND, LaserField(0.0, 1.0), 0.0)
     assert 1e-14 < point.min_eigen_gap < DEGENERACY_GAP
     assert point.near_degenerate
 

@@ -13,6 +13,7 @@ default LAPACK routine, as the scans used before.
 
 import csv
 import sys
+from functools import partial
 import tracemalloc
 
 import numpy as np
@@ -172,16 +173,18 @@ def test_initial_state_outside_the_basis():
     with pytest.raises(ConfigurationError, match="parity must be"):
         assemble(enumerate_basis(2), LaserField(0.1, 0.1), parity=2)
     (result,) = transitions.scan(
-        enumerate_basis(2), QuantumNumbers(3, 0, 0), [0.1], [LaserField(0.1, 0.1)],
-        transitions.ScanPoint,
+        [0.1], [LaserField(0.1, 0.1)],
+        partial(transitions.ScanPoint.observe, enumerate_basis(2),
+                QuantumNumbers(3, 0, 0)),
     )
-    assert result.failure.type == "ConfigurationError"
+    assert result.type == "ConfigurationError"
     assert "not in basis" in result.error
     # at n0 = 1 the class of an odd initial state is empty
     (result,) = transitions.scan(
-        enumerate_basis(1), ODD, [0.1], [LaserField(0.1, 0.1)], transitions.ScanPoint
+        [0.1], [LaserField(0.1, 0.1)],
+        partial(transitions.ScanPoint.observe, enumerate_basis(1), ODD),
     )
-    assert result.failure.type == "ConfigurationError"
+    assert result.type == "ConfigurationError"
     assert "no state of the n0=1 basis has parity 1" in result.error
 
 
@@ -338,7 +341,8 @@ def test_scan_point_allocates_no_whole_basis_matrix(point):
         units.vector_potential_to_internal(5e-6), units.ev_to_internal(2.37)
     )
     def run():
-        for result in transitions.scan(basis, GROUND, [2.37], [laser], point):
+        observe = partial(point.observe, basis, GROUND)
+        for result in transitions.scan([2.37], [laser], observe):
             assert not result.failed
 
     run()  # fill the coupling and bound-free caches first

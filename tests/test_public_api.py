@@ -1,8 +1,12 @@
 import ast
+import inspect
 import pathlib
 from dataclasses import fields
+from functools import partial
 
 import laserhydrogen
+from laserhydrogen.ionization import IonizationScanPoint
+from laserhydrogen.transitions import PointFailure, ScanPoint, scan
 
 ORACLES = {
     "overlap",
@@ -62,6 +66,29 @@ def test_objects_keep_no_copy_of_their_inputs():
     assert not hasattr(laserhydrogen.EigenDecomposition, "level_gaps")
 
 
+def test_scan_takes_fields_and_one_observe_function():
+    # the basis, the initial state and the A^2/2 option are bound into observe
+    # by its caller, and only the ionization point takes the option
+    assert list(inspect.signature(scan).parameters) == [
+        "axis_values", "lasers", "observe"
+    ]
+    assert "include_a2" not in inspect.signature(ScanPoint.observe).parameters
+    option = inspect.signature(IonizationScanPoint.observe).parameters["include_a2"]
+    assert option.kind is inspect.Parameter.KEYWORD_ONLY
+    # a failed point of either kind is one record type, with no placeholders
+    basis = laserhydrogen.enumerate_basis(1)
+    outside = laserhydrogen.QuantumNumbers(2, 0, 0)
+    laser = laserhydrogen.LaserField(0.01, 0.1)
+    for point in (ScanPoint, IonizationScanPoint):
+        assert not hasattr(point, "from_failure")
+        (record,) = scan([0.1], [laser], partial(point.observe, basis, outside))
+        assert type(record) is PointFailure and record.failed
+        assert not hasattr(record, "table") and not hasattr(record, "records")
+    assert [f.name for f in fields(PointFailure)] == [
+        "axis_value", "error", "type", "where"
+    ]
+
+
 def _settable_values(source):
     """Defaulted parameters plus annotated dataclass fields in `source`."""
     count = 0
@@ -81,4 +108,4 @@ def test_settable_values_do_not_grow():
     # caller can set is one more path to test; the count only goes down.
     package = pathlib.Path(laserhydrogen.__file__).parent
     total = sum(_settable_values(p.read_text()) for p in package.glob("*.py"))
-    assert total <= 77
+    assert total <= 76

@@ -13,6 +13,7 @@ lists as solved in full.
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from laserhydrogen.eigensolver import (
     track_state,
 )
 from laserhydrogen.hamiltonian import LaserField, assemble
-from laserhydrogen.ionization import IonizationScanPoint, ionization_records
+from laserhydrogen.ionization import (
+    IonizationScanPoint, ionization_intensity_scan, ionization_records,
+)
 from laserhydrogen.units import UnitSystem
 from oracles import refined_eigenpair
 
@@ -58,7 +61,7 @@ def _check_against_full_path(basis, laser, initial):
     decomp, tracked, index = _full_path(basis, laser, initial)
     folded = solve_tracked(basis, laser, initial)
     if folded is None:
-        point = IonizationScanPoint.observe(basis, initial, laser, True, 0.5)
+        point = IonizationScanPoint.observe(basis, initial, laser, 0.5)
         records = tuple(ionization_records(decomp, tracked.index, laser))
         assert point == IonizationScanPoint(
             0.5, index, tracked.overlap, records, True
@@ -150,6 +153,21 @@ def test_named_sweeps_agree_with_the_full_path(initial, argv, certified):
     assert sum(done) == certified
 
 
+def test_exact_tie_with_a_bare_level_of_the_other_half():
+    # At n0 = 2 and omega = 0.375 the bare pseudo-energies of 1s and of 2p
+    # mu = -1 are both -0.5 + A^2/2, so RQI's first Rayleigh quotient is a
+    # diagonal entry of the x half, where the fold would divide by zero.
+    basis, laser = enumerate_basis(2), LaserField(1e-3, 0.375)
+    decomp, tracked, index = _full_path(basis, laser, GROUND)
+    records = tuple(ionization_records(decomp, tracked.index, laser))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_tracked(basis, laser, GROUND) is None
+        (point,) = ionization_intensity_scan(0.375, [1e-3], n0=2)
+    assert point == IonizationScanPoint(1e-3, index, tracked.overlap, records, True)
+    assert (point.dressed_index, point.overlap) == (0, 0.5000658089446299)
+
+
 @pytest.mark.parametrize("n0", [6, 10])
 @pytest.mark.parametrize("initial", [GROUND, QuantumNumbers(2, 1, 1)],
                          ids=["1s", "2p+1"])
@@ -210,7 +228,7 @@ def test_scan_solves_no_class_where_the_fold_certifies(monkeypatch):
                         lambda m: solved.append(m) or real(m))
     basis, lasers = _sweep(BENCH_SEED0[:-1] + ["3"])
     points = [
-        IonizationScanPoint.observe(basis, GROUND, laser, True, i)
+        IonizationScanPoint.observe(basis, GROUND, laser, i)
         for i, laser in enumerate(lasers)
     ]
     assert solved == [] and not any(p.full_solve for p in points)

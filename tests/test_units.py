@@ -47,7 +47,9 @@ def test_unit_system_plain():
     u = UnitSystem()
     assert u.mass_factor == 1.0
     assert u.ev_to_internal(u.internal_to_ev(0.3)) == pytest.approx(0.3, rel=1e-14)
-    assert u.binding_energy_ev == pytest.approx(13.605693122994, rel=1e-11)
+    assert u.internal_to_ev(BINDING_ENERGY_AU) == pytest.approx(
+        13.605693122994, rel=1e-11
+    )
     assert u.cross_section_to_pi_a0sq(2.5) == 2.5
 
 
@@ -58,7 +60,7 @@ def test_unit_system_reduced_mass():
     assert u.mass_factor == pytest.approx(mp / (me + mp), rel=1e-15)
     assert 0.99945 < u.mass_factor < 0.99946
     # hydrogen ionization energy with the reduced-mass correction
-    assert u.binding_energy_ev == pytest.approx(
+    assert u.internal_to_ev(BINDING_ENERGY_AU) == pytest.approx(
         0.5 * CONSTANTS.hartree_ev * mp / (me + mp), rel=1e-14
     )
     # sigma reported in true pi*a0^2 units grows by 1/mass_factor^2
