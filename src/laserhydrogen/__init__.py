@@ -35,11 +35,10 @@ from .ionization import (
     ionization_records,
     photoelectron_energy,
 )
-from .specfun import AppellF2Params, appell_f2
 
-# A test oracle, not in __all__: it stays reachable on the package only because
-# the benchmark's span tracer (perfbench/spans.py) resolves a layer by it here.
-from .specfun import laplace_1f1_product  # noqa: F401
+# Test oracles, not in __all__: they stay reachable on the package only because
+# the benchmark's span tracer (perfbench/spans.py) resolves layers by them here.
+from .specfun import appell_f2, laplace_1f1_product  # noqa: F401
 
 from .transitions import (
     ScanPoint,
@@ -82,8 +81,6 @@ __all__ = [
     "ionization_intensity_scan",
     "ionization_records",
     "photoelectron_energy",
-    "AppellF2Params",
-    "appell_f2",
     "ScanPoint",
     "TransitionTable",
     "intensity_scan",

@@ -6,18 +6,16 @@ number eta = (E_i + b)/omega - mu is in general not an integer.  Golden-rule
 rates use energy-normalized Coulomb continuum states, which makes the final
 density of states exactly one per unit energy.
 
-The bound-free radial integrals are evaluated in closed form via the
-Laplace transform of a product of two Kummer functions; the bound-state
-series terminates, and each continuum Gauss function becomes a terminating
-polynomial after Euler's transformation (`specfun._gauss_2f1`, which sums
-no other kind of series).  Per partial wave,
+The bound-free radial integrals of one open branch come from two
+three-term recurrences downward in l (`_bound_free_ladders`), started at
+the top l = n - 1 from a closed form.  Per partial wave l_f, p_l =
+<psi_f0|p_x|phi_i> is the golden-rule matrix element per unit A, normalized
+so that the cross section
 
-    beta_l = sqrt(pi/(2 v)) * p_l,
+    sigma = 8 pi alpha / omega * sum_l p_l^2   (in units of pi*a0^2)
 
-with p_l = <psi_f0|p_x|phi_i> the golden-rule matrix element per unit A,
-normalized so that the cross section sigma = 16*alpha*v/omega *
-sum_l |beta_l|^2 (in units of pi*a0^2) reproduces the textbook one-photon
-cross section in the weak-field limit, which it equals at A = 0.
+reproduces the textbook one-photon cross section in the weak-field limit,
+which it equals at A = 0; it does not divide by A.
 
 A scan point (`IonizationScanPoint`) reads one dressed state, the one
 tracked from the initial bare state, and `eigensolver.solve_tracked`
@@ -44,7 +42,7 @@ from .eigensolver import (
 )
 from .errors import ConfigurationError, DomainError
 from .hamiltonian import LaserField, assemble
-from .specfun import AppellF2Params, _gauss_2f1, appell_f2, log_abs_gamma
+from .specfun import log_abs_gamma
 from .transitions import ScanRecord, scan
 from .units import BINDING_ENERGY_AU, CONSTANTS
 
@@ -74,8 +72,6 @@ class IonizationRecord:
     mu_branch: int
     E_f0: float          # photoelectron energy, hartree
     eta: float           # effective (generally non-integer) photon number
-    beta_l: tuple        # partial amplitudes, index l - |mu_branch|
-    rate_P: float        # transitions per unit time (atomic units)
     sigma: float         # cross section in units of pi*a0^2
 
 
@@ -91,49 +87,80 @@ def eta_index(E_i: float, omega: float, mu_branch: int) -> float:
     return (E_i + BINDING_ENERGY_AU) / omega - mu_branch
 
 
-@lru_cache(maxsize=200_000)
-def _bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
-    """int_0^inf u_{E l_f}(r) r R_{n l_b}(r) r dr, closed form.
+def _top_integral(n: int, k: float) -> float:
+    """I(n, n-1; n), the bound-free radial integral at the top of both ladders.
 
-    u is the energy-normalized reduced Coulomb wave with momentum k.  Every
-    Gauss function of the F2 sum is a polynomial (Euler's transformation);
-    near threshold its terms cancel, by up to fifteen digits at n = 30 and
-    k = 0.014, and such sums are redone exactly.  Against a
-    60-digit evaluation of this formula the result agrees to 3e-12 relative
-    or better on the grid of tests/test_bound_free_oracle.py: n up to 30,
-    l_f = l_b +- 1, k from 0.014 (E_f0 of about 1e-4 hartree) to 3.
+    In the closed form of the integral (the Laplace transform of a product
+    of two Kummer functions) the Appell F2 sum over the bound index is one
+    term here, and Euler's transformation leaves the continuum Gauss function
+    a polynomial of degree 1.  With eta = -1/k and a = 1 + n^2 k^2 the product
+    is real:
+
+        I = sqrt(2/(pi k)) (2k)^(n+1) n^(2n+3) a^-(n+2) |Gamma(n+1+i eta)|
+            * exp((pi/2 - 2 atan(nk))/k) * N(n, n-1),
+
+    N the bound normalization.  It is summed in logs: near threshold
+    |Gamma(n+1+i eta)| underflows and exp(pi/(2k)) overflows.
     """
-    eta = -1.0 / k
-    u = l_f + l_b + 4
-    s = complex(1.0, -k * n) / 2.0
-    q = complex(0.0, -k * n)
-    a2, c1, c2 = complex(l_f + 1, eta), 2 * l_b + 2, 2 * l_f + 2
-    x, y = 1.0 / s, q / s
-    if n == l_f + 1 == l_b + 2:
-        # a1 = -1 leaves the F2 terms m = 0 and 1.  The m = 0 Gauss function
-        # is 1 - (c2 - a2) y / c2 after Euler's transformation, zero at
-        # n = l_f + 1.  Its rounded arguments leave a residue even when it
-        # is summed exactly, which would move sigma by up to 1e-14 relative.
-        # Keep the m = 1 term alone.
-        f2 = -u / c1 * x * _gauss_2f1(u + 1, a2, c2, y)
-    else:
-        f2 = appell_f2(AppellF2Params(u, l_b + 1 - n, a2, c1, c2, x, y))
-    core = (n / 2.0) ** u * math.factorial(u - 1) * s ** (-u) * f2
-    # log-space Coulomb normalization: C_l blows up at threshold otherwise
-    log_cl = (
-        l_f * math.log(2.0)
-        - math.pi * eta / 2.0
-        + log_abs_gamma(l_f, eta)
-        - math.lgamma(2 * l_f + 2)
+    log_value = (
+        0.5 * math.log(2.0 / (math.pi * k))
+        + (n + 1) * math.log(2.0 * k)
+        + (2 * n + 3) * math.log(n)
+        - (n + 2) * math.log1p(n * n * k * k)
+        + log_abs_gamma(n, -1.0 / k)
+        + (0.5 * math.pi - 2.0 * math.atan(n * k)) / k
     )
-    pref = (
-        math.sqrt(2.0 / (math.pi * k))
-        * math.exp(log_cl)
-        * k ** (l_f + 1)
-        * _radial_norm(n, l_b)
-    )
-    value = pref * core
-    return value.real if isinstance(value, complex) else float(value)
+    return math.exp(log_value) * _radial_norm(n, n - 1)
+
+
+@lru_cache(maxsize=1)
+def _bound_free_ladders(n0: int, l_min: int, k: float):
+    """The bound-free radial integrals of the basis at momentum k, l >= l_min.
+
+    I(n, l; l_f) = int_0^inf u_{E l_f}(r) r R_{n l}(r) r dr, u the
+    energy-normalized reduced Coulomb wave.  Returns read-only arrays (up,
+    down) with up[n, l] = I(n, l; l + 1) and down[n, l] = I(n, l; l - 1) for
+    l_min <= l < n <= n0, NaN elsewhere.
+
+    Burgess's G(n, l; l_f) (Mem. R. Astron. Soc. 69, 1 (1965); Storey and
+    Hummer, Comput. Phys. Commun. 66, 129 (1991)) obey two three-term
+    recurrences downward in l, and I = C(n, k) G (2n)^l
+    sqrt((n+l)!/(n-l-1)!) sqrt(prod_{s<=l_f} (1 + s^2 k^2)).  Each ladder
+    runs on I itself, the normalization carried as ratios, because G
+    overflows (n = 30, k = 3):
+
+        w(l) I(l - 1) = A(l) / (2n) I(l) - w(l + 1) I(l + 1),
+        w(l) = sqrt((n^2 - l^2) (1 + l_f^2 k^2)),
+        A(l) = 4n^2 - 4L^2 + L (2l + 1) a,  L = max(l, l_f),  a = 1 + n^2 k^2,
+
+    with l_f = l +- 1 on the up and down ladder.  Both start at l = n - 1
+    from `_top_integral`, the down one as
+    I(n, n-1; n-2) = sqrt(a / (1 + (n-1)^2 k^2)) / (2n) I(n, n-1; n), and
+    stop at l_min: a branch mu reaches no bound l below |mu| - 1, and
+    stopping there leaves every value above it as it is.  Against a
+    60-digit evaluation of the closed form they agree to 5e-14 relative on
+    the grid of tests/test_bound_free_oracle.py.
+    """
+    k2 = k * k
+    up = np.full((n0 + 1, n0), np.nan)
+    down = np.full((n0 + 1, n0), np.nan)
+    for n in range(l_min + 1, n0 + 1):
+        a = 1.0 + n * n * k2
+        top = _top_integral(n, k)
+        start_down = math.sqrt(a / (1.0 + (n - 1) ** 2 * k2)) / (2 * n) * top
+        for ladder, step, value in ((up, 1, top), (down, -1, start_down)):
+            above = w_above = 0.0
+            # l_f = l + step >= 0
+            for l in range(n - 1, max(l_min, -step) - 1, -1):
+                ladder[n, l] = value
+                big = max(l, l + step)
+                w = math.sqrt((n * n - l * l) * (1.0 + (l + step) ** 2 * k2))
+                a_l = 4 * n * n - 4 * big * big + big * (2 * l + 1) * a
+                value, above, w_above = (
+                    (a_l / (2 * n) * value - w_above * above) / w, value, w
+                )
+    up.flags.writeable = down.flags.writeable = False
+    return up, down
 
 
 @lru_cache(maxsize=2)
@@ -184,11 +211,10 @@ def bound_free_element(
     rows, n, l_b, factor, energy = channel
     c = coeffs[rows]
     keep = np.abs(c) >= _COEFF_CUTOFF
-    k = math.sqrt(2.0 * final.energy_Ef0)
-    radial = np.array([
-        _bound_free_radial(n_b, l, final.l, k)
-        for n_b, l in zip(n[keep].tolist(), l_b[keep].tolist())
-    ])
+    up, down = _bound_free_ladders(
+        decomp.basis.n0, max(abs(final.mu) - 1, 0), math.sqrt(2.0 * final.energy_Ef0)
+    )
+    radial = np.where(l_b < final.l, up[n, l_b], down[n, l_b])[keep]
     # p_x(f, b) = (E_b - E_f0) * x_fb, the commutator relation of the basis
     terms = c[keep] * ((energy[keep] - final.energy_Ef0) * (factor[keep] * radial))
     return sum(terms.tolist(), 0.0)
@@ -210,24 +236,17 @@ def ionization_records(
         e_f0 = photoelectron_energy(e_i, mu, laser.omega)
         if e_f0 <= 0:
             continue
-        v = math.sqrt(2.0 * e_f0)
-        betas = []
-        rate = 0.0
-        for l_f in range(abs(mu), n0 + 1):
-            final = ContinuumState(energy_Ef0=e_f0, l=l_f, mu=mu)
-            p_l = bound_free_element(decomp, dressed_index, final)
-            rate += 2.0 * math.pi * (laser.amplitude_A * p_l) ** 2
-            betas.append(math.sqrt(math.pi / (2.0 * v)) * p_l)
-        sigma = 16.0 * alpha * v / laser.omega * sum(b * b for b in betas)
+        p_squared = sum(
+            bound_free_element(decomp, dressed_index, ContinuumState(e_f0, l_f, mu)) ** 2
+            for l_f in range(abs(mu), n0 + 1)
+        )
         records.append(
             IonizationRecord(
                 E_i=e_i,
                 mu_branch=mu,
                 E_f0=e_f0,
                 eta=eta_index(e_i, laser.omega, mu),
-                beta_l=tuple(betas),
-                rate_P=rate,
-                sigma=sigma,
+                sigma=8.0 * math.pi * alpha / laser.omega * p_squared,
             )
         )
     return records

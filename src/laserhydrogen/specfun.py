@@ -1,27 +1,24 @@
 """Special functions for the radial integrals and continuum amplitudes.
 
 Covers the Gamma function, the closed-form log|Gamma(l + 1 + i eta)| of
-the Coulomb normalization, the Gauss function 2F1 and the Appell F2 double
-hypergeometric series of the bound-free radial integrals, and the
-closed-form Laplace transform of a product of two Kummer functions,
+the Coulomb normalization (the one function here that a program path
+calls, for the top of the bound-free ladders), and the closed-form Laplace
+transform of a product of two Kummer functions,
 
     int_0^inf e^{-s t} t^{u-1} F(a1, c1, t) F(a2, c2, q t) dt
-        = Gamma(u) s^{-u} F2(u, a1, a2, c1, c2, 1/s, q/s).
+        = Gamma(u) s^{-u} F2(u, a1, a2, c1, c2, 1/s, q/s),
 
-Only terminating series are summed: a Gauss function whose series is a
-polynomial directly or after Euler's transformation, and an F2 whose first
-index terminates.  Every bound-free radial integral is of that kind (see
-`_gauss_2f1`); other arguments raise DomainError, and nothing is continued
-analytically.  Sums in which both F2 indices terminate stay exact for
-Fraction/int inputs.  A Gauss polynomial whose double-precision terms
-cancel is summed again exactly, in Gaussian integers, and rounded once.
+with an Appell F2 whose two indices both terminate, summed as a finite
+double sum that stays exact for Fraction/int inputs.  Other F2 arguments
+raise DomainError; nothing is continued analytically.
 
-`laplace_1f1_product`, `gamma_fn`, `KummerParams` and that exact F2 branch
-are the rational oracle of the bound-bound radial integrals
+`laplace_1f1_product`, `gamma_fn`, `KummerParams` and `appell_f2` are the
+rational oracle of the bound-bound radial integrals
 (tests/test_radial_oracle.py); no program path calls them.  They stay here
-while the benchmark's span tracer still times `laplace_1f1_product` on the
-package.  The other oracles (quadrature on hydrogen wavefunctions, the
-series Kummer function and the Coulomb wave) live in tests/oracles.py.
+while the benchmark's span tracer still times `laplace_1f1_product` and
+`appell_f2` on the package.  The other oracles (quadrature on hydrogen
+wavefunctions, the series Kummer function and the Coulomb wave) live in
+tests/oracles.py.
 """
 
 import math
@@ -32,12 +29,6 @@ import mpmath
 import numpy as np
 
 from .errors import DomainError
-
-# A double-precision polynomial sum whose terms' moduli add up to more than
-# this multiple of the result has lost more than four of its sixteen digits;
-# it is summed again exactly.
-_CANCELLATION_LIMIT = 1e4
-
 
 def _as_nonpositive_int(value):
     """Return n >= 0 with value == -n if value is a non-positive integer."""
@@ -99,82 +90,6 @@ class KummerParams:
             raise DomainError(f"Kummer lower parameter c={self.c} is a pole")
 
 
-def _polynomial_2f1(a, b, c, z, n):
-    """Sum of the terminating 2F1 series with a = -n, and the sum of the
-    moduli of its terms (the scale its rounding errors are relative to)."""
-    total = 1.0 if not isinstance(z, complex) else complex(1.0)
-    term = total
-    size = 1.0
-    for j in range(n):
-        term = term * (a + j) * (b + j) / (c + j) * z / (j + 1)
-        total += term
-        size += abs(term)
-    return total, size
-
-
-def _exact_polynomial_2f1(n, b, c, z):
-    """F(-n, b; c; z) summed exactly and rounded once, for real c.
-
-    Floats are dyadic rationals: over the common denominator d of the real
-    and imaginary parts, b = B/d, c = C/d and z = Z/d with B and Z Gaussian
-    integers.  Horner's rule F = 1 + r_0 (1 + r_1 (1 + ...)) with
-    r_j = (j - n)(B + j d) Z / ((C + j d)(j + 1) d) then keeps the partial
-    sum as a Gaussian integer over an integer; int/int true division rounds
-    each part correctly.
-    """
-    try:
-        parts = [Fraction(v) for v in (b.real, b.imag, c, z.real, z.imag)]
-    except (ValueError, OverflowError):
-        raise DomainError(f"2F1(-{n}, {b}; {c}; {z}) has a non-finite argument") \
-            from None
-    d = math.lcm(*(f.denominator for f in parts))
-    b_re, b_im, c_int, z_re, z_im = (f.numerator * (d // f.denominator) for f in parts)
-    bz_re, bz_im = b_re * z_re - b_im * z_im, b_re * z_im + b_im * z_re
-    p_re, p_im, q = 1, 0, 1
-    for j in range(n - 1, -1, -1):
-        r_re, r_im = (j - n) * (bz_re + j * d * z_re), (j - n) * (bz_im + j * d * z_im)
-        m = (c_int + j * d) * (j + 1) * d
-        p_re, p_im = m * q + r_re * p_re - r_im * p_im, r_re * p_im + r_im * p_re
-        q *= m
-    if isinstance(b, complex) or isinstance(z, complex):
-        return complex(p_re / q, p_im / q)
-    return p_re / q
-
-
-def _gauss_2f1(a, b, c, z):
-    """Gauss 2F1(a, b; c; z) for a series that terminates.
-
-    A non-positive integer a or b makes the series a polynomial.  So does a
-    non-positive integer c - a or c - b after Euler's transformation
-    2F1(a, b; c; z) = (1-z)^{c-a-b} 2F1(c-a, c-b; c; z) (DLMF 15.8.1),
-    valid for every z off the cut [1, inf).  Every bound-free radial
-    integral lands there (c - a = l_f - l_b - 2 - m), on the circle
-    |1-z| = 1 with |z| up to 2.  A polynomial whose alternating terms
-    cancel, or that overflows, is summed again exactly, where a non-finite
-    argument raises DomainError.  Arguments for which none of a, b, c - a
-    and c - b is a non-positive integer raise DomainError: there is no
-    analytic continuation.
-    """
-    n = _as_nonpositive_int(a)
-    m = _as_nonpositive_int(b)
-    if m is not None and (n is None or m < n):
-        a, b, n = b, a, m
-    if n is None and (
-        _as_nonpositive_int(c - a) is not None
-        or _as_nonpositive_int(c - b) is not None
-    ):
-        return (1 - z) ** (c - a - b) * _gauss_2f1(c - a, c - b, c, z)
-    if n is None:
-        raise DomainError(
-            f"2F1({a}, {b}; {c}; z) does not terminate: none of a, b, c - a "
-            "and c - b is a non-positive integer"
-        )
-    total, size = _polynomial_2f1(a, b, c, z, n)
-    if size <= _CANCELLATION_LIMIT * abs(total) < math.inf:
-        return total
-    return _exact_polynomial_2f1(n, b, c, z)
-
-
 @dataclass(frozen=True)
 class AppellF2Params:
     """Parameters of the Appell F2 double series."""
@@ -197,47 +112,35 @@ class AppellF2Params:
 
 
 def appell_f2(p: AppellF2Params):
-    """Appell F2(u; a1, a2; c1, c2; x, y) with a terminating first index.
+    """Appell F2(u; a1, a2; c1, c2; x, y) with both indices terminating.
 
     F2 = sum_{m,p} (u)_{m+p} (a1)_m (a2)_p / ((c1)_m (c2)_p m! p!) x^m y^p.
 
-    a1 must be a non-positive integer; otherwise DomainError.  If a2 is one
-    too, the finite double sum is summed directly (staying in exact
-    arithmetic for rational inputs).  Otherwise the second index is summed
-    as one Gauss 2F1(u + m, a2; c2; y) per first-index term, which must
-    terminate as `_gauss_2f1` requires; for the bound-free radial
-    integrals each is a polynomial after Euler's transformation.
+    a1 and a2 must be non-positive integers; otherwise DomainError.  The
+    finite double sum is summed directly, in exact arithmetic for rational
+    inputs.
     """
     n1 = _as_nonpositive_int(p.a1)
     n2 = _as_nonpositive_int(p.a2)
-    if n1 is None:
-        raise DomainError(
-            f"Appell F2 first index a1={p.a1} does not terminate: it must be "
-            "a non-positive integer"
-        )
+    for name, value, order in (("a1", p.a1, n1), ("a2", p.a2, n2)):
+        if order is None:
+            raise DomainError(
+                f"Appell F2 index {name}={value} does not terminate: it must "
+                "be a non-positive integer"
+            )
 
-    if n2 is not None:
-        total = _zero_like(p.x, p.y)
-        outer = _one_like(p.x, p.y)  # (u)_m (a1)_m / ((c1)_m m!) x^m
-        for m in range(n1 + 1):
-            inner = outer  # accumulates the p-sum weighted by outer term
-            term = outer
-            for q in range(n2):
-                term = (
-                    term * (p.u + m + q) * (p.a2 + q) / ((p.c2 + q) * (q + 1)) * p.y
-                )
-                inner += term
-            total += inner
-            outer = outer * (p.u + m) * (p.a1 + m) / ((p.c1 + m) * (m + 1)) * p.x
-        return total
-
-    total = complex(0.0)
-    outer = complex(1.0)
+    total = _zero_like(p.x, p.y)
+    outer = _one_like(p.x, p.y)  # (u)_m (a1)_m / ((c1)_m m!) x^m
     for m in range(n1 + 1):
-        total += outer * _gauss_2f1(p.u + m, p.a2, p.c2, p.y)
+        inner = outer  # accumulates the p-sum weighted by outer term
+        term = outer
+        for q in range(n2):
+            term = (
+                term * (p.u + m + q) * (p.a2 + q) / ((p.c2 + q) * (q + 1)) * p.y
+            )
+            inner += term
+        total += inner
         outer = outer * (p.u + m) * (p.a1 + m) / ((p.c1 + m) * (m + 1)) * p.x
-    if all(not isinstance(v, complex) for v in (p.u, p.a2, p.x, p.y)):
-        return total.real
     return total
 
 

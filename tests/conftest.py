@@ -27,20 +27,20 @@ def w_matrix(decomp) -> np.ndarray:
 
 @pytest.fixture
 def bound_free_fails_at_second_point(monkeypatch):
-    """The bound-free radial integral raises DomainError, but only while the
+    """The bound-free radial integrals raise DomainError, but only while the
     ionization records of a scan's second point are computed."""
     calls = {"records": 0}
     real_records = ionization.ionization_records
-    real_radial = ionization._bound_free_radial
+    real_ladders = ionization._bound_free_ladders
 
     def counting_records(*args, **kwargs):
         calls["records"] += 1
         return real_records(*args, **kwargs)
 
-    def _bound_free_radial(n, l_b, l_f, k):
+    def _bound_free_ladders(n0, l_min, k):
         if calls["records"] == 2:
             raise DomainError("injected bound-free failure")
-        return real_radial(n, l_b, l_f, k)
+        return real_ladders(n0, l_min, k)
 
     monkeypatch.setattr(ionization, "ionization_records", counting_records)
-    monkeypatch.setattr(ionization, "_bound_free_radial", _bound_free_radial)
+    monkeypatch.setattr(ionization, "_bound_free_ladders", _bound_free_ladders)

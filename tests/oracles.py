@@ -13,6 +13,10 @@ to, and `refined_eigenpair` refines one eigenpair of a class in extended
 precision, which the tests hold the tracked dressed state and its sigma
 to.  `averaged_probability` is one W(a, b) summed from two rows of a
 decomposition, which the tests hold `transition_table` to.
+`bound_free_radial` reads one bound-free radial integral from the
+program's ladders, and `partial_wave_elements` gives the p_l whose squares
+a record's sigma sums, from which the tests take the golden-rule rate and
+the partial amplitudes that no output reads.
 """
 
 import cmath
@@ -32,6 +36,11 @@ from laserhydrogen.basis import (
     radial_length_integral,
 )
 from laserhydrogen.errors import ConvergenceError, DomainError
+from laserhydrogen.ionization import (
+    ContinuumState,
+    _bound_free_ladders,
+    bound_free_element,
+)
 from laserhydrogen.specfun import KummerParams, _as_nonpositive_int
 
 _SERIES_CAP = 2000
@@ -45,6 +54,34 @@ def averaged_probability(decomp, from_state, to_state) -> float:
     decomposition's class; a state of another class raises."""
     c_from, c_to = decomp.row(from_state), decomp.row(to_state)
     return float(np.dot(c_from**2, c_to**2))
+
+
+# --- the program's bound-free values, one at a time ----------------------
+
+def bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
+    """I(n, l_b; l_f) at momentum k, read from the ladders of an n0 = n basis."""
+    up, down = _bound_free_ladders(n, 0, k)
+    return float((up if l_f > l_b else down)[n, l_b])
+
+
+def partial_wave_elements(decomp, dressed_index, record):
+    """[p_l for l_f = |mu| .. n0] on the record's branch: bound_free_element,
+    the golden-rule element per unit A, of each partial wave that sigma sums."""
+    return [
+        bound_free_element(
+            decomp, dressed_index, ContinuumState(record.E_f0, l_f, record.mu_branch)
+        )
+        for l_f in range(abs(record.mu_branch), decomp.basis.n0 + 1)
+    ]
+
+
+def ionization_rate(decomp, dressed_index, record, amplitude) -> float:
+    """Golden-rule transitions per unit time on the record's branch,
+    sum_l 2 pi (A p_l)^2 in atomic units."""
+    return sum(
+        2.0 * math.pi * (amplitude * p) ** 2
+        for p in partial_wave_elements(decomp, dressed_index, record)
+    )
 
 
 # --- one-electron matrix elements, one pair of states at a time ---------

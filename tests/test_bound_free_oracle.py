@@ -1,24 +1,30 @@
-"""Bound-free radial integrals against a 60-digit evaluation of their formula.
+"""Bound-free radial integrals against a 60-digit evaluation of their closed form.
 
-`_mp_bound_free_radial` repeats `_bound_free_radial` term by term in mpmath:
-the outer Appell-F2 sum over the bound index, the untransformed continuum
-Gauss functions 2F1(u+m, l_f+1+i eta; 2l_f+2; y), the Coulomb normalization
+The program takes them from two recurrences downward in l
+(`ionization._bound_free_ladders`).  `_mp_bound_free_radial` evaluates the
+closed form they start from at every l, term by term in mpmath: the outer
+Appell-F2 sum over the bound index, the untransformed continuum Gauss
+functions 2F1(u+m, l_f+1+i eta; 2l_f+2; y), the Coulomb normalization
 C_l(eta) and the bound normalization.  The Gauss functions come from
 `mpmath.hyp2f1` at the two lowest u+m and from Gauss's contiguous relation
 in a (DLMF 15.5.11) above them, checked against `mpmath.hyp2f1` at the
 highest; near |y| = 1 each direct call costs a tenth of a second.  The grid
 runs from k = 0.014 (E_f0 of about 1e-4 hartree, just above threshold) to
-k = 3.  Near threshold the Gauss polynomials summed in double precision
-cancel by up to twelve digits (n = 24) and fifteen (n = 30).
+k = 3, and to the n0 cap at every third l.
 """
+
+import math
 
 import mpmath
 import pytest
 
-from laserhydrogen.ionization import _bound_free_radial
+from laserhydrogen.basis import N0_CAP
+from laserhydrogen.ionization import _bound_free_ladders
+from oracles import bound_free_radial
 
 _DPS = 60
 _K_GRID = (0.014, 0.05, 0.2, 0.6, 1.5, 3.0)
+_RTOL = 1e-12
 
 
 def _mp_gauss_ladder(a0, count, b, c, z):
@@ -79,14 +85,19 @@ def _channels(n_values, l_b_choices):
                     yield n, l_b, l_f
 
 
-_GRID = list(_channels((1, 2, 5, 8, 12, 18, 24), lambda n: (0, 1, n // 2, n - 1)))
+def _l_choices(n):
+    # both ends and the middle of each shell; every third l at the n0 cap
+    return {0, 1, n // 2, n - 1, *(range(0, n, 3) if n == N0_CAP else ())}
+
+
+_GRID = list(_channels((1, 2, 5, 8, 12, 18, 24, N0_CAP), _l_choices))
 
 
 @pytest.mark.parametrize("n,l_b,l_f", _GRID)
 def test_bound_free_radial_matches_60_digit_formula(n, l_b, l_f):
     for k in _K_GRID:
-        assert _bound_free_radial(n, l_b, l_f, k) == pytest.approx(
-            _mp_bound_free_radial(n, l_b, l_f, k), rel=1e-8
+        assert bound_free_radial(n, l_b, l_f, k) == pytest.approx(
+            _mp_bound_free_radial(n, l_b, l_f, k), rel=_RTOL
         ), f"k={k}"
 
 
@@ -96,16 +107,29 @@ def test_bound_free_radial_former_hypsum_failure():
     assert _mp_bound_free_radial(5, 3, 4, 0.2) == pytest.approx(
         7.928223869200193, rel=1e-14
     )
-    assert _bound_free_radial(5, 3, 4, 0.2) == pytest.approx(
-        7.928223869200193, rel=1e-8
+    assert bound_free_radial(5, 3, 4, 0.2) == pytest.approx(
+        7.928223869200193, rel=_RTOL
     )
 
 
 @pytest.mark.parametrize("n,l_b,l_f", list(_channels((30,), lambda n: (0, 1))))
 def test_bound_free_radial_at_the_n0_cap_near_threshold(n, l_b, l_f):
-    # the corner with the deepest cancellation: Gauss polynomials of degree
-    # up to 32 whose double-precision sums lose about fifteen digits
+    # the bottom of the longest ladders, nearest threshold: the closed form
+    # summed Gauss polynomials of degree up to 32 here, whose double-precision
+    # sums lost about fifteen digits
     for k in (0.014, 0.05):
-        assert _bound_free_radial(n, l_b, l_f, k) == pytest.approx(
-            _mp_bound_free_radial(n, l_b, l_f, k), rel=1e-8
+        assert bound_free_radial(n, l_b, l_f, k) == pytest.approx(
+            _mp_bound_free_radial(n, l_b, l_f, k), rel=_RTOL
         ), f"k={k}"
+
+
+@pytest.mark.parametrize("k", _K_GRID)
+def test_a_ladder_stopped_early_leaves_every_value_above(k):
+    # each branch stops its ladders at its own lowest bound l; a value must
+    # not depend on where the ladder below it stops
+    full = [a.copy() for a in _bound_free_ladders(N0_CAP, 0, k)]
+    for l_min in (1, 2, 7, N0_CAP - 1):
+        for whole, stopped in zip(full, _bound_free_ladders(N0_CAP, l_min, k)):
+            assert (stopped[:, l_min:].tobytes()
+                    == whole[:, l_min:].tobytes()), l_min
+            assert all(math.isnan(v) for v in stopped[:, :l_min].flat)

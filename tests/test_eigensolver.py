@@ -19,6 +19,7 @@ from laserhydrogen.errors import ConfigurationError, ConvergenceError
 from laserhydrogen.hamiltonian import LaserField, PseudoHamiltonianMatrix, assemble
 from laserhydrogen.ionization import ionization_records
 from laserhydrogen.transitions import time_resolved_probability, transition_table
+from oracles import ionization_rate
 
 GROUND = QuantumNumbers(1, 0, 0)
 
@@ -72,7 +73,8 @@ def test_no_output_reads_the_sign_of_a_dressed_state():
     negated = replace(folded, coefficients=-folded.coefficients)
 
     def observed(d, index):
-        return [(r.E_f0, r.eta, r.rate_P, r.sigma)
+        return [(r.E_f0, r.eta, ionization_rate(d, index, r, laser.amplitude_A),
+                 r.sigma)
                 for r in ionization_records(d, index, laser)]
 
     assert np.array_equal(transition_table(decomp, GROUND).probabilities,

@@ -18,7 +18,7 @@ from laserhydrogen.errors import ConfigurationError, DomainError
 from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import (
     ContinuumState,
-    _bound_free_radial,
+    _bound_free_ladders,
     bound_free_element,
     eta_index,
     ionization_intensity_scan,
@@ -26,7 +26,13 @@ from laserhydrogen.ionization import (
     photoelectron_energy,
 )
 from laserhydrogen.units import CONSTANTS, UnitSystem
-from oracles import coulomb_radial, radial_wavefunction
+from oracles import (
+    bound_free_radial,
+    coulomb_radial,
+    ionization_rate,
+    partial_wave_elements,
+    radial_wavefunction,
+)
 
 GROUND = QuantumNumbers(1, 0, 0)
 EV = 27.211386245988
@@ -73,26 +79,27 @@ def _bound_free_quad(n, l_b, l_f, k):
     ],
 )
 def test_bound_free_radial_vs_quadrature(n, l_b, l_f, k):
-    assert _bound_free_radial(n, l_b, l_f, k) == pytest.approx(
+    assert bound_free_radial(n, l_b, l_f, k) == pytest.approx(
         _bound_free_quad(n, l_b, l_f, k), rel=1e-8
     )
 
 
 def _ground_records(basis, laser):
     decomp = diagonalize(assemble(basis, laser))
-    return ionization_records(decomp, track_state(decomp, GROUND).index, laser)
+    index = track_state(decomp, GROUND).index
+    return decomp, index, ionization_records(decomp, index, laser)
 
 
 def test_zero_field_records_are_the_one_photon_limit():
     # at A = 0 nothing ionizes, but sigma per unit flux is the weak-field limit
     omega = 20.0 / EV
     basis = enumerate_basis(4)
-    records = _ground_records(basis, LaserField(0.0, omega))
-    weak = _ground_records(
+    decomp, index, records = _ground_records(basis, LaserField(0.0, omega))
+    _, _, weak = _ground_records(
         basis, LaserField(UnitSystem().vector_potential_to_internal(1e-12), omega)
     )
     assert [r.mu_branch for r in records] == [r.mu_branch for r in weak]
-    assert all(r.rate_P == 0.0 for r in records)
+    assert all(ionization_rate(decomp, index, r, 0.0) == 0.0 for r in records)
     sigma = {r.mu_branch: r.sigma for r in records}
     one_photon = sigma.pop(-1)
     assert one_photon == pytest.approx(
@@ -111,7 +118,7 @@ def _bound_free_loop(decomp, dressed_index, final):
         b = decomp.basis.states[j]
         if abs(c) < 1e-15 or abs(final.l - b.l) != 1 or abs(final.mu - b.mu) != 1:
             continue
-        x_fb = angular_x(final.l, final.mu, b.l, b.mu) * _bound_free_radial(
+        x_fb = angular_x(final.l, final.mu, b.l, b.mu) * bound_free_radial(
             b.n, b.l, final.l, k
         )
         if final.l == b.l + 1:
@@ -199,16 +206,11 @@ class _NoMpmath:
 def test_near_threshold_run_sums_exactly_without_mpmath(tmp_path, monkeypatch):
     argv = ["ionization", "--n0", "10", "--omega-ev", "13.585",
             "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-7", "--count", "1"]
-    _bound_free_radial.cache_clear()
+    _bound_free_ladders.cache_clear()
     assert main(argv + ["--out", str(tmp_path / "reference.csv")]) == 0
-    exact_sums = []
-    exact = specfun._exact_polynomial_2f1
-    monkeypatch.setattr(specfun, "_exact_polynomial_2f1",
-                        lambda *args: exact_sums.append(args) or exact(*args))
     monkeypatch.setattr(specfun, "mpmath", _NoMpmath())
-    _bound_free_radial.cache_clear()
+    _bound_free_ladders.cache_clear()
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
-    assert exact_sums  # 85 cancelling Gauss polynomials at this energy
     assert (tmp_path / "out.csv").read_bytes() == (
         tmp_path / "reference.csv").read_bytes()
 
@@ -251,7 +253,8 @@ def test_weak_field_rate_quadratic_in_amplitude():
         decomp = diagonalize(assemble(basis, laser))
         tracked = track_state(decomp, GROUND)
         records = ionization_records(decomp, tracked.index, laser)
-        rates.append(sum(r.rate_P for r in records))
+        rates.append(sum(ionization_rate(decomp, tracked.index, r, amp)
+                         for r in records))
     assert rates[1] / rates[0] == pytest.approx(4.0, rel=1e-3)
 
 
@@ -280,9 +283,15 @@ def test_ionization_records_structure():
     for rec in records:
         assert rec.E_f0 > 0
         assert rec.E_f0 == pytest.approx(rec.E_i - rec.mu_branch * omega, rel=1e-13)
-        assert rec.rate_P >= 0
+        assert ionization_rate(decomp, tracked.index, rec, laser.amplitude_A) >= 0
         assert rec.sigma >= 0
-        assert len(rec.beta_l) == 6 - abs(rec.mu_branch) + 1
+        # sigma sums the partial waves l_f = |mu| .. n0
+        p_l = partial_wave_elements(decomp, tracked.index, rec)
+        assert len(p_l) == 6 - abs(rec.mu_branch) + 1
+        assert rec.sigma == pytest.approx(
+            8 * math.pi * CONSTANTS.fine_structure_alpha / omega
+            * sum(p * p for p in p_l), rel=1e-15
+        )
     # consecutive open branches are spaced by exactly one photon energy
     mus = [r.mu_branch for r in records]
     assert mus == sorted(mus)

@@ -44,7 +44,7 @@ from laserhydrogen import (
 )
 from laserhydrogen.eigensolver import global_index
 from laserhydrogen.ionization import IonizationScanPoint
-from oracles import averaged_probability, whole_hamiltonian
+from oracles import averaged_probability, ionization_rate, whole_hamiltonian
 
 GROUND = QuantumNumbers(1, 0, 0)
 ODD = QuantumNumbers(2, 1, 0)  # (l + mu) odd: the class without the ground state
@@ -298,7 +298,7 @@ def test_ionization_records_are_physical(case):
     for record in ionization_records(decomp, tracked.index, laser):
         assert record.E_f0 > 0
         assert record.sigma >= 0
-        assert record.rate_P >= 0
+        assert ionization_rate(decomp, tracked.index, record, amplitude) >= 0
 
 
 # --- no matrix over the whole basis on the scan path --------------------------

@@ -15,6 +15,8 @@ ORACLES = {
     "kummer_1f1",
     "KummerParams",
     "laplace_1f1_product",
+    "appell_f2",
+    "AppellF2Params",
     "gamma_fn",
     "averaged_probability",
     "px_matrix_element",
@@ -29,9 +31,10 @@ def test_every_exported_name_resolves():
 
 def test_test_oracles_are_not_exported():
     assert ORACLES.isdisjoint(laserhydrogen.__all__)
-    # laplace_1f1_product stays reachable for the benchmark's span tracer
+    # laplace_1f1_product and appell_f2 stay reachable for the benchmark's
+    # span tracer
     reachable = {name for name in ORACLES if hasattr(laserhydrogen, name)}
-    assert reachable == {"laplace_1f1_product"}
+    assert reachable == {"laplace_1f1_product", "appell_f2"}
 
 
 def test_sums_over_the_records_are_not_api():
@@ -108,4 +111,4 @@ def test_settable_values_do_not_grow():
     # caller can set is one more path to test; the count only goes down.
     package = pathlib.Path(laserhydrogen.__file__).parent
     total = sum(_settable_values(p.read_text()) for p in package.glob("*.py"))
-    assert total <= 76
+    assert total <= 74

@@ -8,15 +8,10 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laserhydrogen.basis import N0_CAP
 from laserhydrogen.errors import DomainError
 from laserhydrogen.specfun import (
-    _CANCELLATION_LIMIT,
     AppellF2Params,
     KummerParams,
-    _as_nonpositive_int,
-    _gauss_2f1,
-    _polynomial_2f1,
     appell_f2,
     gamma_fn,
     laplace_1f1_product,
@@ -117,128 +112,6 @@ def test_kummer_complex_argument():
     )
 
 
-# --- Gauss 2F1 ------------------------------------------------------------
-
-def _mp_2f1(a, b, c, z):
-    with mpmath.workdps(40):
-        return complex(mpmath.hyp2f1(a, b, c, z))
-
-
-_Z_OUTSIDE = complex(1.2, 1.1)  # |z| > 1, off the cut [1, inf)
-
-
-@pytest.mark.parametrize(
-    "a,b,c",
-    [
-        (7.0, complex(1.3, 0.7), 3.0),   # c - a = -4
-        (complex(1.3, 0.7), 5, 3),       # c - b = -2
-        (3.0, complex(0.4, -2.5), 3.0),  # c - a = 0: (1 - z)^(-b)
-    ],
-)
-def test_gauss_2f1_euler_branch(a, b, c):
-    value = _gauss_2f1(a, b, c, _Z_OUTSIDE)
-    assert value == pytest.approx(_mp_2f1(a, b, c, _Z_OUTSIDE), rel=1e-13)
-    if a == c:
-        assert value == pytest.approx((1 - _Z_OUTSIDE) ** (-b), rel=1e-14)
-
-
-@pytest.mark.parametrize(
-    "a,b,c,z",
-    [
-        (1.3, complex(0.7, 0.2), 2.9, complex(0.5, -0.6)),
-        (1.3, complex(0.4, 0.5), 2.9, _Z_OUTSIDE),
-    ],
-    ids=["inside-disk", "outside-disk"],
-)
-def test_gauss_2f1_nonterminating_outside_domain(a, b, c, z):
-    # none of a, b, c - a and c - b is a non-positive integer
-    with pytest.raises(DomainError, match=r"2F1\(1\.3, .* does not terminate"):
-        _gauss_2f1(a, b, c, z)
-
-
-def test_every_bound_free_gauss_function_terminates():
-    # _bound_free_radial asks for 2F1(u + m, a2; c2; y) with u = l_f + l_b + 4,
-    # c2 = 2 l_f + 2 and m = 0 .. n - l_b - 1.  Euler's transformation makes
-    # it a polynomial of degree u + m - c2 = l_b - l_f + 2 + m, so no input
-    # reaches the DomainError of a non-terminating Gauss function.
-    for n in range(1, N0_CAP + 1):
-        for l_b in range(n):
-            for l_f in (l_b - 1, l_b + 1):
-                if l_f < 0:
-                    continue
-                u, c2 = l_f + l_b + 4, 2 * l_f + 2
-                for m in range(n - l_b):
-                    assert _as_nonpositive_int(c2 - (u + m)) is not None, (
-                        n, l_b, l_f, m,
-                    )
-
-
-def _round_once(x):
-    """The double nearest to the mpf x (int/int true division rounds once)."""
-    man, exp = x.man_exp  # man is |mantissa|
-    man = -man if x < 0 else man
-    return man * 2**exp if exp >= 0 else man / 2**-exp
-
-
-def _mp_polynomial_2f1(n, b, c, z):
-    """F(-n, b; c; z) summed term by term at 80 digits from the exact
-    values of the double arguments."""
-    with mpmath.workdps(80):
-        b, c, z = mpmath.mpc(b), mpmath.mpf(c), mpmath.mpc(z)
-        term = total = mpmath.mpc(1)
-        for j in range(n):
-            term = term * (j - n) * (b + j) / ((c + j) * (j + 1)) * z
-            total += term
-        return complex(_round_once(total.real), _round_once(total.imag))
-
-
-def test_exact_sum_of_cancelling_polynomials_is_mpmath_rounded_once():
-    # The Gauss polynomials of _bound_free_radial(30, l_b, l_f, 0.014) after
-    # Euler's transformation: F(-N, c2 - a2; c2; y), N = u + m - c2.  Those
-    # that cancel in double precision are summed exactly and must equal the
-    # 80-digit sum rounded once, bit for bit.
-    k, n = 0.014, 30
-    s = complex(1.0, -k * n) / 2.0
-    y = complex(0.0, -k * n) / s
-    cancelling = 0
-    for l_b in range(n):
-        for l_f in (l_b - 1, l_b + 1):
-            if l_f < 0:
-                continue
-            u, c2 = l_f + l_b + 4, 2 * l_f + 2
-            b = c2 - complex(l_f + 1, -1.0 / k)
-            for m in range(n - l_b):
-                order = u + m - c2
-                total, size = _polynomial_2f1(-order, b, c2, y, order)
-                if size <= _CANCELLATION_LIMIT * abs(total):
-                    continue
-                cancelling += 1
-                assert _gauss_2f1(-order, b, c2, y) == (
-                    _mp_polynomial_2f1(order, b, c2, y)
-                ), (l_b, l_f, m)
-    assert cancelling > 100
-
-
-def test_gauss_2f1_exact_zero_polynomial():
-    # 1 - b z / c cancels to nothing in doubles; its exact sum is zero too
-    assert _gauss_2f1(-1, 2, 4, 2.0) == 0.0
-
-
-@pytest.mark.parametrize(
-    "b,c,z",
-    [
-        (complex(2.0, math.nan), 4, complex(0.3, -0.7)),
-        (complex(2.0, math.inf), 4, complex(0.3, -0.7)),
-        (2.0, math.nan, 0.5),
-        (2.0, 4, complex(math.inf, 0.0)),
-        (-math.inf, 4, 0.5),
-    ],
-)
-def test_gauss_2f1_non_finite_argument_raises_domain_error(b, c, z):
-    with pytest.raises(DomainError, match="non-finite"):
-        _gauss_2f1(-3, b, c, z)
-
-
 # --- Appell F2 -----------------------------------------------------------
 
 def test_appell_f2_collapses_to_gauss_when_a1_zero():
@@ -278,21 +151,11 @@ def test_appell_f2_nonterminating_outside_domain(params):
         appell_f2(AppellF2Params(*params))
 
 
-def test_appell_f2_singly_terminating_continued():
-    # terminating first index, |y| > 1: each per-term 2F1 terminates after
-    # Euler's transformation (c2 - u - m = -m)
-    y = complex(1.2, 1.1)
-    val = appell_f2(AppellF2Params(4, -2, complex(1.0, 0.5), 3.0, 4.0, 0.3, y))
-    brute = mpmath.mpf(0)
-    total = mpmath.mpc(0)
-    for m in range(3):
-        total += (
-            mpmath.rf(4, m) * mpmath.rf(-2, m)
-            / (mpmath.rf(3.0, m) * mpmath.factorial(m))
-            * 0.3**m
-            * mpmath.hyp2f1(4 + m, mpmath.mpc(1.0, 0.5), 4.0, y)
-        )
-    assert val == pytest.approx(complex(total), rel=1e-10)
+def test_appell_f2_singly_terminating_raises():
+    # a terminating first index alone no longer sums the second index as
+    # Gauss functions: no program path asks for such an F2
+    with pytest.raises(DomainError, match="a2=.* does not terminate"):
+        appell_f2(AppellF2Params(4, -2, complex(1.0, 0.5), 3.0, 4.0, 0.3, 0.2))
 
 
 # --- Laplace transform of a Kummer product -------------------------------
