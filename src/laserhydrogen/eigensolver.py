@@ -24,9 +24,16 @@ changes mu by one, so H - rho folds exactly onto the mu half of the class
 that holds the initial state (Loewdin partitioning).  Rayleigh-quotient
 iteration on that half finds the state, and Sylvester's law of inertia
 counts the levels below it in both classes (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4).  It returns that one state as a decomposition
-of a single column; where the result cannot be certified it returns None,
-and the caller solves the class with `diagonalize`.
+Eigenvalue Problem, ch. 4), from the signs of the eigenvalues of a folded
+matrix S.  Most counts read those signs from the diagonal of S: where the
+Gershgorin discs of S, scaled to a unit diagonal, leave out 0, and
+Ostrowski's bound puts every eigenvalue the count reads outside the sign
+guard that `eigvalsh` of S is held to, the discs certify the count that
+`eigvalsh` would give; elsewhere `eigvalsh` gives it.  The positions and
+p_x values of the couplings between the two halves are kept once per
+basis and class.  It returns that one state as a decomposition of a
+single column; where the result cannot be certified it returns None, and
+the caller solves the class with `diagonalize`.
 
 Only matrices that `assemble` built are solved: they are symmetric by
 construction and read-only, and a writeable matrix, or one not of its
@@ -36,12 +43,15 @@ class's size, raises ConfigurationError.
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisSet, QuantumNumbers
+from .basis import BasisSet, QuantumNumbers, _read_only
 from .errors import ConfigurationError, ConvergenceError
-from .hamiltonian import LaserField, PseudoHamiltonianMatrix, assemble, class_terms
+from .hamiltonian import (
+    LaserField, PseudoHamiltonianMatrix, assemble, class_diagonal, class_terms,
+)
 
 DEGENERACY_GAP = 1e-10
 
@@ -49,6 +59,8 @@ _EPS = np.finfo(float).eps
 _RQI_STEPS = 30  # Rayleigh-quotient steps before the full solve takes over
 _RESIDUAL_TOL = 1e3 * _EPS  # |H x - rho x| against the size of H
 _SIGN_GUARD = 1e6 * _EPS  # a counted sign closer to 0 than this is unsure
+_DISC_ROUNDING = 8  # eigvalsh's rounding of an eigenvalue, in len(S) eps |S|
+_UNIT_FIELD = LaserField(1.0, 1.0)  # A = 1: class_terms gives p_x itself
 
 _log = logging.getLogger(__name__)
 
@@ -188,20 +200,33 @@ def track_state(
 
 # --- the tracked state alone, on one mu half of its class -----------------
 
+@lru_cache(maxsize=2)
+def _half_pattern(basis, parity):
+    """The rows of the even and of the odd mu half of the class `parity`,
+    and of each coupling its flat position in the block C between them
+    (even rows, odd columns) and its p_x.  A scan stays on one basis and
+    reads both of its classes, so these are built once from `class_terms`,
+    whose unit amplitude leaves each p_x as it is."""
+    _, rows, cols, values = class_terms(basis, _UNIT_FIELD, parity)
+    even, odd = basis.class_halves(parity)
+    in_half = np.empty(len(even) + len(odd), dtype=np.intp)
+    in_half[even] = np.arange(len(even))
+    in_half[odd] = np.arange(len(odd))
+    is_odd = np.zeros(len(in_half), dtype=bool)
+    is_odd[odd] = True
+    flip = is_odd[rows]  # listed odd first: swap to (even, odd)
+    at = (in_half[np.where(flip, cols, rows)] * len(odd)
+          + in_half[np.where(flip, rows, cols)])
+    return tuple(_read_only(a) for a in (even, odd, at, values))
+
+
 def _halves(basis, laser, parity):
     """(rows, diagonal) of the even and of the odd mu half of the class
     `parity`, and the block C of H between them (even rows, odd columns)."""
-    diagonal, rows, cols, values = class_terms(basis, laser, parity)
-    even, odd = basis.class_halves(parity)
-    in_half = np.empty(len(diagonal), dtype=np.intp)
-    in_half[even] = np.arange(len(even))
-    in_half[odd] = np.arange(len(odd))
-    is_odd = np.zeros(len(diagonal), dtype=bool)
-    is_odd[odd] = True
-    flip = is_odd[rows]  # listed odd first: swap to (even, odd)
+    even, odd, at, values = _half_pattern(basis, parity)
+    diagonal = class_diagonal(basis, laser, parity)
     block = np.zeros((len(even), len(odd)))
-    block[in_half[np.where(flip, cols, rows)],
-          in_half[np.where(flip, rows, cols)]] = values
+    block.flat[at] = laser.amplitude_A * values
     return (even, diagonal[even]), (odd, diagonal[odd]), block
 
 
@@ -214,25 +239,77 @@ def _fold(d_k, d_x, c, rho):
     return s, w
 
 
-def _levels_below(d_k, d_x, c, rho, at_rho):
+def _levels_below(d_k, d_x, c, rho, x_k):
     """Number of levels of H = [[D_k, C], [C^T, D_x]] below rho by
-    Sylvester's law of inertia, #(d_x < rho) + #(eig S(rho) < 0), with
-    `at_rho` (0 or 1) levels of H at rho left out; None unless exactly
-    `at_rho` eigenvalues of S, and no d_x - rho, lie within the guard of 0.
+    Sylvester's law of inertia, #(d_x < rho) + #(eig S(rho) < 0).  x_k is
+    None, or the k half of an eigenvector of H at rho, whose level is left
+    out.  None unless exactly that many eigenvalues of S (1 with x_k, else
+    0), and no d_x - rho, lie within the guard of 0.
+
+    Gershgorin discs (`_disc_negatives`) give the count without a solve
+    where they certify that `eigvalsh` of S would read the same signs;
+    otherwise `eigvalsh` reads them.
     """
     scale = max(np.abs(d_x).max(initial=0.0), abs(rho))
     if (np.abs(d_x - rho) <= _SIGN_GUARD * scale).any():
         return None  # before the fold, which divides by each d_x - rho
     s, w = _fold(d_k, d_x, c, rho)
-    mu = np.linalg.eigvalsh(s)
     # S is summed from terms up to this size, and rounded on that scale
     size = np.abs(d_k - rho).max() + (
         np.abs(c) @ (np.abs(w) * np.abs(c).sum(axis=0))
     ).max(initial=0.0)
+    below = int(np.count_nonzero(d_x < rho))
+    negative = _disc_negatives(s, x_k, size)
+    if negative is not None:
+        return below + negative
+    mu = np.linalg.eigvalsh(s)
     at_zero = np.abs(mu) <= _SIGN_GUARD * size
-    if np.count_nonzero(at_zero) != at_rho:
+    if np.count_nonzero(at_zero) != (x_k is not None):
         return None
-    return int(np.count_nonzero(d_x < rho) + np.count_nonzero(mu[~at_zero] < 0))
+    return below + int(np.count_nonzero(mu[~at_zero] < 0))
+
+
+def _disc_negatives(s, x_k, size):
+    """#(eig S < 0) read from the diagonal of S where Gershgorin discs
+    certify it, else None.
+
+    With x_k, a null vector of S, the one eigenvalue at 0 is left out of
+    the count: row and column t = argmax |x_k| are dropped first, giving
+    S'; without x_k, S' = S.  Scaled by q_i = |s_ii|^-1/2, Q S' Q has the
+    inertia of S' (Sylvester) and a diagonal of signs.  Where every disc
+    radius r_i = q_i sum_{j != i} |s_ij| q_j is below 1, no disc covers 0,
+    and Q S' Q has as many negative eigenvalues as S' has negative s_ii
+    (Gershgorin's component theorem).  Ostrowski's theorem puts every
+    eigenvalue of S' at least (1 - max r) min |s_ii| from 0; by
+    interlacing, as many of S lie beyond that bound on each side, and one
+    more between, which |S x_k| / |x_k| bounds (Varga, Gersgorin and His
+    Circles, 2004; Ostrowski, PNAS 45, 740 (1959)).
+
+    The count is given only where the bound clears the guard _SIGN_GUARD *
+    size and |S x_k| / |x_k| stays within it, each by more than `eigvalsh`'s
+    rounding of an eigenvalue, about len(S) eps |S| <= len(S) eps size, and
+    than the rounding of r: there `eigvalsh` of S reads the same signs and
+    the same count at 0, and `_levels_below` the same count.
+    """
+    guard = _SIGN_GUARD * size
+    slack = _DISC_ROUNDING * len(s) * _EPS * size
+    kept = np.ones(len(s), dtype=bool)
+    if x_k is not None:
+        kept[np.argmax(np.abs(x_k))] = False
+        if np.linalg.norm(s @ x_k) > (guard - slack) * np.linalg.norm(x_k):
+            return None
+    diagonal = s.diagonal()[kept]
+    smallest = np.abs(diagonal).min(initial=math.inf)
+    if not smallest > guard + slack:  # the test below fails too; no 1/0
+        return None
+    q = np.zeros(len(s))
+    q[kept] = 1.0 / np.sqrt(np.abs(diagonal))
+    off = np.abs(s)
+    np.fill_diagonal(off, 0.0)
+    radius = (q * (off @ q)).max(initial=0.0)
+    if not (1.0 - radius) * smallest > guard + slack:
+        return None
+    return int(np.count_nonzero(diagonal < 0))
 
 
 def _rayleigh_quotient_iteration(d_k, d_x, c, start):
@@ -287,6 +364,9 @@ def solve_tracked(basis, laser, target):
     of inertia on S counts the levels below E_i: in this class (the class
     rank) and, folding whichever half of the other class has no bare level
     near E_i, in the other class (`global_index` without a solve of it).
+    Each count reads the signs of S from its diagonal where scaled
+    Gershgorin discs certify them, and from `eigvalsh` of S elsewhere
+    (`_levels_below`); both give the same count.
 
     Returns (decomposition of that one state, TrackedState of its index
     0, position in the spectrum of the whole basis: the class rank plus the
@@ -312,7 +392,7 @@ def solve_tracked(basis, laser, target):
     overlap = float(x_k[start] ** 2)
     if not overlap > 0.5:
         return None
-    rank = _levels_below(d_k, d_x, c, rho, at_rho=1)
+    rank = _levels_below(d_k, d_x, c, rho, x_k)
     other = _other_levels_below(basis, laser, 1 - parity, rho)
     if rank is None or other is None:
         return None
@@ -333,5 +413,5 @@ def _other_levels_below(basis, laser, parity, rho):
         return np.abs(d - rho).min(initial=math.inf)
 
     if gap(even[1]) >= gap(odd[1]):
-        return _levels_below(odd[1], even[1], c.T, rho, at_rho=0)
-    return _levels_below(even[1], odd[1], c, rho, at_rho=0)
+        return _levels_below(odd[1], even[1], c.T, rho, None)
+    return _levels_below(even[1], odd[1], c, rho, None)

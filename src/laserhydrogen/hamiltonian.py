@@ -10,11 +10,13 @@ are built once per n0 (`basis.coupling_arrays`) and each field point costs
 one diagonal fill plus one scaled scatter of those values.  Every nonzero
 element joins states of equal z-reflection parity (l + mu) mod 2, so H is
 block diagonal in the two parity classes.  `class_terms` gives the pieces
-of one class, its diagonal and its scaled couplings; `assemble` scatters
-them into that class's block, in Fortran order, and the folded solve of
-the eigensolver into the block between the class's two mu halves.  No
-matrix over the whole basis is ever built; a scan follows one initial
-state and solves only in that state's class.
+of one class, its diagonal (`class_diagonal`) and its scaled couplings;
+`assemble` scatters them into that class's block, in Fortran order.  The
+folded solve of the eigensolver reads the positions and p_x values of the
+couplings from `class_terms` once per basis and class, and per field point
+only the diagonal and the scaled scatter into the block between the
+class's two mu halves.  No matrix over the whole basis is ever built; a
+scan follows one initial state and solves only in that state's class.
 
 All quantities in atomic units.  The dipole (k*a0 << 1) coupling is used.
 The A^2/2 ponderomotive-type constant is always on the diagonal: it drives
@@ -73,15 +75,12 @@ class PseudoHamiltonianMatrix:
         return self.entries.shape[0]
 
 
-def class_terms(basis: BasisSet, laser: LaserField, parity: int):
-    """The pieces of the class `parity` (0 or 1) of H: its diagonal and its
-    couplings (rows, cols, A * p_x) with rows and cols indices into
-    `basis.class_positions(parity)`, each coupling listed once.
+def class_diagonal(basis: BasisSet, laser: LaserField, parity: int) -> np.ndarray:
+    """E_n + mu*omega + A^2/2 of each state of the class `parity` (0 or 1),
+    in the order of `basis.class_positions(parity)`.
 
-    `assemble` scatters them into the class matrix; the folded solve of
-    `eigensolver.solve_tracked` into the block between the class's two mu
-    halves.  Raises ConfigurationError for a parity other than 0 or 1 and
-    for an empty class.
+    Raises ConfigurationError for a parity other than 0 or 1 and for an
+    empty class.
     """
     if parity not in (0, 1):
         raise ConfigurationError(f"parity must be 0 or 1, got {parity!r}")
@@ -90,11 +89,25 @@ def class_terms(basis: BasisSet, laser: LaserField, parity: int):
         raise ConfigurationError(
             f"no state of the n0={basis.n0} basis has parity {parity}"
         )
-    diagonal = (basis.energy[positions] + basis.mu[positions] * laser.omega
-                + 0.5 * laser.amplitude_A**2)
+    return (basis.energy[positions] + basis.mu[positions] * laser.omega
+            + 0.5 * laser.amplitude_A**2)
+
+
+def class_terms(basis: BasisSet, laser: LaserField, parity: int):
+    """The pieces of the class `parity` (0 or 1) of H: its diagonal and its
+    couplings (rows, cols, A * p_x) with rows and cols indices into
+    `basis.class_positions(parity)`, each coupling listed once.
+
+    `assemble` scatters them into the class matrix; the folded solve of
+    `eigensolver.solve_tracked` keeps their pattern, once per basis and
+    class.  Raises ConfigurationError for a parity other than 0 or 1 and
+    for an empty class.
+    """
+    diagonal = class_diagonal(basis, laser, parity)
     if laser.amplitude_A == 0.0:
         none = np.zeros(0, dtype=np.intp)
         return diagonal, none, none, np.zeros(0)
+    positions = basis.class_positions(parity)
     rows, cols, values = coupling_arrays(basis.n0)
     keep = basis.parity[rows] == parity  # a coupling never crosses classes
     local = np.empty(len(basis), dtype=np.intp)

@@ -220,6 +220,20 @@ def bound_free_element(
     return sum(terms.tolist(), 0.0)
 
 
+def sigma_cut_branches(basis, parity, records):
+    """mu of the records whose sigma reads 0.0 only because of the cut.
+
+    `bound_free_element` skips every component of the dressed column
+    below _COEFF_CUTOFF, so a branch that the states of the class
+    `parity` reach only through such components sums no term and reads
+    sigma = 0.0, not its magnitude.  These are the branches of sigma
+    exactly 0.0 that some state of the class couples to; a branch that
+    none couples to reads 0.0 by the selection rules and is not listed.
+    """
+    reached = {mu for mu, _ in _bound_free_channels(basis, parity)}
+    return [r.mu_branch for r in records if r.sigma == 0.0 and r.mu_branch in reached]
+
+
 def ionization_records(
     decomp: EigenDecomposition, dressed_index: int, laser: LaserField
 ):

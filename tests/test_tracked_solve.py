@@ -8,18 +8,23 @@ tests hold it to the full path (`diagonalize`, `track_state`,
 point takes the full path where it does not, hold its column and sigma to
 an extended-precision refinement of the same eigenpair
 (`oracles.refined_eigenpair`), and check which points the `.meta.json`
-lists as solved in full.
+lists as solved in full.  They hold the Gershgorin-disc level counts to
+`eigvalsh` of the same folded matrix, and the mu-half blocks built from
+the cached coupling pattern to the assembled class, bit for bit.
 """
 
 import csv
 import json
 import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import laserhydrogen.eigensolver as eigensolver
 import laserhydrogen.ionization as ionization
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.cli import main
@@ -102,6 +107,34 @@ def _sweep(argv):
     return enumerate_basis(int(flags["--n0"])), lasers
 
 
+@contextmanager
+def _counts_checked_against_eigvalsh():
+    """Within it, `solve_tracked` makes each level count twice, with its
+    Gershgorin discs and by `eigvalsh` alone, and the two must agree.
+    Yields how many counts the discs certified, in the own class and in
+    the other."""
+    certified = {"own": 0, "other": 0}
+    real_levels, real_discs = eigensolver._levels_below, eigensolver._disc_negatives
+
+    def levels(d_k, d_x, c, rho, x_k):
+        results = []
+
+        def discs(*args):
+            results.append(real_discs(*args))
+            return results[-1]
+
+        with mock.patch.object(eigensolver, "_disc_negatives", discs):
+            count = real_levels(d_k, d_x, c, rho, x_k)
+        with mock.patch.object(eigensolver, "_disc_negatives", lambda *args: None):
+            assert real_levels(d_k, d_x, c, rho, x_k) == count
+        if results and results[0] is not None:
+            certified["own" if x_k is not None else "other"] += 1
+        return count
+
+    with mock.patch.object(eigensolver, "_levels_below", levels):
+        yield certified
+
+
 @st.composite
 def _cases(draw):
     n0 = draw(st.integers(min_value=1, max_value=7))
@@ -120,9 +153,10 @@ def _cases(draw):
 @example(case=(4, QuantumNumbers(2, 1, 0), 0.03, 0.18)).via("class 1, even half")
 def test_folded_solve_agrees_with_the_full_path(case):
     n0, initial, amplitude, omega = case
-    _check_against_full_path(
-        enumerate_basis(n0), LaserField(amplitude, omega), initial
-    )
+    with _counts_checked_against_eigvalsh():
+        _check_against_full_path(
+            enumerate_basis(n0), LaserField(amplitude, omega), initial
+        )
 
 
 def test_zero_field_and_the_empty_other_class():
@@ -232,3 +266,85 @@ def test_scan_solves_no_class_where_the_fold_certifies(monkeypatch):
         for i, laser in enumerate(lasers)
     ]
     assert solved == [] and not any(p.full_solve for p in points)
+
+
+def test_disc_counts_are_the_eigvalsh_counts_on_the_benchmark_sweep():
+    basis, lasers = _sweep(BENCH_SEED0)
+    with _counts_checked_against_eigvalsh() as certified:
+        for laser in lasers:
+            assert solve_tracked(basis, laser, GROUND) is not None
+    # the discs certify most of the 40 counts of each class
+    assert certified["own"] >= 20 and certified["other"] >= 20
+
+
+def _disc_radius(s):
+    """Largest Gershgorin radius of S scaled by |s_ii|^-1/2."""
+    q = 1.0 / np.sqrt(np.abs(np.diag(s)))
+    off = np.abs(s) * np.outer(q, q)
+    np.fill_diagonal(off, 0.0)
+    return off.sum(axis=1).max()
+
+
+@pytest.mark.parametrize("d_k, d_x, c, x_k, radius, count", [
+    # S(0) = [[-1, -2], [-2, -3]]: a scaled disc of radius 1.15 covers 0
+    ([1.0, -1.0], [2.0], [[2.0], [2.0]], None, 1.15, 1),
+    # S(0) = [[1e-9, 2.5e-5], [2.5e-5, 1]]: the discs, of radius 0.79, clear
+    # 0, but bound the eigenvalues of S only by 2.1e-10 from it, within the
+    # guard of 2.2e-10; eigvalsh reads the smaller one as 3.75e-10
+    ([3.75e-10, 0.0], [-1.0], [[2.5e-5], [1.0]], None, 0.79, 1),
+    # S(0) = [[0.498, -0.002], [-0.002, 1.998]] and x_k = (1, 0), no null
+    # vector: the disc of the row kept certifies, but |S x_k| = 0.5 is far
+    # outside the guard, and eigvalsh finds no eigenvalue of S at 0
+    ([0.5, 2.0], [5.0], [[0.1], [0.1]], [1.0, 0.0], 0.002, None),
+], ids=["disc-covers-zero", "guard-refuses", "no-level-at-rho"])
+def test_level_count_falls_back_to_eigvalsh(d_k, d_x, c, x_k, radius, count):
+    d_k, d_x, c = np.array(d_k), np.array(d_x), np.array(c)
+    x_k = None if x_k is None else np.array(x_k)
+    s, _ = eigensolver._fold(d_k, d_x, c, 0.0)
+    assert _disc_radius(s) == pytest.approx(radius, rel=0.01)
+    solves = []
+    real = np.linalg.eigvalsh
+    with mock.patch.object(np.linalg, "eigvalsh",
+                           lambda m: solves.append(m) or real(m)):
+        assert eigensolver._levels_below(d_k, d_x, c, 0.0, x_k) == count
+    assert len(solves) == 1
+    if count is not None:
+        h = np.block([[np.diag(d_k), c], [c.T, np.diag(d_x)]])
+        assert count == np.count_nonzero(np.linalg.eigvalsh(h) < 0)
+
+
+@pytest.mark.parametrize("n0", range(1, 11))
+def test_halves_are_the_assembled_class_bit_for_bit(n0):
+    basis = enumerate_basis(n0)
+    for parity in (0, 1):
+        if len(basis.class_positions(parity)) == 0:
+            continue  # n0 = 1 has no odd state
+        for amplitude, omega in ((1e-4, 0.087), (0.02, 0.5), (0.3, 0.01)):
+            laser = LaserField(amplitude, omega)
+            (even, d_even), (odd, d_odd), c = eigensolver._halves(
+                basis, laser, parity
+            )
+            h = assemble(basis, laser, parity=parity).entries
+            assert np.array_equal(c, h[np.ix_(even, odd)])
+            assert np.array_equal(d_even, np.diag(h)[even])
+            assert np.array_equal(d_odd, np.diag(h)[odd])
+
+
+def test_benchmark_sweep_reads_few_spectra_and_builds_the_pattern_once(monkeypatch):
+    calls = {"eigvalsh": 0, "class_terms": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(eigensolver, "class_terms",
+                        counted("class_terms", eigensolver.class_terms))
+    eigensolver._half_pattern.cache_clear()
+    basis, lasers = _sweep(BENCH_SEED0)
+    for laser in lasers:
+        solve_tracked(basis, laser, GROUND)
+    assert calls["class_terms"] == 2  # once for each class of the basis
+    assert calls["eigvalsh"] <= 0.6 * len(lasers)
