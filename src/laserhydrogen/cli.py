@@ -7,14 +7,15 @@ Subcommands
     point       single (A, omega) transition table
 
 Inputs are in I/O units (energies in eV, amplitudes in V*s/m); presets
-fig1, fig2 and fig3 encode the published figure parameters.  A key that
-the chosen mode does not read (from a preset, a config file or a flag) is
-a configuration error.  Exit codes: 0 success, 1 at least one scan point
-failed, 2 configuration error, 3 I/O error.
+fig1 (spectrum), fig2 (intensity) and fig3 (ionization) encode the
+published figure parameters, and flags override them.  Each subcommand
+takes the flags of the keys its mode reads (MODE_KEYS) and the presets of
+its mode, nothing else, so argparse rejects any other flag or preset.
+Exit codes: 0 success, 1 at least one scan point failed, 2 configuration
+error, 3 I/O error.
 """
 
 import argparse
-import configparser
 import contextlib
 import csv
 import dataclasses
@@ -107,14 +108,10 @@ class RunConfig:
     def initial_state(self) -> QuantumNumbers:
         return QuantumNumbers(self.initial_n, self.initial_l, self.initial_mu)
 
-    def validate(self, given):
-        """Check the config; the mode must read every key in given."""
+    def validate(self):
+        """Check the ranges of the config and the keys its mode requires."""
         if self.mode not in MODE_KEYS:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        unread = sorted(set(given) - set(_COMMON_KEYS) - set(MODE_KEYS[self.mode]))
-        if unread:
-            raise ConfigurationError(f"mode {self.mode!r} does not read key(s) "
-                                     + ", ".join(map(repr, unread)))
         if not 1 <= self.n0 <= N0_CAP:
             raise ConfigurationError(f"n0 must be in [1, {N0_CAP}], got {self.n0}")
         if self.count < 1:
@@ -146,11 +143,8 @@ class RunConfig:
                 raise ConfigurationError("A range must be increasing")
 
 
-_CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-
-def parse_config(path=None, overrides=None, preset=None) -> RunConfig:
-    """Merge preset < config file < flag overrides into a RunConfig."""
+def parse_config(overrides=None, preset=None) -> RunConfig:
+    """Merge preset < flag overrides into a RunConfig."""
     values = {}
     if preset is not None:
         if preset not in PRESETS:
@@ -158,16 +152,6 @@ def parse_config(path=None, overrides=None, preset=None) -> RunConfig:
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
         values.update(PRESETS[preset])
-    if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigurationError(f"config file {path!r} not readable")
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                if key not in _CONFIG_KEYS:
-                    raise ConfigurationError(f"unknown config key {key!r}")
-                values[key] = _coerce(key, raw)
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
@@ -177,26 +161,8 @@ def parse_config(path=None, overrides=None, preset=None) -> RunConfig:
         config = RunConfig(**values)
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from exc
-    config.validate(given=values)  # the keys set by preset, file or flag
+    config.validate()
     return config
-
-
-def _coerce(key, raw):
-    """Parse a config-file value as the type of its RunConfig field."""
-    kind = _CONFIG_KEYS[key]
-    if kind is str:
-        return raw
-    if kind is bool:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigurationError(f"key {key!r}: expected boolean, got {raw!r}")
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigurationError(f"key {key!r}: cannot parse {raw!r}") from None
 
 
 def _axis_grid(start, stop, count):
@@ -380,45 +346,31 @@ def build_parser() -> argparse.ArgumentParser:
         "hydrogen in a circularly polarized laser",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODE_KEYS:
+    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    for mode, keys in MODE_KEYS.items():
         p = sub.add_parser(mode)
-        p.add_argument("--config", dest="config_path")
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--n0", type=int)
-        p.add_argument("--out", dest="output_path")
+        presets = sorted(name for name, v in PRESETS.items() if v["mode"] == mode)
+        if presets:
+            p.add_argument("--preset", choices=presets)
         p.add_argument("--initial", nargs=3, type=int, metavar=("N", "L", "MU"))
-        p.add_argument("--amplitude-vspm", type=float, dest="amplitude_vspm")
-        p.add_argument("--omega-ev", type=float, dest="omega_ev")
-        p.add_argument("--omega-ev-start", type=float, dest="omega_ev_start")
-        p.add_argument("--omega-ev-stop", type=float, dest="omega_ev_stop")
-        p.add_argument("--a-vspm-start", type=float, dest="a_vspm_start")
-        p.add_argument("--a-vspm-stop", type=float, dest="a_vspm_stop")
-        p.add_argument("--count", type=int)
-        p.add_argument("--w-min", type=float, dest="w_min")
-        p.add_argument("--reduced-mass", action="store_const", const=True,
-                       dest="reduced_mass")
-        p.add_argument("--drop-a2", action="store_const", const=True,
-                       dest="drop_a2")
+        for key in _COMMON_KEYS + keys:
+            if key == "mode" or key.startswith("initial_"):
+                continue  # the subcommand, and --initial sets all three
+            flag = "--out" if key == "output_path" else "--" + key.replace("_", "-")
+            if kinds[key] is bool:
+                p.add_argument(flag, action="store_const", const=True, dest=key)
+            else:
+                p.add_argument(flag, type=kinds[key], dest=key)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in _CONFIG_KEYS
-        if hasattr(args, key) and getattr(args, key) is not None
-    }
-    overrides["mode"] = args.mode
-    if args.initial is not None:
-        overrides["initial_n"], overrides["initial_l"], overrides["initial_mu"] = (
-            args.initial
-        )
+    args = vars(build_parser().parse_args(argv))
+    preset, initial = args.pop("preset", None), args.pop("initial")
+    if initial is not None:
+        args["initial_n"], args["initial_l"], args["initial_mu"] = initial
     try:
-        config = parse_config(
-            path=args.config_path, overrides=overrides, preset=args.preset
-        )
-        return run(config)
+        return run(parse_config(overrides=args, preset=preset))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -22,10 +22,14 @@ Photoionization reads one dressed state, the one tracked from the initial
 bare state, and `solve_tracked` finds it without a full solve.  p_x
 changes mu by one, so H - rho folds exactly onto the mu half of the class
 that holds the initial state (Loewdin partitioning).  Rayleigh-quotient
-iteration on that half finds the state, and Sylvester's law of inertia
-counts the levels below it in both classes (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4), from the signs of the eigenvalues of a folded
-matrix S.  Most counts read those signs from the diagonal of S: where the
+iteration on that half finds the state.  It starts from the Ritz vector
+of largest weight on the bare state in a Davidson subspace grown from that
+state by three steps (Davidson, J. Comput. Phys. 17, 87 (1975)): started
+from the bare state alone, it can flip between two states that share it,
+as at a one-photon resonance.  Sylvester's law of inertia counts the
+levels below it in both classes (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4), from the signs of the eigenvalues of a folded matrix S.
+Most counts read those signs from the diagonal of S: where the
 Gershgorin discs of S, scaled to a unit diagonal, leave out 0, and
 Ostrowski's bound puts every eigenvalue the count reads outside the sign
 guard that `eigvalsh` of S is held to, the discs certify the count that
@@ -57,6 +61,7 @@ DEGENERACY_GAP = 1e-10
 
 _EPS = np.finfo(float).eps
 _RQI_STEPS = 30  # Rayleigh-quotient steps before the full solve takes over
+_RITZ_STEPS = 3  # Davidson steps that grow the subspace of RQI's start
 _RESIDUAL_TOL = 1e3 * _EPS  # |H x - rho x| against the size of H
 _SIGN_GUARD = 1e6 * _EPS  # a counted sign closer to 0 than this is unsure
 _DISC_ROUNDING = 8  # eigvalsh's rounding of an eigenvalue, in len(S) eps |S|
@@ -312,18 +317,52 @@ def _disc_negatives(s, x_k, size):
     return int(np.count_nonzero(diagonal < 0))
 
 
+def _ritz_start(d_k, d_x, c, start):
+    """The k and x halves of the Ritz vector of [[D_k, C], [C^T, D_x]] with
+    the largest weight on unit vector `start` of the k half, in a Davidson
+    subspace grown from that vector by _RITZ_STEPS steps.  Each step adds
+    the correction (theta - diag H)^-1 (H x - theta x) of the current such
+    Ritz pair (theta, x), exact zeros of theta - diag H replaced by eps,
+    orthogonalized once against the subspace; the Ritz pairs are those of
+    the projection of H on the subspace (Rayleigh-Ritz)."""
+    n = len(d_k)
+    diagonal = np.concatenate((d_k, d_x))
+
+    def times_h(v):
+        return np.concatenate((d_k * v[:n] + c @ v[n:], d_x * v[n:] + c.T @ v[:n]))
+
+    v = np.zeros((len(diagonal), 1))
+    v[start] = 1.0
+    hv = times_h(v[:, 0])[:, None]
+    while True:
+        theta, y = np.linalg.eigh(v.T @ hv)
+        j = int(np.argmax(np.abs(v[start] @ y)))
+        x = v @ y[:, j]
+        if v.shape[1] > _RITZ_STEPS:
+            break
+        gap = theta[j] - diagonal
+        gap[gap == 0.0] = _EPS
+        t = (hv @ y[:, j] - theta[j] * x) / gap
+        t -= v @ (v.T @ t)
+        norm = np.linalg.norm(t)
+        if not 0.0 < norm < math.inf:
+            break
+        v = np.column_stack((v, t / norm))
+        hv = np.column_stack((hv, times_h(v[:, -1])))
+    return x[:n], x[n:]
+
+
 def _rayleigh_quotient_iteration(d_k, d_x, c, start):
     """(rho, x_k, x_x) of the eigenpair of [[D_k, C], [C^T, D_x]] that
-    Rayleigh-quotient iteration from unit vector `start` of the k half
-    reaches, or None within _RQI_STEPS or where rho equals a d_x exactly.
-    Each step solves (H - rho) y = x on the k half through S(rho) and the x
-    half by back-substitution; it stops one step after the residual over
-    the whole class first passes."""
+    Rayleigh-quotient iteration from the Ritz start (`_ritz_start`) of unit
+    vector `start` of the k half reaches, or None within _RQI_STEPS or
+    where rho equals a d_x exactly.  Each step solves (H - rho) y = x on the
+    k half through S(rho) and the x half by back-substitution; it stops one
+    step after the residual over the whole class first passes."""
     size = max(np.abs(d_k).max(initial=0.0), np.abs(d_x).max(initial=0.0)) + max(
         np.abs(c).sum(axis=1).max(initial=0.0), np.abs(c).sum(axis=0).max(initial=0.0)
     )
-    x_k, x_x = np.zeros(len(d_k)), np.zeros(len(d_x))
-    x_k[start] = 1.0
+    x_k, x_x = _ritz_start(d_k, d_x, c, start)
     passed = False
     for _ in range(_RQI_STEPS):
         h_k, h_x = d_k * x_k + c @ x_x, d_x * x_x + c.T @ x_k
@@ -358,9 +397,10 @@ def solve_tracked(basis, laser, target):
     state to a mu-odd one and each half has a diagonal block D alone.  H -
     rho folds exactly onto the half k that holds `target` (Loewdin
     partitioning), S(rho) = (D_k - rho) - C (D_x - rho)^-1 C^T.
-    Rayleigh-quotient iteration from `target` solves with S; an overlap
-    above 1/2 makes the vector reached the one `track_state` picks, since
-    no other dressed state can hold half of a unit vector.  Sylvester's law
+    Rayleigh-quotient iteration from the Ritz start of `target`
+    (`_ritz_start`) solves with S; an overlap above 1/2 makes the vector
+    reached the one `track_state` picks, since no other dressed state can
+    hold half of a unit vector.  Sylvester's law
     of inertia on S counts the levels below E_i: in this class (the class
     rank) and, folding whichever half of the other class has no bare level
     near E_i, in the other class (`global_index` without a solve of it).

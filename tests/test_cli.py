@@ -42,21 +42,6 @@ def test_parse_config_unknown_preset():
         parse_config(preset="fig99", overrides={"mode": "spectrum"})
 
 
-def test_parse_config_file_and_precedence(tmp_path):
-    ini = tmp_path / "run.ini"
-    ini.write_text(
-        "[run]\nmode = spectrum\nn0 = 4\ncount = 3\n"
-        "[laser]\namplitude_vspm = 5e-6\nomega_ev_start = 0.2\n"
-        "omega_ev_stop = 0.6\n"
-        "[output]\nw_min = 1e-6\nreduced_mass = yes\n"
-    )
-    config = parse_config(path=str(ini), overrides={"n0": 6, "mode": "spectrum"})
-    assert config.n0 == 6  # flag beats file
-    assert config.count == 3
-    assert config.w_min == 1e-6
-    assert config.reduced_mass is True
-
-
 def test_parse_config_preset_overridable():
     config = parse_config(
         preset="fig3", overrides={"mode": "ionization", "n0": 4, "count": 2}
@@ -66,25 +51,6 @@ def test_parse_config_preset_overridable():
     assert config.a_vspm_start == 5e-7
     assert config.a_vspm_stop == 5e-6
     assert config.n0 == 4 and config.count == 2
-
-
-def test_parse_config_rejects_unknown_key(tmp_path):
-    ini = tmp_path / "bad.ini"
-    ini.write_text("[run]\nmode = point\nwibble = 3\n")
-    with pytest.raises(ConfigurationError, match="wibble"):
-        parse_config(path=str(ini))
-
-
-def test_parse_config_rejects_bad_bool(tmp_path):
-    ini = tmp_path / "bad.ini"
-    ini.write_text("[run]\nmode = point\nreduced_mass = maybe\n")
-    with pytest.raises(ConfigurationError, match="boolean"):
-        parse_config(path=str(ini))
-
-
-def test_parse_config_missing_file():
-    with pytest.raises(ConfigurationError, match="not readable"):
-        parse_config(path="/nonexistent/x.ini", overrides={"mode": "point"})
 
 
 def test_parse_config_mode_specific_requirements():
@@ -296,7 +262,7 @@ def test_successful_write_leaves_no_temporary_file(tmp_path):
     assert json.loads((tmp_path / "out.csv.meta.json").read_text())["failed_points"] == []
 
 
-def test_threads_option_removed(tmp_path, capsys):
+def test_threads_option_removed(capsys):
     # the per-point thread pool is gone; the eigensolver's BLAS threads
     # already use every core
     with pytest.raises(SystemExit) as exc:
@@ -304,15 +270,6 @@ def test_threads_option_removed(tmp_path, capsys):
               "--omega-ev", "0.5", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
-    # removed config keys: threads, and degeneracy_gap (fixed at
-    # DEGENERACY_GAP)
-    for key, value in (("threads", "2"), ("degeneracy_gap", "1e-8")):
-        ini = tmp_path / "run.ini"
-        ini.write_text(f"[run]\nmode = point\n{key} = {value}\n")
-        assert main(["point", "--config", str(ini), "--amplitude-vspm", "1e-6",
-                     "--omega-ev", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
-        assert f"unknown config key '{key}'" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [_SPECTRUM, _INTENSITY, _POINT],
@@ -769,17 +726,14 @@ def test_reduced_mass_shifts_energies(tmp_path):
         (_POINT + ["--amplitude-vspm", "1e308"], "amplitude_A must be finite"),
         (_POINT + ["--w-min", "2"], r"w_min must be in \[0, 1\], got 2.0"),
         (_SPECTRUM + ["--w-min=-1"], r"w_min must be in \[0, 1\], got -1.0"),
-        (_POINT + ["--config", "w_min.ini"], r"w_min must be in \[0, 1\], got 1.5"),
+        (_POINT + ["--w-min", "1.5"], r"w_min must be in \[0, 1\], got 1.5"),
     ],
     ids=["n0-above-cap", "omega-nan", "omega-negative", "amplitude-negative",
          "amplitude-inf", "omega-start-zero", "initial-outside-basis",
          "amplitude-overflows", "w-min-above-one", "w-min-negative",
-         "w-min-config-file"],
+         "w-min-one-and-a-half"],
 )
-def test_bad_input_rejected_at_the_boundary(tmp_path, monkeypatch, capsys, argv,
-                                           message):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "w_min.ini").write_text("[output]\nw_min = 1.5\n")
+def test_bad_input_rejected_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "bad.csv"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -789,31 +743,57 @@ def test_bad_input_rejected_at_the_boundary(tmp_path, monkeypatch, capsys, argv,
 
 
 @pytest.mark.parametrize(
-    "argv, keys",
+    "argv, flags",
     [
         (_POINT + ["--count", "7", "--a-vspm-start", "1", "--omega-ev-start", "9"],
-         ["a_vspm_start", "count", "omega_ev_start"]),
-        (_IONIZATION + ["--w-min", "1e-6"], ["w_min"]),
-        (["point", "--preset", "fig3"], ["a_vspm_start", "a_vspm_stop", "count"]),
-        (_SPECTRUM + ["--omega-ev", "0.5"], ["omega_ev"]),
-        (_INTENSITY + ["--amplitude-vspm", "1e-6"], ["amplitude_vspm"]),
-        (_POINT + ["--config", "unread.ini"], ["a_vspm_stop"]),
-        (_POINT + ["--drop-a2"], ["drop_a2"]),
+         ["--count", "--a-vspm-start", "--omega-ev-start"]),
+        (_IONIZATION + ["--w-min", "1e-6"], ["--w-min"]),
+        (["point", "--preset", "fig3"], ["--preset"]),
+        (_SPECTRUM + ["--omega-ev", "0.5"], ["--omega-ev"]),
+        (_INTENSITY + ["--amplitude-vspm", "1e-6"], ["--amplitude-vspm"]),
+        (_POINT + ["--drop-a2"], ["--drop-a2"]),
     ],
     ids=["point-sweep-flags", "ionization-w-min", "point-fig3-preset",
-         "spectrum-omega", "intensity-amplitude", "point-config-file",
-         "point-drop-a2"],
+         "spectrum-omega", "intensity-amplitude", "point-drop-a2"],
 )
-def test_keys_the_mode_does_not_read_are_rejected(tmp_path, monkeypatch, capsys,
-                                                 argv, keys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "unread.ini").write_text("[laser]\na_vspm_stop = 1e-6\n")
+def test_keys_the_mode_does_not_read_are_rejected(tmp_path, capsys, argv, flags):
     out = tmp_path / "bad.csv"
-    assert main(argv + ["--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ")
-    assert f"does not read key(s) {', '.join(map(repr, keys))}" in err
+    assert all(flag in err for flag in flags)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", list(cli.MODE_KEYS))
+def test_each_subcommand_takes_the_flags_of_the_keys_its_mode_reads(mode, capsys):
+    keys = [k for k in cli._COMMON_KEYS + cli.MODE_KEYS[mode]
+            if k != "mode" and not k.startswith("initial_")]
+    flags = {"--out" if k == "output_path" else "--" + k.replace("_", "-")
+             for k in keys}
+    dests = set(keys) | {"mode", "initial"}
+    if any(p["mode"] == mode for p in cli.PRESETS.values()):
+        flags.add("--preset")
+        dests.add("preset")
+    with pytest.raises(SystemExit) as exc:
+        main([mode, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.M)) == (
+        flags | {"--initial"}
+    )
+    assert set(vars(cli.build_parser().parse_args([mode]))) == dests
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_each_preset_sets_only_keys_its_mode_reads(name, capsys):
+    preset = cli.PRESETS[name]
+    assert set(preset) <= set(cli._COMMON_KEYS + cli.MODE_KEYS[preset["mode"]])
+    for mode in sorted(set(cli.MODE_KEYS) - {preset["mode"]}):
+        with pytest.raises(SystemExit) as exc:
+            main([mode, "--preset", name])
+        assert exc.value.code == 2
+        assert "--preset" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", list(cli.MODE_KEYS))

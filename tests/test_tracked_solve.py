@@ -45,9 +45,13 @@ from oracles import refined_eigenpair
 GROUND = QuantumNumbers(1, 0, 0)
 UNITS = UnitSystem()
 # ionization --n0 10 --omega-ev 2.37, A from 1e-5 to 4e-5 V*s/m in 8 points:
-# the tracked state is strongly mixed, and no point certifies
+# the tracked state is strongly mixed; the first 3 points certify, the last 5
+# keep at most half of 1s
 STRONG = ["ionization", "--n0", "10", "--omega-ev", "2.37",
           "--a-vspm-start", "1e-5", "--a-vspm-stop", "4e-5", "--count", "8"]
+# the sweep through the 1s-2p one-photon resonance
+RESONANCE = ["ionization", "--n0", "4", "--omega-ev", "10.2043",
+             "--a-vspm-start", "1e-8", "--a-vspm-stop", "2e-6", "--count", "12"]
 # the warm sweep of the benchmark's ionization-n10 workload, seed 0
 BENCH_SEED0 = ["ionization", "--n0", "10", "--omega-ev", "2.37",
                "--a-vspm-start", "9.75356e-07", "--a-vspm-stop", "4.75531e-06",
@@ -171,15 +175,17 @@ def test_zero_field_and_the_empty_other_class():
     (QuantumNumbers(2, 1, 0),  # class 1 with its even half kept
      ["ionization", "--n0", "4", "--omega-ev", "5", "--a-vspm-start", "5e-7",
       "--a-vspm-stop", "1e-6", "--count", "2"], 2),
-    (GROUND, ["ionization", "--n0", "4", "--omega-ev", "10.2043",
-              "--a-vspm-start", "1e-8", "--a-vspm-stop", "2e-6", "--count", "12"], 10),
-    (GROUND, STRONG, 0),
-    # the one point of the benchmark's ionization-n10 warm sweeps, seeds
-    # 0-19, that takes the full path: RQI from 1s reaches a state of overlap
-    # 0.002, while the full path's tracked state has 0.904 (dressed_index 10)
+    # RQI from bare 1s flips between the two resonant states at 2 points;
+    # from the Ritz start it certifies all 12
+    (GROUND, RESONANCE, 12),
+    (GROUND, STRONG, 3),
+    # the point of the benchmark's ionization-n10 warm sweeps, seeds 0-19,
+    # where RQI from bare 1s reaches a state of overlap 0.002, while the
+    # full path's tracked state has 0.904 (dressed_index 10); the Ritz start
+    # reaches that state
     (GROUND, ["ionization", "--n0", "10", "--omega-ev", "2.37",
               "--a-vspm-start", "4.5375063589743595e-06",
-              "--a-vspm-stop", "4.5375063589743595e-06", "--count", "1"], 0),
+              "--a-vspm-stop", "4.5375063589743595e-06", "--count", "1"], 1),
 ], ids=["initial-2-1-0", "resonance", "strong-field", "ionization-n10-seed5"])
 def test_named_sweeps_agree_with_the_full_path(initial, argv, certified):
     basis, lasers = _sweep(argv)
@@ -189,17 +195,20 @@ def test_named_sweeps_agree_with_the_full_path(initial, argv, certified):
 
 def test_exact_tie_with_a_bare_level_of_the_other_half():
     # At n0 = 2 and omega = 0.375 the bare pseudo-energies of 1s and of 2p
-    # mu = -1 are both -0.5 + A^2/2, so RQI's first Rayleigh quotient is a
-    # diagonal entry of the x half, where the fold would divide by zero.
+    # mu = -1 are both -0.5 + A^2/2: RQI from bare 1s would fold at a
+    # diagonal entry of the x half and divide by zero, and the Ritz start's
+    # first correction meets that zero of theta - diag H, which it replaces
+    # by eps.  From the Ritz start the fold certifies the state.
     basis, laser = enumerate_basis(2), LaserField(1e-3, 0.375)
-    decomp, tracked, index = _full_path(basis, laser, GROUND)
-    records = tuple(ionization_records(decomp, tracked.index, laser))
+    _, tracked, index = _full_path(basis, laser, GROUND)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert solve_tracked(basis, laser, GROUND) is None
+        _, state, position = solve_tracked(basis, laser, GROUND)
         (point,) = ionization_intensity_scan(0.375, [1e-3], n0=2)
-    assert point == IonizationScanPoint(1e-3, index, tracked.overlap, records, True)
-    assert (point.dressed_index, point.overlap) == (0, 0.5000658089446299)
+    assert (position, index) == (0, 0)
+    assert abs(state.overlap - tracked.overlap) <= 1e-12
+    assert not point.full_solve and point.dressed_index == 0
+    assert abs(point.overlap - 0.5000658089446299) <= 1e-12
 
 
 @pytest.mark.parametrize("n0", [6, 10])
@@ -240,10 +249,25 @@ def test_stored_fig3_sigma_is_the_refined_eigenpair_sigma():
         np.testing.assert_allclose(sigma, stored, rtol=1e-13, atol=0)
 
 
+def test_resonance_sigma_is_the_refined_eigenpair_sigma():
+    # the two points of the resonance sweep that RQI from bare 1s left to
+    # the full path
+    basis, lasers = _sweep(RESONANCE)
+    for laser in lasers[1:3]:
+        one, state, _ = solve_tracked(basis, laser, GROUND)
+        vector, energy = refined_eigenpair(
+            assemble(basis, laser).entries, one.column(0), one.energy(0)
+        )
+        refined = EigenDecomposition(np.array([energy]), vector[:, None], basis, 0)
+        sigma = [r.sigma for r in ionization_records(one, state.index, laser)]
+        exact = [r.sigma for r in ionization_records(refined, 0, laser)]
+        np.testing.assert_allclose(sigma, exact, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("argv, full", [
-    (["ionization", "--preset", "fig3"], 0),
-    (BENCH_SEED0, 0),
-    (STRONG, 8),
+    (["ionization", "--preset", "fig3"], slice(0)),
+    (BENCH_SEED0, slice(0)),
+    (STRONG, slice(3, None)),
 ], ids=["fig3", "ionization-n10-seed0", "strong-field"])
 def test_meta_lists_the_points_solved_in_full(tmp_path, argv, full):
     out = tmp_path / "ion.csv"
@@ -251,8 +275,8 @@ def test_meta_lists_the_points_solved_in_full(tmp_path, argv, full):
     meta = json.loads((tmp_path / "ion.csv.meta.json").read_text())
     with open(out, newline="") as fh:
         axis = list(dict.fromkeys(float(r["A_vspm"]) for r in csv.DictReader(fh)))
-    # the strong-field sweep lists every one of its 8 points
-    assert meta["full_solve_axis_values"] == axis[:full]
+    # the strong-field sweep lists its last 5 points
+    assert meta["full_solve_axis_values"] == axis[full]
 
 
 def test_scan_solves_no_class_where_the_fold_certifies(monkeypatch):
