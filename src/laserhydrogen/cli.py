@@ -11,6 +11,7 @@ fig1 (spectrum), fig2 (intensity) and fig3 (ionization) encode the
 published figure parameters, and flags override them.  Each subcommand
 takes the flags of the keys its mode reads (MODE_KEYS) and the presets of
 its mode, nothing else, so argparse rejects any other flag or preset.
+Flags are spelled in full: argparse takes no prefix of a flag for it.
 Exit codes: 0 success, 1 at least one scan point failed, 2 configuration
 error, 3 I/O error.
 """
@@ -193,7 +194,7 @@ def run(config: RunConfig) -> int:
 
     Raises ConfigurationError if a field point is not a valid LaserField.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     units = UnitSystem(reduced_mass=config.reduced_mass)
     axis, lasers = _sweep(config, units)
     ionization = config.mode == "ionization"
@@ -222,7 +223,7 @@ def run(config: RunConfig) -> int:
             "vector_potential_au_vspm": units.vector_potential_to_si(1.0),
         },
         "failed_points": [dataclasses.asdict(p) for p in points if p.failed],
-        "wall_time_s": time.time() - t_start,
+        "wall_time_s": time.perf_counter() - t_start,
     }
     if ionization:
         # Points whose tracked state keeps less than half of the initial
@@ -342,13 +343,14 @@ def _write_files(outputs):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laserhydrogen",
+        allow_abbrev=False,
         description="Dressed-state transitions and photoionization of "
         "hydrogen in a circularly polarized laser",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for mode, keys in MODE_KEYS.items():
-        p = sub.add_parser(mode)
+        p = sub.add_parser(mode, allow_abbrev=False)
         presets = sorted(name for name, v in PRESETS.items() if v["mode"] == mode)
         if presets:
             p.add_argument("--preset", choices=presets)

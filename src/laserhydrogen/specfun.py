@@ -19,16 +19,46 @@ while the benchmark's span tracer still times `laplace_1f1_product` and
 `appell_f2` on the package.  The other oracles (quadrature on hydrogen
 wavefunctions, the series Kummer function and the Coulomb wave) live in
 tests/oracles.py.
+
+`mpmath` is bound lazily (importlib.util.LazyLoader): the name is a module
+object from import on, so the span tracer still finds `mpmath.hyp2f1`
+through it, but mpmath's code runs only when `gamma_fn` first gets a
+complex argument, which only tests do, so a CLI run does not pay mpmath's
+import (about a sixth of its start-up).  The binding goes with the oracles
+when they move to tests/.
 """
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError
+
+
+def _lazy_module(name):
+    """Module `name`, whose code runs at its first attribute access.
+
+    The LazyLoader recipe of the importlib docs; a module that sys.modules
+    already holds is returned as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+mpmath = _lazy_module("mpmath")
+
 
 def _as_nonpositive_int(value):
     """Return n >= 0 with value == -n if value is a non-positive integer."""

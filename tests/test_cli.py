@@ -262,6 +262,15 @@ def test_successful_write_leaves_no_temporary_file(tmp_path):
     assert json.loads((tmp_path / "out.csv.meta.json").read_text())["failed_points"] == []
 
 
+def test_wall_time_ignores_a_step_of_the_wall_clock(tmp_path, monkeypatch):
+    # each reading of the wall clock is an hour earlier than the one before
+    readings = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(cli.time, "time", lambda: float(next(readings)))
+    assert main(_POINT + ["--out", str(tmp_path / "out.csv")]) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    assert 0 <= meta["wall_time_s"] < 60
+
+
 def test_threads_option_removed(capsys):
     # the per-point thread pool is gone; the eigensolver's BLAS threads
     # already use every core
@@ -398,7 +407,8 @@ def test_meta_lists_the_branches_whose_sigma_is_cut(tmp_path, n0, omega_ev, init
 
 def test_runs_without_scipy(tmp_path):
     # numpy's LAPACK does every solve: scipy's, with its own BLAS thread
-    # pool, is never loaded
+    # pool, is never loaded.  No run path calls mpmath either, so its code
+    # runs only when the oracle gamma_fn first takes a complex argument.
     script = (
         "import sys\n"
         "from laserhydrogen.cli import main\n"
@@ -409,6 +419,11 @@ def test_runs_without_scipy(tmp_path):
         "assert main(['point', '--n0', '3', '--amplitude-vspm', '5e-6',\n"
         "             '--omega-ev', '0.5', '--out', out + '/p.csv']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "assert not [m for m in sys.modules if m.startswith('mpmath.')]\n"
+        "import mpmath\n"
+        "from laserhydrogen import specfun\n"
+        "z = complex(2, 1)\n"
+        "assert specfun.gamma_fn(z) == complex(mpmath.gamma(z))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -752,9 +767,14 @@ def test_bad_input_rejected_at_the_boundary(tmp_path, capsys, argv, message):
         (_SPECTRUM + ["--omega-ev", "0.5"], ["--omega-ev"]),
         (_INTENSITY + ["--amplitude-vspm", "1e-6"], ["--amplitude-vspm"]),
         (_POINT + ["--drop-a2"], ["--drop-a2"]),
+        # a prefix is not the flag it begins: not --omega-ev, not --drop-a2
+        (["point", "--n0", "2", "--amplitude-vspm", "1e-6", "--omega", "0.5"],
+         ["unrecognized arguments: --omega 0.5"]),
+        (_IONIZATION + ["--drop"], ["unrecognized arguments: --drop\n"]),
     ],
     ids=["point-sweep-flags", "ionization-w-min", "point-fig3-preset",
-         "spectrum-omega", "intensity-amplitude", "point-drop-a2"],
+         "spectrum-omega", "intensity-amplitude", "point-drop-a2",
+         "point-omega-prefix", "ionization-drop-prefix"],
 )
 def test_keys_the_mode_does_not_read_are_rejected(tmp_path, capsys, argv, flags):
     out = tmp_path / "bad.csv"
