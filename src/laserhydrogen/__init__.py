@@ -27,7 +27,6 @@ from .eigensolver import (
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .hamiltonian import LaserField, PseudoHamiltonianMatrix, assemble
 from .ionization import (
-    ContinuumState,
     IonizationRecord,
     bound_free_element,
     eta_index,
@@ -74,7 +73,6 @@ __all__ = [
     "LaserField",
     "PseudoHamiltonianMatrix",
     "assemble",
-    "ContinuumState",
     "IonizationRecord",
     "bound_free_element",
     "eta_index",

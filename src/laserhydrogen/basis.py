@@ -234,16 +234,14 @@ def radial_length_integral(n1: int, l1: int, n2: int, l2: int) -> float:
     return magnitude if (num > 0) == (den > 0) else -magnitude
 
 
-@lru_cache(maxsize=1)
 def coupling_arrays(n0: int):
     """Nonzero <a|p_x|b> of the n0 basis with l_b = l_a + 1.
 
     Returns read-only (rows, cols, values) with values[k] the p_x element
     of states[rows[k]] and states[cols[k]], bit for bit the element-wise
     reference `px_matrix_element` of tests/oracles.py; the matrix is
-    symmetric, so the mirrored entries carry the same values.  Only the
-    latest basis is kept: a sweep stays on one basis, and an n0 ladder
-    never returns to an earlier one.
+    symmetric, so the mirrored entries carry the same values.  They are
+    not kept: `hamiltonian.class_layout` keeps the couplings of each class.
     """
     rows, cols, values = [], [], []
     for l1 in range(n0 - 1):

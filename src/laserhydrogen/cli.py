@@ -231,6 +231,10 @@ def run(config: RunConfig) -> int:
         metadata["ambiguous_axis_values"] = [
             p.axis_value for p in computed if p.ambiguous
         ]
+        # Points at which every branch is closed: they write no CSV row.
+        metadata["closed_axis_values"] = [
+            p.axis_value for p in computed if not p.records
+        ]
         # Points whose tracked state the folded solve could not certify, so
         # the solve of the whole class gave it.  Its small components, and so
         # sigma of strongly suppressed branches, carry that solve's rounding.

@@ -47,14 +47,13 @@ class's size, raises ConfigurationError.
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisSet, QuantumNumbers, _read_only
+from .basis import BasisSet, QuantumNumbers
 from .errors import ConfigurationError, ConvergenceError
 from .hamiltonian import (
-    LaserField, PseudoHamiltonianMatrix, assemble, class_diagonal, class_terms,
+    LaserField, PseudoHamiltonianMatrix, assemble, class_diagonal, class_layout,
 )
 
 DEGENERACY_GAP = 1e-10
@@ -65,7 +64,6 @@ _RITZ_STEPS = 3  # Davidson steps that grow the subspace of RQI's start
 _RESIDUAL_TOL = 1e3 * _EPS  # |H x - rho x| against the size of H
 _SIGN_GUARD = 1e6 * _EPS  # a counted sign closer to 0 than this is unsure
 _DISC_ROUNDING = 8  # eigvalsh's rounding of an eigenvalue, in len(S) eps |S|
-_UNIT_FIELD = LaserField(1.0, 1.0)  # A = 1: class_terms gives p_x itself
 
 _log = logging.getLogger(__name__)
 
@@ -205,33 +203,13 @@ def track_state(
 
 # --- the tracked state alone, on one mu half of its class -----------------
 
-@lru_cache(maxsize=2)
-def _half_pattern(basis, parity):
-    """The rows of the even and of the odd mu half of the class `parity`,
-    and of each coupling its flat position in the block C between them
-    (even rows, odd columns) and its p_x.  A scan stays on one basis and
-    reads both of its classes, so these are built once from `class_terms`,
-    whose unit amplitude leaves each p_x as it is."""
-    _, rows, cols, values = class_terms(basis, _UNIT_FIELD, parity)
-    even, odd = basis.class_halves(parity)
-    in_half = np.empty(len(even) + len(odd), dtype=np.intp)
-    in_half[even] = np.arange(len(even))
-    in_half[odd] = np.arange(len(odd))
-    is_odd = np.zeros(len(in_half), dtype=bool)
-    is_odd[odd] = True
-    flip = is_odd[rows]  # listed odd first: swap to (even, odd)
-    at = (in_half[np.where(flip, cols, rows)] * len(odd)
-          + in_half[np.where(flip, rows, cols)])
-    return tuple(_read_only(a) for a in (even, odd, at, values))
-
-
 def _halves(basis, laser, parity):
     """(rows, diagonal) of the even and of the odd mu half of the class
     `parity`, and the block C of H between them (even rows, odd columns)."""
-    even, odd, at, values = _half_pattern(basis, parity)
     diagonal = class_diagonal(basis, laser, parity)
+    even, odd, r, c, p_x = class_layout(basis, parity)
     block = np.zeros((len(even), len(odd)))
-    block.flat[at] = laser.amplitude_A * values
+    block[r, c] = laser.amplitude_A * p_x
     return (even, diagonal[even]), (odd, diagonal[odd]), block
 
 

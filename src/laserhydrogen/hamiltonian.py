@@ -6,17 +6,19 @@ In the i^l-phased truncated bound basis the matrix is real symmetric:
     off-diagonal:  A * <a|p_x|b>   (only for |dl| = 1 and |dmu| = 1)
 
 The p_x elements depend only on the basis, so their positions and values
-are built once per n0 (`basis.coupling_arrays`) and each field point costs
-one diagonal fill plus one scaled scatter of those values.  Every nonzero
+are built once per basis and class (`basis.coupling_arrays`, laid out and
+kept by `class_layout`) and each field point costs one diagonal fill plus
+one scaled scatter of those values.  Every nonzero
 element joins states of equal z-reflection parity (l + mu) mod 2, so H is
-block diagonal in the two parity classes.  `class_terms` gives the pieces
-of one class, its diagonal (`class_diagonal`) and its scaled couplings;
-`assemble` scatters them into that class's block, in Fortran order.  The
-folded solve of the eigensolver reads the positions and p_x values of the
-couplings from `class_terms` once per basis and class, and per field point
-only the diagonal and the scaled scatter into the block between the
-class's two mu halves.  No matrix over the whole basis is ever built; a
-scan follows one initial state and solves only in that state's class.
+block diagonal in the two parity classes, and p_x changes mu by one, so
+inside a class every coupling joins its mu-even half to its mu-odd half.
+`class_layout` lays out the couplings of one class once per basis, each
+as (r, c, p_x) between row r of the even half and row c of the odd half.
+`assemble` scatters A * p_x at both mirror positions of the class's
+block, in Fortran order, beside its diagonal (`class_diagonal`); the
+folded solve of the eigensolver scatters it into the block between the
+two halves alone.  No matrix over the whole basis is ever built; a scan
+follows one initial state and solves only in that state's class.
 
 All quantities in atomic units.  The dipole (k*a0 << 1) coupling is used.
 The A^2/2 ponderomotive-type constant is always on the diagonal: it drives
@@ -30,10 +32,11 @@ holds the field.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisSet, coupling_arrays
+from .basis import BasisSet, _read_only, coupling_arrays
 from .errors import ConfigurationError
 
 
@@ -93,29 +96,26 @@ def class_diagonal(basis: BasisSet, laser: LaserField, parity: int) -> np.ndarra
             + 0.5 * laser.amplitude_A**2)
 
 
-def class_terms(basis: BasisSet, laser: LaserField, parity: int):
-    """The pieces of the class `parity` (0 or 1) of H: its diagonal and its
-    couplings (rows, cols, A * p_x) with rows and cols indices into
-    `basis.class_positions(parity)`, each coupling listed once.
-
-    `assemble` scatters them into the class matrix; the folded solve of
-    `eigensolver.solve_tracked` keeps their pattern, once per basis and
-    class.  Raises ConfigurationError for a parity other than 0 or 1 and
-    for an empty class.
+@lru_cache(maxsize=2)
+def class_layout(basis: BasisSet, parity: int):
+    """The couplings of the class `parity` (0 or 1) in the coordinates of
+    its two mu halves: read-only (even, odd, r, c, p_x), the rows of the
+    mu-even and of the mu-odd half (as `basis.class_halves` gives them) and
+    each coupling once, p_x joining row even[r] to row odd[c].  A scan stays
+    on one basis and reads at most both of its classes: both are kept.
     """
-    diagonal = class_diagonal(basis, laser, parity)
-    if laser.amplitude_A == 0.0:
-        none = np.zeros(0, dtype=np.intp)
-        return diagonal, none, none, np.zeros(0)
-    positions = basis.class_positions(parity)
+    even, odd = basis.class_halves(parity)
     rows, cols, values = coupling_arrays(basis.n0)
     keep = basis.parity[rows] == parity  # a coupling never crosses classes
-    local = np.empty(len(basis), dtype=np.intp)
-    local[positions] = np.arange(len(positions))
-    return (
-        diagonal, local[rows[keep]], local[cols[keep]],
-        laser.amplitude_A * values[keep],
-    )
+    rows, cols = rows[keep], cols[keep]
+    positions = basis.class_positions(parity)
+    in_half = np.empty(len(basis), dtype=np.intp)
+    in_half[positions[even]] = np.arange(len(even))
+    in_half[positions[odd]] = np.arange(len(odd))
+    flip = basis.mu[rows] % 2 == 1  # listed odd first: swap to (even, odd)
+    r = in_half[np.where(flip, cols, rows)]
+    c = in_half[np.where(flip, rows, cols)]
+    return tuple(_read_only(a) for a in (even, odd, r, c, values[keep]))
 
 
 def assemble(
@@ -126,11 +126,14 @@ def assemble(
     The matrix is the diagonal block of the class `parity` (0 or 1) in the
     whole-basis H, entry for entry.  Class 0 holds the 1s state.
     """
-    diagonal, rows, cols, scaled = class_terms(basis, laser, parity)
+    diagonal = class_diagonal(basis, laser, parity)
     dim = len(diagonal)
     h = np.zeros((dim, dim), order="F")
     np.fill_diagonal(h, diagonal)
-    h[rows, cols] = scaled
-    h[cols, rows] = scaled
+    if laser.amplitude_A != 0.0:  # at A = 0 no coupling is written
+        even, odd, r, c, p_x = class_layout(basis, parity)
+        rows, cols, scaled = even[r], odd[c], laser.amplitude_A * p_x
+        h[rows, cols] = scaled
+        h[cols, rows] = scaled
     h.flags.writeable = False
     return PseudoHamiltonianMatrix(h, basis, parity)

@@ -8,9 +8,13 @@ density of states exactly one per unit energy.
 
 The bound-free radial integrals of one open branch come from two
 three-term recurrences downward in l (`_bound_free_ladders`), started at
-the top l = n - 1 from a closed form.  Per partial wave l_f, p_l =
-<psi_f0|p_x|phi_i> is the golden-rule matrix element per unit A, normalized
-so that the cross section
+the top l = n - 1 from a closed form, and are read once per branch: the
+states a branch mu reaches are laid out once per basis and class
+(`_bound_free_channels`), and `bound_free_element` gathers the dressed
+state's components on them once and gives every partial wave of the
+branch.  Per partial wave l_f, p_l = <psi_f0|p_x|phi_i> is the
+golden-rule matrix element per unit A, normalized so that the cross
+section
 
     sigma = 8 pi alpha / omega * sum_l p_l^2   (in units of pi*a0^2)
 
@@ -33,6 +37,7 @@ A point that raises is a `transitions.PointFailure` in the list `scan` returns.
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,21 +52,6 @@ from .transitions import ScanRecord, scan
 from .units import BINDING_ENERGY_AU, CONSTANTS
 
 _COEFF_CUTOFF = 1e-15
-
-
-@dataclass(frozen=True)
-class ContinuumState:
-    """Energy-normalized Coulomb continuum partial wave."""
-
-    energy_Ef0: float  # hartree, > 0
-    l: int
-    mu: int
-
-    def __post_init__(self):
-        if self.energy_Ef0 <= 0:
-            raise DomainError("continuum energy must be positive")
-        if self.l < abs(self.mu):
-            raise DomainError(f"|mu|={abs(self.mu)} exceeds l={self.l}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +103,6 @@ def _top_integral(n: int, k: float) -> float:
     return math.exp(log_value) * _radial_norm(n, n - 1)
 
 
-@lru_cache(maxsize=1)
 def _bound_free_ladders(n0: int, l_min: int, k: float):
     """The bound-free radial integrals of the basis at momentum k, l >= l_min.
 
@@ -165,13 +154,13 @@ def _bound_free_ladders(n0: int, l_min: int, k: float):
 
 @lru_cache(maxsize=2)
 def _bound_free_channels(basis, parity):
-    """The bound states each continuum channel (mu_f, l_f) couples to.
+    """The bound states each continuum branch mu_f couples to.
 
-    Maps (mu_f, l_f) to arrays over the states with |l_f - l_b| = 1 and
-    |mu_f - mu_b| = 1, in basis order: their rows in a decomposition of the
-    parity class `parity`, n_b, l_b, the signed
-    angular factor of x_fb (negative for l_f = l_b + 1, where the i^l
-    phases give -1) and E_b.
+    Maps mu_f to arrays over the pairs of a partial wave l_f and a state b
+    with |l_f - l_b| = 1 and |mu_f - mu_b| = 1, ordered by l_f and then in
+    basis order: their l_f, the rows of b in a decomposition of the parity
+    class `parity`, n_b, l_b, the signed angular factor of x_fb (negative
+    for l_f = l_b + 1, where the i^l phases give -1) and E_b.
     """
     channels = {}
     for row, position in enumerate(basis.class_positions(parity).tolist()):
@@ -182,42 +171,49 @@ def _bound_free_channels(basis, parity):
                     continue
                 angular = angular_x(l_f, mu_f, b.l, b.mu)
                 factor = -angular if l_f == b.l + 1 else angular
-                channels.setdefault((mu_f, l_f), []).append(
-                    (row, b.n, b.l, factor, basis.energy[position])
+                channels.setdefault(mu_f, []).append(
+                    (l_f, row, b.n, b.l, factor, basis.energy[position])
                 )
-    return {
-        key: tuple(np.array(column) for column in zip(*entries))
-        for key, entries in channels.items()
+    return {  # sorted is stable: within one l_f the states stay in basis order
+        mu_f: tuple(np.array(column)
+                    for column in zip(*sorted(entries, key=itemgetter(0))))
+        for mu_f, entries in channels.items()
     }
 
 
 def bound_free_element(
-    decomp: EigenDecomposition, dressed_index: int, final: ContinuumState
-) -> float:
-    """<psi_f0|p_x|phi_i> with the i^l real phase convention.
+    decomp: EigenDecomposition, dressed_index: int, mu: int, e_f0: float
+) -> np.ndarray:
+    """<psi_f0|p_x|phi_i> with the i^l real phase convention, of each
+    partial wave l_f = |mu| .. n0 of the branch mu at photoelectron energy
+    e_f0 > 0 (DomainError otherwise).
 
     The golden-rule element of A p_x + A^2/2 is A times this: the A^2/2
     constant contributes exactly zero, because bound and continuum
     eigenstates of the Coulomb Hamiltonian are orthogonal.  Components
-    below _COEFF_CUTOFF are skipped, and the terms are summed in basis
-    order.
+    below _COEFF_CUTOFF are skipped, and each partial wave sums its terms
+    one after another in basis order.
     """
+    if not e_f0 > 0:
+        raise DomainError(f"continuum energy must be positive, got {e_f0!r}")
     coeffs = decomp.column(dressed_index)
-    channel = _bound_free_channels(decomp.basis, decomp.parity).get(
-        (final.mu, final.l)
-    )
-    if channel is None:
-        return 0.0
-    rows, n, l_b, factor, energy = channel
-    c = coeffs[rows]
-    keep = np.abs(c) >= _COEFF_CUTOFF
-    up, down = _bound_free_ladders(
-        decomp.basis.n0, max(abs(final.mu) - 1, 0), math.sqrt(2.0 * final.energy_Ef0)
-    )
-    radial = np.where(l_b < final.l, up[n, l_b], down[n, l_b])[keep]
-    # p_x(f, b) = (E_b - E_f0) * x_fb, the commutator relation of the basis
-    terms = c[keep] * ((energy[keep] - final.energy_Ef0) * (factor[keep] * radial))
-    return sum(terms.tolist(), 0.0)
+    n0 = decomp.basis.n0
+    p = [0.0] * (n0 + 1 - abs(mu))
+    channel = _bound_free_channels(decomp.basis, decomp.parity).get(mu)
+    if channel is not None:
+        l_f, rows, n, l_b, factor, energy = channel
+        c = coeffs[rows]
+        keep = np.abs(c) >= _COEFF_CUTOFF
+        l_f, n, l_b = l_f[keep], n[keep], l_b[keep]
+        up, down = _bound_free_ladders(
+            n0, max(abs(mu) - 1, 0), math.sqrt(2.0 * e_f0)
+        )
+        radial = np.where(l_b < l_f, up[n, l_b], down[n, l_b])
+        # p_x(f, b) = (E_b - E_f0) * x_fb, the commutator relation of the basis
+        terms = c[keep] * ((energy[keep] - e_f0) * (factor[keep] * radial))
+        for l, term in zip(l_f.tolist(), terms.tolist()):
+            p[l - abs(mu)] += term
+    return np.array(p)
 
 
 def sigma_cut_branches(basis, parity, records):
@@ -230,7 +226,7 @@ def sigma_cut_branches(basis, parity, records):
     exactly 0.0 that some state of the class couples to; a branch that
     none couples to reads 0.0 by the selection rules and is not listed.
     """
-    reached = {mu for mu, _ in _bound_free_channels(basis, parity)}
+    reached = set(_bound_free_channels(basis, parity))
     return [r.mu_branch for r in records if r.sigma == 0.0 and r.mu_branch in reached]
 
 
@@ -250,10 +246,8 @@ def ionization_records(
         e_f0 = photoelectron_energy(e_i, mu, laser.omega)
         if e_f0 <= 0:
             continue
-        p_squared = sum(
-            bound_free_element(decomp, dressed_index, ContinuumState(e_f0, l_f, mu)) ** 2
-            for l_f in range(abs(mu), n0 + 1)
-        )
+        p = bound_free_element(decomp, dressed_index, mu, e_f0)
+        p_squared = sum(p_l ** 2 for p_l in p.tolist())
         records.append(
             IonizationRecord(
                 E_i=e_i,

@@ -36,11 +36,7 @@ from laserhydrogen.basis import (
     radial_length_integral,
 )
 from laserhydrogen.errors import ConvergenceError, DomainError
-from laserhydrogen.ionization import (
-    ContinuumState,
-    _bound_free_ladders,
-    bound_free_element,
-)
+from laserhydrogen.ionization import _bound_free_ladders, bound_free_element
 from laserhydrogen.specfun import KummerParams, _as_nonpositive_int
 
 _SERIES_CAP = 2000
@@ -67,12 +63,9 @@ def bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
 def partial_wave_elements(decomp, dressed_index, record):
     """[p_l for l_f = |mu| .. n0] on the record's branch: bound_free_element,
     the golden-rule element per unit A, of each partial wave that sigma sums."""
-    return [
-        bound_free_element(
-            decomp, dressed_index, ContinuumState(record.E_f0, l_f, record.mu_branch)
-        )
-        for l_f in range(abs(record.mu_branch), decomp.basis.n0 + 1)
-    ]
+    return bound_free_element(
+        decomp, dressed_index, record.mu_branch, record.E_f0
+    ).tolist()
 
 
 def ionization_rate(decomp, dressed_index, record, amplitude) -> float:

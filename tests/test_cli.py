@@ -366,6 +366,25 @@ def test_meta_ambiguous_axis_values_are_the_csv_overlaps_below_half(tmp_path):
     assert meta["ambiguous_axis_values"] == below
 
 
+def test_meta_lists_the_points_with_every_branch_closed(tmp_path):
+    # at 0.5 eV the n0 = 3 basis reaches no continuum: neither point writes
+    # a CSV row, and the .meta.json lists both
+    out = tmp_path / "closed.csv"
+    assert main([
+        "ionization", "--n0", "3", "--omega-ev", "0.5", "--a-vspm-start", "1e-6",
+        "--a-vspm-stop", "2e-6", "--count", "2", "--out", str(out),
+    ]) == 0
+    _, rows = _read_csv(out)
+    meta = json.loads((tmp_path / "closed.csv.meta.json").read_text())
+    assert rows == [] and meta["failed_points"] == []
+    assert meta["closed_axis_values"] == [1e-6, 2e-6]
+    assert main(["ionization", "--preset", "fig3", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    meta = json.loads((tmp_path / "closed.csv.meta.json").read_text())
+    assert meta["closed_axis_values"] == []
+    assert len({r[0] for r in rows}) == 10  # every point writes its rows
+
+
 @pytest.mark.parametrize("n0, omega_ev, initial, cut", [
     # the CI run at 13.585 eV: sigma of mu = -10..-8 reads 0.0
     (10, "13.585", QuantumNumbers(1, 0, 0), [-10, -9, -8]),

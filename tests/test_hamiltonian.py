@@ -10,7 +10,7 @@ from laserhydrogen.basis import (
     enumerate_basis,
 )
 from laserhydrogen.errors import ConfigurationError
-from laserhydrogen.hamiltonian import LaserField, assemble
+from laserhydrogen.hamiltonian import LaserField, assemble, class_layout
 from laserhydrogen.ionization import ionization_intensity_scan
 from laserhydrogen.transitions import intensity_scan, spectrum_scan
 from oracles import px_matrix_element, whole_hamiltonian
@@ -162,10 +162,14 @@ def test_assemble_has_no_cross_parity_entries():
 
 
 def test_second_point_of_a_sweep_hits_the_coupling_cache():
-    coupling_arrays.cache_clear()
+    class_layout.cache_clear()
     basis = enumerate_basis(5)
-    spectrum_scan(0.2, [0.05, 0.1], QuantumNumbers(1, 0, 0), n0=5)
-    info = coupling_arrays.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    omegas = [0.05, 0.1, 0.15, 0.2]
+    spectrum_scan(0.2, omegas, QuantumNumbers(1, 0, 0), n0=5)
+    # the sweep lays out the couplings of its one class once
+    info = class_layout.cache_info()
+    assert (info.misses, info.hits) == (1, len(omegas) - 1)
     assemble(basis, LaserField(0.2, 0.3))
-    assert coupling_arrays.cache_info().hits == 2
+    assemble(basis, LaserField(0.2, 0.3), parity=1)
+    info = class_layout.cache_info()
+    assert (info.misses, info.hits) == (2, len(omegas))

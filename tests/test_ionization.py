@@ -17,8 +17,6 @@ from laserhydrogen.eigensolver import diagonalize, track_state
 from laserhydrogen.errors import ConfigurationError, DomainError
 from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import (
-    ContinuumState,
-    _bound_free_ladders,
     bound_free_element,
     eta_index,
     ionization_intensity_scan,
@@ -50,12 +48,12 @@ def test_photoelectron_energy_and_eta_identity():
         eta_index(e_i, 0.0, -1)
 
 
-def test_continuum_state_validation():
-    ContinuumState(0.3, 2, -1)
-    with pytest.raises(DomainError):
-        ContinuumState(-0.1, 0, 0)
-    with pytest.raises(DomainError):
-        ContinuumState(0.1, 1, 2)
+def test_bound_free_element_refuses_a_closed_channel(decomp5):
+    decomp, _ = decomp5
+    assert len(bound_free_element(decomp, 0, -1, 0.3)) == decomp.basis.n0
+    for e_f0 in (0.0, -0.1):
+        with pytest.raises(DomainError, match="positive"):
+            bound_free_element(decomp, 0, -1, e_f0)
 
 
 def _bound_free_quad(n, l_b, l_f, k):
@@ -109,21 +107,20 @@ def test_zero_field_records_are_the_one_photon_limit():
     assert sigma and all(value == 0.0 for value in sigma.values())
 
 
-def _bound_free_loop(decomp, dressed_index, final):
-    """bound_free_element as a loop over every state the decomposition holds,
-    the reference for its per-channel arrays."""
-    k = math.sqrt(2.0 * final.energy_Ef0)
+def _bound_free_loop(decomp, dressed_index, mu, l_f, e_f0):
+    """p_l of the partial wave l_f of the branch mu as a loop over every
+    state the decomposition holds, the reference for the per-branch arrays
+    of bound_free_element."""
+    k = math.sqrt(2.0 * e_f0)
     total = 0.0
     for c, j in zip(decomp.column(dressed_index), decomp.rows):
         b = decomp.basis.states[j]
-        if abs(c) < 1e-15 or abs(final.l - b.l) != 1 or abs(final.mu - b.mu) != 1:
+        if abs(c) < 1e-15 or abs(l_f - b.l) != 1 or abs(mu - b.mu) != 1:
             continue
-        x_fb = angular_x(final.l, final.mu, b.l, b.mu) * bound_free_radial(
-            b.n, b.l, final.l, k
-        )
-        if final.l == b.l + 1:
+        x_fb = angular_x(l_f, mu, b.l, b.mu) * bound_free_radial(b.n, b.l, l_f, k)
+        if l_f == b.l + 1:
             x_fb = -x_fb
-        total += c * ((bound_energy(b.n) - final.energy_Ef0) * x_fb)
+        total += c * ((bound_energy(b.n) - e_f0) * x_fb)
     return total
 
 
@@ -134,12 +131,12 @@ def test_bound_free_channels_equal_the_loop_over_the_basis(parity):
     decomp = diagonalize(assemble(enumerate_basis(n0), laser, parity=parity))
     for index in (0, decomp.dimension // 2, decomp.dimension - 1):
         for mu in range(-n0, n0 + 1):
-            for l_f in range(abs(mu), n0 + 1):
-                final = ContinuumState(0.2, l_f, mu)
-                # same terms, same order, same arithmetic: equal to the bit
-                assert bound_free_element(decomp, index, final) == (
-                    _bound_free_loop(decomp, index, final)
-                )
+            waves = bound_free_element(decomp, index, mu, 0.2)
+            # same terms, same order, same arithmetic: equal to the bit
+            assert waves.tolist() == [
+                _bound_free_loop(decomp, index, mu, l_f, 0.2)
+                for l_f in range(abs(mu), n0 + 1)
+            ]
 
 
 def test_bound_free_element_selection_rules():
@@ -148,8 +145,7 @@ def test_bound_free_element_selection_rules():
     decomp = diagonalize(assemble(basis, laser))
     tracked = track_state(decomp, GROUND)
     # ground dressed state is almost pure (1,0,0): l_f = 2 unreachable
-    near_zero = bound_free_element(decomp, tracked.index, ContinuumState(0.3, 2, -1))
-    allowed = bound_free_element(decomp, tracked.index, ContinuumState(0.3, 1, -1))
+    allowed, near_zero = bound_free_element(decomp, tracked.index, -1, 0.3)
     assert abs(near_zero) < 1e-8 * abs(allowed)
 
 
@@ -206,10 +202,8 @@ class _NoMpmath:
 def test_near_threshold_run_sums_exactly_without_mpmath(tmp_path, monkeypatch):
     argv = ["ionization", "--n0", "10", "--omega-ev", "13.585",
             "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-7", "--count", "1"]
-    _bound_free_ladders.cache_clear()
     assert main(argv + ["--out", str(tmp_path / "reference.csv")]) == 0
     monkeypatch.setattr(specfun, "mpmath", _NoMpmath())
-    _bound_free_ladders.cache_clear()
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
     assert (tmp_path / "out.csv").read_bytes() == (
         tmp_path / "reference.csv").read_bytes()

@@ -28,7 +28,6 @@ import laserhydrogen.transitions as transitions
 from laserhydrogen import (
     DEGENERACY_GAP,
     ConfigurationError,
-    ContinuumState,
     EigenDecomposition,
     LaserField,
     QuantumNumbers,
@@ -120,7 +119,6 @@ def test_only_the_initial_block_has_vectors(one_block):
 
 def test_reading_the_unsolved_block_raises(one_block):
     decomp, _, laser = one_block
-    final = ContinuumState(0.1, 2, 1)
     with pytest.raises(ConfigurationError, match="parity class"):
         transition_table(decomp, ODD)
     with pytest.raises(ConfigurationError, match="parity class"):
@@ -134,7 +132,7 @@ def test_reading_the_unsolved_block_raises(one_block):
     # the class holds only its own dressed states
     for index in (decomp.dimension, -1):
         with pytest.raises(ConfigurationError, match="not among"):
-            bound_free_element(decomp, index, final)
+            bound_free_element(decomp, index, 1, 0.1)
     # each class's table answers the other class's question: W across is 0
     odd = _class_solve(decomp.basis, laser, ODD)
     assert transition_table(decomp, GROUND).probability(ODD) == 0.0
@@ -160,12 +158,10 @@ def test_reading_the_solved_block_matches_the_full_solve(one_block):
         time_resolved_probability(full, GROUND, final, 3.0, laser.omega),
         rel=1e-10,
     )
-    continuum = ContinuumState(0.1, 1, -1)
-    assert abs(bound_free_element(decomp, tracked.index, continuum)) == (
-        pytest.approx(
-            abs(bound_free_element(full, tracked_full.index, continuum)),
-            rel=1e-10,
-        )
+    # the partial wave l_f = 1 of the branch mu = -1
+    p_l = bound_free_element(decomp, tracked.index, -1, 0.1)[0]
+    assert abs(p_l) == pytest.approx(
+        abs(bound_free_element(full, tracked_full.index, -1, 0.1)[0]), rel=1e-10
     )
 
 

@@ -10,7 +10,7 @@ an extended-precision refinement of the same eigenpair
 (`oracles.refined_eigenpair`), and check which points the `.meta.json`
 lists as solved in full.  They hold the Gershgorin-disc level counts to
 `eigvalsh` of the same folded matrix, and the mu-half blocks built from
-the cached coupling pattern to the assembled class, bit for bit.
+the cached class layout to the assembled class, bit for bit.
 """
 
 import csv
@@ -35,7 +35,7 @@ from laserhydrogen.eigensolver import (
     solve_tracked,
     track_state,
 )
-from laserhydrogen.hamiltonian import LaserField, assemble
+from laserhydrogen.hamiltonian import LaserField, assemble, class_layout
 from laserhydrogen.ionization import (
     IonizationScanPoint, ionization_intensity_scan, ionization_records,
 )
@@ -355,20 +355,18 @@ def test_halves_are_the_assembled_class_bit_for_bit(n0):
 
 
 def test_benchmark_sweep_reads_few_spectra_and_builds_the_pattern_once(monkeypatch):
-    calls = {"eigvalsh": 0, "class_terms": 0}
+    calls = {"eigvalsh": 0}
+    real_eigvalsh = np.linalg.eigvalsh
 
-    def counted(name, real):
-        def call(*args):
-            calls[name] += 1
-            return real(*args)
-        return call
+    def eigvalsh(*args):
+        calls["eigvalsh"] += 1
+        return real_eigvalsh(*args)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(eigensolver, "class_terms",
-                        counted("class_terms", eigensolver.class_terms))
-    eigensolver._half_pattern.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    class_layout.cache_clear()
     basis, lasers = _sweep(BENCH_SEED0)
     for laser in lasers:
         solve_tracked(basis, laser, GROUND)
-    assert calls["class_terms"] == 2  # once for each class of the basis
+    # the couplings are laid out once for each class of the basis
+    assert class_layout.cache_info().misses == 2
     assert calls["eigvalsh"] <= 0.6 * len(lasers)
