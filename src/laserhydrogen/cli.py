@@ -33,7 +33,7 @@ from .basis import N0_CAP, QuantumNumbers, enumerate_basis
 from .eigensolver import DEGENERACY_GAP
 from .errors import ConfigurationError
 from .hamiltonian import LaserField
-from .ionization import IonizationScanPoint, sigma_cut_branches
+from .ionization import IonizationScanPoint
 from .transitions import ScanPoint, scan
 from .units import UnitSystem
 
@@ -240,14 +240,6 @@ def run(config: RunConfig) -> int:
         # sigma of strongly suppressed branches, carry that solve's rounding.
         metadata["full_solve_axis_values"] = [
             p.axis_value for p in computed if p.full_solve
-        ]
-        # Branches whose sigma the CSV writes as 0.0 because every component
-        # of the dressed state that reaches them lies below the cut of
-        # bound_free_element: their sigma is unknown, not zero.
-        metadata["sigma_cut_branches"] = [
-            {"axis_value": p.axis_value, "mu": cut}
-            for p in computed
-            if (cut := sigma_cut_branches(basis, initial.parity, p.records))
         ]
     else:
         metadata["tolerances"] = {

@@ -11,8 +11,8 @@ three-term recurrences downward in l (`_bound_free_ladders`), started at
 the top l = n - 1 from a closed form, and are read once per branch: the
 states a branch mu reaches are laid out once per basis and class
 (`_bound_free_channels`), and `bound_free_element` gathers the dressed
-state's components on them once and gives every partial wave of the
-branch.  Per partial wave l_f, p_l = <psi_f0|p_x|phi_i> is the
+state's components on them once, however small, and gives every partial
+wave of the branch.  Per partial wave l_f, p_l = <psi_f0|p_x|phi_i> is the
 golden-rule matrix element per unit A, normalized so that the cross
 section
 
@@ -50,8 +50,6 @@ from .hamiltonian import LaserField, assemble
 from .specfun import log_abs_gamma
 from .transitions import ScanRecord, scan
 from .units import BINDING_ENERGY_AU, CONSTANTS
-
-_COEFF_CUTOFF = 1e-15
 
 
 @dataclass(frozen=True)
@@ -190,44 +188,24 @@ def bound_free_element(
 
     The golden-rule element of A p_x + A^2/2 is A times this: the A^2/2
     constant contributes exactly zero, because bound and continuum
-    eigenstates of the Coulomb Hamiltonian are orthogonal.  Components
-    below _COEFF_CUTOFF are skipped, and each partial wave sums its terms
-    one after another in basis order.
+    eigenstates of the Coulomb Hamiltonian are orthogonal.  Every
+    component of the dressed column on the states the branch reaches
+    counts, however small, and each partial wave sums its terms one after
+    another in basis order (`np.bincount` adds its weights in input order).
     """
     if not e_f0 > 0:
         raise DomainError(f"continuum energy must be positive, got {e_f0!r}")
-    coeffs = decomp.column(dressed_index)
     n0 = decomp.basis.n0
-    p = [0.0] * (n0 + 1 - abs(mu))
+    waves = n0 + 1 - abs(mu)
     channel = _bound_free_channels(decomp.basis, decomp.parity).get(mu)
-    if channel is not None:
-        l_f, rows, n, l_b, factor, energy = channel
-        c = coeffs[rows]
-        keep = np.abs(c) >= _COEFF_CUTOFF
-        l_f, n, l_b = l_f[keep], n[keep], l_b[keep]
-        up, down = _bound_free_ladders(
-            n0, max(abs(mu) - 1, 0), math.sqrt(2.0 * e_f0)
-        )
-        radial = np.where(l_b < l_f, up[n, l_b], down[n, l_b])
-        # p_x(f, b) = (E_b - E_f0) * x_fb, the commutator relation of the basis
-        terms = c[keep] * ((energy[keep] - e_f0) * (factor[keep] * radial))
-        for l, term in zip(l_f.tolist(), terms.tolist()):
-            p[l - abs(mu)] += term
-    return np.array(p)
-
-
-def sigma_cut_branches(basis, parity, records):
-    """mu of the records whose sigma reads 0.0 only because of the cut.
-
-    `bound_free_element` skips every component of the dressed column
-    below _COEFF_CUTOFF, so a branch that the states of the class
-    `parity` reach only through such components sums no term and reads
-    sigma = 0.0, not its magnitude.  These are the branches of sigma
-    exactly 0.0 that some state of the class couples to; a branch that
-    none couples to reads 0.0 by the selection rules and is not listed.
-    """
-    reached = set(_bound_free_channels(basis, parity))
-    return [r.mu_branch for r in records if r.sigma == 0.0 and r.mu_branch in reached]
+    if channel is None:
+        return np.zeros(waves)
+    l_f, rows, n, l_b, factor, energy = channel
+    up, down = _bound_free_ladders(n0, max(abs(mu) - 1, 0), math.sqrt(2.0 * e_f0))
+    radial = np.where(l_b < l_f, up[n, l_b], down[n, l_b])
+    # p_x(f, b) = (E_b - E_f0) * x_fb, the commutator relation of the basis
+    terms = decomp.column(dressed_index)[rows] * ((energy - e_f0) * (factor * radial))
+    return np.bincount(l_f - abs(mu), weights=terms, minlength=waves)
 
 
 def ionization_records(

@@ -15,6 +15,7 @@ the cached class layout to the assembled class, bit for bit.
 
 import csv
 import json
+import math
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -39,8 +40,9 @@ from laserhydrogen.hamiltonian import LaserField, assemble, class_layout
 from laserhydrogen.ionization import (
     IonizationScanPoint, ionization_intensity_scan, ionization_records,
 )
-from laserhydrogen.units import UnitSystem
+from laserhydrogen.units import CONSTANTS, UnitSystem
 from oracles import refined_eigenpair
+from test_ionization import _FIG3_SIGMA, _bound_free_loop
 
 GROUND = QuantumNumbers(1, 0, 0)
 UNITS = UnitSystem()
@@ -52,6 +54,12 @@ STRONG = ["ionization", "--n0", "10", "--omega-ev", "2.37",
 # the sweep through the 1s-2p one-photon resonance
 RESONANCE = ["ionization", "--n0", "4", "--omega-ev", "10.2043",
              "--a-vspm-start", "1e-8", "--a-vspm-stop", "2e-6", "--count", "12"]
+# the sweep of fig3, and the same sweep at 13.585 eV, where mu = -1 is 0.038
+# eV above its threshold and sigma falls to 1e-77 on mu = -10
+FIG3 = ["ionization", "--n0", "10", "--omega-ev", "2.37",
+        "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-6", "--count", "10"]
+NEAR_THRESHOLD = ["ionization", "--n0", "10", "--omega-ev", "13.585",
+                  "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-6", "--count", "10"]
 # the warm sweep of the benchmark's ionization-n10 workload, seed 0
 BENCH_SEED0 = ["ionization", "--n0", "10", "--omega-ev", "2.37",
                "--a-vspm-start", "9.75356e-07", "--a-vspm-stop", "4.75531e-06",
@@ -229,8 +237,6 @@ def test_tracked_column_matches_the_refined_eigenpair(n0, initial):
 
 def test_stored_fig3_sigma_is_the_refined_eigenpair_sigma():
     # test_ionization's stored fig3 values: sigma of the refined column
-    from test_ionization import _FIG3_SIGMA
-
     basis = enumerate_basis(10)
     for axis, (index, stored) in _FIG3_SIGMA.items():
         laser = LaserField(UNITS.vector_potential_to_internal(float(axis)),
@@ -247,6 +253,45 @@ def test_stored_fig3_sigma_is_the_refined_eigenpair_sigma():
             for r in ionization_records(refined, 0, laser)
         ]
         np.testing.assert_allclose(sigma, stored, rtol=1e-13, atol=0)
+
+
+def _refined_sigma(basis, laser):
+    """sigma of each open branch, in atomic units and mu order, from the
+    tracked eigenpair refined in extended precision, every component of
+    its column summed by test_ionization's loop over the basis."""
+    decomp, tracked, _ = _full_path(basis, laser, GROUND)
+    vector, energy = refined_eigenpair(
+        assemble(basis, laser).entries, decomp.column(tracked.index),
+        decomp.energies[tracked.index],
+    )
+    refined = EigenDecomposition(np.array([energy]), vector[:, None], basis, 0)
+    sigma = []
+    for mu in range(-basis.n0, basis.n0 + 1):
+        e_f0 = energy - mu * laser.omega
+        if e_f0 > 0:
+            p = [_bound_free_loop(refined, 0, mu, l_f, e_f0)
+                 for l_f in range(abs(mu), basis.n0 + 1)]
+            sigma.append(8 * math.pi * CONSTANTS.fine_structure_alpha
+                         / laser.omega * math.fsum(x * x for x in p))
+    return sigma
+
+
+# The folded solve's components are good to about 1e-13 relative and the
+# bound-free integrals to 5e-14, so sigma is good to about 1e-13 on every
+# branch, however small (worst 1.1e-14 at 13.585 eV).  Beside the avoided
+# crossing at fig3's A = 4e-6 V*s/m, the tracked level 6.6e-4 hartree from
+# its neighbour, the smallest components come from sums that cancel in
+# working precision and hold only to about 1e-12 (worst 1.8e-12).
+@pytest.mark.parametrize("argv, rtol", [(NEAR_THRESHOLD, 1e-13), (FIG3, 5e-12)],
+                         ids=["13.585eV", "fig3"])
+def test_sigma_of_every_branch_is_the_refined_eigenpair_sigma(argv, rtol):
+    basis, lasers = _sweep(argv)
+    for laser in lasers:
+        point = IonizationScanPoint.observe(basis, GROUND, laser, 0.0)
+        np.testing.assert_allclose(
+            [r.sigma for r in point.records], _refined_sigma(basis, laser),
+            rtol=rtol, atol=0,
+        )
 
 
 def test_resonance_sigma_is_the_refined_eigenpair_sigma():
