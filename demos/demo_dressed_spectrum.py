@@ -9,29 +9,26 @@ Away from any Bohr resonance the ground state would survive untouched in
 a weak field; at this amplitude the dressed states are strongly mixed and
 transitions occur over a broad band of photon energies.
 
+The sweep is the command line's fig1 preset on a smaller basis, run from
+Python; `laserhydrogen spectrum --preset fig1 --n0 12` writes it as a CSV.
+
 Run:  python3 demos/demo_dressed_spectrum.py
 """
 
 import numpy as np
 
-from laserhydrogen import QuantumNumbers, UnitSystem, spectrum_scan
+from laserhydrogen import QuantumNumbers, UnitSystem
+from laserhydrogen.cli import parse_config, sweep
 
-N0 = 12                      # basis cutoff; n0=18 reproduces the full run
-AMPLITUDE_SI = 5e-6          # V*s/m
-PHOTON_EV = np.linspace(0.1, 1.0, 10)
+# basis cutoff n0 = 12; the preset's n0 = 18 reproduces the full run
+config = parse_config(preset="fig1", overrides={"n0": 12})
+amplitude_au = UnitSystem().vector_potential_to_internal(config.amplitude_vspm)
 
-units = UnitSystem()
-amplitude_au = units.vector_potential_to_internal(AMPLITUDE_SI)
-omegas_au = [units.ev_to_internal(ev) for ev in PHOTON_EV]
-
-print(f"amplitude A = {AMPLITUDE_SI} V*s/m = {amplitude_au:.4f} a.u., "
-      f"basis n0 = {N0}")
+print(f"amplitude A = {config.amplitude_vspm} V*s/m = {amplitude_au:.4f} a.u., "
+      f"basis n0 = {config.n0}")
 print()
 
-points = spectrum_scan(
-    amplitude_au, omegas_au, QuantumNumbers(1, 0, 0), n0=N0,
-    axis_values=list(PHOTON_EV),
-)
+points = sweep(config)
 
 for point in points:
     if point.failed:

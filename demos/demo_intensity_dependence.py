@@ -7,35 +7,33 @@ dressed state.  In the weak field every transition probability grows like
 A^2 (the perturbative law); at strong fields the growth saturates and the
 initial state is spread over many dressed states.
 
+The sweep is the command line's fig2 preset on a smaller basis, run from
+Python; `laserhydrogen intensity --preset fig2 --n0 12` writes it as a CSV.
+
 Run:  python3 demos/demo_intensity_dependence.py
 """
 
 import numpy as np
 
-from laserhydrogen import QuantumNumbers, UnitSystem, intensity_scan
+from laserhydrogen import UnitSystem
+from laserhydrogen.cli import parse_config, sweep
 
-N0 = 12
-PHOTON_EV = 0.296
-AMPLITUDES_SI = np.linspace(0.0, 5e-6, 11)
-
+config = parse_config(preset="fig2", overrides={"n0": 12})
 units = UnitSystem()
-omega_au = units.ev_to_internal(PHOTON_EV)
-amps_au = [units.vector_potential_to_internal(a) for a in AMPLITUDES_SI]
-ground = QuantumNumbers(1, 0, 0)
+ground = config.initial_state
 
-print(f"photon energy {PHOTON_EV} eV, basis n0 = {N0}")
+print(f"photon energy {config.omega_ev} eV, basis n0 = {config.n0}")
 print(f"{'A [V*s/m]':>12} {'A [a.u.]':>10} {'survival':>10} "
       f"{'sum of transitions':>20}")
 
-points = intensity_scan(
-    omega_au, amps_au, ground, n0=N0, axis_values=list(AMPLITUDES_SI)
-)
+points = sweep(config)
 
 prev = None
-for point, amp_au in zip(points, amps_au):
+for point in points:
     if point.failed:
         print(f"{point.axis_value:12.2e}  FAILED: {point.error}")
         continue
+    amp_au = units.vector_potential_to_internal(point.axis_value)
     survival = point.table.probability(ground)
     total_out = 1.0 - survival
     note = ""

@@ -14,28 +14,23 @@ script prints, for the dressed state tracked from the 1s level:
 Successive branches stay spaced by exactly one photon energy; what becomes
 non-integer is the energy bookkeeping of the dressed initial state.
 
+The sweep is the command line's fig3 preset, run from Python;
+`laserhydrogen ionization --preset fig3` writes it as a CSV.
+
 Run:  python3 demos/demo_photoionization.py
 """
 
-import numpy as np
+from laserhydrogen import UnitSystem
+from laserhydrogen.cli import parse_config, sweep
 
-from laserhydrogen import UnitSystem, ionization_intensity_scan
-
-N0 = 10
-PHOTON_EV = 2.37
-AMPLITUDES_SI = np.linspace(5e-7, 5e-6, 10)
-
+config = parse_config(preset="fig3")
 units = UnitSystem()
-omega_au = units.ev_to_internal(PHOTON_EV)
-amps_au = [units.vector_potential_to_internal(a) for a in AMPLITUDES_SI]
 
-print(f"photon energy {PHOTON_EV} eV, basis n0 = {N0}")
+print(f"photon energy {config.omega_ev} eV, basis n0 = {config.n0}")
 print(f"{'A [V*s/m]':>11} {'E_i [ha]':>10} {'overlap':>8} "
       f"{'E_f0 [eV]':>10} {'eta':>8} {'sigma_tot [pi a0^2]':>20}")
 
-points = ionization_intensity_scan(
-    omega_au, amps_au, n0=N0, axis_values=list(AMPLITUDES_SI)
-)
+points = sweep(config)
 
 for p in points:
     if p.failed:

@@ -30,7 +30,6 @@ from .ionization import (
     IonizationRecord,
     bound_free_element,
     eta_index,
-    ionization_intensity_scan,
     ionization_records,
     photoelectron_energy,
 )
@@ -42,8 +41,6 @@ from .specfun import appell_f2, laplace_1f1_product  # noqa: F401
 from .transitions import (
     ScanPoint,
     TransitionTable,
-    intensity_scan,
-    spectrum_scan,
     time_resolved_probability,
     transition_table,
 )
@@ -76,13 +73,10 @@ __all__ = [
     "IonizationRecord",
     "bound_free_element",
     "eta_index",
-    "ionization_intensity_scan",
     "ionization_records",
     "photoelectron_energy",
     "ScanPoint",
     "TransitionTable",
-    "intensity_scan",
-    "spectrum_scan",
     "time_resolved_probability",
     "transition_table",
     "BINDING_ENERGY_AU",

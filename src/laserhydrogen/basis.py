@@ -18,6 +18,7 @@ of a class; other modules read them from `BasisSet`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -31,13 +32,20 @@ N0_CAP = 30
 
 @dataclass(frozen=True, order=True)
 class QuantumNumbers:
-    """Bound-state label (n, l, mu)."""
+    """Bound-state label (n, l, mu), three integers (int or numpy)."""
 
     n: int
     l: int
     mu: int
 
     def __post_init__(self):
+        for name in ("n", "l", "mu"):
+            value = getattr(self, name)
+            # a bool is a numbers.Integral too; a plain int takes the fast test
+            if type(value) is not int and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.l <= self.n - 1:

@@ -1,4 +1,11 @@
-"""Command-line front end: scans to CSV with a JSON metadata sidecar.
+"""Command-line front end, and the one sweep of a configuration.
+
+`sweep(config)` runs the sweep a validated `RunConfig` describes and
+returns the records of `transitions.scan`; `run` writes them as a CSV with
+a JSON metadata sidecar.  The library runs a sweep the same way, e.g.
+`sweep(parse_config(preset="fig3", overrides={"n0": 8}))`, with overrides
+keyed by RunConfig field.  The package does not import this module, so
+`import laserhydrogen` loads no argparse.
 
 Subcommands
     spectrum    photon-energy sweep at fixed amplitude
@@ -173,38 +180,45 @@ def _axis_grid(start, stop, count):
     return [start + i * step for i in range(count)]
 
 
-def _sweep(config, units):
-    """Axis values in I/O units and the LaserField of each scan point."""
+def sweep(config: RunConfig) -> list:
+    """`scan`'s records of a validated RunConfig, one per axis value: a
+    `ScanPoint`, an `IonizationScanPoint` in mode ionization, or a
+    `PointFailure`.  Axis values are in I/O units, eV or V*s/m.
+
+    Every field is built before the first point is solved: raises
+    ConfigurationError if one is not a valid LaserField.
+    """
+    units = UnitSystem(reduced_mass=config.reduced_mass)
     if config.mode in ("intensity", "ionization"):
         axis = _axis_grid(config.a_vspm_start, config.a_vspm_stop, config.count)
         omega_au = units.ev_to_internal(config.omega_ev)
-        return axis, [
-            LaserField(units.vector_potential_to_internal(a), omega_au) for a in axis
-        ]
-    if config.mode == "spectrum":
-        axis = _axis_grid(config.omega_ev_start, config.omega_ev_stop, config.count)
-    else:  # point: the axis value is its photon energy
-        axis = [config.omega_ev]
-    amp_au = units.vector_potential_to_internal(config.amplitude_vspm)
-    return axis, [LaserField(amp_au, units.ev_to_internal(w)) for w in axis]
-
-
-def run(config: RunConfig) -> int:
-    """Execute a validated RunConfig; returns the process exit code.
-
-    Raises ConfigurationError if a field point is not a valid LaserField.
-    """
-    t_start = time.perf_counter()
-    units = UnitSystem(reduced_mass=config.reduced_mass)
-    axis, lasers = _sweep(config, units)
-    ionization = config.mode == "ionization"
+        lasers = [LaserField(units.vector_potential_to_internal(a), omega_au)
+                  for a in axis]
+    else:
+        # point: one axis value, its photon energy
+        axis = (_axis_grid(config.omega_ev_start, config.omega_ev_stop, config.count)
+                if config.mode == "spectrum" else [config.omega_ev])
+        amp_au = units.vector_potential_to_internal(config.amplitude_vspm)
+        lasers = [LaserField(amp_au, units.ev_to_internal(w)) for w in axis]
     basis, initial = enumerate_basis(config.n0), config.initial_state
-    if ionization:
+    if config.mode == "ionization":
         observe = partial(IonizationScanPoint.observe, basis, initial,
                           include_a2=not config.drop_a2)
     else:
         observe = partial(ScanPoint.observe, basis, initial)
-    points = scan(axis, lasers, observe)
+    return scan(axis, lasers, observe)
+
+
+def run(config: RunConfig) -> int:
+    """Execute a validated RunConfig: `sweep` it and write its CSV and
+    metadata.  Returns the process exit code.
+
+    Raises ConfigurationError if a field point is not a valid LaserField.
+    """
+    t_start = time.perf_counter()
+    points = sweep(config)
+    units = UnitSystem(reduced_mass=config.reduced_mass)
+    ionization = config.mode == "ionization"
     csv_rows = [(IONIZATION_HEADER if ionization else SPECTRUM_HEADER).split(",")]
     for p in points:
         csv_rows.extend(

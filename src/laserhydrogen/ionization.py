@@ -36,19 +36,19 @@ A point that raises is a `transitions.PointFailure` in the list `scan` returns.
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
 
-from .basis import QuantumNumbers, _radial_norm, angular_x, enumerate_basis
+from .basis import _radial_norm, angular_x
 from .eigensolver import (
     EigenDecomposition, diagonalize, global_index, solve_tracked, track_state,
 )
 from .errors import ConfigurationError, DomainError
 from .hamiltonian import LaserField, assemble
 from .specfun import log_abs_gamma
-from .transitions import ScanRecord, scan
+from .transitions import ScanRecord
 from .units import BINDING_ENERGY_AU, CONSTANTS
 
 
@@ -70,8 +70,8 @@ def photoelectron_energy(E_i: float, mu_branch: int, omega: float) -> float:
 
 def eta_index(E_i: float, omega: float, mu_branch: int) -> float:
     """Effective photon number (E_i + b)/omega - mu, b = BINDING_ENERGY_AU."""
-    if omega <= 0:
-        raise ConfigurationError("omega must be positive")
+    if not 0 < omega < math.inf:  # NaN fails it too
+        raise ConfigurationError(f"omega must be finite and positive, got {omega!r}")
     return (E_i + BINDING_ENERGY_AU) / omega - mu_branch
 
 
@@ -277,19 +277,3 @@ class IonizationScanPoint(ScanRecord):
         records = tuple(ionization_records(decomp, tracked.index, laser))
         return cls(axis_value, index, tracked.overlap, records,
                    full_solve=solved is None)
-
-
-def ionization_intensity_scan(
-    omega_au: float,
-    amplitudes_au,
-    n0: int,
-    axis_values=None,
-    initial: QuantumNumbers = QuantumNumbers(1, 0, 0),
-):
-    """Amplitude sweep of the tracked initial dressed state (Figs. 3/4 data):
-    one IonizationScanPoint per amplitude, failed points included."""
-    amplitudes_au = list(amplitudes_au)
-    lasers = [LaserField(amp, omega_au) for amp in amplitudes_au]
-    axis = amplitudes_au if axis_values is None else list(axis_values)
-    return scan(axis, lasers,
-                partial(IonizationScanPoint.observe, enumerate_basis(n0), initial))

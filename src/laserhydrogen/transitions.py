@@ -6,26 +6,28 @@ coefficient matrix makes the full W doubly stochastic.  The instantaneous
 probability before averaging is the multi-periodic
 |sum_i C_a(i) C_b(i) e^{-i(E_i - mu_b omega) t}|^2.
 
-Every sweep, the library scans and the command line alike, runs through
-`scan`, which calls one observe function on one field point after another
-and returns a list with one record per point: what observe returned, a
-`ScanPoint` (W table) or an `ionization.IonizationScanPoint`, or a
-`PointFailure` where it raised.  W out of the initial state is exactly 0
-outside its parity class, so a `ScanPoint` assembles and solves that class
-alone; an ionization point reads one dressed state of it.  The A^2/2
-constant shifts every pseudo-energy alike, so it changes no W and no level
-gap; only the ionization point's observe reads whether E_i includes it.
+Every sweep runs through `scan`, which calls one observe function on one
+field point after another and returns a list with one record per point:
+what observe returned, a `ScanPoint` (W table) or an
+`ionization.IonizationScanPoint`, or a `PointFailure` where it raised.
+`cli.sweep` builds the fields and binds observe for a configuration, the
+command line's and the library's alike; a caller with other fields calls
+`scan` itself.  W out of the initial state is exactly 0 outside its
+parity class, so a `ScanPoint` assembles and solves that class alone; an
+ionization point reads one dressed state of it.  The A^2/2 constant
+shifts every pseudo-energy alike, so it changes no W and no level gap;
+only the ionization point's observe reads whether E_i includes it.
 """
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .basis import BasisSet, QuantumNumbers, enumerate_basis
+from .basis import BasisSet, QuantumNumbers
 from .eigensolver import DEGENERACY_GAP, EigenDecomposition, diagonalize
 from .errors import ConfigurationError
-from .hamiltonian import LaserField, assemble
+from .hamiltonian import assemble
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,9 @@ class ScanPoint(ScanRecord):
         table = transition_table(decomp, initial)
         # the levels of one class can mix, so each spacing is a gap
         gaps = np.diff(decomp.energies)
-        # enumerate_basis orders the states by n: the last n0**2 are n = n0
-        leakage = float(table.probabilities[-decomp.basis.n0**2:].sum())
+        # the outermost shell runs from its first state to the end of the basis
+        outer = basis.position(QuantumNumbers(basis.n0, 0, 0))
+        leakage = float(table.probabilities[outer:].sum())
         norm_error = abs(float(table.probabilities.sum()) - 1.0)
         min_gap = float(gaps.min()) if len(gaps) else None
         return cls(axis_value, table, norm_error, min_gap, leakage)
@@ -126,8 +129,8 @@ def time_resolved_probability(
     omega: float,
 ) -> float:
     """Instantaneous transition probability at time t after switch-on."""
-    if t < 0:
-        raise ConfigurationError("time must be >= 0")
+    if not 0 <= t < math.inf:  # NaN fails it too
+        raise ConfigurationError(f"time must be finite and >= 0, got {t!r}")
     c_from, c_to = decomp.row(from_state), decomp.row(to_state)
     phases = np.exp(-1j * (decomp.energies - to_state.mu * omega) * t)
     return float(np.abs(np.dot(c_from * c_to, phases)) ** 2)
@@ -156,35 +159,3 @@ def scan(axis_values, lasers, observe) -> list:
         except Exception as exc:  # the point fails, the scan goes on
             records.append(PointFailure.of(axis_value, exc))
     return records
-
-
-def spectrum_scan(
-    amplitude_au: float,
-    omegas_au,
-    initial: QuantumNumbers,
-    n0: int,
-    axis_values=None,
-) -> list:
-    """Photon-energy sweep at fixed amplitude (Fig. 1-style data): one
-    ScanPoint per photon energy, failed points included."""
-    omegas_au = list(omegas_au)
-    lasers = [LaserField(amplitude_au, w) for w in omegas_au]
-    axis = omegas_au if axis_values is None else list(axis_values)
-    return scan(axis, lasers,
-                partial(ScanPoint.observe, enumerate_basis(n0), initial))
-
-
-def intensity_scan(
-    omega_au: float,
-    amplitudes_au,
-    initial: QuantumNumbers,
-    n0: int,
-    axis_values=None,
-) -> list:
-    """Amplitude sweep at fixed photon energy (Fig. 2-style data): one
-    ScanPoint per amplitude, failed points included."""
-    amplitudes_au = list(amplitudes_au)
-    lasers = [LaserField(a, omega_au) for a in amplitudes_au]
-    axis = amplitudes_au if axis_values is None else list(axis_values)
-    return scan(axis, lasers,
-                partial(ScanPoint.observe, enumerate_basis(n0), initial))

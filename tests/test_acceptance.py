@@ -14,9 +14,10 @@ import scipy.integrate
 
 from conftest import w_matrix
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis
+from laserhydrogen.cli import parse_config, sweep
 from laserhydrogen.eigensolver import diagonalize, track_state
 from laserhydrogen.hamiltonian import LaserField, assemble
-from laserhydrogen.ionization import ionization_intensity_scan, ionization_records
+from laserhydrogen.ionization import ionization_records
 from laserhydrogen.specfun import KummerParams, laplace_1f1_product
 from laserhydrogen.units import CONSTANTS, UnitSystem
 from oracles import (
@@ -317,12 +318,11 @@ def test_criterion_8_special_function_identity():
 
 
 def test_criterion_9_non_integer_transition():
-    omega = 2.37 / EV
-    amps_si = np.linspace(5e-7, 5e-6, 8)
-    amps_au = [UNITS.vector_potential_to_internal(a) for a in amps_si]
-    points = ionization_intensity_scan(
-        omega, amps_au, n0=8, axis_values=list(amps_si)
-    )
+    # the fig3 sweep on 8 points of an n0 = 8 basis
+    config = parse_config(preset="fig3", overrides={"n0": 8, "count": 8})
+    omega = UNITS.ev_to_internal(config.omega_ev)
+    points = sweep(config)
+    amps_au = [UNITS.vector_potential_to_internal(p.axis_value) for p in points]
     assert all(not p.failed and p.records for p in points)
     # branch spacing stays exactly one photon energy at every amplitude
     spacing_ok = True

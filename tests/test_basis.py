@@ -34,6 +34,25 @@ def test_quantum_number_validation():
         QuantumNumbers(2, 1, 2)
 
 
+@pytest.mark.parametrize("labels", [
+    (1.5, 0, 0), (1.0, 0, 0), (2, 1.0, 0), (2, 1, 0.0), (2, 1, np.float64(1)),
+    (True, 0, 0), (2, True, 0), (2, 1, False),
+], ids=["n-1.5", "n-1.0", "l-float", "mu-float", "mu-numpy-float",
+        "n-bool", "l-bool", "mu-bool"])
+def test_quantum_numbers_must_be_integers(labels):
+    # 1.5 used to pass every range check and read the position of 1s
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        QuantumNumbers(*labels)
+
+
+def test_quantum_numbers_take_numpy_integers():
+    state = QuantumNumbers(np.int64(3), np.int32(2), np.int8(-1))
+    assert state == QuantumNumbers(3, 2, -1)
+    assert enumerate_basis(3).position(state) == enumerate_basis(3).position(
+        QuantumNumbers(3, 2, -1)
+    )
+
+
 @pytest.mark.parametrize("n0", [1, 2, 5, 10, 18])
 def test_basis_size(n0):
     basis = enumerate_basis(n0)

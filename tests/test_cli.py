@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,11 @@ import laserhydrogen.cli as cli
 import laserhydrogen.ionization as ionization
 import laserhydrogen.transitions as transitions
 from laserhydrogen.cli import IONIZATION_HEADER, SPECTRUM_HEADER, main, parse_config
-from laserhydrogen.basis import QuantumNumbers
+from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.errors import ConfigurationError
-from laserhydrogen.ionization import ionization_intensity_scan
-from laserhydrogen.transitions import intensity_scan, spectrum_scan
+from laserhydrogen.hamiltonian import LaserField
+from laserhydrogen.ionization import IonizationScanPoint
+from laserhydrogen.transitions import ScanPoint, scan
 from laserhydrogen.units import UnitSystem
 
 
@@ -539,7 +542,7 @@ def test_failed_bound_free_integral_fails_one_point(
     assert {r[0] for r in ref_rows} == {r[0] for r in rows}
 
 
-# --- the library scans and the CLI write the same records --------------------
+# --- the library's sweep and the CLI write the same records -----------------
 
 GROUND = QuantumNumbers(1, 0, 0)
 
@@ -557,37 +560,7 @@ def _failed_points_of(points):
     ]
 
 
-@pytest.mark.parametrize("mode", ["spectrum", "intensity"])
-def test_spectrum_scans_agree_with_the_cli(tmp_path, monkeypatch, mode):
-    units = UnitSystem()
-    if mode == "spectrum":  # 5e-6 V*s/m, 0.25 .. 0.75 eV; the middle point fails
-        argv = ["spectrum", "--amplitude-vspm", "5e-6",
-                "--omega-ev-start", "0.25", "--omega-ev-stop", "0.75"]
-        omega_mid = units.ev_to_internal(0.5)
-        _fail_diagonalize_when(
-            monkeypatch, lambda laser: abs(laser.omega - omega_mid) < 1e-12
-        )
-    else:  # 0.5 eV, A = 0 .. 2e-6 V*s/m; degenerate at A = 0, the last fails
-        argv = ["intensity", "--omega-ev", "0.5",
-                "--a-vspm-start", "0", "--a-vspm-stop", "2e-6"]
-        a_mid = units.vector_potential_to_internal(1.5e-6)
-        _fail_diagonalize_when(monkeypatch, lambda laser: laser.amplitude_A > a_mid)
-    out = tmp_path / "out.csv"
-    assert main(argv + ["--n0", "4", "--count", "3", "--out", str(out)]) == 1
-    _, rows = _read_csv(out)
-    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
-    axis = _axis_of(rows)
-    if mode == "spectrum":
-        points = spectrum_scan(
-            units.vector_potential_to_internal(5e-6),
-            [units.ev_to_internal(w) for w in axis], GROUND, n0=4, axis_values=axis,
-        )
-    else:
-        points = intensity_scan(
-            units.ev_to_internal(0.5),
-            [units.vector_potential_to_internal(a) for a in axis], GROUND, n0=4,
-            axis_values=axis,
-        )
+def _spectrum_rows_of(points):
     head = [str(GROUND.n), str(GROUND.l), str(GROUND.mu)]
     expected = []
     for p in points:
@@ -602,7 +575,61 @@ def test_spectrum_scans_agree_with_the_cli(tmp_path, monkeypatch, mode):
                     + [str(state.n), str(state.l), str(state.mu), repr(float(w)),
                        str(int(p.near_degenerate))]
                 )
-    assert rows == expected
+    return expected
+
+
+def _ionization_rows_of(points, units):
+    expected = []
+    for p in points:
+        if p.failed:
+            expected.append([repr(p.axis_value), "2.37", "-1", "nan", "nan", "0",
+                             "nan", "nan", "failed"])
+            continue
+        for rec in p.records:
+            expected.append([
+                repr(p.axis_value), "2.37", str(p.dressed_index), repr(p.overlap),
+                repr(rec.E_i), str(rec.mu_branch),
+                repr(units.internal_to_ev(rec.E_f0)), repr(rec.eta),
+                repr(units.cross_section_to_pi_a0sq(rec.sigma)),
+            ])
+    return expected
+
+
+@pytest.mark.parametrize("mode", ["spectrum", "intensity"])
+def test_spectrum_scans_agree_with_the_cli(tmp_path, monkeypatch, mode):
+    # The CLI writes the records of `sweep`, and `scan` on fields built here
+    # from the CSV's axis gives the same records: sweep builds the fields
+    # the axis names.
+    units = UnitSystem()
+    if mode == "spectrum":  # 5e-6 V*s/m, 0.25 .. 0.75 eV; the middle point fails
+        flags = {"amplitude_vspm": 5e-6, "omega_ev_start": 0.25, "omega_ev_stop": 0.75}
+        omega_mid = units.ev_to_internal(0.5)
+        _fail_diagonalize_when(
+            monkeypatch, lambda laser: abs(laser.omega - omega_mid) < 1e-12
+        )
+    else:  # 0.5 eV, A = 0 .. 2e-6 V*s/m; degenerate at A = 0, the last fails
+        flags = {"omega_ev": 0.5, "a_vspm_start": 0.0, "a_vspm_stop": 2e-6}
+        a_mid = units.vector_potential_to_internal(1.5e-6)
+        _fail_diagonalize_when(monkeypatch, lambda laser: laser.amplitude_A > a_mid)
+    argv = [mode, "--n0", "4", "--count", "3"]
+    for key, value in flags.items():
+        argv += ["--" + key.replace("_", "-"), repr(value)]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    _, rows = _read_csv(out)
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    points = cli.sweep(parse_config(overrides=dict(mode=mode, n0=4, count=3, **flags)))
+    axis = _axis_of(rows)
+    if mode == "spectrum":
+        amplitude = units.vector_potential_to_internal(5e-6)
+        lasers = [LaserField(amplitude, units.ev_to_internal(w)) for w in axis]
+    else:
+        omega = units.ev_to_internal(0.5)
+        lasers = [LaserField(units.vector_potential_to_internal(a), omega)
+                  for a in axis]
+    scanned = scan(axis, lasers,
+                   partial(ScanPoint.observe, enumerate_basis(4), GROUND))
+    assert rows == _spectrum_rows_of(points) == _spectrum_rows_of(scanned)
     assert [p.failed for p in points].count(True) == 1
     assert meta["failed_points"] == _failed_points_of(points)
     assert meta["near_degenerate_axis_values"] == [
@@ -622,32 +649,56 @@ def test_ionization_scan_agrees_with_the_cli(tmp_path, monkeypatch):
     assert main(_IONIZATION + ["--out", str(out)]) == 1
     _, rows = _read_csv(out)
     meta = json.loads((tmp_path / "ion.csv.meta.json").read_text())
+    points = cli.sweep(parse_config(overrides={
+        "mode": "ionization", "n0": 6, "omega_ev": 2.37,
+        "a_vspm_start": 2e-6, "a_vspm_stop": 4e-6, "count": 3,
+    }))
+    omega = units.ev_to_internal(2.37)
     axis = _axis_of(rows)
-    points = ionization_intensity_scan(
-        units.ev_to_internal(2.37),
-        [units.vector_potential_to_internal(a) for a in axis],
-        n0=6,
-        axis_values=axis,
+    scanned = scan(
+        axis, [LaserField(units.vector_potential_to_internal(a), omega) for a in axis],
+        partial(IonizationScanPoint.observe, enumerate_basis(6), GROUND),
     )
-    expected = []
-    for p in points:
-        if p.failed:
-            expected.append([repr(p.axis_value), "2.37", "-1", "nan", "nan", "0",
-                             "nan", "nan", "failed"])
-            continue
-        for rec in p.records:
-            expected.append([
-                repr(p.axis_value), "2.37", str(p.dressed_index), repr(p.overlap),
-                repr(rec.E_i), str(rec.mu_branch),
-                repr(units.internal_to_ev(rec.E_f0)), repr(rec.eta),
-                repr(units.cross_section_to_pi_a0sq(rec.sigma)),
-            ])
-    assert rows == expected
+    assert rows == _ionization_rows_of(points, units) == _ionization_rows_of(
+        scanned, units
+    )
     assert [p.failed for p in points] == [False, True, False]
     assert meta["failed_points"] == _failed_points_of(points)
     assert meta["ambiguous_axis_values"] == [
         p.axis_value for p in points if not p.failed and p.ambiguous
     ]
+
+
+def test_sweep_reads_drop_a2_and_the_reduced_mass():
+    # the options the CLI reads are the library's too
+    base = cli.sweep(parse_config(preset="fig3", overrides={"count": 2}))
+    no_a2 = cli.sweep(parse_config(preset="fig3",
+                                   overrides={"count": 2, "drop_a2": True}))
+    heavy = cli.sweep(parse_config(preset="fig3",
+                                   overrides={"count": 2, "reduced_mass": True}))
+    units = UnitSystem()
+    for p, q, r in zip(base, no_a2, heavy):
+        assert (q.dressed_index, q.overlap) == (p.dressed_index, p.overlap)
+        shift = 0.5 * units.vector_potential_to_internal(p.axis_value) ** 2
+        assert {s.E_i for s in q.records} == {p.records[0].E_i - shift}
+        assert r.records[0].E_i != p.records[0].E_i
+    assert list(inspect.signature(cli.sweep).parameters) == ["config"]
+
+
+def test_import_laserhydrogen_loads_no_argparse():
+    # the package does not import cli: its sweep is imported from there
+    script = (
+        "import sys\n"
+        "import laserhydrogen\n"
+        "assert 'laserhydrogen.cli' not in sys.modules\n"
+        "assert 'argparse' not in sys.modules\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize(

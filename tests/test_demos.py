@@ -1,4 +1,7 @@
-"""Run every walkthrough in demos/ as the README tells a reader to."""
+"""Run every walkthrough in demos/ as the README tells a reader to.
+
+Each runs a figure preset of the command line from Python, through
+`cli.sweep`."""
 
 import os
 import runpy
@@ -31,6 +34,9 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    # a walkthrough goes on past a failed point, so its exit code cannot
+    # tell; a run of the presets fails no point
+    assert "FAILED" not in result.stdout, result.stdout
 
 
 # The solve each walkthrough's scan runs once per point: an ionization

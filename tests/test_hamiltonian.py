@@ -1,18 +1,21 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+import laserhydrogen.ionization as ionization
+import laserhydrogen.transitions as transitions
 from laserhydrogen.basis import (
     QuantumNumbers,
     bound_energy,
     coupling_arrays,
     enumerate_basis,
 )
+from laserhydrogen.cli import parse_config, sweep
 from laserhydrogen.errors import ConfigurationError
 from laserhydrogen.hamiltonian import LaserField, assemble, class_layout
-from laserhydrogen.ionization import ionization_intensity_scan
-from laserhydrogen.transitions import intensity_scan, spectrum_scan
+from laserhydrogen.transitions import ScanPoint, scan
 from oracles import px_matrix_element, whole_hamiltonian
 
 
@@ -43,23 +46,34 @@ def test_laser_field_rejects_non_finite(field, bad):
 
 
 def test_library_scans_reject_non_finite_at_the_boundary():
-    with pytest.raises(ConfigurationError, match="omega must be finite"):
-        spectrum_scan(0.01, [math.nan], QuantumNumbers(1, 0, 0), n0=2)
-    with pytest.raises(ConfigurationError, match="amplitude_A must be finite"):
-        intensity_scan(0.1, [math.inf], QuantumNumbers(1, 0, 0), n0=2)
+    # a library sweep is described in I/O units, and its config is checked
+    # before a field is built
+    with pytest.raises(ConfigurationError, match="omega_ev_start must be finite"):
+        parse_config(overrides={"mode": "spectrum", "amplitude_vspm": 1e-6,
+                                "omega_ev_start": math.nan, "omega_ev_stop": 1.0})
+    with pytest.raises(ConfigurationError, match="a_vspm_stop must be finite"):
+        parse_config(overrides={"mode": "intensity", "omega_ev": 0.5,
+                                "a_vspm_start": 0.0, "a_vspm_stop": math.inf})
 
 
-@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
-def test_every_library_scan_rejects_a_bad_amplitude(bad):
-    # every field is built before the first point is solved, so a bad
-    # amplitude anywhere in the sweep raises instead of failing one point
-    ground = QuantumNumbers(1, 0, 0)
-    with pytest.raises(ConfigurationError, match="amplitude_A"):
-        spectrum_scan(bad, [0.1], ground, n0=2)
-    with pytest.raises(ConfigurationError, match="amplitude_A"):
-        intensity_scan(0.1, [0.05, bad], ground, n0=2)
-    with pytest.raises(ConfigurationError, match="amplitude_A"):
-        ionization_intensity_scan(0.087, [0.05, bad], n0=2)
+@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, 1e308])
+def test_every_library_scan_rejects_a_bad_amplitude(monkeypatch, bad):
+    # The config rejects a negative or non-finite amplitude, and every field
+    # is built before the first point is solved, so an amplitude that is
+    # finite in V*s/m but not in atomic units (1e308) raises too instead of
+    # failing one point.
+    solved = []
+    monkeypatch.setattr(transitions, "diagonalize", solved.append)
+    monkeypatch.setattr(ionization, "solve_tracked", solved.append)
+    for mode, keys in (
+        ("spectrum", {"amplitude_vspm": bad, "omega_ev_start": 0.1,
+                      "omega_ev_stop": 0.2}),
+        ("intensity", {"omega_ev": 0.1, "a_vspm_start": 0.0, "a_vspm_stop": bad}),
+        ("ionization", {"omega_ev": 2.37, "a_vspm_start": 0.0, "a_vspm_stop": bad}),
+    ):
+        with pytest.raises(ConfigurationError, match="amplitude|a_vspm_stop"):
+            sweep(parse_config(overrides={"mode": mode, "n0": 2, "count": 2, **keys}))
+    assert solved == []
 
 
 def test_assemble_symmetric_and_real():
@@ -165,7 +179,8 @@ def test_second_point_of_a_sweep_hits_the_coupling_cache():
     class_layout.cache_clear()
     basis = enumerate_basis(5)
     omegas = [0.05, 0.1, 0.15, 0.2]
-    spectrum_scan(0.2, omegas, QuantumNumbers(1, 0, 0), n0=5)
+    scan(omegas, [LaserField(0.2, w) for w in omegas],
+         partial(ScanPoint.observe, basis, QuantumNumbers(1, 0, 0)))
     # the sweep lays out the couplings of its one class once
     info = class_layout.cache_info()
     assert (info.misses, info.hits) == (1, len(omegas) - 1)

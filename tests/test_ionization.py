@@ -1,5 +1,6 @@
 import csv
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -17,12 +18,13 @@ from laserhydrogen.eigensolver import diagonalize, track_state
 from laserhydrogen.errors import ConfigurationError, DomainError
 from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import (
+    IonizationScanPoint,
     bound_free_element,
     eta_index,
-    ionization_intensity_scan,
     ionization_records,
     photoelectron_energy,
 )
+from laserhydrogen.transitions import scan
 from laserhydrogen.units import CONSTANTS, UnitSystem
 from oracles import (
     bound_free_radial,
@@ -44,8 +46,10 @@ def test_photoelectron_energy_and_eta_identity():
         assert e_f0 == pytest.approx(e_i - mu * omega, rel=1e-15)
         # eta*omega - b = E_f0 exactly, the defining relation
         assert eta * omega - 0.5 == pytest.approx(e_f0, rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        eta_index(e_i, 0.0, -1)
+    # NaN fails no test of omega <= 0, and at inf eta would read -mu
+    for omega in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="omega must be finite"):
+            eta_index(e_i, omega, -1)
 
 
 def test_bound_free_element_refuses_a_closed_channel(decomp5):
@@ -311,9 +315,8 @@ def test_ionization_records_closed_channels_absent():
 def test_ionization_intensity_scan_smoke():
     omega = 2.37 / EV
     # n0 must reach the lowest open branch (|mu| = 6 at this photon energy)
-    points = ionization_intensity_scan(
-        omega, [0.05, 0.2], n0=8, axis_values=[1.0, 2.0]
-    )
+    points = scan([1.0, 2.0], [LaserField(a, omega) for a in (0.05, 0.2)],
+                  partial(IonizationScanPoint.observe, enumerate_basis(8), GROUND))
     assert [p.axis_value for p in points] == [1.0, 2.0]
     for p in points:
         assert not p.failed
@@ -327,7 +330,9 @@ def test_ionization_scan_domain_error_fails_one_point(
     bound_free_fails_at_second_point,
 ):
     omega = 2.37 / EV
-    points = ionization_intensity_scan(omega, [0.05, 0.1, 0.2], n0=6)
+    amplitudes = [0.05, 0.1, 0.2]
+    points = scan(amplitudes, [LaserField(a, omega) for a in amplitudes],
+                  partial(IonizationScanPoint.observe, enumerate_basis(6), GROUND))
     assert [p.failed for p in points] == [False, True, False]
     assert points[1].error == "injected bound-free failure"
     assert not hasattr(points[1], "records")

@@ -37,9 +37,7 @@ from laserhydrogen.eigensolver import (
     track_state,
 )
 from laserhydrogen.hamiltonian import LaserField, assemble, class_layout
-from laserhydrogen.ionization import (
-    IonizationScanPoint, ionization_intensity_scan, ionization_records,
-)
+from laserhydrogen.ionization import IonizationScanPoint, ionization_records
 from laserhydrogen.units import CONSTANTS, UnitSystem
 from oracles import refined_eigenpair
 from test_ionization import _FIG3_SIGMA, _bound_free_loop
@@ -212,7 +210,7 @@ def test_exact_tie_with_a_bare_level_of_the_other_half():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, state, position = solve_tracked(basis, laser, GROUND)
-        (point,) = ionization_intensity_scan(0.375, [1e-3], n0=2)
+        point = IonizationScanPoint.observe(basis, GROUND, laser, 1e-3)
     assert (position, index) == (0, 0)
     assert abs(state.overlap - tracked.overlap) <= 1e-12
     assert not point.full_solve and point.dressed_index == 0

@@ -1,3 +1,4 @@
+import math
 import weakref
 from functools import partial
 
@@ -7,13 +8,14 @@ import pytest
 import laserhydrogen.transitions as transitions
 from conftest import w_matrix
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis
+from laserhydrogen.cli import parse_config, sweep
 from laserhydrogen.eigensolver import diagonalize
 from laserhydrogen.errors import ConfigurationError, DomainError
 from laserhydrogen.hamiltonian import LaserField, assemble
-from laserhydrogen.ionization import ionization_intensity_scan
+from laserhydrogen.ionization import IonizationScanPoint
 from laserhydrogen.transitions import (
-    intensity_scan,
-    spectrum_scan,
+    ScanPoint,
+    scan,
     time_resolved_probability,
     transition_table,
 )
@@ -76,13 +78,16 @@ def test_time_resolved_time_average_approaches_w(decomp5):
 
 def test_time_resolved_rejects_negative_time(decomp5):
     decomp, laser = decomp5
-    with pytest.raises(ConfigurationError):
-        time_resolved_probability(decomp, GROUND, GROUND, -1.0, laser.omega)
+    # NaN and inf too: NaN fails no test of t < 0, and inf gives a NaN phase
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="time must be finite"):
+            time_resolved_probability(decomp, GROUND, GROUND, t, laser.omega)
 
 
 def test_spectrum_scan():
     omegas = [0.1, 0.2, 0.3]
-    points = spectrum_scan(0.05, omegas, GROUND, n0=3)
+    points = scan(omegas, [LaserField(0.05, w) for w in omegas],
+                  partial(ScanPoint.observe, enumerate_basis(3), GROUND))
     assert isinstance(points, list)
     assert [p.axis_value for p in points] == omegas
     for point, omega in zip(points, omegas):
@@ -97,13 +102,17 @@ def test_spectrum_scan():
 
 
 def test_spectrum_scan_rejects_bad_omega():
-    with pytest.raises(ConfigurationError):
-        spectrum_scan(0.05, [0.1, -0.2], GROUND, n0=3)
+    with pytest.raises(ConfigurationError, match="omega_ev_start must be positive"):
+        sweep(parse_config(overrides={
+            "mode": "spectrum", "n0": 3, "amplitude_vspm": 1e-6,
+            "omega_ev_start": -0.2, "omega_ev_stop": 0.1, "count": 2,
+        }))
 
 
 def test_intensity_scan():
     amps = [0.0, 0.1, 0.2]
-    points = intensity_scan(0.018, amps, GROUND, n0=3, axis_values=[1, 2, 3])
+    points = scan([1, 2, 3], [LaserField(a, 0.018) for a in amps],
+                  partial(ScanPoint.observe, enumerate_basis(3), GROUND))
     assert isinstance(points, list)
     assert [p.axis_value for p in points] == [1, 2, 3]
     ground_w = [p.table.probability(GROUND) for p in points]
@@ -113,16 +122,22 @@ def test_intensity_scan():
 
 
 def test_intensity_scan_rejects_negative_amplitude():
-    with pytest.raises(ConfigurationError):
-        intensity_scan(0.018, [-0.1], GROUND, n0=3)
+    with pytest.raises(ConfigurationError, match="a_vspm_start must be >= 0"):
+        sweep(parse_config(overrides={
+            "mode": "intensity", "n0": 3, "omega_ev": 0.5,
+            "a_vspm_start": -0.1, "a_vspm_stop": 0.1,
+        }))
 
 
 @pytest.mark.parametrize("run, message", [
-    (lambda: spectrum_scan(0.05, [0.1, 0.2, 0.3], GROUND, n0=3, axis_values=[1.0]),
+    (lambda: scan([1.0], [LaserField(0.05, w) for w in (0.1, 0.2, 0.3)],
+                  partial(ScanPoint.observe, enumerate_basis(3), GROUND)),
      "1 axis values for 3 field points"),
-    (lambda: intensity_scan(0.018, [0.1], GROUND, n0=3, axis_values=[1, 2, 3]),
+    (lambda: scan([1, 2, 3], [LaserField(0.1, 0.018)],
+                  partial(ScanPoint.observe, enumerate_basis(3), GROUND)),
      "3 axis values for 1 field points"),
-    (lambda: ionization_intensity_scan(0.087, [0.05], n0=3, axis_values=[1, 2]),
+    (lambda: scan([1, 2], [LaserField(0.05, 0.087)],
+                  partial(IonizationScanPoint.observe, enumerate_basis(3), GROUND)),
      "2 axis values for 1 field points"),
 ], ids=["spectrum", "intensity", "ionization"])
 def test_mismatched_axis_values_rejected_before_the_first_point(
