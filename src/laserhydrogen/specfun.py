@@ -1,9 +1,7 @@
 """Special functions for the radial integrals and continuum amplitudes.
 
-Covers the Gamma function, the closed-form log|Gamma(l + 1 + i eta)| of
-the Coulomb normalization (the one function here that a program path
-calls, for the top of the bound-free ladders), and the closed-form Laplace
-transform of a product of two Kummer functions,
+Covers the Gamma function and the closed-form Laplace transform of a
+product of two Kummer functions,
 
     int_0^inf e^{-s t} t^{u-1} F(a1, c1, t) F(a2, c2, q t) dt
         = Gamma(u) s^{-u} F2(u, a1, a2, c1, c2, 1/s, q/s),
@@ -14,11 +12,11 @@ raise DomainError; nothing is continued analytically.
 
 `laplace_1f1_product`, `gamma_fn`, `KummerParams` and `appell_f2` are the
 rational oracle of the bound-bound radial integrals
-(tests/test_radial_oracle.py); no program path calls them.  They stay here
-while the benchmark's span tracer still times `laplace_1f1_product` and
-`appell_f2` on the package.  The other oracles (quadrature on hydrogen
-wavefunctions, the series Kummer function and the Coulomb wave) live in
-tests/oracles.py.
+(tests/test_radial_oracle.py); no program path calls anything in this
+module.  They stay here while the benchmark's span tracer still times
+`laplace_1f1_product` and `appell_f2` on the package.  The other oracles
+(quadrature on hydrogen wavefunctions, the series Kummer function and the
+Coulomb wave) live in tests/oracles.py.
 
 `mpmath` is bound lazily (importlib.util.LazyLoader): the name is a module
 object from import on, so the span tracer still finds `mpmath.hyp2f1`
@@ -88,24 +86,6 @@ def gamma_fn(z):
     if isinstance(z, complex):
         return complex(mpmath.gamma(z))
     return math.gamma(z)
-
-
-def log_abs_gamma(l: int, eta: float) -> float:
-    """log|Gamma(l + 1 + i eta)| for an integer l >= 0 and real eta.
-
-    Closed form from |Gamma(1 + i eta)|^2 = pi eta / sinh(pi eta) and the
-    recurrence Gamma(z + 1) = z Gamma(z), so that
-    |Gamma(l + 1 + i eta)|^2 = pi eta / sinh(pi eta) prod_{s=1..l} (s^2 + eta^2)
-    (DLMF 5.4.3).  With x = pi |eta|, log(x / sinh x) is written as
-    log(2x) - x - log(1 - e^{-2x}), which does not overflow as eta grows
-    (the continuum threshold, k -> 0).
-    """
-    x = math.pi * abs(eta)
-    log_ratio = 0.0 if x == 0.0 else (
-        math.log(2.0 * x) - x - math.log(-math.expm1(-2.0 * x))
-    )
-    eta2 = eta * eta
-    return 0.5 * (log_ratio + math.fsum(math.log(s * s + eta2) for s in range(1, l + 1)))
 
 
 @dataclass(frozen=True)

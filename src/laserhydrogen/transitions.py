@@ -131,6 +131,8 @@ def time_resolved_probability(
     """Instantaneous transition probability at time t after switch-on."""
     if not 0 <= t < math.inf:  # NaN fails it too
         raise ConfigurationError(f"time must be finite and >= 0, got {t!r}")
+    if not 0 < omega < math.inf:
+        raise ConfigurationError(f"omega must be finite and positive, got {omega!r}")
     c_from, c_to = decomp.row(from_state), decomp.row(to_state)
     phases = np.exp(-1j * (decomp.energies - to_state.mu * omega) * t)
     return float(np.abs(np.dot(c_from * c_to, phases)) ** 2)

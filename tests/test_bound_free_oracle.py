@@ -9,8 +9,9 @@ C_l(eta) and the bound normalization.  The Gauss functions come from
 `mpmath.hyp2f1` at the two lowest u+m and from Gauss's contiguous relation
 in a (DLMF 15.5.11) above them, checked against `mpmath.hyp2f1` at the
 highest; near |y| = 1 each direct call costs a tenth of a second.  The grid
-runs from k = 0.014 (E_f0 of about 1e-4 hartree, just above threshold) to
-k = 3, and to the n0 cap at every third l.
+runs from k = 1e-5 (E_f0 = 5e-11 hartree, at threshold, where the Coulomb
+normalization's exp(pi/(2k)) and |Gamma(l_f+1+i eta)| are far outside the
+double range) to k = 3, and to the n0 cap at every third l.
 """
 
 import math
@@ -23,7 +24,7 @@ from laserhydrogen.ionization import _bound_free_ladders
 from oracles import bound_free_radial
 
 _DPS = 60
-_K_GRID = (0.014, 0.05, 0.2, 0.6, 1.5, 3.0)
+_K_GRID = (1e-5, 1e-4, 1e-3, 0.014, 0.05, 0.2, 0.6, 1.5, 3.0)
 _RTOL = 1e-12
 
 

@@ -50,6 +50,10 @@ def test_photoelectron_energy_and_eta_identity():
     for omega in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ConfigurationError, match="omega must be finite"):
             eta_index(e_i, omega, -1)
+    # the sign of E_f0 marks the channel, and a NaN has none
+    for omega in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="omega must be finite"):
+            photoelectron_energy(e_i, -1, omega)
 
 
 def test_bound_free_element_refuses_a_closed_channel(decomp5):

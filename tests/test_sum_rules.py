@@ -142,28 +142,31 @@ def _at_threshold(energies, values):
     return values[0]
 
 
-# Every bound state with n <= 3, to both partial waves l_f = l +- 1.
-_CHANNELS = [(n, l, l_f) for n in (1, 2, 3) for l in range(n)
+# Every bound state with n <= 4, to both partial waves l_f = l +- 1.
+_CHANNELS = [(n, l, l_f) for n in (1, 2, 3, 4) for l in range(n)
              for l_f in (l - 1, l + 1) if l_f >= 0]
 
 
 # Error budget, relative.  Each side is a polynomial in E through its
 # points, read at E = 0; the terms of the series in E grow about as
-# (2 n^2)^j (fitted to the error of wider grids).
+# (2 n^2)^j times a power of j, the nearest singularity being at
+# E_n = -1/(2 n^2).
 # - Below: the C that `_with_tail` fits at two shells is off by
 #   F/(N^2 (N - 1)^2), up to 2.4e-8 of it (3d -> f), so a cubic through
-#   n' = 100, 200, 300, 400 is read instead.  It leaves about
-#   (2 n^2)^4 prod |E| = 1e-15 at n = 3, and a quartic through five points
-#   moves it by at most 3e-14.  For 1s it gives 256/(3 e^4) to 4e-16.
-# - Above: a quadratic through k = 1, 2, 4 times 1e-3 leaves about
-#   64 (2 n^2 E(1e-3))^3 = 5e-14 at n = 3.  The rounding of the closed form
-#   at the top of the ladders dominates: its logs reach pi/(2k) = 1571 and
-#   cancel to order one, so df/dE carries about 1e-12 (8.2e-13 for 1s at
-#   k = 1e-3, against the closed form of its df/dE), and the weights of the
-#   three points sum to 1.9.
-# The tolerance is about twice the sum.
+#   n' = 100, 200, 300, 400 is read instead.  Its truncation, taken as what
+#   a quartic through n' = 100 .. 500 moves it by, is at most 2.2e-14 for
+#   n <= 3 and 3.0e-13 at n = 4 (4f -> g).  Its rounding is a few ulps of
+#   each point times the weights of the read, whose magnitudes sum to 6.2:
+#   under 1e-14.  For 1s it gives 256/(3 e^4) to 4e-16.
+# - Above: a quadratic through k = 1, 2, 4 times 1e-4 leaves about
+#   64 (2 n^2 E(1e-4))^3 = 3e-19 at n = 4.  Its rounding is that of the
+#   ladders, 5e-14 relative in I (tests/test_bound_free_oracle.py, down to
+#   k = 1e-5) and so 1e-13 in df/dE, times the weights, which sum to 1.9
+#   in magnitude: 1.9e-13.
+# The tolerance is about twice the sum: 5e-13 for n <= 3, where the
+# rounding above dominates, and 1e-12 at n = 4.
 @pytest.mark.parametrize("n, l, l_f", _CHANNELS,
-                         ids=[f"{n}{'spd'[l]}-{'spdf'[l_f]}" for n, l, l_f in _CHANNELS])
+                         ids=[f"{n}{'spdf'[l]}-{'spdfg'[l_f]}" for n, l, l_f in _CHANNELS])
 def test_bound_strength_density_meets_the_continuum_at_threshold(n, l, l_f):
     shells = (100, 200, 300, 400)
     below = _at_threshold(
@@ -172,12 +175,13 @@ def test_bound_strength_density_meets_the_continuum_at_threshold(n, l, l_f):
                            radial_length_integral(n, l, m, l_f))
          for m in shells],
     )
-    ks = (1e-3, 2e-3, 4e-3)
+    ks = (1e-4, 2e-4, 4e-4)
     above = []
     for k in ks:
         up, down = _bound_free_ladders(n, 0, k)
         above.append(_strength(n, l, l_f, 0.5 * k * k,
                                (up if l_f > l else down)[n, l]))
-    assert abs(_at_threshold([0.5 * k * k for k in ks], above) - below) <= 4e-12 * below
+    tol = 5e-13 if n <= 3 else 1e-12
+    assert abs(_at_threshold([0.5 * k * k for k in ks], above) - below) <= tol * below
     if (n, l) == (1, 0):
         assert abs(below - 256.0 / (3.0 * math.e**4)) <= 1e-14 * below

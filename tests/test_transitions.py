@@ -82,6 +82,10 @@ def test_time_resolved_rejects_negative_time(decomp5):
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError, match="time must be finite"):
             time_resolved_probability(decomp, GROUND, GROUND, t, laser.omega)
+    # omega is a bare float here, which no LaserField has checked
+    for omega in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="omega must be finite"):
+            time_resolved_probability(decomp, GROUND, GROUND, 1.0, omega)
 
 
 def test_spectrum_scan():
