@@ -34,8 +34,9 @@ from .ionization import (
     photoelectron_energy,
 )
 
-# Test oracles, not in __all__: they stay reachable on the package only because
-# the benchmark's span tracer (perfbench/spans.py) resolves layers by them here.
+# Test oracles, not in __all__, that no run calls and that need no mpmath: they
+# stay reachable on the package only because the benchmark's span tracer
+# (perfbench/spans.py) resolves layers by them here.
 from .specfun import appell_f2, laplace_1f1_product  # noqa: F401
 
 from .transitions import (

@@ -118,6 +118,8 @@ def _read_only(values) -> np.ndarray:
 
 
 def enumerate_basis(n0: int) -> BasisSet:
+    if isinstance(n0, bool) or not isinstance(n0, numbers.Integral):
+        raise ConfigurationError(f"n0 must be an integer, got {n0!r}")
     if not 1 <= n0 <= N0_CAP:
         raise ConfigurationError(f"n0 must be in [1, {N0_CAP}], got {n0}")
     states = tuple(

@@ -93,6 +93,12 @@ MODE_KEYS = {
 }
 
 
+# The types of value each field type of RunConfig takes, and their name:
+# those JSON writes as they are, since the metadata holds the config.
+_FIELD_TYPES = {int: (int, "an int"), float: ((int, float), "an int or a float"),
+                bool: (bool, "a bool"), str: (str, "a str")}
+
+
 @dataclasses.dataclass
 class RunConfig:
     mode: str
@@ -117,7 +123,19 @@ class RunConfig:
         return QuantumNumbers(self.initial_n, self.initial_l, self.initial_mu)
 
     def validate(self):
-        """Check the ranges of the config and the keys its mode requires."""
+        """Check the type and range of each field, and the keys the mode
+        requires."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue  # not set: a key the mode requires is checked below
+            types, name = _FIELD_TYPES[f.type]
+            # a bool is an int to isinstance, but no int or float field takes one
+            if (isinstance(value, bool) != (f.type is bool)
+                    or not isinstance(value, types)):
+                raise ConfigurationError(f"{f.name} must be {name}, got {value!r}")
+            if f.type is float and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODE_KEYS:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if not 1 <= self.n0 <= N0_CAP:
@@ -130,10 +148,6 @@ class RunConfig:
                 f"initial state (n, l, mu) = ({self.initial_n}, {self.initial_l}, "
                 f"{self.initial_mu}) is outside the n0={self.n0} basis"
             )
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if not 0 <= self.w_min <= 1:
             raise ConfigurationError(f"w_min must be in [0, 1], got {self.w_min}")
         for key in MODE_KEYS[self.mode]:

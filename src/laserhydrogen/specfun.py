@@ -1,7 +1,7 @@
 """Special functions for the radial integrals and continuum amplitudes.
 
-Covers the Gamma function and the closed-form Laplace transform of a
-product of two Kummer functions,
+Covers the Gamma function of a real argument and the closed-form Laplace
+transform of a product of two Kummer functions,
 
     int_0^inf e^{-s t} t^{u-1} F(a1, c1, t) F(a2, c2, q t) dt
         = Gamma(u) s^{-u} F2(u, a1, a2, c1, c2, 1/s, q/s),
@@ -18,12 +18,9 @@ module.  They stay here while the benchmark's span tracer still times
 (quadrature on hydrogen wavefunctions, the series Kummer function and the
 Coulomb wave) live in tests/oracles.py.
 
-`mpmath` is bound lazily (importlib.util.LazyLoader): the name is a module
-object from import on, so the span tracer still finds `mpmath.hyp2f1`
-through it, but mpmath's code runs only when `gamma_fn` first gets a
-complex argument, which only tests do, so a CLI run does not pay mpmath's
-import (about a sixth of its start-up).  The binding goes with the oracles
-when they move to tests/.
+`mpmath`, a test dependency, is bound lazily (importlib.util.LazyLoader)
+so that the span tracer finds `mpmath.hyp2f1` through it; nothing here
+calls it, and it is None where mpmath is not installed.
 """
 
 import importlib.util
@@ -38,7 +35,8 @@ from .errors import DomainError
 
 
 def _lazy_module(name):
-    """Module `name`, whose code runs at its first attribute access.
+    """Module `name`, whose code runs at its first attribute access, or
+    None if it is not installed.
 
     The LazyLoader recipe of the importlib docs; a module that sys.modules
     already holds is returned as it is.
@@ -47,7 +45,7 @@ def _lazy_module(name):
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
     if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -78,13 +76,11 @@ def _as_nonpositive_int(value):
 
 
 def gamma_fn(z):
-    """Gamma function for real or complex scalar z; poles raise DomainError."""
+    """Gamma function of a real scalar z; poles raise DomainError."""
     if _as_nonpositive_int(z) is not None:
         raise DomainError(f"Gamma pole at z={z}")
     if isinstance(z, (int, np.integer)):
         return math.factorial(int(z) - 1)
-    if isinstance(z, complex):
-        return complex(mpmath.gamma(z))
     return math.gamma(z)
 
 

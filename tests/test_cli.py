@@ -76,6 +76,33 @@ def test_parse_config_invalid_initial_state():
         )
 
 
+# Values of the wrong type for a field, each refused by parse_config with
+# the key named, before a sweep could fail on it or run it: a bool is an int
+# to Python, but n0 = True is no n0 = 1 basis.
+_WRONG_TYPES = [
+    ({"n0": 2.5, "count": 2}, "n0"),
+    ({"count": 2.5}, "count"),
+    ({"count": "3"}, "count"),
+    ({"n0": True}, "n0"),
+    ({"a_vspm_stop": True}, "a_vspm_stop"),
+    ({"drop_a2": 1}, "drop_a2"),
+    ({"output_path": 3}, "output_path"),
+]
+
+
+@pytest.mark.parametrize("overrides, key", _WRONG_TYPES,
+                         ids=[f"{key}={o[key]!r}" for o, key in _WRONG_TYPES])
+def test_parse_config_refuses_a_value_of_the_wrong_type(overrides, key):
+    with pytest.raises(ConfigurationError, match=f"^{key} must be an? "):
+        parse_config(preset="fig3", overrides=overrides)
+
+
+@pytest.mark.parametrize("n0", [2.0, True], ids=repr)
+def test_enumerate_basis_takes_an_integer_n0(n0):
+    with pytest.raises(ConfigurationError, match="n0 must be an integer"):
+        enumerate_basis(n0)
+
+
 # --- end-to-end runs --------------------------------------------------------
 
 _POINT = ["point", "--n0", "3", "--amplitude-vspm", "5e-6", "--omega-ev", "0.5"]
@@ -401,35 +428,51 @@ def test_a_branch_that_no_state_couples_to_reads_zero(tmp_path):
     assert "sigma_cut_branches" not in meta
 
 
+# Makes mpmath and scipy look uninstalled: find_spec finds neither, and an
+# import of either raises ModuleNotFoundError.
+_WITHOUT_ORACLES = (
+    "import importlib.abc, importlib.util, sys\n"
+    "ORACLES = ('mpmath', 'scipy')\n"
+    "find_spec = importlib.util.find_spec\n"
+    "importlib.util.find_spec = lambda name, package=None: (\n"
+    "    None if name.split('.')[0] in ORACLES else find_spec(name, package))\n"
+    "class Refuse(importlib.abc.MetaPathFinder):\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] in ORACLES:\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, Refuse())\n"
+)
+
+
 def test_runs_without_scipy(tmp_path):
     # numpy's LAPACK does every solve: scipy's, with its own BLAS thread
-    # pool, is never loaded.  No run path calls mpmath either, so its code
-    # runs only when the oracle gamma_fn first takes a complex argument.
+    # pool, is never loaded, and no function of the package calls mpmath.
+    # Every mode runs where both are installed, loading no scipy module and
+    # no mpmath submodule, and where neither can be found or imported.
     script = (
-        "import sys\n"
-        "from laserhydrogen.cli import main\n"
-        "out = sys.argv[1]\n"
-        "assert main(['ionization', '--n0', '3', '--omega-ev', '2.37',\n"
-        "             '--a-vspm-start', '5e-7', '--a-vspm-stop', '5e-6',\n"
-        "             '--count', '2', '--out', out + '/i.csv']) == 0\n"
-        "assert main(['point', '--n0', '3', '--amplitude-vspm', '5e-6',\n"
-        "             '--omega-ev', '0.5', '--out', out + '/p.csv']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "assert not [m for m in sys.modules if m.startswith('mpmath.')]\n"
-        "import mpmath\n"
+        "import json, sys\n"
         "from laserhydrogen import specfun\n"
-        "z = complex(2, 1)\n"
-        "assert specfun.gamma_fn(z) == complex(mpmath.gamma(z))\n"
+        "from laserhydrogen.cli import main\n"
+        "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
+        "for i, argv in enumerate(runs):\n"
+        "    assert main(argv + ['--out', f'{out}/{i}.csv']) == 0, argv\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not [m for m in sys.modules if m.startswith('mpmath.')]\n"
+        "print(specfun.mpmath is None)\n"
     )
+    runs = json.dumps([_POINT, _SPECTRUM, _INTENSITY, _IONIZATION])
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    for prefix, absent in (("", "False"), (_WITHOUT_ORACLES, "True")):
+        done = subprocess.run(
+            [sys.executable, "-c", prefix + script, str(tmp_path), runs],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == absent
+        rows = _read_csv(tmp_path / "3.csv")[1]
+        assert rows and all(float(r[8]) > 0 for r in rows)  # sigma was computed
 
 
 def test_eigensolver_failure_is_a_failed_point(tmp_path, monkeypatch):

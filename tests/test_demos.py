@@ -1,9 +1,11 @@
-"""Run every walkthrough in demos/ as the README tells a reader to.
+"""Run every walkthrough in demos/ as the README tells a reader to, and
+every Python block of the README.
 
-Each runs a figure preset of the command line from Python, through
-`cli.sweep`."""
+Each walkthrough runs a figure preset of the command line from Python,
+through `cli.sweep`."""
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -16,6 +18,20 @@ import laserhydrogen.transitions as transitions
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def _run(args, cwd):
+    """args run by a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 def test_demos_found():
@@ -24,19 +40,23 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
+    result = _run([str(demo)], ROOT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
     # a walkthrough goes on past a failed point, so its exit code cannot
     # tell; a run of the presets fails no point
     assert "FAILED" not in result.stdout, result.stdout
+
+
+def test_readme_python_blocks_found():
+    assert len(README_BLOCKS) >= 3
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(1, len(README_BLOCKS) + 1)])
+def test_readme_python_block_runs(block, tmp_path):
+    result = _run(["-c", block], tmp_path)
+    assert result.returncode == 0, result.stderr
 
 
 # The solve each walkthrough's scan runs once per point: an ionization

@@ -112,3 +112,19 @@ def test_settable_values_do_not_grow():
     package = pathlib.Path(laserhydrogen.__file__).parent
     total = sum(_settable_values(p.read_text()) for p in package.glob("*.py"))
     assert total <= 66
+
+
+def test_no_function_in_the_package_calls_mpmath():
+    # mpmath is an oracle of the tests, not a dependency: the package may
+    # bind the name (the benchmark's span tracer resolves mpmath.hyp2f1
+    # through it) but imports nothing from it and reads none of its names.
+    package = pathlib.Path(laserhydrogen.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert node.value.id != "mpmath", where
+            elif isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "mpmath" for a in node.names), where
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "mpmath", where

@@ -6,7 +6,8 @@ bound-bound integrals of `basis.radial_length_integral` (Gordon's closed
 form, summed in exact integers); the two share no code.  sigma reads every
 bound-free integral of a branch, and these check what one-energy checks do
 not: the normalization across energies (the Thomas-Reiche-Kuhn sum S(0) =
-sum_f f(i -> f) + int df/dE dE = 1), the relative signs across n (closure
+sum_f f(i -> f) + int df/dE dE = 1, and for 1s S(-1) and S(-2), weighted
+by (E' - E)^-1 and ^-2), the relative signs across n (closure
 with cross terms, sum_n R(a -> n p) R(n p -> b) + int I(a; E) I(b; E) dE =
 <a|r^2|b>), and the continuum at its threshold, where n'^3 f(n l -> n' l')
 of the bound states meets df/dE (Seaton).  Summed over the final m and
@@ -35,10 +36,11 @@ N_BOUND = 400
 NODES = 400
 
 
-def _strength(n, l, l_f, energy, radial):
-    """f, or df/dE, from (n, l) to energy `energy` and partial wave l_f."""
+def _strength(n, l, l_f, energy, radial, power=0):
+    """f, or df/dE, from (n, l) to energy `energy` and partial wave l_f,
+    times (energy - E_n)^power."""
     return (2.0 / 3.0 * (energy - bound_energy(n)) * max(l, l_f) / (2 * l + 1)
-            * radial * radial)
+            * radial * radial * (energy - bound_energy(n)) ** power)
 
 
 def _with_tail(terms):
@@ -57,14 +59,16 @@ def _with_tail(terms):
                     d * float(mpmath.zeta(5, N_BOUND + 1))]
 
 
-def _bound_part(n, l):
-    """sum of f over the bound states n' <= N_BOUND, and its tail."""
+def _bound_part(n, l, power=0):
+    """sum of f (E' - E_n)^power over the bound states n' <= N_BOUND, and
+    its tail."""
     total = []
     for l_f in (l - 1, l + 1):
         if l_f < 0:
             continue
         total += _with_tail(
-            [_strength(n, l, l_f, bound_energy(m), radial_length_integral(n, l, m, l_f))
+            [_strength(n, l, l_f, bound_energy(m), radial_length_integral(n, l, m, l_f),
+                       power)
              for m in range(l_f + 1, N_BOUND + 1)]
         )
     return math.fsum(total)
@@ -78,8 +82,8 @@ def _nodes():
         yield weight, math.sqrt(2.0) * u / (1.0 - u), 2.0 * u / (1.0 - u) ** 3
 
 
-def _continuum_part(n, l):
-    """int df/dE dE over E = (u/(1 - u))^2, u in (0, 1).
+def _continuum_part(n, l, power=0):
+    """int df/dE (E - E_n)^power dE over E = (u/(1 - u))^2, u in (0, 1).
 
     sqrt(E) is rational in u, so the integrand is analytic at u = 1 (it
     falls as (1 - u)^(2l + 4)), and at threshold, u = 0, it is smooth.
@@ -88,7 +92,7 @@ def _continuum_part(n, l):
     for weight, k, jacobian in _nodes():
         up, down = _bound_free_ladders(n, 0, k)
         waves = [(l + 1, up[n, l])] + ([(l - 1, down[n, l])] if l > 0 else [])
-        terms += [weight * jacobian * _strength(n, l, l_f, 0.5 * k * k, radial)
+        terms += [weight * jacobian * _strength(n, l, l_f, 0.5 * k * k, radial, power)
                   for l_f, radial in waves]
     return math.fsum(terms)
 
@@ -109,6 +113,29 @@ def test_thomas_reiche_kuhn_sum(n, l, tol):
     bound, continuum = _bound_part(n, l), _continuum_part(n, l)
     assert 0.0 < continuum < 1.0
     assert abs(bound + continuum - 1.0) <= tol
+
+
+# The inverse moments S(p) = sum_f f (E' - E)^p + int df/dE (E - E_1s)^p dE
+# of 1s: S(-1) = 2 <r^2>/3 = 2 and S(-2), the static polarizability, = 9/2
+# (Bethe and Salpeter, section 63).  (E' - E)^p is analytic in E' at the
+# threshold, so n'^3 times a term keeps the series `_with_tail` fits.
+# Error budget of each, relative to the sum, by the three terms above:
+# - tail: the sums to 200 and to 400 differ by 3.4e-14 and 4.7e-14, so
+#   1/64 of that, under 1e-15, is left at N = 400;
+# - quadrature: 200 and 400 nodes agree to 6.0e-15 and 3.9e-15;
+# - the ladders: 1e-13 relative in df/dE times the continuum's share of
+#   the sum, 0.28 and 0.19: 2.8e-14 and 1.9e-14.
+# The tolerance is about twice the sum: 7e-14 and 5e-14.  For 1s each
+# ladder is its closed-form top value, so these read `_top_integral` alone,
+# weighted toward the threshold more than the TRK sum is.
+@pytest.mark.parametrize("power, exact, tol", [
+    (-1, 2.0, 7e-14),
+    (-2, 4.5, 5e-14),
+], ids=["S(-1)", "S(-2)"])
+def test_inverse_moment_sums_of_1s(power, exact, tol):
+    bound, continuum = _bound_part(1, 0, power), _continuum_part(1, 0, power)
+    assert 0.0 < continuum < exact
+    assert abs(bound + continuum - exact) <= tol * exact
 
 
 def test_closure_ties_the_signs_across_n():
