@@ -123,8 +123,8 @@ class RunConfig:
         return QuantumNumbers(self.initial_n, self.initial_l, self.initial_mu)
 
     def validate(self):
-        """Check the type and range of each field, and the keys the mode
-        requires."""
+        """Check the type and range of each field, the keys the mode
+        requires, and that no key the mode does not read is set."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if value is None and f.default is None:
@@ -138,6 +138,12 @@ class RunConfig:
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODE_KEYS:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        read = _COMMON_KEYS + MODE_KEYS[self.mode]
+        for f in dataclasses.fields(self):
+            if f.name not in read and getattr(self, f.name) != f.default:
+                raise ConfigurationError(
+                    f"mode {self.mode!r} does not read key {f.name!r}"
+                )
         if not 1 <= self.n0 <= N0_CAP:
             raise ConfigurationError(f"n0 must be in [1, {N0_CAP}], got {self.n0}")
         if self.count < 1:

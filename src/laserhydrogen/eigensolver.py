@@ -13,8 +13,8 @@ A decomposition holds one class: its energies, its vectors and,
 through the basis and the parity, the basis positions of its states.  Every
 observable of a scan follows one initial state and reads only that state's
 class.  The position of a class's dressed state in the spectrum of the
-whole basis (`global_index`) needs only the number of the other class's
-levels below it, which that class's eigenvalues give.  Every class is
+whole basis needs only the number of the other class's levels below it,
+which `levels_below` counts without a solve of that class.  Every class is
 solved as `assemble` builds it, A^2/2 on the diagonal: the constant moves
 all levels of both classes alike, so no state, fold or count depends on it.
 
@@ -33,11 +33,13 @@ Most counts read those signs from the diagonal of S: where the
 Gershgorin discs of S, scaled to a unit diagonal, leave out 0, and
 Ostrowski's bound puts every eigenvalue the count reads outside the sign
 guard that `eigvalsh` of S is held to, the discs certify the count that
-`eigvalsh` would give; elsewhere `eigvalsh` gives it.  The positions and
-p_x values of the couplings between the two halves are kept once per
-basis and class.  It returns that one state as a decomposition of a
-single column; where the result cannot be certified it returns None, and
-the caller solves the class with `diagonalize`.
+`eigvalsh` would give; elsewhere `eigvalsh` gives it.  A count of the
+other class that `eigvalsh` of S leaves unsure, as at an exact tie with
+E_i, comes from `eigvalsh` of that class.  The positions and p_x values
+of the couplings between the two halves are kept once per basis and
+class.  It returns that one state as a decomposition of a single column;
+where the state or its class rank cannot be certified it returns None,
+and the caller solves the class with `diagonalize`.
 
 Only matrices that `assemble` built are solved: they are symmetric by
 construction and read-only, and a writeable matrix, or one not of its
@@ -53,7 +55,7 @@ import numpy as np
 from .basis import BasisSet, QuantumNumbers
 from .errors import ConfigurationError, ConvergenceError
 from .hamiltonian import (
-    LaserField, PseudoHamiltonianMatrix, assemble, class_diagonal, class_layout,
+    PseudoHamiltonianMatrix, assemble, class_diagonal, class_layout,
 )
 
 DEGENERACY_GAP = 1e-10
@@ -162,25 +164,6 @@ def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     return EigenDecomposition(energies, vectors, matrix.basis, matrix.parity)
-
-
-def global_index(decomp: EigenDecomposition, index: int, laser: LaserField) -> int:
-    """Position of dressed state `index` in the ascending spectrum of the
-    whole basis at this field, whose class `decomp` solves (A^2/2 included,
-    as `assemble` builds every class).
-
-    This is its rank in the class plus the number of the other class's
-    levels below E_i; an empty other class (n0 = 1) has none.  In a tie
-    the even class comes first: a level equal to E_i counts as below when
-    the other class is the even one.
-    """
-    other = 1 - decomp.parity
-    if len(decomp.basis.class_positions(other)) == 0:
-        return index
-    levels = np.linalg.eigvalsh(assemble(decomp.basis, laser, parity=other).entries)
-    e_i = decomp.energy(index)
-    below = levels <= e_i if other == 0 else levels < e_i
-    return index + int(np.count_nonzero(below))
 
 
 def track_state(
@@ -378,22 +361,19 @@ def solve_tracked(basis, laser, target):
     Rayleigh-quotient iteration from the Ritz start of `target`
     (`_ritz_start`) solves with S; an overlap above 1/2 makes the vector
     reached the one `track_state` picks, since no other dressed state can
-    hold half of a unit vector.  Sylvester's law
-    of inertia on S counts the levels below E_i: in this class (the class
-    rank) and, folding whichever half of the other class has no bare level
-    near E_i, in the other class (`global_index` without a solve of it).
-    Each count reads the signs of S from its diagonal where scaled
-    Gershgorin discs certify them, and from `eigvalsh` of S elsewhere
-    (`_levels_below`); both give the same count.
+    hold half of a unit vector.  At A = 0 the start is the bare state
+    itself, whose residual is exactly 0.  Sylvester's law of inertia on S
+    counts the levels of this class below E_i (the class rank), reading
+    the signs of S from its diagonal where scaled Gershgorin discs certify
+    them, and from `eigvalsh` of S elsewhere (`_levels_below`); both give
+    the same count.  `levels_below` adds the other class's.
 
     Returns (decomposition of that one state, TrackedState of its index
     0, position in the spectrum of the whole basis: the class rank plus the
-    other class's levels below), or None at A = 0, without
-    convergence, at overlap <= 1/2, or if a sign the count reads lies
-    within _SIGN_GUARD of zero, which covers exact ties.
+    other class's levels below), or None without convergence, at overlap
+    <= 1/2, or if a sign the class rank reads lies within _SIGN_GUARD of
+    zero, which covers an exact tie within the class.
     """
-    if laser.amplitude_A == 0.0:
-        return None
     parity = target.parity
     even, odd, c = _halves(basis, laser, parity)
     target_row = int(np.searchsorted(basis.class_positions(parity),
@@ -411,18 +391,26 @@ def solve_tracked(basis, laser, target):
     if not overlap > 0.5:
         return None
     rank = _levels_below(d_k, d_x, c, rho, x_k)
-    other = _other_levels_below(basis, laser, 1 - parity, rho)
-    if rank is None or other is None:
+    if rank is None:
         return None
     column = np.empty(len(d_k) + len(d_x))
     column[rows_k], column[rows_x] = x_k, x_x
     decomp = EigenDecomposition(np.array([rho]), column[:, None], basis, parity)
+    other = levels_below(basis, laser, 1 - parity, rho)
     return decomp, TrackedState(0, overlap), rank + other
 
 
-def _other_levels_below(basis, laser, parity, rho):
-    """Levels of the class `parity` below rho, folding away the half whose
-    bare levels lie farthest from rho; None if the count is unsure."""
+def levels_below(basis, laser, parity, rho):
+    """Number of levels of the class `parity` below rho.  In a tie the even
+    class comes first: a level equal to rho counts as below when `parity`
+    is 0, so the count plus the rank of a level rho of the other class is
+    that level's position in the spectrum of the whole basis.
+
+    The half whose bare levels lie farthest from rho is folded away and
+    `_levels_below` counts; where that count is unsure, as at a level at
+    rho, `eigvalsh` of the assembled class gives it.  An empty class
+    (n0 = 1) has none.
+    """
     if len(basis.class_positions(parity)) == 0:
         return 0
     even, odd, c = _halves(basis, laser, parity)
@@ -431,5 +419,10 @@ def _other_levels_below(basis, laser, parity, rho):
         return np.abs(d - rho).min(initial=math.inf)
 
     if gap(even[1]) >= gap(odd[1]):
-        return _levels_below(odd[1], even[1], c.T, rho, None)
-    return _levels_below(even[1], odd[1], c, rho, None)
+        count = _levels_below(odd[1], even[1], c.T, rho, None)
+    else:
+        count = _levels_below(even[1], odd[1], c, rho, None)
+    if count is None:
+        levels = np.linalg.eigvalsh(assemble(basis, laser, parity=parity).entries)
+        count = np.count_nonzero(levels <= rho if parity == 0 else levels < rho)
+    return int(count)

@@ -24,11 +24,12 @@ which it equals at A = 0; it does not divide by A.
 A scan point (`IonizationScanPoint`) reads one dressed state, the one
 tracked from the initial bare state, and `eigensolver.solve_tracked`
 solves for it alone on half of its parity class.  Where that result
-cannot be certified, the point diagonalizes the whole class instead and
-records that it did (`full_solve`): the small components of such a
-vector, and so sigma of strongly suppressed branches, carry the full
-solve's rounding of about eps*|H|, while the folded solve's components
-are good to about 1e-13 relative.  Its observe is the one function that
+cannot be certified (overlap <= 1/2, no convergence, or an unsure class
+rank, as for 3s at A = 0, tied exactly with 3d0), the point diagonalizes
+the whole class instead and records that it did (`full_solve`): the
+small components of such a vector, and so sigma of strongly suppressed
+branches, carry the full solve's rounding of about eps*|H|, while the
+folded solve's components are good to about 1e-13 relative.  Its observe is the one function that
 takes `include_a2` (the command line's --drop-a2): without it the records
 read E_i less A^2/2, a shift of every level alike that moves no state.
 A point that raises is a `transitions.PointFailure` in the list `scan` returns.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .basis import _radial_norm, angular_x
 from .eigensolver import (
-    EigenDecomposition, diagonalize, global_index, solve_tracked, track_state,
+    EigenDecomposition, diagonalize, levels_below, solve_tracked, track_state,
 )
 from .errors import ConfigurationError, DomainError
 from .hamiltonian import LaserField, assemble
@@ -270,8 +271,9 @@ class IonizationScanPoint(ScanRecord):
         """The state tracked from `initial` and its records at one field.
 
         `solve_tracked` finds it on half of its class; where that result
-        cannot be certified, the class is assembled and diagonalized and
-        `track_state` and `global_index` pick and place the state.  Without
+        cannot be certified, the class is assembled and diagonalized,
+        `track_state` picks the state, and its class rank plus
+        `levels_below` of the other class places it.  Without
         include_a2 the records read E_i less A^2/2: the constant shifts
         every level alike, so the state, its overlap and its place stay.
         """
@@ -279,7 +281,9 @@ class IonizationScanPoint(ScanRecord):
         if solved is None:
             decomp = diagonalize(assemble(basis, laser, parity=initial.parity))
             tracked = track_state(decomp, initial)
-            index = global_index(decomp, tracked.index, laser)
+            index = tracked.index + levels_below(
+                basis, laser, 1 - initial.parity, decomp.energy(tracked.index)
+            )
         else:
             decomp, tracked, index = solved
         if not include_a2:

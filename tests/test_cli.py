@@ -97,6 +97,27 @@ def test_parse_config_refuses_a_value_of_the_wrong_type(overrides, key):
         parse_config(preset="fig3", overrides=overrides)
 
 
+# Keys the mode does not read, each an exit 2 on the command line, where the
+# subcommand has no such flag: parse_config refuses them too, naming the key
+# and the mode, where it would otherwise run without them.
+_UNREAD = [
+    (None, {"mode": "point", "n0": 3, "amplitude_vspm": 5e-6, "omega_ev": 0.5,
+            "count": 7}, "point", "count"),
+    ("fig1", {"drop_a2": True}, "spectrum", "drop_a2"),
+    ("fig3", {"mode": "spectrum", "amplitude_vspm": 5e-6, "omega_ev_start": 0.2,
+              "omega_ev_stop": 0.6}, "spectrum", "omega_ev"),
+]
+
+
+@pytest.mark.parametrize("preset, overrides, mode, key", _UNREAD,
+                         ids=["point-count", "fig1-drop-a2", "fig3-as-spectrum"])
+def test_parse_config_refuses_a_key_the_mode_does_not_read(preset, overrides, mode,
+                                                           key):
+    with pytest.raises(ConfigurationError,
+                       match=f"^mode {mode!r} does not read key {key!r}$"):
+        parse_config(preset=preset, overrides=overrides)
+
+
 @pytest.mark.parametrize("n0", [2.0, True], ids=repr)
 def test_enumerate_basis_takes_an_integer_n0(n0):
     with pytest.raises(ConfigurationError, match="n0 must be an integer"):
@@ -181,9 +202,9 @@ def test_ionization_at_n0_1_has_no_other_class(tmp_path):
     _, rows = _read_csv(out)
     assert [(row[2], row[5]) for row in rows] == [("0", "-1")]
     # the 60-digit integral composed with the same double inputs gives sigma =
-    # 0.0251422094306684146; this is the nearer of the two doubles the
-    # recurrence and the former closed form wrote
-    assert float(rows[0][8]) == 0.02514220943066841
+    # 0.0251422094306684146; on a branch whose partial waves add, sigma is
+    # good to 1e-13 relative
+    assert float(rows[0][8]) == pytest.approx(0.0251422094306684146, rel=1e-13, abs=0)
 
 
 def test_intensity_run(tmp_path):

@@ -4,8 +4,9 @@ A scan assembles only the class of its initial state
 (`assemble(..., parity=p)`) and `diagonalize` stores that class's
 energies and vectors.  These tests hold it to `numpy.linalg.eigh` and
 `scipy.linalg.eigh` of the whole-basis H of `tests/oracles.py`, check that
-the other class cannot be read, that `global_index` counts the other
-class's levels as a stable merge of both classes' spectra orders them,
+the other class cannot be read, that a level's class rank plus
+`levels_below` of the other class is its column in a stable merge of both
+classes' spectra,
 that no matrix over the whole basis is allocated on the scan path, and
 hold the CLI's CSVs to the full-matrix `scipy.linalg.eigh` with its
 default LAPACK routine, as the scans used before.
@@ -41,7 +42,7 @@ from laserhydrogen import (
     track_state,
     transition_table,
 )
-from laserhydrogen.eigensolver import global_index
+from laserhydrogen.eigensolver import levels_below
 from laserhydrogen.ionization import IonizationScanPoint
 from oracles import averaged_probability, ionization_rate, whole_hamiltonian
 
@@ -73,6 +74,14 @@ def _whole_eigh_of_class(basis, laser, parity, eigh=np.linalg.eigh):
         energies[cols], vectors[np.ix_(rows, cols)], basis, parity
     )
     return decomp, cols
+
+
+def _position(decomp, index, laser):
+    """Position of the class's dressed state `index` in the whole spectrum:
+    its class rank plus the other class's levels below it."""
+    return index + levels_below(
+        decomp.basis, laser, 1 - decomp.parity, decomp.energy(index)
+    )
 
 
 def _merged_columns(basis, laser):
@@ -147,7 +156,7 @@ def test_reading_the_solved_block_matches_the_full_solve(one_block):
     )
     tracked, tracked_full = track_state(decomp, GROUND), track_state(full, GROUND)
     assert tracked.overlap == pytest.approx(tracked_full.overlap, rel=1e-12)
-    assert global_index(decomp, tracked.index, laser) == cols[tracked_full.index]
+    assert _position(decomp, tracked.index, laser) == cols[tracked_full.index]
     final = QuantumNumbers(3, 2, 2)
     assert averaged_probability(decomp, GROUND, final) == pytest.approx(
         averaged_probability(full, GROUND, final), rel=1e-12
@@ -256,12 +265,12 @@ def test_dressed_index_is_the_position_in_the_full_spectrum(case):
     # two of them in different classes can tie exactly; evd returns such a
     # level to within a few ulp, so rounding orders a tie, in the class's
     # vector solve and in the eigenvalues alone that the merge and
-    # global_index compare, each its own way (exact ties:
+    # levels_below compare, each its own way (exact ties:
     # test_exact_cross_class_tie_at_zero_field).  Compare the other levels.
     resolution = 64 * np.finfo(float).eps * np.abs(merged).max()
     for i, e_i in enumerate(decomp.energies):
         if not np.any(np.abs(other - e_i) <= resolution):
-            assert global_index(decomp, i, laser) == cols[i]
+            assert _position(decomp, i, laser) == cols[i]
 
 
 @pytest.mark.parametrize("initial", [QuantumNumbers(2, 0, 0), ODD], ids=["even", "odd"])
@@ -269,7 +278,8 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     # At A = 0 the levels are the diagonal E_n + mu*omega: (2, 0, 0), even,
     # and (2, 1, 0), odd, both lie exactly at E_2.  A stable merge of the
     # classes' spectra, even class first, puts the even state of the tie
-    # first and the odd one second.
+    # first and the odd one second.  The fold certifies the tracked state of
+    # either, and an ionization point places it there without a class solve.
     laser = LaserField(0.0, 0.05)
     basis = enumerate_basis(3)
     cols, merged = _merged_columns(basis, laser)
@@ -281,7 +291,9 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     assert tie[1] == tie[0] + 1
     decomp = _class_solve(basis, laser, initial)
     tracked = track_state(decomp, initial)
-    assert global_index(decomp, tracked.index, laser) == tie[_parity(initial)]
+    assert _position(decomp, tracked.index, laser) == tie[_parity(initial)]
+    point = IonizationScanPoint.observe(basis, initial, laser, 0.0)
+    assert point.dressed_index == tie[_parity(initial)] and not point.full_solve
 
 
 @settings(max_examples=15, deadline=None)
@@ -358,10 +370,11 @@ class _FullEigh:
     LAPACK routine on the whole matrix, every eigenvector computed, then
     restricted to the class a matrix holds, as the scan keeps it.
 
-    `index` gives the column of a class level in that whole spectrum: the
-    dressed_index of the earlier scans.  A matrix does not keep its field,
-    so `assemble` stands in for the scans' own and records the field of the
-    matrix that the solve after it reads.
+    `levels_below` gives the number of the other class's columns before a
+    class level of energy rho in that whole spectrum, so that the class rank
+    plus it is the dressed_index of the earlier scans.  A matrix does not
+    keep its field, so `assemble` stands in for the scans' own and records
+    the field of the matrix that the solve after it reads.
     """
 
     def assemble(self, basis, laser, *, parity=0):
@@ -372,10 +385,12 @@ class _FullEigh:
         decomp, self.cols = _whole_eigh_of_class(
             matrix.basis, self.laser, matrix.parity, eigh=scipy.linalg.eigh,
         )
+        self.energies = decomp.energies
         return decomp
 
-    def index(self, decomp, index, laser):
-        return int(self.cols[index])
+    def levels_below(self, basis, laser, parity, rho):
+        index = int(np.searchsorted(self.energies, rho))
+        return int(self.cols[index]) - index
 
 
 def _run_both(tmp_path, monkeypatch, argv, reference):
@@ -387,7 +402,7 @@ def _run_both(tmp_path, monkeypatch, argv, reference):
     monkeypatch.setattr(ionization, "solve_tracked", lambda *args: None)
     monkeypatch.setattr(ionization, "assemble", reference.assemble)
     monkeypatch.setattr(ionization, "diagonalize", reference)
-    monkeypatch.setattr(ionization, "global_index", reference.index)
+    monkeypatch.setattr(ionization, "levels_below", reference.levels_below)
     assert cli.main(argv + ["--out", str(ref)]) == 0
     rows = []
     for path in (new, ref):

@@ -3,8 +3,9 @@
 `eigensolver.solve_tracked` folds H - rho onto the mu half of the class
 that holds the initial state and finds the tracked state by Rayleigh-
 quotient iteration, and counts levels by Sylvester's law of inertia.  These
-tests hold it to the full path (`diagonalize`, `track_state`,
-`global_index`) where it certifies its result, check that an ionization
+tests hold it to the full path (`diagonalize`, `track_state`, and the class
+rank plus `levels_below`) where it certifies its result, check that it
+returns the bare state at A = 0, check that an ionization
 point takes the full path where it does not, hold its column and sigma to
 an extended-precision refinement of the same eigenpair
 (`oracles.refined_eigenpair`), and check which points the `.meta.json`
@@ -32,7 +33,7 @@ from laserhydrogen.cli import main
 from laserhydrogen.eigensolver import (
     EigenDecomposition,
     diagonalize,
-    global_index,
+    levels_below,
     solve_tracked,
     track_state,
 )
@@ -41,6 +42,7 @@ from laserhydrogen.ionization import IonizationScanPoint, ionization_records
 from laserhydrogen.units import CONSTANTS, UnitSystem
 from oracles import refined_eigenpair
 from test_ionization import _FIG3_SIGMA, _bound_free_loop
+from test_one_block_solve import _merged_columns
 
 GROUND = QuantumNumbers(1, 0, 0)
 UNITS = UnitSystem()
@@ -58,6 +60,9 @@ FIG3 = ["ionization", "--n0", "10", "--omega-ev", "2.37",
         "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-6", "--count", "10"]
 NEAR_THRESHOLD = ["ionization", "--n0", "10", "--omega-ev", "13.585",
                   "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-6", "--count", "10"]
+# from A = 0, where the folded solve starts at the bare state itself
+ZERO_FIELD = ["ionization", "--n0", "6", "--omega-ev", "2.37",
+              "--a-vspm-start", "0", "--a-vspm-stop", "5e-6", "--count", "3"]
 # the warm sweep of the benchmark's ionization-n10 workload, seed 0
 BENCH_SEED0 = ["ionization", "--n0", "10", "--omega-ev", "2.37",
                "--a-vspm-start", "9.75356e-07", "--a-vspm-stop", "4.75531e-06",
@@ -67,7 +72,9 @@ BENCH_SEED0 = ["ionization", "--n0", "10", "--omega-ev", "2.37",
 def _full_path(basis, laser, initial):
     decomp = diagonalize(assemble(basis, laser, parity=initial.parity))
     tracked = track_state(decomp, initial)
-    return decomp, tracked, global_index(decomp, tracked.index, laser)
+    e_i = decomp.energy(tracked.index)
+    other = levels_below(basis, laser, 1 - initial.parity, e_i)
+    return decomp, tracked, tracked.index + other
 
 
 def _check_against_full_path(basis, laser, initial):
@@ -84,8 +91,15 @@ def _check_against_full_path(basis, laser, initial):
         return False
     one, state, position = folded
     assert state.index == 0  # the one dressed state it holds
-    assert position == index
     e_full = decomp.energies[tracked.index]
+    if position != index:
+        # An exact tie with a level of the other class, as of 2s with 2p0 at
+        # n0 = 2, where p_x couples neither: eigh's E_i, which the full path
+        # counts from, and the fold's exact one may lie on either side of it.
+        other = assemble(basis, laser, parity=1 - initial.parity).entries
+        resolution = 64 * np.finfo(float).eps * max(1.0, abs(e_full))
+        tied = np.abs(np.linalg.eigvalsh(other) - e_full) <= resolution
+        assert abs(position - index) <= np.count_nonzero(tied)
     assert abs(one.energy(state.index) - e_full) <= 1e-13 * max(1.0, abs(e_full))
     assert state.overlap > 0.5 and not state.ambiguous
     if abs(state.overlap - tracked.overlap) > 1e-11:
@@ -158,7 +172,11 @@ def _cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=_cases())
-@example(case=(3, GROUND, 0.0, 0.1)).via("A = 0 takes the full path")
+@example(case=(3, GROUND, 0.0, 0.1)).via("A = 0: the fold returns the bare state")
+@example(case=(3, QuantumNumbers(3, 0, 0), 0.0, 0.1)).via(
+    "A = 0: 3s ties 3d0 exactly and takes the full path")
+@example(case=(2, QuantumNumbers(2, 0, 0), 0.171875, 0.5)).via(
+    "2s ties 2p0 exactly at any A, and the fold certifies it")
 @example(case=(1, GROUND, 0.02, 0.7)).via("n0 = 1: the other class is empty")
 @example(case=(4, QuantumNumbers(2, 1, 0), 0.03, 0.18)).via("class 1, even half")
 def test_folded_solve_agrees_with_the_full_path(case):
@@ -171,10 +189,33 @@ def test_folded_solve_agrees_with_the_full_path(case):
 
 def test_zero_field_and_the_empty_other_class():
     basis = enumerate_basis(1)
-    assert solve_tracked(basis, LaserField(0.0, 0.7), GROUND) is None
+    one, state, index = solve_tracked(basis, LaserField(0.0, 0.7), GROUND)
+    assert (state.index, index, state.overlap) == (0, 0, 1.0)
+    assert one.energy(0) == -0.5
     one, state, index = solve_tracked(basis, LaserField(0.02, 0.7), GROUND)
     assert (state.index, index, state.overlap) == (0, 0, 1.0)
     assert one.energy(0) == -0.5 + 0.5 * 0.02**2
+
+
+@pytest.mark.parametrize("initial", [
+    GROUND, QuantumNumbers(2, 1, 1), QuantumNumbers(3, 1, -1), QuantumNumbers(2, 1, 0),
+], ids=["1s", "2p+1", "3p-1", "2p0"])
+def test_zero_field_folds_to_the_bare_state(initial):
+    # At A = 0 the class is diagonal: the Ritz start stops at the bare state,
+    # whose residual is exactly 0, and no other level of its class ties with
+    # it at this omega.  The position is the bare level's column in the
+    # stable merge of both classes' spectra, even class first in a tie, as
+    # 2p0 ties 2s and 3p-1 ties 3d-1.
+    basis, laser = enumerate_basis(4), LaserField(0.0, 0.087)
+    one, state, index = solve_tracked(basis, laser, initial)
+    diagonal = np.diag(assemble(basis, laser, parity=initial.parity).entries)
+    e_i = diagonal[np.searchsorted(one.rows, basis.position(initial))]
+    assert one.energy(0) == e_i
+    assert (state.index, state.overlap) == (0, 1.0)
+    assert np.count_nonzero(one.column(0)) == 1
+    assert np.count_nonzero(diagonal == e_i) == 1
+    cols, _ = _merged_columns(basis, laser)
+    assert index == cols[initial.parity][np.count_nonzero(diagonal < e_i)]
 
 
 @pytest.mark.parametrize("initial, argv, certified", [
@@ -307,19 +348,29 @@ def test_resonance_sigma_is_the_refined_eigenpair_sigma():
         np.testing.assert_allclose(sigma, exact, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("argv, full", [
-    (["ionization", "--preset", "fig3"], slice(0)),
-    (BENCH_SEED0, slice(0)),
-    (STRONG, slice(3, None)),
-], ids=["fig3", "ionization-n10-seed0", "strong-field"])
-def test_meta_lists_the_points_solved_in_full(tmp_path, argv, full):
+@pytest.mark.parametrize("argv, full, ambiguous", [
+    (["ionization", "--preset", "fig3"], slice(0), slice(0)),
+    (BENCH_SEED0, slice(0), slice(0)),
+    (STRONG, slice(3, None), slice(3, None)),
+    (["ionization", "--preset", "fig3", "--initial", "2", "0", "0"],
+     slice(2, None), slice(2, None)),
+    (["ionization", "--preset", "fig3", "--initial", "2", "1", "-1"],
+     slice(1, None), slice(1, None)),
+    (ZERO_FIELD, slice(0), slice(0)),
+    (ZERO_FIELD + ["--initial", "3", "0", "0"], slice(1), slice(0)),
+], ids=["fig3", "ionization-n10-seed0", "strong-field", "fig3-2s", "fig3-2p-1",
+        "zero-field-1s", "zero-field-3s"])
+def test_meta_lists_the_points_solved_in_full(tmp_path, argv, full, ambiguous):
     out = tmp_path / "ion.csv"
     assert main(argv + ["--out", str(out)]) == 0
     meta = json.loads((tmp_path / "ion.csv.meta.json").read_text())
     with open(out, newline="") as fh:
         axis = list(dict.fromkeys(float(r["A_vspm"]) for r in csv.DictReader(fh)))
-    # the strong-field sweep lists its last 5 points
+    # the strong-field sweep lists its last 5 points, and fig3's field from
+    # 2s and 2p-1 its last 8 and 9: each a point of overlap <= 1/2.  The
+    # zero-field sweep lists A = 0 only from 3s, which ties 3d0 exactly.
     assert meta["full_solve_axis_values"] == axis[full]
+    assert meta["ambiguous_axis_values"] == axis[ambiguous]
 
 
 def test_scan_solves_no_class_where_the_fold_certifies(monkeypatch):
