@@ -34,12 +34,12 @@ Gershgorin discs of S, scaled to a unit diagonal, leave out 0, and
 Ostrowski's bound puts every eigenvalue the count reads outside the sign
 guard that `eigvalsh` of S is held to, the discs certify the count that
 `eigvalsh` would give; elsewhere `eigvalsh` gives it.  A count of the
-other class that `eigvalsh` of S leaves unsure, as at an exact tie with
-E_i, comes from `eigvalsh` of that class.  The positions and p_x values
-of the couplings between the two halves are kept once per basis and
-class.  It returns that one state as a decomposition of a single column;
-where the state or its class rank cannot be certified it returns None,
-and the caller solves the class with `diagonalize`.
+other class that the guard leaves unsure, as at an exact tie with E_i,
+comes from `eigvalsh` of that class (`levels_below`).  The positions and
+p_x values of the couplings between the two halves are kept once per
+basis and class.  It returns that one state as a decomposition of a
+single column; where the result cannot be certified it returns None, and
+the caller solves the class with `diagonalize`.
 
 Only matrices that `assemble` built are solved: they are symmetric by
 construction and read-only, and a writeable matrix, or one not of its
@@ -66,6 +66,7 @@ _RITZ_STEPS = 3  # Davidson steps that grow the subspace of RQI's start
 _RESIDUAL_TOL = 1e3 * _EPS  # |H x - rho x| against the size of H
 _SIGN_GUARD = 1e6 * _EPS  # a counted sign closer to 0 than this is unsure
 _DISC_ROUNDING = 8  # eigvalsh's rounding of an eigenvalue, in len(S) eps |S|
+_TIE = 16 * _EPS  # levels of two classes this close, in max(1, |level|), tie
 
 _log = logging.getLogger(__name__)
 
@@ -220,8 +221,8 @@ def _levels_below(d_k, d_x, c, rho, x_k):
     if (np.abs(d_x - rho) <= _SIGN_GUARD * scale).any():
         return None  # before the fold, which divides by each d_x - rho
     s, w = _fold(d_k, d_x, c, rho)
-    # S is summed from terms up to this size, and rounded on that scale
-    size = np.abs(d_k - rho).max() + (
+    # S is summed from terms up to this size (d_k - rho from d_k and rho)
+    size = max(np.abs(d_k).max(), abs(rho)) + (
         np.abs(c) @ (np.abs(w) * np.abs(c).sum(axis=0))
     ).max(initial=0.0)
     below = int(np.count_nonzero(d_x < rho))
@@ -401,15 +402,14 @@ def solve_tracked(basis, laser, target):
 
 
 def levels_below(basis, laser, parity, rho):
-    """Number of levels of the class `parity` below rho.  In a tie the even
-    class comes first: a level equal to rho counts as below when `parity`
-    is 0, so the count plus the rank of a level rho of the other class is
-    that level's position in the spectrum of the whole basis.
+    """Number of levels of the class `parity` below rho, the even class
+    first in a tie: a level within _TIE * max(1, |rho|, |level|) of rho
+    counts as below when `parity` is 0.  So the count plus the rank of a
+    level rho of the other class is its position in the whole spectrum.
 
-    The half whose bare levels lie farthest from rho is folded away and
-    `_levels_below` counts; where that count is unsure, as at a level at
-    rho, `eigvalsh` of the assembled class gives it.  An empty class
-    (n0 = 1) has none.
+    `_levels_below` counts, the half farthest from rho folded away; where
+    its guard leaves it unsure, as at a tie on either side of which rho
+    rounds, `eigvalsh` of the class counts.  n0 = 1 has no odd level.
     """
     if len(basis.class_positions(parity)) == 0:
         return 0
@@ -424,5 +424,8 @@ def levels_below(basis, laser, parity, rho):
         count = _levels_below(even[1], odd[1], c, rho, None)
     if count is None:
         levels = np.linalg.eigvalsh(assemble(basis, laser, parity=parity).entries)
-        count = np.count_nonzero(levels <= rho if parity == 0 else levels < rho)
+        window = _TIE * max(1.0, abs(rho), np.abs(levels).max())
+        count = np.count_nonzero(
+            levels <= rho + window if parity == 0 else levels < rho - window
+        )
     return int(count)

@@ -25,11 +25,11 @@ A scan point (`IonizationScanPoint`) reads one dressed state, the one
 tracked from the initial bare state, and `eigensolver.solve_tracked`
 solves for it alone on half of its parity class.  Where that result
 cannot be certified (overlap <= 1/2, no convergence, or an unsure class
-rank, as for 3s at A = 0, tied exactly with 3d0), the point diagonalizes
-the whole class instead and records that it did (`full_solve`): the
-small components of such a vector, and so sigma of strongly suppressed
-branches, carry the full solve's rounding of about eps*|H|, while the
-folded solve's components are good to about 1e-13 relative.  Its observe is the one function that
+rank, as for 3s at A = 0), the point diagonalizes the whole class and
+records that it did (`full_solve`): the small components of such a
+vector, and so sigma of strongly suppressed branches, carry the full
+solve's rounding of about eps*|H|, while the folded solve's components
+are good to about 1e-13 relative.  Its observe is the one function that
 takes `include_a2` (the command line's --drop-a2): without it the records
 read E_i less A^2/2, a shift of every level alike that moves no state.
 A point that raises is a `transitions.PointFailure` in the list `scan` returns.
@@ -272,8 +272,7 @@ class IonizationScanPoint(ScanRecord):
 
         `solve_tracked` finds it on half of its class; where that result
         cannot be certified, the class is assembled and diagonalized,
-        `track_state` picks the state, and its class rank plus
-        `levels_below` of the other class places it.  Without
+        `track_state` picks the state, and `levels_below` places it.  Without
         include_a2 the records read E_i less A^2/2: the constant shifts
         every level alike, so the state, its overlap and its place stay.
         """
@@ -281,9 +280,8 @@ class IonizationScanPoint(ScanRecord):
         if solved is None:
             decomp = diagonalize(assemble(basis, laser, parity=initial.parity))
             tracked = track_state(decomp, initial)
-            index = tracked.index + levels_below(
-                basis, laser, 1 - initial.parity, decomp.energy(tracked.index)
-            )
+            e_i = decomp.energy(tracked.index)
+            index = tracked.index + levels_below(basis, laser, 1 - initial.parity, e_i)
         else:
             decomp, tracked, index = solved
         if not include_a2:

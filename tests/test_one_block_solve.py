@@ -296,6 +296,25 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     assert point.dressed_index == tie[_parity(initial)] and not point.full_solve
 
 
+@pytest.mark.parametrize("initial, position", [(QuantumNumbers(2, 0, 0), 2), (ODD, 3)],
+                         ids=["even", "odd"])
+def test_exact_cross_class_tie_in_a_field(initial, position):
+    # At n0 = 2, p_x has no element between states of one shell, so it
+    # couples neither 2s, even, nor 2p0, odd and alone in its class: both
+    # stay at E_2 + A^2/2 at every field.  Below them lie 2p-1 and 1s, and
+    # even class first, 2s is at 2 and 2p0 at 3.  The fold places either
+    # there without a class solve, and the count of the other class is the
+    # tie rule's at the level and one ulp to either side of it.
+    basis, laser = enumerate_basis(2), LaserField(0.171875, 0.5)
+    (level,) = np.linalg.eigvalsh(assemble(basis, laser, parity=1).entries)
+    assert level == -0.125 + 0.171875**2 / 2
+    point = IonizationScanPoint.observe(basis, initial, laser, 0.0)
+    assert point.dressed_index == position and not point.full_solve
+    for rho in (np.nextafter(level, -1.0), level, np.nextafter(level, 0.0)):
+        assert levels_below(basis, laser, 1, rho) == 0
+        assert levels_below(basis, laser, 0, rho) == 3
+
+
 @settings(max_examples=15, deadline=None)
 @given(case=_cases())
 def test_ionization_records_are_physical(case):
