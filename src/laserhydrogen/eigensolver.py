@@ -38,8 +38,8 @@ other class that the guard leaves unsure, as at an exact tie with E_i,
 comes from `eigvalsh` of that class (`levels_below`).  The positions and
 p_x values of the couplings between the two halves are kept once per
 basis and class.  It returns that one state as a decomposition of a
-single column; where the result cannot be certified it returns None, and
-the caller solves the class with `diagonalize`.
+single column; where the fold cannot certify it, `diagonalize` picks the
+state and the iteration restarts from that state's column.
 
 Only matrices that `assemble` built are solved: they are symmetric by
 construction and read-only, and a writeable matrix, or one not of its
@@ -61,7 +61,7 @@ from .hamiltonian import (
 DEGENERACY_GAP = 1e-10
 
 _EPS = np.finfo(float).eps
-_RQI_STEPS = 30  # Rayleigh-quotient steps before the full solve takes over
+_RQI_STEPS = 30  # Rayleigh-quotient steps before the class solve takes over
 _RITZ_STEPS = 3  # Davidson steps that grow the subspace of RQI's start
 _RESIDUAL_TOL = 1e3 * _EPS  # |H x - rho x| against the size of H
 _SIGN_GUARD = 1e6 * _EPS  # a counted sign closer to 0 than this is unsure
@@ -314,17 +314,16 @@ def _ritz_start(d_k, d_x, c, start):
     return x[:n], x[n:]
 
 
-def _rayleigh_quotient_iteration(d_k, d_x, c, start):
+def _rayleigh_quotient_iteration(d_k, d_x, c, x_k, x_x):
     """(rho, x_k, x_x) of the eigenpair of [[D_k, C], [C^T, D_x]] that
-    Rayleigh-quotient iteration from the Ritz start (`_ritz_start`) of unit
-    vector `start` of the k half reaches, or None within _RQI_STEPS or
-    where rho equals a d_x exactly.  Each step solves (H - rho) y = x on the
-    k half through S(rho) and the x half by back-substitution; it stops one
-    step after the residual over the whole class first passes."""
+    Rayleigh-quotient iteration from the unit vector (x_k, x_x) reaches, or
+    None within _RQI_STEPS or where rho equals a d_x exactly.  Each step
+    solves (H - rho) y = x on the k half through S(rho) and the x half by
+    back-substitution; it stops one step after the residual over the whole
+    class first passes."""
     size = max(np.abs(d_k).max(initial=0.0), np.abs(d_x).max(initial=0.0)) + max(
         np.abs(c).sum(axis=1).max(initial=0.0), np.abs(c).sum(axis=0).max(initial=0.0)
     )
-    x_k, x_x = _ritz_start(d_k, d_x, c, start)
     passed = False
     for _ in range(_RQI_STEPS):
         h_k, h_x = d_k * x_k + c @ x_x, d_x * x_x + c.T @ x_k
@@ -351,9 +350,41 @@ def _rayleigh_quotient_iteration(d_k, d_x, c, start):
     return None
 
 
+def _target_halves(basis, laser, target):
+    """(rows_k, d_k, rows_x, d_x, C, start) of `_halves`, k the mu half
+    that holds `target`, C with k rows, and start the row of `target` in k."""
+    k, x, c = _halves(basis, laser, target.parity)
+    row = np.searchsorted(basis.class_positions(target.parity), basis.position(target))
+    if row not in k[0]:
+        k, x, c = x, k, c.T
+    return *k, *x, c, int(np.searchsorted(k[0], row))
+
+
+def _placed(basis, laser, target, halves, pair, rank):
+    """solve_tracked's result for eigenpair `pair` of class rank `rank`."""
+    rows_k, _, rows_x, _, _, start = halves
+    rho, x_k, x_x = pair
+    column = np.empty(len(rows_k) + len(rows_x))
+    column[rows_k], column[rows_x] = x_k, x_x
+    decomp = EigenDecomposition(np.array([rho]), column[:, None], basis, target.parity)
+    other = levels_below(basis, laser, 1 - target.parity, rho)
+    return decomp, TrackedState(0, float(x_k[start] ** 2)), rank + other
+
+
+def _solve_folded(basis, laser, target):
+    """`solve_tracked`'s result where the fold alone certifies it, else None
+    (no convergence, overlap <= 1/2, or a class rank's sign within guard)."""
+    _, d_k, _, d_x, c, start = halves = _target_halves(basis, laser, target)
+    pair = _rayleigh_quotient_iteration(d_k, d_x, c, *_ritz_start(d_k, d_x, c, start))
+    if pair is None or not pair[1][start] ** 2 > 0.5:
+        return None
+    rank = _levels_below(d_k, d_x, c, pair[0], pair[1])
+    return None if rank is None else _placed(basis, laser, target, halves, pair, rank)
+
+
 def solve_tracked(basis, laser, target):
     """The dressed state tracked from bare state `target`, solved on half
-    of its parity class, or None where the result cannot be certified.
+    of its parity class.
 
     p_x changes mu by one, so inside a class every coupling joins a mu-even
     state to a mu-odd one and each half has a diagonal block D alone.  H -
@@ -369,36 +400,27 @@ def solve_tracked(basis, laser, target):
     them, and from `eigvalsh` of S elsewhere (`_levels_below`); both give
     the same count.  `levels_below` adds the other class's.
 
+    Where the fold does not certify the state (`_solve_folded`),
+    `diagonalize` and `track_state` pick it and its class rank, and the
+    iteration restarts from their column, which stands only where the
+    iteration fails or leaves the state.
+
     Returns (decomposition of that one state, TrackedState of its index
     0, position in the spectrum of the whole basis: the class rank plus the
-    other class's levels below), or None without convergence, at overlap
-    <= 1/2, or if a sign the class rank reads lies within _SIGN_GUARD of
-    zero, which covers an exact tie within the class.
+    other class's levels below).
     """
-    parity = target.parity
-    even, odd, c = _halves(basis, laser, parity)
-    target_row = int(np.searchsorted(basis.class_positions(parity),
-                                     basis.position(target)))
-    if target_row in even[0]:
-        (rows_k, d_k), (rows_x, d_x) = even, odd
-    else:
-        (rows_k, d_k), (rows_x, d_x), c = odd, even, c.T
-    start = int(np.searchsorted(rows_k, target_row))
-    pair = _rayleigh_quotient_iteration(d_k, d_x, c, start)
-    if pair is None:
-        return None
-    rho, x_k, x_x = pair
-    overlap = float(x_k[start] ** 2)
-    if not overlap > 0.5:
-        return None
-    rank = _levels_below(d_k, d_x, c, rho, x_k)
-    if rank is None:
-        return None
-    column = np.empty(len(d_k) + len(d_x))
-    column[rows_k], column[rows_x] = x_k, x_x
-    decomp = EigenDecomposition(np.array([rho]), column[:, None], basis, parity)
-    other = levels_below(basis, laser, 1 - parity, rho)
-    return decomp, TrackedState(0, overlap), rank + other
+    solved = _solve_folded(basis, laser, target)
+    if solved is not None:
+        return solved
+    decomp = diagonalize(assemble(basis, laser, parity=target.parity))
+    tracked = track_state(decomp, target)
+    rows_k, d_k, rows_x, d_x, c, _ = halves = _target_halves(basis, laser, target)
+    column = decomp.column(tracked.index)
+    x_k, x_x = column[rows_k], column[rows_x]
+    pair = _rayleigh_quotient_iteration(d_k, d_x, c, x_k, x_x)
+    if pair is None or not (pair[1] @ x_k + pair[2] @ x_x) ** 2 > 0.5:
+        pair = decomp.energy(tracked.index), x_k, x_x
+    return _placed(basis, laser, target, halves, pair, tracked.index)
 
 
 def levels_below(basis, laser, parity, rho):

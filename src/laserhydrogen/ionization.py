@@ -23,13 +23,8 @@ which it equals at A = 0; it does not divide by A.
 
 A scan point (`IonizationScanPoint`) reads one dressed state, the one
 tracked from the initial bare state, and `eigensolver.solve_tracked`
-solves for it alone on half of its parity class.  Where that result
-cannot be certified (overlap <= 1/2, no convergence, or an unsure class
-rank, as for 3s at A = 0), the point diagonalizes the whole class and
-records that it did (`full_solve`): the small components of such a
-vector, and so sigma of strongly suppressed branches, carry the full
-solve's rounding of about eps*|H|, while the folded solve's components
-are good to about 1e-13 relative.  Its observe is the one function that
+solves for it on half of its parity class; its components are good to
+about 1e-13 relative, however small.  Its observe is the one function that
 takes `include_a2` (the command line's --drop-a2): without it the records
 read E_i less A^2/2, a shift of every level alike that moves no state.
 A point that raises is a `transitions.PointFailure` in the list `scan` returns.
@@ -43,11 +38,9 @@ from operator import itemgetter
 import numpy as np
 
 from .basis import _radial_norm, angular_x
-from .eigensolver import (
-    EigenDecomposition, diagonalize, levels_below, solve_tracked, track_state,
-)
+from .eigensolver import EigenDecomposition, solve_tracked
 from .errors import ConfigurationError, DomainError
-from .hamiltonian import LaserField, assemble
+from .hamiltonian import LaserField
 from .transitions import ScanRecord
 from .units import BINDING_ENERGY_AU, CONSTANTS
 
@@ -192,11 +185,12 @@ def _bound_free_channels(basis, parity):
 
 
 def bound_free_element(
-    decomp: EigenDecomposition, dressed_index: int, mu: int, e_f0: float
+    decomp: EigenDecomposition, index: int, mu: int, e_f0: float
 ) -> np.ndarray:
-    """<psi_f0|p_x|phi_i> with the i^l real phase convention, of each
-    partial wave l_f = |mu| .. n0 of the branch mu at photoelectron energy
-    e_f0 > 0 (DomainError otherwise).
+    """<psi_f0|p_x|phi_i>, phi_i the dressed state of column `index` of
+    `decomp`, with the i^l real phase convention, of each partial wave
+    l_f = |mu| .. n0 of the branch mu at photoelectron energy e_f0 > 0
+    (DomainError otherwise).
 
     The golden-rule element of A p_x + A^2/2 is A times this: the A^2/2
     constant contributes exactly zero, because bound and continuum
@@ -216,19 +210,18 @@ def bound_free_element(
     up, down = _bound_free_ladders(n0, max(abs(mu) - 1, 0), math.sqrt(2.0 * e_f0))
     radial = np.where(l_b < l_f, up[n, l_b], down[n, l_b])
     # p_x(f, b) = (E_b - E_f0) * x_fb, the commutator relation of the basis
-    terms = decomp.column(dressed_index)[rows] * ((energy - e_f0) * (factor * radial))
+    terms = decomp.column(index)[rows] * ((energy - e_f0) * (factor * radial))
     return np.bincount(l_f - abs(mu), weights=terms, minlength=waves)
 
 
-def ionization_records(
-    decomp: EigenDecomposition, dressed_index: int, laser: LaserField
-):
-    """IonizationRecord per open mu branch; empty if no channel is open.
+def ionization_records(decomp: EigenDecomposition, index: int, laser: LaserField):
+    """IonizationRecord per open mu branch of the dressed state of column
+    `index` of `decomp`; empty if no channel is open.
 
     Each branch sums the continuum partial waves l_f = |mu| .. n0: the
     largest bound l, n0 - 1, plus one dipole step.
     """
-    e_i = decomp.energy(dressed_index)
+    e_i = decomp.energy(index)
     n0 = decomp.basis.n0
     alpha = CONSTANTS.fine_structure_alpha
     records = []
@@ -236,7 +229,7 @@ def ionization_records(
         e_f0 = photoelectron_energy(e_i, mu, laser.omega)
         if e_f0 <= 0:
             continue
-        p = bound_free_element(decomp, dressed_index, mu, e_f0)
+        p = bound_free_element(decomp, index, mu, e_f0)
         p_squared = sum(p_l ** 2 for p_l in p.tolist())
         records.append(
             IonizationRecord(
@@ -253,13 +246,11 @@ def ionization_records(
 @dataclass(frozen=True)
 class IonizationScanPoint(ScanRecord):
     """The tracked initial dressed state at one field point and its
-    IonizationRecords.  full_solve marks a point whose tracked state came
-    from the solve of its whole class."""
+    IonizationRecords."""
 
     dressed_index: int  # position in the spectrum of the whole basis
     overlap: float
     records: tuple
-    full_solve: bool
 
     @property
     def ambiguous(self) -> bool:
@@ -270,23 +261,13 @@ class IonizationScanPoint(ScanRecord):
     def observe(cls, basis, initial, laser, axis_value, *, include_a2=True):
         """The state tracked from `initial` and its records at one field.
 
-        `solve_tracked` finds it on half of its class; where that result
-        cannot be certified, the class is assembled and diagonalized,
-        `track_state` picks the state, and `levels_below` places it.  Without
-        include_a2 the records read E_i less A^2/2: the constant shifts
-        every level alike, so the state, its overlap and its place stay.
+        `solve_tracked` finds it on half of its class.  Without include_a2
+        the records read E_i less A^2/2: the constant shifts every level
+        alike, so the state, its overlap and its place stay.
         """
-        solved = solve_tracked(basis, laser, initial)
-        if solved is None:
-            decomp = diagonalize(assemble(basis, laser, parity=initial.parity))
-            tracked = track_state(decomp, initial)
-            e_i = decomp.energy(tracked.index)
-            index = tracked.index + levels_below(basis, laser, 1 - initial.parity, e_i)
-        else:
-            decomp, tracked, index = solved
+        decomp, tracked, index = solve_tracked(basis, laser, initial)
         if not include_a2:
             shift = 0.5 * laser.amplitude_A**2
             decomp = replace(decomp, energies=decomp.energies - shift)
         records = tuple(ionization_records(decomp, tracked.index, laser))
-        return cls(axis_value, index, tracked.overlap, records,
-                   full_solve=solved is None)
+        return cls(axis_value, index, tracked.overlap, records)

@@ -60,20 +60,19 @@ def bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
     return float((up if l_f > l_b else down)[n, l_b])
 
 
-def partial_wave_elements(decomp, dressed_index, record):
+def partial_wave_elements(decomp, index, record):
     """[p_l for l_f = |mu| .. n0] on the record's branch: bound_free_element,
-    the golden-rule element per unit A, of each partial wave that sigma sums."""
-    return bound_free_element(
-        decomp, dressed_index, record.mu_branch, record.E_f0
-    ).tolist()
+    the golden-rule element per unit A, of each partial wave that sigma sums,
+    for the dressed state of column `index` of `decomp`."""
+    return bound_free_element(decomp, index, record.mu_branch, record.E_f0).tolist()
 
 
-def ionization_rate(decomp, dressed_index, record, amplitude) -> float:
+def ionization_rate(decomp, index, record, amplitude) -> float:
     """Golden-rule transitions per unit time on the record's branch,
     sum_l 2 pi (A p_l)^2 in atomic units."""
     return sum(
         2.0 * math.pi * (amplitude * p) ** 2
-        for p in partial_wave_elements(decomp, dressed_index, record)
+        for p in partial_wave_elements(decomp, index, record)
     )
 
 

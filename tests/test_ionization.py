@@ -115,13 +115,13 @@ def test_zero_field_records_are_the_one_photon_limit():
     assert sigma and all(value == 0.0 for value in sigma.values())
 
 
-def _bound_free_loop(decomp, dressed_index, mu, l_f, e_f0):
+def _bound_free_loop(decomp, index, mu, l_f, e_f0):
     """p_l of the partial wave l_f of the branch mu as a loop over every
     state the decomposition holds, the reference for the per-branch arrays
     of bound_free_element."""
     k = math.sqrt(2.0 * e_f0)
     total = 0.0
-    for c, j in zip(decomp.column(dressed_index), decomp.rows):
+    for c, j in zip(decomp.column(index), decomp.rows):
         b = decomp.basis.states[j]
         if abs(l_f - b.l) != 1 or abs(mu - b.mu) != 1:
             continue

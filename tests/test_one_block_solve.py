@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laserhydrogen.cli as cli
-import laserhydrogen.ionization as ionization
+import laserhydrogen.eigensolver as eigensolver
 import laserhydrogen.transitions as transitions
 from laserhydrogen import (
     DEGENERACY_GAP,
@@ -279,7 +279,7 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     # and (2, 1, 0), odd, both lie exactly at E_2.  A stable merge of the
     # classes' spectra, even class first, puts the even state of the tie
     # first and the odd one second.  The fold certifies the tracked state of
-    # either, and an ionization point places it there without a class solve.
+    # either, and an ionization point places it there.
     laser = LaserField(0.0, 0.05)
     basis = enumerate_basis(3)
     cols, merged = _merged_columns(basis, laser)
@@ -293,7 +293,8 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     tracked = track_state(decomp, initial)
     assert _position(decomp, tracked.index, laser) == tie[_parity(initial)]
     point = IonizationScanPoint.observe(basis, initial, laser, 0.0)
-    assert point.dressed_index == tie[_parity(initial)] and not point.full_solve
+    assert point.dressed_index == tie[_parity(initial)]
+    assert eigensolver._solve_folded(basis, laser, initial) is not None
 
 
 @pytest.mark.parametrize("initial, position", [(QuantumNumbers(2, 0, 0), 2), (ODD, 3)],
@@ -303,13 +304,14 @@ def test_exact_cross_class_tie_in_a_field(initial, position):
     # couples neither 2s, even, nor 2p0, odd and alone in its class: both
     # stay at E_2 + A^2/2 at every field.  Below them lie 2p-1 and 1s, and
     # even class first, 2s is at 2 and 2p0 at 3.  The fold places either
-    # there without a class solve, and the count of the other class is the
-    # tie rule's at the level and one ulp to either side of it.
+    # there, and the count of the other class is the tie rule's at the
+    # level and one ulp to either side of it.
     basis, laser = enumerate_basis(2), LaserField(0.171875, 0.5)
     (level,) = np.linalg.eigvalsh(assemble(basis, laser, parity=1).entries)
     assert level == -0.125 + 0.171875**2 / 2
     point = IonizationScanPoint.observe(basis, initial, laser, 0.0)
-    assert point.dressed_index == position and not point.full_solve
+    assert point.dressed_index == position
+    assert eigensolver._solve_folded(basis, laser, initial) is not None
     for rho in (np.nextafter(level, -1.0), level, np.nextafter(level, 0.0)):
         assert levels_below(basis, laser, 1, rho) == 0
         assert levels_below(basis, laser, 0, rho) == 3
@@ -389,8 +391,8 @@ class _FullEigh:
     LAPACK routine on the whole matrix, every eigenvector computed, then
     restricted to the class a matrix holds, as the scan keeps it.
 
-    `levels_below` gives the number of the other class's columns before a
-    class level of energy rho in that whole spectrum, so that the class rank
+    `levels_below` gives the number of the other class's columns before the
+    class level nearest rho in that whole spectrum, so that the class rank
     plus it is the dressed_index of the earlier scans.  A matrix does not
     keep its field, so `assemble` stands in for the scans' own and records
     the field of the matrix that the solve after it reads.
@@ -408,7 +410,7 @@ class _FullEigh:
         return decomp
 
     def levels_below(self, basis, laser, parity, rho):
-        index = int(np.searchsorted(self.energies, rho))
+        index = int(np.argmin(np.abs(self.energies - rho)))
         return int(self.cols[index]) - index
 
 
@@ -417,11 +419,12 @@ def _run_both(tmp_path, monkeypatch, argv, reference):
     assert cli.main(argv + ["--out", str(new)]) == 0
     monkeypatch.setattr(transitions, "assemble", reference.assemble)
     monkeypatch.setattr(transitions, "diagonalize", reference)
-    # an ionization point takes the full path: the reference solve and index
-    monkeypatch.setattr(ionization, "solve_tracked", lambda *args: None)
-    monkeypatch.setattr(ionization, "assemble", reference.assemble)
-    monkeypatch.setattr(ionization, "diagonalize", reference)
-    monkeypatch.setattr(ionization, "levels_below", reference.levels_below)
+    # an ionization point's state and index come from the reference solve,
+    # from whose column the fold restarts
+    monkeypatch.setattr(eigensolver, "_solve_folded", lambda *args: None)
+    monkeypatch.setattr(eigensolver, "assemble", reference.assemble)
+    monkeypatch.setattr(eigensolver, "diagonalize", reference)
+    monkeypatch.setattr(eigensolver, "levels_below", reference.levels_below)
     assert cli.main(argv + ["--out", str(ref)]) == 0
     rows = []
     for path in (new, ref):

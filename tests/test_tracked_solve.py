@@ -3,15 +3,17 @@
 `eigensolver.solve_tracked` folds H - rho onto the mu half of the class
 that holds the initial state and finds the tracked state by Rayleigh-
 quotient iteration, and counts levels by Sylvester's law of inertia.  These
-tests hold it to the full path (`diagonalize`, `track_state`, and the class
-rank plus `levels_below`) where it certifies its result, check that it
-returns the bare state at A = 0, check that an ionization
-point takes the full path where it does not, hold its column and sigma to
-an extended-precision refinement of the same eigenpair
-(`oracles.refined_eigenpair`), and check which points the `.meta.json`
-lists as solved in full.  They hold the Gershgorin-disc level counts to
-`eigvalsh` of the same folded matrix, and the mu-half blocks built from
-the cached class layout to the assembled class, bit for bit.
+tests hold the fold alone (`eigensolver._solve_folded`) to the full path
+(`diagonalize`, `track_state`, and the class rank plus `levels_below`)
+where it certifies its result, check that it returns the bare state at
+A = 0, hold `solve_tracked` to the full path's state and index where the
+fold does not certify it, hold its column and sigma to an
+extended-precision refinement of the same eigenpair
+(`oracles.refined_eigenpair`), at the points the fold certifies and at
+those where the class solve picks the state, and check which points the
+`.meta.json` lists as ambiguous.  They hold the Gershgorin-disc level
+counts to `eigvalsh` of the same folded matrix, and the mu-half blocks
+built from the cached class layout to the assembled class, bit for bit.
 """
 
 import csv
@@ -78,18 +80,19 @@ def _full_path(basis, laser, initial):
 
 
 def _check_against_full_path(basis, laser, initial):
-    """solve_tracked agrees with the full path where it certifies, and the
-    scan point is the full path's where it does not; True if certified."""
+    """The fold alone agrees with the full path where it certifies; where it
+    does not, solve_tracked gives the full path's state and index, E_i to
+    1e-13 and the overlap to eps*|H|/gap, and the scan point is
+    solve_tracked's.  True if the fold certified."""
     decomp, tracked, index = _full_path(basis, laser, initial)
-    folded = solve_tracked(basis, laser, initial)
+    folded = eigensolver._solve_folded(basis, laser, initial)
     if folded is None:
+        one, state, position = solve_tracked(basis, laser, initial)
         point = IonizationScanPoint.observe(basis, initial, laser, 0.5)
-        records = tuple(ionization_records(decomp, tracked.index, laser))
-        assert point == IonizationScanPoint(
-            0.5, index, tracked.overlap, records, True
-        )
-        return False
-    one, state, position = folded
+        records = tuple(ionization_records(one, state.index, laser))
+        assert point == IonizationScanPoint(0.5, position, state.overlap, records)
+    else:
+        one, state, position = folded
     assert state.index == 0  # the one dressed state it holds
     assert position == index
     e_full = decomp.energies[tracked.index]
@@ -106,11 +109,14 @@ def _check_against_full_path(basis, laser, initial):
     below = np.count_nonzero((other < e_full) & ~tied)
     assert position == tracked.index + below + initial.parity * np.count_nonzero(tied)
     assert abs(one.energy(state.index) - e_full) <= 1e-13 * max(1.0, abs(e_full))
-    assert state.overlap > 0.5 and not state.ambiguous
+    if folded is not None:
+        assert state.overlap > 0.5 and not state.ambiguous
     if abs(state.overlap - tracked.overlap) > 1e-11:
         # Near a level a gap apart, eigh's vector carries rounding of about
-        # eps*|H|/gap; the refined eigenpair decides, and the fold holds it
-        # to 1e-11.
+        # eps*|H|/gap; the refined eigenpair decides.  The fold holds it to
+        # 1e-11 where it certifies the state; restarted from eigh's vector
+        # next to a level of its own class, any solver is held to that
+        # rounding alone.
         vector, _ = refined_eigenpair(
             assemble(basis, laser, parity=initial.parity).entries,
             one.column(state.index), one.energy(state.index),
@@ -118,9 +124,9 @@ def _check_against_full_path(basis, laser, initial):
         exact = vector[np.searchsorted(decomp.rows, basis.position(initial))] ** 2
         gap = np.delete(np.abs(decomp.energies - e_full), tracked.index).min()
         rounding = 2 * np.finfo(float).eps * np.abs(decomp.energies).max() / gap
-        assert abs(state.overlap - exact) <= 1e-11
+        assert abs(state.overlap - exact) <= (1e-11 if folded is not None else rounding)
         assert abs(tracked.overlap - exact) <= rounding
-    return True
+    return folded is not None
 
 
 def _sweep(argv):
@@ -179,7 +185,7 @@ def _cases(draw):
 @given(case=_cases())
 @example(case=(3, GROUND, 0.0, 0.1)).via("A = 0: the fold returns the bare state")
 @example(case=(3, QuantumNumbers(3, 0, 0), 0.0, 0.1)).via(
-    "A = 0: 3s ties 3d0 exactly and takes the full path")
+    "A = 0: 3s ties 3d0 exactly and the class solve picks it")
 @example(case=(2, QuantumNumbers(2, 0, 0), 0.171875, 0.5)).via(
     "2s ties 2p0 exactly at any A, and the fold certifies it")
 @example(case=(2, QuantumNumbers(2, 0, 0), 0.46875, 0.46875)).via(
@@ -194,12 +200,38 @@ def test_folded_solve_agrees_with_the_full_path(case):
         )
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=_cases())
+@example(case=(3, QuantumNumbers(3, 0, 0), 1e-5, 0.5)).via(
+    "3s near a level of its class: overlap 3.9e-8 off, eigh's 2.3e-4")
+@example(case=(3, QuantumNumbers(3, 0, 0), 0.0, 0.1)).via(
+    "A = 0: 3s ties 3d0 exactly and the restart's residual is 0")
+@example(case=(2, QuantumNumbers(2, 0, 0), 0.171875, 0.5)).via(
+    "2s ties 2p0 of the other class exactly")
+@example(case=(3, QuantumNumbers(3, 2, 0), 9.473142109899513e-09,
+               0.6897928688384724)).via(
+    "3d0 1.8e-16 from a level of its class: the restart leaves eigh's state")
+def test_class_solve_picks_the_state_the_fold_restarts_from(case):
+    # Wherever the fold does not certify the state, solve_tracked takes the
+    # state and class rank of the class solve and restarts the iteration
+    # from its column; with the fold's own attempt refused at every point,
+    # that path gives the full path's index, its E_i and its overlap, and
+    # the state it returns holds more than half of the class solve's.
+    n0, initial, amplitude, omega = case
+    basis, laser = enumerate_basis(n0), LaserField(amplitude, omega)
+    with mock.patch.object(eigensolver, "_solve_folded", lambda *args: None):
+        assert not _check_against_full_path(basis, laser, initial)
+        one, _, _ = solve_tracked(basis, laser, initial)
+    decomp, tracked, _ = _full_path(basis, laser, initial)
+    assert (one.column(0) @ decomp.column(tracked.index)) ** 2 > 0.5
+
+
 def test_zero_field_and_the_empty_other_class():
-    basis = enumerate_basis(1)
-    one, state, index = solve_tracked(basis, LaserField(0.0, 0.7), GROUND)
+    basis, fold = enumerate_basis(1), eigensolver._solve_folded
+    one, state, index = fold(basis, LaserField(0.0, 0.7), GROUND)
     assert (state.index, index, state.overlap) == (0, 0, 1.0)
     assert one.energy(0) == -0.5
-    one, state, index = solve_tracked(basis, LaserField(0.02, 0.7), GROUND)
+    one, state, index = fold(basis, LaserField(0.02, 0.7), GROUND)
     assert (state.index, index, state.overlap) == (0, 0, 1.0)
     assert one.energy(0) == -0.5 + 0.5 * 0.02**2
 
@@ -214,7 +246,7 @@ def test_zero_field_folds_to_the_bare_state(initial):
     # stable merge of both classes' spectra, even class first in a tie, as
     # 2p0 ties 2s and 3p-1 ties 3d-1.
     basis, laser = enumerate_basis(4), LaserField(0.0, 0.087)
-    one, state, index = solve_tracked(basis, laser, initial)
+    one, state, index = eigensolver._solve_folded(basis, laser, initial)
     diagonal = np.diag(assemble(basis, laser, parity=initial.parity).entries)
     e_i = diagonal[np.searchsorted(one.rows, basis.position(initial))]
     assert one.energy(0) == e_i
@@ -257,11 +289,11 @@ def test_exact_tie_with_a_bare_level_of_the_other_half():
     _, tracked, index = _full_path(basis, laser, GROUND)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, state, position = solve_tracked(basis, laser, GROUND)
+        _, state, position = eigensolver._solve_folded(basis, laser, GROUND)
         point = IonizationScanPoint.observe(basis, GROUND, laser, 1e-3)
     assert (position, index) == (0, 0)
     assert abs(state.overlap - tracked.overlap) <= 1e-12
-    assert not point.full_solve and point.dressed_index == 0
+    assert point.dressed_index == 0
     assert abs(point.overlap - 0.5000658089446299) <= 1e-12
 
 
@@ -301,16 +333,18 @@ def test_stored_fig3_sigma_is_the_refined_eigenpair_sigma():
         np.testing.assert_allclose(sigma, stored, rtol=1e-13, atol=0)
 
 
-def _refined_sigma(basis, laser):
+def _refined_sigma(basis, laser, initial=GROUND):
     """sigma of each open branch, in atomic units and mu order, from the
     tracked eigenpair refined in extended precision, every component of
     its column summed by test_ionization's loop over the basis."""
-    decomp, tracked, _ = _full_path(basis, laser, GROUND)
+    decomp, tracked, _ = _full_path(basis, laser, initial)
     vector, energy = refined_eigenpair(
-        assemble(basis, laser).entries, decomp.column(tracked.index),
-        decomp.energies[tracked.index],
+        assemble(basis, laser, parity=initial.parity).entries,
+        decomp.column(tracked.index), decomp.energies[tracked.index],
     )
-    refined = EigenDecomposition(np.array([energy]), vector[:, None], basis, 0)
+    refined = EigenDecomposition(
+        np.array([energy]), vector[:, None], basis, initial.parity
+    )
     sigma = []
     for mu in range(-basis.n0, basis.n0 + 1):
         e_f0 = energy - mu * laser.omega
@@ -340,6 +374,27 @@ def test_sigma_of_every_branch_is_the_refined_eigenpair_sigma(argv, rtol):
         )
 
 
+@pytest.mark.parametrize("argv, initial", [
+    (STRONG, GROUND), (FIG3, QuantumNumbers(2, 0, 0)), (FIG3, QuantumNumbers(2, 1, -1)),
+], ids=["strong-field", "fig3-2s", "fig3-2p-1"])
+def test_sigma_where_the_class_solve_picks_the_state_is_the_refined_sigma(
+    argv, initial
+):
+    # The fold does not certify the last 5 points of the strong-field sweep,
+    # or 8 and 9 of fig3's field from 2s and 2p-1, each of overlap <= 1/2:
+    # the class solve picks the state and the fold restarts from its
+    # column.  eigh's own column left sigma there up to 6.1e-4 off.
+    basis, lasers = _sweep(argv)
+    for laser in lasers:
+        point = IonizationScanPoint.observe(basis, initial, laser, 0.0)
+        sigma = np.array([r.sigma for r in point.records])
+        refined = np.array(_refined_sigma(basis, laser, initial))
+        positive = sigma > 0
+        np.testing.assert_allclose(
+            sigma[positive], refined[positive], rtol=1e-12, atol=0
+        )
+
+
 def test_resonance_sigma_is_the_refined_eigenpair_sigma():
     # the two points of the resonance sweep that RQI from bare 1s left to
     # the full path
@@ -355,49 +410,45 @@ def test_resonance_sigma_is_the_refined_eigenpair_sigma():
         np.testing.assert_allclose(sigma, exact, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("argv, full, ambiguous", [
-    (["ionization", "--preset", "fig3"], slice(0), slice(0)),
-    (BENCH_SEED0, slice(0), slice(0)),
-    (STRONG, slice(3, None), slice(3, None)),
-    (["ionization", "--preset", "fig3", "--initial", "2", "0", "0"],
-     slice(2, None), slice(2, None)),
-    (["ionization", "--preset", "fig3", "--initial", "2", "1", "-1"],
-     slice(1, None), slice(1, None)),
-    (ZERO_FIELD, slice(0), slice(0)),
-    (ZERO_FIELD + ["--initial", "3", "0", "0"], slice(1), slice(0)),
+@pytest.mark.parametrize("argv, ambiguous", [
+    (["ionization", "--preset", "fig3"], slice(0)),
+    (BENCH_SEED0, slice(0)),
+    (STRONG, slice(3, None)),
+    (["ionization", "--preset", "fig3", "--initial", "2", "0", "0"], slice(2, None)),
+    (["ionization", "--preset", "fig3", "--initial", "2", "1", "-1"], slice(1, None)),
+    (ZERO_FIELD, slice(0)),
+    (ZERO_FIELD + ["--initial", "3", "0", "0"], slice(0)),
 ], ids=["fig3", "ionization-n10-seed0", "strong-field", "fig3-2s", "fig3-2p-1",
         "zero-field-1s", "zero-field-3s"])
-def test_meta_lists_the_points_solved_in_full(tmp_path, argv, full, ambiguous):
+def test_meta_lists_the_points_solved_in_full(tmp_path, argv, ambiguous):
     out = tmp_path / "ion.csv"
     assert main(argv + ["--out", str(out)]) == 0
     meta = json.loads((tmp_path / "ion.csv.meta.json").read_text())
     with open(out, newline="") as fh:
         axis = list(dict.fromkeys(float(r["A_vspm"]) for r in csv.DictReader(fh)))
-    # the strong-field sweep lists its last 5 points, and fig3's field from
-    # 2s and 2p-1 its last 8 and 9: each a point of overlap <= 1/2.  The
-    # zero-field sweep lists A = 0 only from 3s, which ties 3d0 exactly.
-    assert meta["full_solve_axis_values"] == axis[full]
+    # The class solve picks the state where the fold cannot certify it: at
+    # the points of overlap <= 1/2 that the meta lists as ambiguous (the
+    # strong-field sweep's last 5, and fig3's field's last 8 from 2s and 9
+    # from 2p-1), and at A = 0 from 3s, which ties 3d0 exactly.
     assert meta["ambiguous_axis_values"] == axis[ambiguous]
 
 
 def test_scan_solves_no_class_where_the_fold_certifies(monkeypatch):
     solved = []
-    real = ionization.diagonalize
-    monkeypatch.setattr(ionization, "diagonalize",
+    real = eigensolver.diagonalize
+    monkeypatch.setattr(eigensolver, "diagonalize",
                         lambda m: solved.append(m) or real(m))
     basis, lasers = _sweep(BENCH_SEED0[:-1] + ["3"])
-    points = [
+    for i, laser in enumerate(lasers):
         IonizationScanPoint.observe(basis, GROUND, laser, i)
-        for i, laser in enumerate(lasers)
-    ]
-    assert solved == [] and not any(p.full_solve for p in points)
+    assert solved == []
 
 
 def test_disc_counts_are_the_eigvalsh_counts_on_the_benchmark_sweep():
     basis, lasers = _sweep(BENCH_SEED0)
     with _counts_checked_against_eigvalsh() as certified:
         for laser in lasers:
-            assert solve_tracked(basis, laser, GROUND) is not None
+            assert eigensolver._solve_folded(basis, laser, GROUND) is not None
     # the discs certify most of the 40 counts of each class
     assert certified["own"] >= 20 and certified["other"] >= 20
 
