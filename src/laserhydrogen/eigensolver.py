@@ -371,10 +371,11 @@ def _placed(basis, laser, target, halves, pair, rank):
     return decomp, TrackedState(0, float(x_k[start] ** 2)), rank + other
 
 
-def _solve_folded(basis, laser, target):
+def _solve_folded(basis, laser, target, halves):
     """`solve_tracked`'s result where the fold alone certifies it, else None
-    (no convergence, overlap <= 1/2, or a class rank's sign within guard)."""
-    _, d_k, _, d_x, c, start = halves = _target_halves(basis, laser, target)
+    (no convergence, overlap <= 1/2, or a class rank's sign within guard).
+    `halves` are `target`'s, from `_target_halves`."""
+    _, d_k, _, d_x, c, start = halves
     pair = _rayleigh_quotient_iteration(d_k, d_x, c, *_ritz_start(d_k, d_x, c, start))
     if pair is None or not pair[1][start] ** 2 > 0.5:
         return None
@@ -409,12 +410,12 @@ def solve_tracked(basis, laser, target):
     0, position in the spectrum of the whole basis: the class rank plus the
     other class's levels below).
     """
-    solved = _solve_folded(basis, laser, target)
+    rows_k, d_k, rows_x, d_x, c, _ = halves = _target_halves(basis, laser, target)
+    solved = _solve_folded(basis, laser, target, halves)
     if solved is not None:
         return solved
     decomp = diagonalize(assemble(basis, laser, parity=target.parity))
     tracked = track_state(decomp, target)
-    rows_k, d_k, rows_x, d_x, c, _ = halves = _target_halves(basis, laser, target)
     column = decomp.column(tracked.index)
     x_k, x_x = column[rows_k], column[rows_x]
     pair = _rayleigh_quotient_iteration(d_k, d_x, c, x_k, x_x)

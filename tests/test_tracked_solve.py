@@ -44,7 +44,7 @@ from laserhydrogen.ionization import IonizationScanPoint, ionization_records
 from laserhydrogen.units import CONSTANTS, UnitSystem
 from oracles import refined_eigenpair
 from test_ionization import _FIG3_SIGMA, _bound_free_loop
-from test_one_block_solve import _merged_columns
+from test_one_block_solve import _fold_only, _merged_columns
 
 GROUND = QuantumNumbers(1, 0, 0)
 UNITS = UnitSystem()
@@ -85,7 +85,7 @@ def _check_against_full_path(basis, laser, initial):
     1e-13 and the overlap to eps*|H|/gap, and the scan point is
     solve_tracked's.  True if the fold certified."""
     decomp, tracked, index = _full_path(basis, laser, initial)
-    folded = eigensolver._solve_folded(basis, laser, initial)
+    folded = _fold_only(basis, laser, initial)
     if folded is None:
         one, state, position = solve_tracked(basis, laser, initial)
         point = IonizationScanPoint.observe(basis, initial, laser, 0.5)
@@ -227,7 +227,7 @@ def test_class_solve_picks_the_state_the_fold_restarts_from(case):
 
 
 def test_zero_field_and_the_empty_other_class():
-    basis, fold = enumerate_basis(1), eigensolver._solve_folded
+    basis, fold = enumerate_basis(1), _fold_only
     one, state, index = fold(basis, LaserField(0.0, 0.7), GROUND)
     assert (state.index, index, state.overlap) == (0, 0, 1.0)
     assert one.energy(0) == -0.5
@@ -246,7 +246,7 @@ def test_zero_field_folds_to_the_bare_state(initial):
     # stable merge of both classes' spectra, even class first in a tie, as
     # 2p0 ties 2s and 3p-1 ties 3d-1.
     basis, laser = enumerate_basis(4), LaserField(0.0, 0.087)
-    one, state, index = eigensolver._solve_folded(basis, laser, initial)
+    one, state, index = _fold_only(basis, laser, initial)
     diagonal = np.diag(assemble(basis, laser, parity=initial.parity).entries)
     e_i = diagonal[np.searchsorted(one.rows, basis.position(initial))]
     assert one.energy(0) == e_i
@@ -289,7 +289,7 @@ def test_exact_tie_with_a_bare_level_of_the_other_half():
     _, tracked, index = _full_path(basis, laser, GROUND)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, state, position = eigensolver._solve_folded(basis, laser, GROUND)
+        _, state, position = _fold_only(basis, laser, GROUND)
         point = IonizationScanPoint.observe(basis, GROUND, laser, 1e-3)
     assert (position, index) == (0, 0)
     assert abs(state.overlap - tracked.overlap) <= 1e-12
@@ -410,26 +410,40 @@ def test_resonance_sigma_is_the_refined_eigenpair_sigma():
         np.testing.assert_allclose(sigma, exact, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("argv, ambiguous", [
-    (["ionization", "--preset", "fig3"], slice(0)),
-    (BENCH_SEED0, slice(0)),
-    (STRONG, slice(3, None)),
-    (["ionization", "--preset", "fig3", "--initial", "2", "0", "0"], slice(2, None)),
-    (["ionization", "--preset", "fig3", "--initial", "2", "1", "-1"], slice(1, None)),
-    (ZERO_FIELD, slice(0)),
-    (ZERO_FIELD + ["--initial", "3", "0", "0"], slice(0)),
+@pytest.mark.parametrize("argv, full, ambiguous", [
+    (["ionization", "--preset", "fig3"], slice(0), slice(0)),
+    (BENCH_SEED0, slice(0), slice(0)),
+    (STRONG, slice(3, None), slice(3, None)),
+    (["ionization", "--preset", "fig3", "--initial", "2", "0", "0"],
+     slice(2, None), slice(2, None)),
+    (["ionization", "--preset", "fig3", "--initial", "2", "1", "-1"],
+     slice(1, None), slice(1, None)),
+    (ZERO_FIELD, slice(0), slice(0)),
+    (ZERO_FIELD + ["--initial", "3", "0", "0"], slice(1), slice(0)),
 ], ids=["fig3", "ionization-n10-seed0", "strong-field", "fig3-2s", "fig3-2p-1",
         "zero-field-1s", "zero-field-3s"])
-def test_meta_lists_the_points_solved_in_full(tmp_path, argv, ambiguous):
+def test_meta_lists_the_points_solved_in_full(tmp_path, monkeypatch, argv, full,
+                                              ambiguous):
+    certified = []
+    real = eigensolver._solve_folded
+
+    def folded(*args):
+        solved = real(*args)
+        certified.append(solved is not None)
+        return solved
+
+    monkeypatch.setattr(eigensolver, "_solve_folded", folded)
     out = tmp_path / "ion.csv"
     assert main(argv + ["--out", str(out)]) == 0
     meta = json.loads((tmp_path / "ion.csv.meta.json").read_text())
     with open(out, newline="") as fh:
         axis = list(dict.fromkeys(float(r["A_vspm"]) for r in csv.DictReader(fh)))
-    # The class solve picks the state where the fold cannot certify it: at
+    # The class is solved in full where the fold cannot certify the state: at
     # the points of overlap <= 1/2 that the meta lists as ambiguous (the
     # strong-field sweep's last 5, and fig3's field's last 8 from 2s and 9
     # from 2p-1), and at A = 0 from 3s, which ties 3d0 exactly.
+    assert len(certified) == len(axis)
+    assert [a for a, ok in zip(axis, certified) if not ok] == axis[full]
     assert meta["ambiguous_axis_values"] == axis[ambiguous]
 
 
@@ -448,7 +462,7 @@ def test_disc_counts_are_the_eigvalsh_counts_on_the_benchmark_sweep():
     basis, lasers = _sweep(BENCH_SEED0)
     with _counts_checked_against_eigvalsh() as certified:
         for laser in lasers:
-            assert eigensolver._solve_folded(basis, laser, GROUND) is not None
+            assert _fold_only(basis, laser, GROUND) is not None
     # the discs certify most of the 40 counts of each class
     assert certified["own"] >= 20 and certified["other"] >= 20
 
