@@ -169,6 +169,15 @@ class RunConfig:
         if self.mode in ("intensity", "ionization"):
             if self.a_vspm_stop < self.a_vspm_start:
                 raise ConfigurationError("A range must be increasing")
+        if self.mode != "point" and self.count == 1:
+            # one point is the start alone: a different stop would go unread
+            axis = "omega_ev" if self.mode == "spectrum" else "a_vspm"
+            start, stop = getattr(self, f"{axis}_start"), getattr(self, f"{axis}_stop")
+            if stop != start:
+                raise ConfigurationError(
+                    f"count 1 computes {axis}_start alone: {axis}_stop must "
+                    f"equal it, got {axis}_start {start} and {axis}_stop {stop}"
+                )
 
 
 def parse_config(overrides=None, preset=None) -> RunConfig:

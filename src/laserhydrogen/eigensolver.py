@@ -33,13 +33,16 @@ Most counts read those signs from the diagonal of S: where the
 Gershgorin discs of S, scaled to a unit diagonal, leave out 0, and
 Ostrowski's bound puts every eigenvalue the count reads outside the sign
 guard that `eigvalsh` of S is held to, the discs certify the count that
-`eigvalsh` would give; elsewhere `eigvalsh` gives it.  A count of the
-other class that the guard leaves unsure, as at an exact tie with E_i,
+`eigvalsh` would give; elsewhere `eigvalsh` gives it.  The other class
+is folded onto its mu-even half; a count of it that the guard leaves
+unsure, as at a bare level of its mu-odd half or at an exact tie with E_i,
 comes from `eigvalsh` of that class (`levels_below`).  The positions and
 p_x values of the couplings between the two halves are kept once per
-basis and class.  It returns that one state as a decomposition of a
-single column; where the fold cannot certify it, `diagonalize` picks the
-state and the iteration restarts from that state's column.
+basis and class.  The solve is one flow: the fold's attempt; where the
+fold cannot certify the state, `diagonalize` picks it and the iteration
+restarts from its column; then the column is placed in class order and
+its position counted.  It returns that one state as a decomposition of a
+single column, with its overlap on the initial state and its position.
 
 Only matrices that `assemble` built are solved: they are symmetric by
 construction and read-only, and a writeable matrix, or one not of its
@@ -187,14 +190,18 @@ def track_state(
 
 # --- the tracked state alone, on one mu half of its class -----------------
 
-def _halves(basis, laser, parity):
-    """(rows, diagonal) of the even and of the odd mu half of the class
-    `parity`, and the block C of H between them (even rows, odd columns)."""
+def _halves(basis, laser, parity, row):
+    """(rows_k, d_k, rows_x, d_x, C) of the class `parity`: the rows and
+    diagonal of the mu half k that holds class row `row` (the even half for
+    row -1, no row) and of the other half x, and the block C of H between
+    them, k rows by x columns."""
     diagonal = class_diagonal(basis, laser, parity)
     even, odd, r, c, p_x = class_layout(basis, parity)
     block = np.zeros((len(even), len(odd)))
     block[r, c] = laser.amplitude_A * p_x
-    return (even, diagonal[even]), (odd, diagonal[odd]), block
+    if row in odd:
+        return odd, diagonal[odd], even, diagonal[even], block.T
+    return even, diagonal[even], odd, diagonal[odd], block
 
 
 def _fold(d_k, d_x, c, rho):
@@ -350,39 +357,6 @@ def _rayleigh_quotient_iteration(d_k, d_x, c, x_k, x_x):
     return None
 
 
-def _target_halves(basis, laser, target):
-    """(rows_k, d_k, rows_x, d_x, C, start) of `_halves`, k the mu half
-    that holds `target`, C with k rows, and start the row of `target` in k."""
-    k, x, c = _halves(basis, laser, target.parity)
-    row = np.searchsorted(basis.class_positions(target.parity), basis.position(target))
-    if row not in k[0]:
-        k, x, c = x, k, c.T
-    return *k, *x, c, int(np.searchsorted(k[0], row))
-
-
-def _placed(basis, laser, target, halves, pair, rank):
-    """solve_tracked's result for eigenpair `pair` of class rank `rank`."""
-    rows_k, _, rows_x, _, _, start = halves
-    rho, x_k, x_x = pair
-    column = np.empty(len(rows_k) + len(rows_x))
-    column[rows_k], column[rows_x] = x_k, x_x
-    decomp = EigenDecomposition(np.array([rho]), column[:, None], basis, target.parity)
-    other = levels_below(basis, laser, 1 - target.parity, rho)
-    return decomp, TrackedState(0, float(x_k[start] ** 2)), rank + other
-
-
-def _solve_folded(basis, laser, target, halves):
-    """`solve_tracked`'s result where the fold alone certifies it, else None
-    (no convergence, overlap <= 1/2, or a class rank's sign within guard).
-    `halves` are `target`'s, from `_target_halves`."""
-    _, d_k, _, d_x, c, start = halves
-    pair = _rayleigh_quotient_iteration(d_k, d_x, c, *_ritz_start(d_k, d_x, c, start))
-    if pair is None or not pair[1][start] ** 2 > 0.5:
-        return None
-    rank = _levels_below(d_k, d_x, c, pair[0], pair[1])
-    return None if rank is None else _placed(basis, laser, target, halves, pair, rank)
-
-
 def solve_tracked(basis, laser, target):
     """The dressed state tracked from bare state `target`, solved on half
     of its parity class.
@@ -390,38 +364,49 @@ def solve_tracked(basis, laser, target):
     p_x changes mu by one, so inside a class every coupling joins a mu-even
     state to a mu-odd one and each half has a diagonal block D alone.  H -
     rho folds exactly onto the half k that holds `target` (Loewdin
-    partitioning), S(rho) = (D_k - rho) - C (D_x - rho)^-1 C^T.
-    Rayleigh-quotient iteration from the Ritz start of `target`
-    (`_ritz_start`) solves with S; an overlap above 1/2 makes the vector
-    reached the one `track_state` picks, since no other dressed state can
-    hold half of a unit vector.  At A = 0 the start is the bare state
-    itself, whose residual is exactly 0.  Sylvester's law of inertia on S
-    counts the levels of this class below E_i (the class rank), reading
-    the signs of S from its diagonal where scaled Gershgorin discs certify
-    them, and from `eigvalsh` of S elsewhere (`_levels_below`); both give
-    the same count.  `levels_below` adds the other class's.
+    partitioning), S(rho) = (D_k - rho) - C (D_x - rho)^-1 C^T.  One flow
+    in three steps:
 
-    Where the fold does not certify the state (`_solve_folded`),
-    `diagonalize` and `track_state` pick it and its class rank, and the
-    iteration restarts from their column, which stands only where the
-    iteration fails or leaves the state.
+    - the fold's attempt: Rayleigh-quotient iteration from the Ritz start
+      of `target` (`_ritz_start`) solves with S; an overlap above 1/2 makes
+      the vector reached the one `track_state` picks, since no other
+      dressed state can hold half of a unit vector.  At A = 0 the start is
+      the bare state itself, whose residual is exactly 0.  Sylvester's law
+      of inertia on S counts the levels of this class below E_i (the class
+      rank), reading the signs of S from its diagonal where scaled
+      Gershgorin discs certify them, and from `eigvalsh` of S elsewhere
+      (`_levels_below`); both give the same count.
+    - where the iteration fails, the overlap is at most 1/2 or the class
+      rank is unsure, `diagonalize` and `track_state` pick the state and
+      its class rank, and the iteration restarts from their column, which
+      stands only where the iteration fails or leaves the state.
+    - placement: the column is scattered into class order, and
+      `levels_below` adds the other class's count to the class rank.
 
-    Returns (decomposition of that one state, TrackedState of its index
-    0, position in the spectrum of the whole basis: the class rank plus the
-    other class's levels below).
+    Returns (decomposition of that one state, its overlap on `target`, its
+    position in the spectrum of the whole basis).
     """
-    rows_k, d_k, rows_x, d_x, c, _ = halves = _target_halves(basis, laser, target)
-    solved = _solve_folded(basis, laser, target, halves)
-    if solved is not None:
-        return solved
-    decomp = diagonalize(assemble(basis, laser, parity=target.parity))
-    tracked = track_state(decomp, target)
-    column = decomp.column(tracked.index)
-    x_k, x_x = column[rows_k], column[rows_x]
-    pair = _rayleigh_quotient_iteration(d_k, d_x, c, x_k, x_x)
-    if pair is None or not (pair[1] @ x_k + pair[2] @ x_x) ** 2 > 0.5:
-        pair = decomp.energy(tracked.index), x_k, x_x
-    return _placed(basis, laser, target, halves, pair, tracked.index)
+    parity = target.parity
+    row = int(np.searchsorted(basis.class_positions(parity), basis.position(target)))
+    rows_k, d_k, rows_x, d_x, c = _halves(basis, laser, parity, row)
+    start = int(np.searchsorted(rows_k, row))
+    pair = _rayleigh_quotient_iteration(d_k, d_x, c, *_ritz_start(d_k, d_x, c, start))
+    rank = None
+    if pair is not None and pair[1][start] ** 2 > 0.5:
+        rank = _levels_below(d_k, d_x, c, pair[0], pair[1])
+    if rank is None:
+        decomp = diagonalize(assemble(basis, laser, parity=parity))
+        rank = track_state(decomp, target).index
+        x_k, x_x = decomp.column(rank)[rows_k], decomp.column(rank)[rows_x]
+        pair = _rayleigh_quotient_iteration(d_k, d_x, c, x_k, x_x)
+        if pair is None or not (pair[1] @ x_k + pair[2] @ x_x) ** 2 > 0.5:
+            pair = decomp.energy(rank), x_k, x_x
+    rho, x_k, x_x = pair
+    column = np.empty(len(rows_k) + len(rows_x))
+    column[rows_k], column[rows_x] = x_k, x_x
+    one = EigenDecomposition(np.array([rho]), column[:, None], basis, parity)
+    other = levels_below(basis, laser, 1 - parity, rho)
+    return one, float(x_k[start] ** 2), rank + other
 
 
 def levels_below(basis, laser, parity, rho):
@@ -430,21 +415,15 @@ def levels_below(basis, laser, parity, rho):
     counts as below when `parity` is 0.  So the count plus the rank of a
     level rho of the other class is its position in the whole spectrum.
 
-    `_levels_below` counts, the half farthest from rho folded away; where
-    its guard leaves it unsure, as at a tie on either side of which rho
-    rounds, `eigvalsh` of the class counts.  n0 = 1 has no odd level.
+    `_levels_below` counts, the mu-odd half folded away; where its guard
+    leaves it unsure, as at a bare level of that half or at a tie on either
+    side of which rho rounds, `eigvalsh` of the class counts.  n0 = 1 has
+    no odd level.
     """
     if len(basis.class_positions(parity)) == 0:
         return 0
-    even, odd, c = _halves(basis, laser, parity)
-
-    def gap(d):
-        return np.abs(d - rho).min(initial=math.inf)
-
-    if gap(even[1]) >= gap(odd[1]):
-        count = _levels_below(odd[1], even[1], c.T, rho, None)
-    else:
-        count = _levels_below(even[1], odd[1], c, rho, None)
+    _, d_even, _, d_odd, c = _halves(basis, laser, parity, -1)
+    count = _levels_below(d_even, d_odd, c, rho, None)
     if count is None:
         levels = np.linalg.eigvalsh(assemble(basis, laser, parity=parity).entries)
         window = _TIE * max(1.0, abs(rho), np.abs(levels).max())

@@ -265,9 +265,9 @@ class IonizationScanPoint(ScanRecord):
         the records read E_i less A^2/2: the constant shifts every level
         alike, so the state, its overlap and its place stay.
         """
-        decomp, tracked, index = solve_tracked(basis, laser, initial)
+        decomp, overlap, index = solve_tracked(basis, laser, initial)
         if not include_a2:
             shift = 0.5 * laser.amplitude_A**2
             decomp = replace(decomp, energies=decomp.energies - shift)
-        records = tuple(ionization_records(decomp, tracked.index, laser))
-        return cls(axis_value, index, tracked.overlap, records)
+        records = tuple(ionization_records(decomp, 0, laser))
+        return cls(axis_value, index, overlap, records)

@@ -768,7 +768,7 @@ def test_import_laserhydrogen_loads_no_argparse():
 @pytest.mark.parametrize(
     "argv, axis",
     [(_POINT, "eV"), (_SPECTRUM, "eV"), (_INTENSITY, "V*s/m"),
-     (_IONIZATION[:-1] + ["1"], "V*s/m")],
+     (_IONIZATION[:-1] + ["1", "--a-vspm-stop", "2e-6"], "V*s/m")],
     ids=["point", "spectrum", "intensity", "ionization"],
 )
 def test_meta_labels_the_axis_unit(tmp_path, argv, axis):
@@ -863,6 +863,33 @@ def test_bad_input_rejected_at_the_boundary(tmp_path, capsys, argv, message):
     assert err.startswith("configuration error: ")
     assert re.search(message, err)
     assert not out.exists()
+
+
+# At count 1 a sweep computes its start alone: a stop other than the start
+# would go unread, so it is refused, naming both keys; an equal stop runs.
+@pytest.mark.parametrize("argv, axis", [
+    (_SPECTRUM, "omega_ev"), (_INTENSITY, "a_vspm"), (_IONIZATION, "a_vspm"),
+], ids=["spectrum", "intensity", "ionization"])
+def test_count_1_refuses_a_stop_other_than_the_start(tmp_path, capsys, argv, axis):
+    out = tmp_path / "one.csv"
+    assert main(argv + ["--count", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"{axis}_start" in err and f"{axis}_stop" in err
+    assert not out.exists() and not (tmp_path / "one.csv.meta.json").exists()
+    flag = "--" + axis.replace("_", "-")
+    start = argv[argv.index(f"{flag}-start") + 1]
+    equal = argv + ["--count", "1", f"{flag}-stop", start, "--out", str(out)]
+    assert main(equal) == 0
+    _, rows = _read_csv(out)
+    assert rows and {float(r[0]) for r in rows} == {float(start)}
+
+
+def test_parse_config_refuses_count_1_with_a_stop_other_than_the_start():
+    with pytest.raises(ConfigurationError, match="a_vspm_start.*a_vspm_stop"):
+        parse_config(preset="fig3", overrides={"count": 1})
+    config = parse_config(preset="fig3", overrides={"count": 1, "a_vspm_stop": 5e-7})
+    assert (config.count, config.a_vspm_stop) == (1, config.a_vspm_start)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ import csv
 import sys
 from functools import partial
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -273,11 +274,19 @@ def test_dressed_index_is_the_position_in_the_full_spectrum(case):
             assert _position(decomp, i, laser) == cols[i]
 
 
+class _ClassSolve(Exception):
+    """Raised by `_fold_only` in place of the class solve."""
+
+
 def _fold_only(basis, laser, target):
-    """The fold's own attempt at the tracked state of `target`: None where
-    it cannot certify it."""
-    halves = eigensolver._target_halves(basis, laser, target)
-    return eigensolver._solve_folded(basis, laser, target, halves)
+    """The fold's own attempt at the tracked state of `target`:
+    `solve_tracked`'s result where the fold certifies it, None where it
+    would solve the class."""
+    with mock.patch.object(eigensolver, "diagonalize", side_effect=_ClassSolve):
+        try:
+            return eigensolver.solve_tracked(basis, laser, target)
+        except _ClassSolve:
+            return None
 
 
 @pytest.mark.parametrize("initial", [QuantumNumbers(2, 0, 0), ODD], ids=["even", "odd"])
@@ -426,9 +435,9 @@ def _run_both(tmp_path, monkeypatch, argv, reference):
     assert cli.main(argv + ["--out", str(new)]) == 0
     monkeypatch.setattr(transitions, "assemble", reference.assemble)
     monkeypatch.setattr(transitions, "diagonalize", reference)
-    # an ionization point takes the class path with no fold restart: the
-    # reference solve gives its state, column, energy and index
-    monkeypatch.setattr(eigensolver, "_solve_folded", lambda *args: None)
+    # with no Rayleigh-quotient iteration to converge, an ionization point
+    # takes the class solve and keeps its column: the reference solve gives
+    # its state, column, energy and index
     monkeypatch.setattr(eigensolver, "_rayleigh_quotient_iteration",
                         lambda *args: None)
     monkeypatch.setattr(eigensolver, "assemble", reference.assemble)

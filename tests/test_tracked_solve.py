@@ -3,12 +3,13 @@
 `eigensolver.solve_tracked` folds H - rho onto the mu half of the class
 that holds the initial state and finds the tracked state by Rayleigh-
 quotient iteration, and counts levels by Sylvester's law of inertia.  These
-tests hold the fold alone (`eigensolver._solve_folded`) to the full path
-(`diagonalize`, `track_state`, and the class rank plus `levels_below`)
-where it certifies its result, check that it returns the bare state at
-A = 0, hold `solve_tracked` to the full path's state and index where the
-fold does not certify it, hold its column and sigma to an
-extended-precision refinement of the same eigenpair
+tests hold the fold alone (`solve_tracked` with its class solve refused) to
+the full path (`diagonalize`, `track_state`, and the class rank plus
+`levels_below`) where it certifies its result, hold the other class's count
+to the tie rule at the bare levels of the half it folds away, check that
+it returns the bare state at A = 0, hold `solve_tracked` to the full
+path's state and index where the fold does not certify it, hold its column
+and sigma to an extended-precision refinement of the same eigenpair
 (`oracles.refined_eigenpair`), at the points the fold certifies and at
 those where the class solve picks the state, and check which points the
 `.meta.json` lists as ambiguous.  They hold the Gershgorin-disc level
@@ -87,13 +88,13 @@ def _check_against_full_path(basis, laser, initial):
     decomp, tracked, index = _full_path(basis, laser, initial)
     folded = _fold_only(basis, laser, initial)
     if folded is None:
-        one, state, position = solve_tracked(basis, laser, initial)
+        one, overlap, position = solve_tracked(basis, laser, initial)
         point = IonizationScanPoint.observe(basis, initial, laser, 0.5)
-        records = tuple(ionization_records(one, state.index, laser))
-        assert point == IonizationScanPoint(0.5, position, state.overlap, records)
+        records = tuple(ionization_records(one, 0, laser))
+        assert point == IonizationScanPoint(0.5, position, overlap, records)
     else:
-        one, state, position = folded
-    assert state.index == 0  # the one dressed state it holds
+        one, overlap, position = folded
+    assert one.dimension == 1  # the one dressed state it holds
     assert position == index
     e_full = decomp.energies[tracked.index]
     # A level of the other class within the tie window of E_i ties with it,
@@ -108,10 +109,10 @@ def _check_against_full_path(basis, laser, initial):
     tied = np.abs(other - e_full) <= eigensolver._TIE * scale
     below = np.count_nonzero((other < e_full) & ~tied)
     assert position == tracked.index + below + initial.parity * np.count_nonzero(tied)
-    assert abs(one.energy(state.index) - e_full) <= 1e-13 * max(1.0, abs(e_full))
+    assert abs(one.energy(0) - e_full) <= 1e-13 * max(1.0, abs(e_full))
     if folded is not None:
-        assert state.overlap > 0.5 and not state.ambiguous
-    if abs(state.overlap - tracked.overlap) > 1e-11:
+        assert overlap > 0.5
+    if abs(overlap - tracked.overlap) > 1e-11:
         # Near a level a gap apart, eigh's vector carries rounding of about
         # eps*|H|/gap; the refined eigenpair decides.  The fold holds it to
         # 1e-11 where it certifies the state; restarted from eigh's vector
@@ -119,12 +120,12 @@ def _check_against_full_path(basis, laser, initial):
         # rounding alone.
         vector, _ = refined_eigenpair(
             assemble(basis, laser, parity=initial.parity).entries,
-            one.column(state.index), one.energy(state.index),
+            one.column(0), one.energy(0),
         )
         exact = vector[np.searchsorted(decomp.rows, basis.position(initial))] ** 2
         gap = np.delete(np.abs(decomp.energies - e_full), tracked.index).min()
         rounding = 2 * np.finfo(float).eps * np.abs(decomp.energies).max() / gap
-        assert abs(state.overlap - exact) <= (1e-11 if folded is not None else rounding)
+        assert abs(overlap - exact) <= (1e-11 if folded is not None else rounding)
         assert abs(tracked.overlap - exact) <= rounding
     return folded is not None
 
@@ -214,12 +215,17 @@ def test_folded_solve_agrees_with_the_full_path(case):
 def test_class_solve_picks_the_state_the_fold_restarts_from(case):
     # Wherever the fold does not certify the state, solve_tracked takes the
     # state and class rank of the class solve and restarts the iteration
-    # from its column; with the fold's own attempt refused at every point,
-    # that path gives the full path's index, its E_i and its overlap, and
-    # the state it returns holds more than half of the class solve's.
+    # from its column; with the fold's own class rank refused at every
+    # point, that path gives the full path's index, its E_i and its overlap,
+    # and the state it returns holds more than half of the class solve's.
     n0, initial, amplitude, omega = case
     basis, laser = enumerate_basis(n0), LaserField(amplitude, omega)
-    with mock.patch.object(eigensolver, "_solve_folded", lambda *args: None):
+    real = eigensolver._levels_below
+
+    def other_class_only(d_k, d_x, c, rho, x_k):
+        return None if x_k is not None else real(d_k, d_x, c, rho, x_k)
+
+    with mock.patch.object(eigensolver, "_levels_below", other_class_only):
         assert not _check_against_full_path(basis, laser, initial)
         one, _, _ = solve_tracked(basis, laser, initial)
     decomp, tracked, _ = _full_path(basis, laser, initial)
@@ -228,11 +234,11 @@ def test_class_solve_picks_the_state_the_fold_restarts_from(case):
 
 def test_zero_field_and_the_empty_other_class():
     basis, fold = enumerate_basis(1), _fold_only
-    one, state, index = fold(basis, LaserField(0.0, 0.7), GROUND)
-    assert (state.index, index, state.overlap) == (0, 0, 1.0)
+    one, overlap, index = fold(basis, LaserField(0.0, 0.7), GROUND)
+    assert (one.dimension, index, overlap) == (1, 0, 1.0)
     assert one.energy(0) == -0.5
-    one, state, index = fold(basis, LaserField(0.02, 0.7), GROUND)
-    assert (state.index, index, state.overlap) == (0, 0, 1.0)
+    one, overlap, index = fold(basis, LaserField(0.02, 0.7), GROUND)
+    assert (one.dimension, index, overlap) == (1, 0, 1.0)
     assert one.energy(0) == -0.5 + 0.5 * 0.02**2
 
 
@@ -246,11 +252,11 @@ def test_zero_field_folds_to_the_bare_state(initial):
     # stable merge of both classes' spectra, even class first in a tie, as
     # 2p0 ties 2s and 3p-1 ties 3d-1.
     basis, laser = enumerate_basis(4), LaserField(0.0, 0.087)
-    one, state, index = _fold_only(basis, laser, initial)
+    one, overlap, index = _fold_only(basis, laser, initial)
     diagonal = np.diag(assemble(basis, laser, parity=initial.parity).entries)
     e_i = diagonal[np.searchsorted(one.rows, basis.position(initial))]
     assert one.energy(0) == e_i
-    assert (state.index, state.overlap) == (0, 1.0)
+    assert (one.dimension, overlap) == (1, 1.0)
     assert np.count_nonzero(one.column(0)) == 1
     assert np.count_nonzero(diagonal == e_i) == 1
     cols, _ = _merged_columns(basis, laser)
@@ -289,10 +295,10 @@ def test_exact_tie_with_a_bare_level_of_the_other_half():
     _, tracked, index = _full_path(basis, laser, GROUND)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, state, position = _fold_only(basis, laser, GROUND)
+        _, overlap, position = _fold_only(basis, laser, GROUND)
         point = IonizationScanPoint.observe(basis, GROUND, laser, 1e-3)
     assert (position, index) == (0, 0)
-    assert abs(state.overlap - tracked.overlap) <= 1e-12
+    assert abs(overlap - tracked.overlap) <= 1e-12
     assert point.dressed_index == 0
     assert abs(point.overlap - 0.5000658089446299) <= 1e-12
 
@@ -305,11 +311,11 @@ def test_tracked_column_matches_the_refined_eigenpair(n0, initial):
     basis = enumerate_basis(n0)
     laser = LaserField(UNITS.vector_potential_to_internal(5e-7),
                        UNITS.ev_to_internal(2.37))
-    one, state, _ = solve_tracked(basis, laser, initial)
+    one, _, _ = solve_tracked(basis, laser, initial)
     matrix = assemble(basis, laser, parity=initial.parity)
-    column = one.column(state.index)
-    vector, energy = refined_eigenpair(matrix.entries, column, one.energy(state.index))
-    assert abs(one.energy(state.index) - energy) <= 1e-15
+    column = one.column(0)
+    vector, energy = refined_eigenpair(matrix.entries, column, one.energy(0))
+    assert abs(one.energy(0) - energy) <= 1e-15
     np.testing.assert_allclose(column, vector, rtol=1e-11, atol=0)
 
 
@@ -400,12 +406,12 @@ def test_resonance_sigma_is_the_refined_eigenpair_sigma():
     # the full path
     basis, lasers = _sweep(RESONANCE)
     for laser in lasers[1:3]:
-        one, state, _ = solve_tracked(basis, laser, GROUND)
+        one, _, _ = solve_tracked(basis, laser, GROUND)
         vector, energy = refined_eigenpair(
             assemble(basis, laser).entries, one.column(0), one.energy(0)
         )
         refined = EigenDecomposition(np.array([energy]), vector[:, None], basis, 0)
-        sigma = [r.sigma for r in ionization_records(one, state.index, laser)]
+        sigma = [r.sigma for r in ionization_records(one, 0, laser)]
         exact = [r.sigma for r in ionization_records(refined, 0, laser)]
         np.testing.assert_allclose(sigma, exact, rtol=1e-12, atol=0)
 
@@ -425,14 +431,18 @@ def test_resonance_sigma_is_the_refined_eigenpair_sigma():
 def test_meta_lists_the_points_solved_in_full(tmp_path, monkeypatch, argv, full,
                                               ambiguous):
     certified = []
-    real = eigensolver._solve_folded
+    real_solve, real_diagonalize = ionization.solve_tracked, eigensolver.diagonalize
 
-    def folded(*args):
-        solved = real(*args)
-        certified.append(solved is not None)
-        return solved
+    def solve(*args):
+        certified.append(True)
+        return real_solve(*args)
 
-    monkeypatch.setattr(eigensolver, "_solve_folded", folded)
+    def diagonalize(matrix):
+        certified[-1] = False
+        return real_diagonalize(matrix)
+
+    monkeypatch.setattr(ionization, "solve_tracked", solve)
+    monkeypatch.setattr(eigensolver, "diagonalize", diagonalize)
     out = tmp_path / "ion.csv"
     assert main(argv + ["--out", str(out)]) == 0
     meta = json.loads((tmp_path / "ion.csv.meta.json").read_text())
@@ -505,19 +515,50 @@ def test_level_count_falls_back_to_eigvalsh(d_k, d_x, c, x_k, radius, count):
 
 @pytest.mark.parametrize("n0", range(1, 11))
 def test_halves_are_the_assembled_class_bit_for_bit(n0):
+    # k is the half that holds the row asked for, the even half with none
     basis = enumerate_basis(n0)
     for parity in (0, 1):
         if len(basis.class_positions(parity)) == 0:
             continue  # n0 = 1 has no odd state
+        even, odd = basis.class_halves(parity)
+        rows = [-1] + [half[-1] for half in (even, odd) if len(half)]
         for amplitude, omega in ((1e-4, 0.087), (0.02, 0.5), (0.3, 0.01)):
             laser = LaserField(amplitude, omega)
-            (even, d_even), (odd, d_odd), c = eigensolver._halves(
-                basis, laser, parity
-            )
             h = assemble(basis, laser, parity=parity).entries
-            assert np.array_equal(c, h[np.ix_(even, odd)])
-            assert np.array_equal(d_even, np.diag(h)[even])
-            assert np.array_equal(d_odd, np.diag(h)[odd])
+            for row in rows:
+                rows_k, d_k, rows_x, d_x, c = eigensolver._halves(
+                    basis, laser, parity, row
+                )
+                assert np.array_equal(rows_k, odd if row in odd else even)
+                assert np.array_equal(rows_x, even if row in odd else odd)
+                assert np.array_equal(c, h[np.ix_(rows_k, rows_x)])
+                assert np.array_equal(d_k, np.diag(h)[rows_k])
+                assert np.array_equal(d_x, np.diag(h)[rows_x])
+
+
+@pytest.mark.parametrize("n0", range(2, 7))
+def test_other_class_count_is_the_tie_rule_at_the_folded_half(n0):
+    # levels_below folds the mu-odd half away whatever rho is.  At each of
+    # that half's bare levels, and one ulp to either side, its count is the
+    # tie rule's over eigvalsh of the class, even class first in a tie: at
+    # omega = 0.375, 1s and 2p-1 tie at A = 0, and at A = 0 every rho here
+    # is a level.
+    basis = enumerate_basis(n0)
+    for parity in (0, 1):
+        _, odd = basis.class_halves(parity)
+        for amplitude in (0.0, 1e-3, 0.1):
+            for omega in (0.087, 0.375):
+                laser = LaserField(amplitude, omega)
+                h = assemble(basis, laser, parity=parity).entries
+                levels = np.linalg.eigvalsh(h)
+                for level in np.diag(h)[odd]:
+                    for rho in (np.nextafter(level, -np.inf), level,
+                                np.nextafter(level, np.inf)):
+                        scale = max(1.0, abs(rho), np.abs(levels).max())
+                        tied = np.abs(levels - rho) <= eigensolver._TIE * scale
+                        below = np.count_nonzero((levels < rho) & ~tied)
+                        expected = below + (parity == 0) * np.count_nonzero(tied)
+                        assert levels_below(basis, laser, parity, rho) == expected
 
 
 def test_benchmark_sweep_reads_few_spectra_and_builds_the_pattern_once(monkeypatch):
