@@ -20,7 +20,6 @@ from .basis import (
 from .eigensolver import (
     DEGENERACY_GAP,
     EigenDecomposition,
-    TrackedState,
     diagonalize,
     track_state,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "radial_length_integral",
     "DEGENERACY_GAP",
     "EigenDecomposition",
-    "TrackedState",
     "diagonalize",
     "track_state",
     "ConfigurationError",

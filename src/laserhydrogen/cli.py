@@ -154,6 +154,8 @@ class RunConfig:
                 f"initial state (n, l, mu) = ({self.initial_n}, {self.initial_l}, "
                 f"{self.initial_mu}) is outside the n0={self.n0} basis"
             )
+        if not self.output_path:
+            raise ConfigurationError("output_path must name a file, got ''")
         if not 0 <= self.w_min <= 1:
             raise ConfigurationError(f"w_min must be in [0, 1], got {self.w_min}")
         for key in MODE_KEYS[self.mode]:

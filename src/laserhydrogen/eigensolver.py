@@ -19,7 +19,8 @@ solved as `assemble` builds it, A^2/2 on the diagonal: the constant moves
 all levels of both classes alike, so no state, fold or count depends on it.
 
 Photoionization reads one dressed state, the one tracked from the initial
-bare state, and `solve_tracked` finds it without a full solve.  p_x
+bare state: of the dressed states of its class, the one with the largest
+overlap on it.  `track_state` finds it without a full solve.  p_x
 changes mu by one, so H - rho folds exactly onto the mu half of the class
 that holds the initial state (Loewdin partitioning).  Rayleigh-quotient
 iteration on that half finds the state.  It starts from the Ritz vector
@@ -39,10 +40,13 @@ unsure, as at a bare level of its mu-odd half or at an exact tie with E_i,
 comes from `eigvalsh` of that class (`levels_below`).  The positions and
 p_x values of the couplings between the two halves are kept once per
 basis and class.  The solve is one flow: the fold's attempt; where the
-fold cannot certify the state, `diagonalize` picks it and the iteration
-restarts from its column; then the column is placed in class order and
-its position counted.  It returns that one state as a decomposition of a
+fold cannot certify the state, `diagonalize` solves the class, the column
+of largest overlap on the initial state is picked and the iteration
+restarts from it; then the column is placed in class order and its
+position counted.  It returns that one state as a decomposition of a
 single column, with its overlap on the initial state and its position.
+A caller that holds a whole class from `diagonalize` picks the same state
+as the argmax of `decomp.row(initial) ** 2`.
 
 Only matrices that `assemble` built are solved: they are symmetric by
 construction and read-only, and a writeable matrix, or one not of its
@@ -69,7 +73,9 @@ _RITZ_STEPS = 3  # Davidson steps that grow the subspace of RQI's start
 _RESIDUAL_TOL = 1e3 * _EPS  # |H x - rho x| against the size of H
 _SIGN_GUARD = 1e6 * _EPS  # a counted sign closer to 0 than this is unsure
 _DISC_ROUNDING = 8  # eigvalsh's rounding of an eigenvalue, in len(S) eps |S|
-_TIE = 16 * _EPS  # levels of two classes this close, in max(1, |level|), tie
+# levels of two classes this close, in max(1, |rho|, max |level| of the
+# class), tie: eigvalsh rounds every level to about eps times the largest
+_TIE = 16 * _EPS
 
 _log = logging.getLogger(__name__)
 
@@ -83,7 +89,7 @@ class EigenDecomposition:
     energies[j] is that state's pseudo-energy, where rows are the basis
     positions of the class `parity`; C is orthogonal when it holds every
     dressed state of the class, as `diagonalize` returns it.  The single
-    column of `solve_tracked` answers `energy` and `column` and no `row`.
+    column of `track_state` answers `energy` and `column` and no `row`.
     Reading a state of the other class raises.
     """
 
@@ -135,19 +141,6 @@ class EigenDecomposition:
         return self.coefficients[:, self._held(index)]
 
 
-@dataclass(frozen=True)
-class TrackedState:
-    """Dressed state continuously connected to a bare basis state."""
-
-    index: int
-    overlap: float  # squared coefficient of the target bare state
-
-    @property
-    def ambiguous(self) -> bool:
-        """The bare state is strongly mixed: overlap below 1/2."""
-        return self.overlap < 0.5
-
-
 def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
     """Spectrum of the real symmetric pseudo-Hamiltonian of one class.
 
@@ -168,24 +161,6 @@ def diagonalize(matrix: PseudoHamiltonianMatrix) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     return EigenDecomposition(energies, vectors, matrix.basis, matrix.parity)
-
-
-def track_state(
-    decomp: EigenDecomposition, target: QuantumNumbers
-) -> TrackedState:
-    """Dressed state with maximal overlap on the bare target state.
-
-    Ties are broken toward lower pseudo-energy.  Overlap below 0.5 marks
-    the assignment as ambiguous (state strongly mixed), which is logged at
-    INFO.
-    """
-    row = decomp.row(target) ** 2
-    best = int(np.argmax(row))  # argmax returns the first (lowest-energy) max
-    tracked = TrackedState(index=best, overlap=float(row[best]))
-    if tracked.ambiguous:
-        _log.info("state %s is strongly mixed (max overlap %.3f)", target,
-                  tracked.overlap)
-    return tracked
 
 
 # --- the tracked state alone, on one mu half of its class -----------------
@@ -357,9 +332,11 @@ def _rayleigh_quotient_iteration(d_k, d_x, c, x_k, x_x):
     return None
 
 
-def solve_tracked(basis, laser, target):
-    """The dressed state tracked from bare state `target`, solved on half
-    of its parity class.
+def track_state(basis, laser, target):
+    """The dressed state tracked from bare state `target`: of the dressed
+    states of its parity class, the one with the largest overlap on it,
+    the lowest in energy of equal overlaps.  It is solved on half of the
+    class.
 
     p_x changes mu by one, so inside a class every coupling joins a mu-even
     state to a mu-odd one and each half has a diagonal block D alone.  H -
@@ -369,22 +346,25 @@ def solve_tracked(basis, laser, target):
 
     - the fold's attempt: Rayleigh-quotient iteration from the Ritz start
       of `target` (`_ritz_start`) solves with S; an overlap above 1/2 makes
-      the vector reached the one `track_state` picks, since no other
-      dressed state can hold half of a unit vector.  At A = 0 the start is
-      the bare state itself, whose residual is exactly 0.  Sylvester's law
-      of inertia on S counts the levels of this class below E_i (the class
+      the vector reached the tracked state, since no other dressed state
+      can hold half of a unit vector.  At A = 0 the start is the bare
+      state itself, whose residual is exactly 0.  Sylvester's law of
+      inertia on S counts the levels of this class below E_i (the class
       rank), reading the signs of S from its diagonal where scaled
       Gershgorin discs certify them, and from `eigvalsh` of S elsewhere
       (`_levels_below`); both give the same count.
     - where the iteration fails, the overlap is at most 1/2 or the class
-      rank is unsure, `diagonalize` and `track_state` pick the state and
-      its class rank, and the iteration restarts from their column, which
-      stands only where the iteration fails or leaves the state.
+      rank is unsure, `diagonalize` solves the class, and the column of
+      largest overlap on `target` gives the state and its class rank; an
+      overlap below 1/2 (the state strongly mixed) is logged at INFO.  The
+      iteration restarts from that column, which stands only where the
+      iteration fails or leaves the state.
     - placement: the column is scattered into class order, and
       `levels_below` adds the other class's count to the class rank.
 
     Returns (decomposition of that one state, its overlap on `target`, its
-    position in the spectrum of the whole basis).
+    position in the spectrum of the whole basis).  A target outside the
+    basis raises ConfigurationError.
     """
     parity = target.parity
     row = int(np.searchsorted(basis.class_positions(parity), basis.position(target)))
@@ -396,7 +376,11 @@ def solve_tracked(basis, laser, target):
         rank = _levels_below(d_k, d_x, c, pair[0], pair[1])
     if rank is None:
         decomp = diagonalize(assemble(basis, laser, parity=parity))
-        rank = track_state(decomp, target).index
+        overlaps = decomp.row(target) ** 2
+        rank = int(np.argmax(overlaps))  # the first (lowest-energy) of equal
+        if overlaps[rank] < 0.5:
+            _log.info("state %s is strongly mixed (max overlap %.3f)", target,
+                      float(overlaps[rank]))
         x_k, x_x = decomp.column(rank)[rows_k], decomp.column(rank)[rows_x]
         pair = _rayleigh_quotient_iteration(d_k, d_x, c, x_k, x_x)
         if pair is None or not (pair[1] @ x_k + pair[2] @ x_x) ** 2 > 0.5:
@@ -411,9 +395,12 @@ def solve_tracked(basis, laser, target):
 
 def levels_below(basis, laser, parity, rho):
     """Number of levels of the class `parity` below rho, the even class
-    first in a tie: a level within _TIE * max(1, |rho|, |level|) of rho
-    counts as below when `parity` is 0.  So the count plus the rank of a
-    level rho of the other class is its position in the whole spectrum.
+    first in a tie: a level within _TIE * max(1, |rho|, max |level|) of
+    rho, the largest level of the whole class, counts as below when
+    `parity` is 0.  The window scales with the largest level because
+    `eigvalsh` rounds each level to about eps times the largest one, not
+    times the level itself.  So the count plus the rank of a level rho of
+    the other class is its position in the whole spectrum.
 
     `_levels_below` counts, the mu-odd half folded away; where its guard
     leaves it unsure, as at a bare level of that half or at a tie on either

@@ -22,11 +22,13 @@ reproduces the textbook one-photon cross section in the weak-field limit,
 which it equals at A = 0; it does not divide by A.
 
 A scan point (`IonizationScanPoint`) reads one dressed state, the one
-tracked from the initial bare state, and `eigensolver.solve_tracked`
+tracked from the initial bare state, and `eigensolver.track_state`
 solves for it on half of its parity class; its components are good to
 about 1e-13 relative, however small.  Its observe is the one function that
 takes `include_a2` (the command line's --drop-a2): without it the records
 read E_i less A^2/2, a shift of every level alike that moves no state.
+A library caller gets the point's records as `ionization_records(state,
+0, laser)` of the state that `track_state` returns.
 A point that raises is a `transitions.PointFailure` in the list `scan` returns.
 """
 
@@ -38,7 +40,7 @@ from operator import itemgetter
 import numpy as np
 
 from .basis import _radial_norm, angular_x
-from .eigensolver import EigenDecomposition, solve_tracked
+from .eigensolver import EigenDecomposition, track_state
 from .errors import ConfigurationError, DomainError
 from .hamiltonian import LaserField
 from .transitions import ScanRecord
@@ -261,11 +263,12 @@ class IonizationScanPoint(ScanRecord):
     def observe(cls, basis, initial, laser, axis_value, *, include_a2=True):
         """The state tracked from `initial` and its records at one field.
 
-        `solve_tracked` finds it on half of its class.  Without include_a2
+        `track_state` finds it on half of its class, and its records are
+        `ionization_records` of that one state.  Without include_a2
         the records read E_i less A^2/2: the constant shifts every level
         alike, so the state, its overlap and its place stay.
         """
-        decomp, overlap, index = solve_tracked(basis, laser, initial)
+        decomp, overlap, index = track_state(basis, laser, initial)
         if not include_a2:
             shift = 0.5 * laser.amplitude_A**2
             decomp = replace(decomp, energies=decomp.energies - shift)

@@ -12,7 +12,9 @@ the whole basis, which the tests hold the class blocks and class spectra
 to, and `refined_eigenpair` refines one eigenpair of a class in extended
 precision, which the tests hold the tracked dressed state and its sigma
 to.  `averaged_probability` is one W(a, b) summed from two rows of a
-decomposition, which the tests hold `transition_table` to.
+decomposition, which the tests hold `transition_table` to, and
+`tracked_index` picks the tracked column of a whole class, which the tests
+hold `track_state` to.
 `bound_free_radial` reads one bound-free radial integral from the
 program's ladders, and `partial_wave_elements` gives the p_l whose squares
 a record's sigma sums, from which the tests take the golden-rule rate and
@@ -50,6 +52,15 @@ def averaged_probability(decomp, from_state, to_state) -> float:
     decomposition's class; a state of another class raises."""
     c_from, c_to = decomp.row(from_state), decomp.row(to_state)
     return float(np.dot(c_from**2, c_to**2))
+
+
+# --- the tracked state, picked from a whole class -------------------------
+
+def tracked_index(decomp, target) -> int:
+    """Column of a whole-class decomposition tracked from bare state
+    `target`: the largest overlap on it, the first (lowest-energy) of equal
+    overlaps, picked from the class solve alone and not from the fold."""
+    return int(np.argmax(decomp.row(target) ** 2))
 
 
 # --- the program's bound-free values, one at a time ----------------------

@@ -15,7 +15,7 @@ import scipy.integrate
 from conftest import w_matrix
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen.cli import parse_config, sweep
-from laserhydrogen.eigensolver import diagonalize, track_state
+from laserhydrogen.eigensolver import diagonalize
 from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import ionization_records
 from laserhydrogen.specfun import KummerParams, laplace_1f1_product
@@ -27,6 +27,7 @@ from oracles import (
     overlap,
     partial_wave_elements,
     radial_wavefunction,
+    tracked_index,
     whole_hamiltonian,
 )
 
@@ -187,9 +188,9 @@ def test_criterion_5_perturbative_scaling():
     for a in amps:
         laser = LaserField(a, omega)
         decomp = diagonalize(assemble(basis3, laser))
-        tracked = track_state(decomp, GROUND)
-        records = ionization_records(decomp, tracked.index, laser)
-        rates.append(sum(ionization_rate(decomp, tracked.index, r, a)
+        tracked = tracked_index(decomp, GROUND)
+        records = ionization_records(decomp, tracked, laser)
+        rates.append(sum(ionization_rate(decomp, tracked, r, a)
                          for r in records))
     slope_r = np.polyfit(np.log(amps), np.log(rates), 1)[0]
     ok = abs(slope_w - 2.0) <= 0.05 and abs(slope_r - 2.0) <= 0.05
@@ -204,8 +205,8 @@ def test_criterion_6_einstein_limit():
     omega = 20.0 / EV
     laser = LaserField(1e-6, omega)
     decomp = _decomp(3, 1e-6, omega)
-    tracked = track_state(decomp, GROUND)
-    records = ionization_records(decomp, tracked.index, laser)
+    tracked = tracked_index(decomp, GROUND)
+    records = ionization_records(decomp, tracked, laser)
     e_f0 = [r.E_f0 for r in records if r.mu_branch == -1][0]
     err = abs(e_f0 - (omega - 0.5))
     ok = err <= 1e-4
@@ -235,8 +236,8 @@ def test_criterion_7_absolute_cross_section():
         omega = ev / EV
         laser = LaserField(1e-6, omega)
         decomp = diagonalize(assemble(basis, laser))
-        tracked = track_state(decomp, GROUND)
-        records = ionization_records(decomp, tracked.index, laser)
+        tracked = tracked_index(decomp, GROUND)
+        records = ionization_records(decomp, tracked, laser)
         sigma = sum(r.sigma for r in records)
         ref = _stobbe_sigma_pi_a0sq(omega)
         rel = abs(sigma / ref - 1.0)
@@ -271,15 +272,15 @@ def test_criterion_8_special_function_identity():
     omega = 0.8
     laser = LaserField(1e-3, omega)
     decomp = _decomp(3, 1e-3, omega)
-    tracked = track_state(decomp, GROUND)
-    records = ionization_records(decomp, tracked.index, laser)
+    tracked = tracked_index(decomp, GROUND)
+    records = ionization_records(decomp, tracked, laser)
     rec = [r for r in records if r.mu_branch == -1][0]
     k = math.sqrt(2.0 * rec.E_f0)
     worst_beta = 0.0
     basis = decomp.basis
-    coeffs = decomp.coefficients[:, tracked.index]
+    coeffs = decomp.coefficients[:, tracked]
     beta_l = [math.sqrt(math.pi / (2.0 * k)) * p
-              for p in partial_wave_elements(decomp, tracked.index, rec)]
+              for p in partial_wave_elements(decomp, tracked, rec)]
     beta_scale = max(abs(b) for b in beta_l)
     for l_f, beta in enumerate(beta_l, start=1):
         # channels many orders below the dominant one sit at the noise

@@ -235,6 +235,22 @@ def test_exit_code_3_on_unwritable_output():
     assert rc == 3
 
 
+def test_empty_output_path_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    # An empty --out names no file: the run exits 2 before any point is
+    # solved, and writes nothing, not even a temporary file, where it runs.
+    monkeypatch.chdir(tmp_path)
+    rc = main(
+        ["point", "--n0", "2", "--amplitude-vspm", "1e-6",
+         "--omega-ev", "0.5", "--out", ""]
+    )
+    assert rc == 2
+    assert "output_path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigurationError, match="output_path"):
+        parse_config(overrides={"mode": "point", "n0": 2, "amplitude_vspm": 1e-6,
+                                "omega_ev": 0.5, "output_path": ""})
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_fifo_at_the_output_path_is_left_in_place(tmp_path, capsys):
     fifo = tmp_path / "out.csv"
@@ -540,14 +556,14 @@ def _fail_diagonalize_when(monkeypatch, fails):
 def _fail_tracked_solve_when(monkeypatch, fails):
     """An ionization point's solve of its tracked state raises at each
     point whose laser fails."""
-    real = ionization.solve_tracked
+    real = ionization.track_state
 
     def flaky(basis, laser, target):
         if fails(laser):
             raise RuntimeError("synthetic mid-scan failure")
         return real(basis, laser, target)
 
-    monkeypatch.setattr(ionization, "solve_tracked", flaky)
+    monkeypatch.setattr(ionization, "track_state", flaky)
 
 
 def test_failed_point_fault_injection(tmp_path, monkeypatch):

@@ -61,7 +61,7 @@ def test_readme_python_block_runs(block, tmp_path):
 
 # The solve each walkthrough's scan runs once per point: an ionization
 # point solves for its tracked state, a W table diagonalizes its class.
-_SOLVES = {"demo_photoionization.py": (ionization, "solve_tracked")}
+_SOLVES = {"demo_photoionization.py": (ionization, "track_state")}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

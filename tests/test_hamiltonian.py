@@ -64,7 +64,7 @@ def test_every_library_scan_rejects_a_bad_amplitude(monkeypatch, bad):
     # failing one point.
     solved = []
     monkeypatch.setattr(transitions, "diagonalize", solved.append)
-    monkeypatch.setattr(ionization, "solve_tracked", solved.append)
+    monkeypatch.setattr(ionization, "track_state", solved.append)
     for mode, keys in (
         ("spectrum", {"amplitude_vspm": bad, "omega_ev_start": 0.1,
                       "omega_ev_stop": 0.2}),

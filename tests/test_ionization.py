@@ -14,7 +14,7 @@ from laserhydrogen.basis import (
 )
 from laserhydrogen import specfun
 from laserhydrogen.cli import main
-from laserhydrogen.eigensolver import diagonalize, track_state
+from laserhydrogen.eigensolver import diagonalize
 from laserhydrogen.errors import ConfigurationError, DomainError
 from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.ionization import (
@@ -32,6 +32,7 @@ from oracles import (
     ionization_rate,
     partial_wave_elements,
     radial_wavefunction,
+    tracked_index,
 )
 
 GROUND = QuantumNumbers(1, 0, 0)
@@ -92,7 +93,7 @@ def test_bound_free_radial_vs_quadrature(n, l_b, l_f, k):
 
 def _ground_records(basis, laser):
     decomp = diagonalize(assemble(basis, laser))
-    index = track_state(decomp, GROUND).index
+    index = tracked_index(decomp, GROUND)
     return decomp, index, ionization_records(decomp, index, laser)
 
 
@@ -151,9 +152,9 @@ def test_bound_free_element_selection_rules():
     basis = enumerate_basis(2)
     laser = LaserField(1e-4, 0.8)
     decomp = diagonalize(assemble(basis, laser))
-    tracked = track_state(decomp, GROUND)
+    tracked = tracked_index(decomp, GROUND)
     # ground dressed state is almost pure (1,0,0): l_f = 2 unreachable
-    allowed, near_zero = bound_free_element(decomp, tracked.index, -1, 0.3)
+    allowed, near_zero = bound_free_element(decomp, tracked, -1, 0.3)
     assert abs(near_zero) < 1e-8 * abs(allowed)
 
 
@@ -175,8 +176,8 @@ def test_weak_field_cross_section_matches_stobbe():
     basis = enumerate_basis(4)
     laser = LaserField(1e-6, omega)
     decomp = diagonalize(assemble(basis, laser))
-    tracked = track_state(decomp, GROUND)
-    sigma = sum(r.sigma for r in ionization_records(decomp, tracked.index, laser))
+    tracked = tracked_index(decomp, GROUND)
+    sigma = sum(r.sigma for r in ionization_records(decomp, tracked, laser))
     assert sigma == pytest.approx(_stobbe_sigma_pi_a0sq(omega), rel=5e-3)
 
 
@@ -253,9 +254,9 @@ def test_weak_field_rate_quadratic_in_amplitude():
     for amp in (1e-6, 2e-6):
         laser = LaserField(amp, omega)
         decomp = diagonalize(assemble(basis, laser))
-        tracked = track_state(decomp, GROUND)
-        records = ionization_records(decomp, tracked.index, laser)
-        rates.append(sum(ionization_rate(decomp, tracked.index, r, amp)
+        tracked = tracked_index(decomp, GROUND)
+        records = ionization_records(decomp, tracked, laser)
+        rates.append(sum(ionization_rate(decomp, tracked, r, amp)
                          for r in records))
     assert rates[1] / rates[0] == pytest.approx(4.0, rel=1e-3)
 
@@ -268,8 +269,8 @@ def test_weak_field_sigma_amplitude_independent():
     for amp in (1e-6, 2e-6):
         laser = LaserField(amp, omega)
         decomp = diagonalize(assemble(basis, laser))
-        tracked = track_state(decomp, GROUND)
-        records = ionization_records(decomp, tracked.index, laser)
+        tracked = tracked_index(decomp, GROUND)
+        records = ionization_records(decomp, tracked, laser)
         sigmas.append(sum(r.sigma for r in records))
     assert sigmas[1] == pytest.approx(sigmas[0], rel=1e-3)
 
@@ -279,16 +280,16 @@ def test_ionization_records_structure():
     basis = enumerate_basis(6)
     laser = LaserField(0.2, omega)
     decomp = diagonalize(assemble(basis, laser))
-    tracked = track_state(decomp, GROUND)
-    records = ionization_records(decomp, tracked.index, laser)
+    tracked = tracked_index(decomp, GROUND)
+    records = ionization_records(decomp, tracked, laser)
     assert records, "at least one channel must be open"
     for rec in records:
         assert rec.E_f0 > 0
         assert rec.E_f0 == pytest.approx(rec.E_i - rec.mu_branch * omega, rel=1e-13)
-        assert ionization_rate(decomp, tracked.index, rec, laser.amplitude_A) >= 0
+        assert ionization_rate(decomp, tracked, rec, laser.amplitude_A) >= 0
         assert rec.sigma >= 0
         # sigma sums the partial waves l_f = |mu| .. n0
-        p_l = partial_wave_elements(decomp, tracked.index, rec)
+        p_l = partial_wave_elements(decomp, tracked, rec)
         assert len(p_l) == 6 - abs(rec.mu_branch) + 1
         assert rec.sigma == pytest.approx(
             8 * math.pi * CONSTANTS.fine_structure_alpha / omega
@@ -309,8 +310,8 @@ def test_ionization_records_closed_channels_absent():
     basis = enumerate_basis(3)
     laser = LaserField(1e-6, omega)
     decomp = diagonalize(assemble(basis, laser))
-    tracked = track_state(decomp, GROUND)
-    records = ionization_records(decomp, tracked.index, laser)
+    tracked = tracked_index(decomp, GROUND)
+    records = ionization_records(decomp, tracked, laser)
     assert all(r.mu_branch <= -1 for r in records)
     one_photon = [r for r in records if r.mu_branch == -1][0]
     assert one_photon.E_f0 == pytest.approx(omega - 0.5, abs=1e-6)

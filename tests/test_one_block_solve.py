@@ -40,12 +40,13 @@ from laserhydrogen import (
     enumerate_basis,
     ionization_records,
     time_resolved_probability,
-    track_state,
     transition_table,
 )
 from laserhydrogen.eigensolver import levels_below
 from laserhydrogen.ionization import IonizationScanPoint
-from oracles import averaged_probability, ionization_rate, whole_hamiltonian
+from oracles import (
+    averaged_probability, ionization_rate, tracked_index, whole_hamiltonian,
+)
 
 GROUND = QuantumNumbers(1, 0, 0)
 ODD = QuantumNumbers(2, 1, 0)  # (l + mu) odd: the class without the ground state
@@ -132,7 +133,7 @@ def test_reading_the_unsolved_block_raises(one_block):
     with pytest.raises(ConfigurationError, match="parity class"):
         transition_table(decomp, ODD)
     with pytest.raises(ConfigurationError, match="parity class"):
-        track_state(decomp, ODD)
+        tracked_index(decomp, ODD)
     with pytest.raises(ConfigurationError, match="parity class"):
         averaged_probability(decomp, GROUND, ODD)
     with pytest.raises(ConfigurationError, match="parity class"):
@@ -155,9 +156,11 @@ def test_reading_the_solved_block_matches_the_full_solve(one_block):
     np.testing.assert_allclose(
         table.probabilities, reference.probabilities, rtol=0, atol=1e-14
     )
-    tracked, tracked_full = track_state(decomp, GROUND), track_state(full, GROUND)
-    assert tracked.overlap == pytest.approx(tracked_full.overlap, rel=1e-12)
-    assert _position(decomp, tracked.index, laser) == cols[tracked_full.index]
+    tracked, tracked_full = tracked_index(decomp, GROUND), tracked_index(full, GROUND)
+    assert decomp.row(GROUND)[tracked] ** 2 == pytest.approx(
+        full.row(GROUND)[tracked_full] ** 2, rel=1e-12
+    )
+    assert _position(decomp, tracked, laser) == cols[tracked_full]
     final = QuantumNumbers(3, 2, 2)
     assert averaged_probability(decomp, GROUND, final) == pytest.approx(
         averaged_probability(full, GROUND, final), rel=1e-12
@@ -169,9 +172,9 @@ def test_reading_the_solved_block_matches_the_full_solve(one_block):
         rel=1e-10,
     )
     # the partial wave l_f = 1 of the branch mu = -1
-    p_l = bound_free_element(decomp, tracked.index, -1, 0.1)[0]
+    p_l = bound_free_element(decomp, tracked, -1, 0.1)[0]
     assert abs(p_l) == pytest.approx(
-        abs(bound_free_element(full, tracked_full.index, -1, 0.1)[0]), rel=1e-10
+        abs(bound_free_element(full, tracked_full, -1, 0.1)[0]), rel=1e-10
     )
 
 
@@ -280,11 +283,11 @@ class _ClassSolve(Exception):
 
 def _fold_only(basis, laser, target):
     """The fold's own attempt at the tracked state of `target`:
-    `solve_tracked`'s result where the fold certifies it, None where it
+    `track_state`'s result where the fold certifies it, None where it
     would solve the class."""
     with mock.patch.object(eigensolver, "diagonalize", side_effect=_ClassSolve):
         try:
-            return eigensolver.solve_tracked(basis, laser, target)
+            return eigensolver.track_state(basis, laser, target)
         except _ClassSolve:
             return None
 
@@ -300,14 +303,14 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     basis = enumerate_basis(3)
     cols, merged = _merged_columns(basis, laser)
     tie = tuple(
-        int(cols[_parity(s)][track_state(_class_solve(basis, laser, s), s).index])
+        int(cols[_parity(s)][tracked_index(_class_solve(basis, laser, s), s)])
         for s in (QuantumNumbers(2, 0, 0), ODD)
     )
     assert merged[tie[0]] == merged[tie[1]] == -0.125
     assert tie[1] == tie[0] + 1
     decomp = _class_solve(basis, laser, initial)
-    tracked = track_state(decomp, initial)
-    assert _position(decomp, tracked.index, laser) == tie[_parity(initial)]
+    tracked = tracked_index(decomp, initial)
+    assert _position(decomp, tracked, laser) == tie[_parity(initial)]
     point = IonizationScanPoint.observe(basis, initial, laser, 0.0)
     assert point.dressed_index == tie[_parity(initial)]
     assert _fold_only(basis, laser, initial) is not None
@@ -339,11 +342,11 @@ def test_ionization_records_are_physical(case):
     n0, initial, amplitude, omega = case
     laser = LaserField(amplitude, omega)
     decomp = _class_solve(enumerate_basis(n0), laser, initial)
-    tracked = track_state(decomp, initial)
-    for record in ionization_records(decomp, tracked.index, laser):
+    tracked = tracked_index(decomp, initial)
+    for record in ionization_records(decomp, tracked, laser):
         assert record.E_f0 > 0
         assert record.sigma >= 0
-        assert ionization_rate(decomp, tracked.index, record, amplitude) >= 0
+        assert ionization_rate(decomp, tracked, record, amplitude) >= 0
 
 
 # --- no matrix over the whole basis on the scan path --------------------------

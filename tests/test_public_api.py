@@ -111,7 +111,7 @@ def test_settable_values_do_not_grow():
     # caller can set is one more path to test; the count only goes down.
     package = pathlib.Path(laserhydrogen.__file__).parent
     total = sum(_settable_values(p.read_text()) for p in package.glob("*.py"))
-    assert total <= 65
+    assert total <= 63
 
 
 def test_no_function_in_the_package_calls_mpmath():

@@ -1,14 +1,15 @@
 """The tracked dressed state solved on half of its parity class.
 
-`eigensolver.solve_tracked` folds H - rho onto the mu half of the class
+`eigensolver.track_state` folds H - rho onto the mu half of the class
 that holds the initial state and finds the tracked state by Rayleigh-
 quotient iteration, and counts levels by Sylvester's law of inertia.  These
-tests hold the fold alone (`solve_tracked` with its class solve refused) to
-the full path (`diagonalize`, `track_state`, and the class rank plus
-`levels_below`) where it certifies its result, hold the other class's count
-to the tie rule at the bare levels of the half it folds away, check that
-it returns the bare state at A = 0, hold `solve_tracked` to the full
-path's state and index where the fold does not certify it, hold its column
+tests hold the fold alone (`track_state` with its class solve refused) to
+the full path (`diagonalize`, the column of largest overlap
+(`oracles.tracked_index`), and the class rank plus `levels_below`) where
+it certifies its result, hold the other class's count to the tie rule at
+the bare levels of the half it folds away, check that it returns the bare
+state at A = 0, hold `track_state` to the full path's state and index
+where the fold does not certify it, hold its column
 and sigma to an extended-precision refinement of the same eigenpair
 (`oracles.refined_eigenpair`), at the points the fold certifies and at
 those where the class solve picks the state, and check which points the
@@ -32,18 +33,17 @@ from hypothesis import strategies as st
 import laserhydrogen.eigensolver as eigensolver
 import laserhydrogen.ionization as ionization
 from laserhydrogen.basis import QuantumNumbers, enumerate_basis
-from laserhydrogen.cli import main
+from laserhydrogen.cli import PRESETS, main, parse_config, sweep
 from laserhydrogen.eigensolver import (
     EigenDecomposition,
     diagonalize,
     levels_below,
-    solve_tracked,
     track_state,
 )
 from laserhydrogen.hamiltonian import LaserField, assemble, class_layout
 from laserhydrogen.ionization import IonizationScanPoint, ionization_records
 from laserhydrogen.units import CONSTANTS, UnitSystem
-from oracles import refined_eigenpair
+from oracles import refined_eigenpair, tracked_index
 from test_ionization import _FIG3_SIGMA, _bound_free_loop
 from test_one_block_solve import _fold_only, _merged_columns
 
@@ -74,21 +74,22 @@ BENCH_SEED0 = ["ionization", "--n0", "10", "--omega-ev", "2.37",
 
 def _full_path(basis, laser, initial):
     decomp = diagonalize(assemble(basis, laser, parity=initial.parity))
-    tracked = track_state(decomp, initial)
-    e_i = decomp.energy(tracked.index)
+    tracked = tracked_index(decomp, initial)
+    e_i = decomp.energy(tracked)
     other = levels_below(basis, laser, 1 - initial.parity, e_i)
-    return decomp, tracked, tracked.index + other
+    return decomp, tracked, tracked + other
 
 
 def _check_against_full_path(basis, laser, initial):
     """The fold alone agrees with the full path where it certifies; where it
-    does not, solve_tracked gives the full path's state and index, E_i to
+    does not, track_state gives the full path's state and index, E_i to
     1e-13 and the overlap to eps*|H|/gap, and the scan point is
-    solve_tracked's.  True if the fold certified."""
+    track_state's.  True if the fold certified."""
     decomp, tracked, index = _full_path(basis, laser, initial)
+    tracked_overlap = decomp.row(initial)[tracked] ** 2
     folded = _fold_only(basis, laser, initial)
     if folded is None:
-        one, overlap, position = solve_tracked(basis, laser, initial)
+        one, overlap, position = track_state(basis, laser, initial)
         point = IonizationScanPoint.observe(basis, initial, laser, 0.5)
         records = tuple(ionization_records(one, 0, laser))
         assert point == IonizationScanPoint(0.5, position, overlap, records)
@@ -96,7 +97,7 @@ def _check_against_full_path(basis, laser, initial):
         one, overlap, position = folded
     assert one.dimension == 1  # the one dressed state it holds
     assert position == index
-    e_full = decomp.energies[tracked.index]
+    e_full = decomp.energies[tracked]
     # A level of the other class within the tie window of E_i ties with it,
     # as 2p0 with 2s at n0 = 2, where p_x couples neither; the even class
     # comes first, whichever side of it eigh's E_i and the fold's land.
@@ -108,11 +109,11 @@ def _check_against_full_path(basis, laser, initial):
     scale = max(1.0, abs(e_full), np.abs(other).max(initial=0.0))
     tied = np.abs(other - e_full) <= eigensolver._TIE * scale
     below = np.count_nonzero((other < e_full) & ~tied)
-    assert position == tracked.index + below + initial.parity * np.count_nonzero(tied)
+    assert position == tracked + below + initial.parity * np.count_nonzero(tied)
     assert abs(one.energy(0) - e_full) <= 1e-13 * max(1.0, abs(e_full))
     if folded is not None:
         assert overlap > 0.5
-    if abs(overlap - tracked.overlap) > 1e-11:
+    if abs(overlap - tracked_overlap) > 1e-11:
         # Near a level a gap apart, eigh's vector carries rounding of about
         # eps*|H|/gap; the refined eigenpair decides.  The fold holds it to
         # 1e-11 where it certifies the state; restarted from eigh's vector
@@ -123,10 +124,10 @@ def _check_against_full_path(basis, laser, initial):
             one.column(0), one.energy(0),
         )
         exact = vector[np.searchsorted(decomp.rows, basis.position(initial))] ** 2
-        gap = np.delete(np.abs(decomp.energies - e_full), tracked.index).min()
+        gap = np.delete(np.abs(decomp.energies - e_full), tracked).min()
         rounding = 2 * np.finfo(float).eps * np.abs(decomp.energies).max() / gap
         assert abs(overlap - exact) <= (1e-11 if folded is not None else rounding)
-        assert abs(tracked.overlap - exact) <= rounding
+        assert abs(tracked_overlap - exact) <= rounding
     return folded is not None
 
 
@@ -145,7 +146,7 @@ def _sweep(argv):
 
 @contextmanager
 def _counts_checked_against_eigvalsh():
-    """Within it, `solve_tracked` makes each level count twice, with its
+    """Within it, `track_state` makes each level count twice, with its
     Gershgorin discs and by `eigvalsh` alone, and the two must agree.
     Yields how many counts the discs certified, in the own class and in
     the other."""
@@ -213,7 +214,7 @@ def test_folded_solve_agrees_with_the_full_path(case):
                0.6897928688384724)).via(
     "3d0 1.8e-16 from a level of its class: the restart leaves eigh's state")
 def test_class_solve_picks_the_state_the_fold_restarts_from(case):
-    # Wherever the fold does not certify the state, solve_tracked takes the
+    # Wherever the fold does not certify the state, track_state takes the
     # state and class rank of the class solve and restarts the iteration
     # from its column; with the fold's own class rank refused at every
     # point, that path gives the full path's index, its E_i and its overlap,
@@ -227,9 +228,9 @@ def test_class_solve_picks_the_state_the_fold_restarts_from(case):
 
     with mock.patch.object(eigensolver, "_levels_below", other_class_only):
         assert not _check_against_full_path(basis, laser, initial)
-        one, _, _ = solve_tracked(basis, laser, initial)
+        one, _, _ = track_state(basis, laser, initial)
     decomp, tracked, _ = _full_path(basis, laser, initial)
-    assert (one.column(0) @ decomp.column(tracked.index)) ** 2 > 0.5
+    assert (one.column(0) @ decomp.column(tracked)) ** 2 > 0.5
 
 
 def test_zero_field_and_the_empty_other_class():
@@ -292,13 +293,13 @@ def test_exact_tie_with_a_bare_level_of_the_other_half():
     # first correction meets that zero of theta - diag H, which it replaces
     # by eps.  From the Ritz start the fold certifies the state.
     basis, laser = enumerate_basis(2), LaserField(1e-3, 0.375)
-    _, tracked, index = _full_path(basis, laser, GROUND)
+    decomp, tracked, index = _full_path(basis, laser, GROUND)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, overlap, position = _fold_only(basis, laser, GROUND)
         point = IonizationScanPoint.observe(basis, GROUND, laser, 1e-3)
     assert (position, index) == (0, 0)
-    assert abs(overlap - tracked.overlap) <= 1e-12
+    assert abs(overlap - decomp.row(GROUND)[tracked] ** 2) <= 1e-12
     assert point.dressed_index == 0
     assert abs(point.overlap - 0.5000658089446299) <= 1e-12
 
@@ -311,7 +312,7 @@ def test_tracked_column_matches_the_refined_eigenpair(n0, initial):
     basis = enumerate_basis(n0)
     laser = LaserField(UNITS.vector_potential_to_internal(5e-7),
                        UNITS.ev_to_internal(2.37))
-    one, _, _ = solve_tracked(basis, laser, initial)
+    one, _, _ = track_state(basis, laser, initial)
     matrix = assemble(basis, laser, parity=initial.parity)
     column = one.column(0)
     vector, energy = refined_eigenpair(matrix.entries, column, one.energy(0))
@@ -328,8 +329,8 @@ def test_stored_fig3_sigma_is_the_refined_eigenpair_sigma():
         decomp, tracked, position = _full_path(basis, laser, GROUND)
         assert position == int(index)
         vector, energy = refined_eigenpair(
-            assemble(basis, laser).entries, decomp.column(tracked.index),
-            decomp.energies[tracked.index],
+            assemble(basis, laser).entries, decomp.column(tracked),
+            decomp.energies[tracked],
         )
         refined = EigenDecomposition(np.array([energy]), vector[:, None], basis, 0)
         sigma = [
@@ -346,7 +347,7 @@ def _refined_sigma(basis, laser, initial=GROUND):
     decomp, tracked, _ = _full_path(basis, laser, initial)
     vector, energy = refined_eigenpair(
         assemble(basis, laser, parity=initial.parity).entries,
-        decomp.column(tracked.index), decomp.energies[tracked.index],
+        decomp.column(tracked), decomp.energies[tracked],
     )
     refined = EigenDecomposition(
         np.array([energy]), vector[:, None], basis, initial.parity
@@ -406,7 +407,7 @@ def test_resonance_sigma_is_the_refined_eigenpair_sigma():
     # the full path
     basis, lasers = _sweep(RESONANCE)
     for laser in lasers[1:3]:
-        one, _, _ = solve_tracked(basis, laser, GROUND)
+        one, _, _ = track_state(basis, laser, GROUND)
         vector, energy = refined_eigenpair(
             assemble(basis, laser).entries, one.column(0), one.energy(0)
         )
@@ -431,7 +432,7 @@ def test_resonance_sigma_is_the_refined_eigenpair_sigma():
 def test_meta_lists_the_points_solved_in_full(tmp_path, monkeypatch, argv, full,
                                               ambiguous):
     certified = []
-    real_solve, real_diagonalize = ionization.solve_tracked, eigensolver.diagonalize
+    real_solve, real_diagonalize = ionization.track_state, eigensolver.diagonalize
 
     def solve(*args):
         certified.append(True)
@@ -441,7 +442,7 @@ def test_meta_lists_the_points_solved_in_full(tmp_path, monkeypatch, argv, full,
         certified[-1] = False
         return real_diagonalize(matrix)
 
-    monkeypatch.setattr(ionization, "solve_tracked", solve)
+    monkeypatch.setattr(ionization, "track_state", solve)
     monkeypatch.setattr(eigensolver, "diagonalize", diagonalize)
     out = tmp_path / "ion.csv"
     assert main(argv + ["--out", str(out)]) == 0
@@ -455,6 +456,26 @@ def test_meta_lists_the_points_solved_in_full(tmp_path, monkeypatch, argv, full,
     assert len(certified) == len(axis)
     assert [a for a, ok in zip(axis, certified) if not ok] == axis[full]
     assert meta["ambiguous_axis_values"] == axis[ambiguous]
+
+
+@pytest.mark.parametrize("overrides, points", [
+    ({**PRESETS["fig3"], "n0": 8, "count": 4}, slice(None)),
+    # the strong-field sweep's last 5 points, where the class solve picks
+    # the state
+    ({"mode": "ionization", "n0": 10, "omega_ev": 2.37, "a_vspm_start": 1e-5,
+      "a_vspm_stop": 4e-5, "count": 8}, slice(3, None)),
+], ids=["fig3-n0-8", "strong-field"])
+def test_library_path_is_the_command_line_path(overrides, points):
+    # track_state and ionization_records of its one state give, bit for
+    # bit, the scan point of the command line at the same field
+    config = parse_config(overrides=overrides)
+    basis = enumerate_basis(config.n0)
+    omega = UNITS.ev_to_internal(config.omega_ev)
+    for point in sweep(config)[points]:
+        laser = LaserField(UNITS.vector_potential_to_internal(point.axis_value), omega)
+        state, overlap, position = track_state(basis, laser, GROUND)
+        records = tuple(ionization_records(state, 0, laser))
+        assert point == IonizationScanPoint(point.axis_value, position, overlap, records)
 
 
 def test_scan_solves_no_class_where_the_fold_certifies(monkeypatch):
@@ -573,7 +594,7 @@ def test_benchmark_sweep_reads_few_spectra_and_builds_the_pattern_once(monkeypat
     class_layout.cache_clear()
     basis, lasers = _sweep(BENCH_SEED0)
     for laser in lasers:
-        solve_tracked(basis, laser, GROUND)
+        track_state(basis, laser, GROUND)
     # the couplings are laid out once for each class of the basis
     assert class_layout.cache_info().misses == 2
     assert calls["eigvalsh"] <= 0.6 * len(lasers)
