@@ -35,6 +35,8 @@ import sys
 import time
 from functools import partial
 
+import numpy as np
+
 from . import __version__
 from .basis import N0_CAP, QuantumNumbers, enumerate_basis
 from .eigensolver import DEGENERACY_GAP
@@ -205,10 +207,8 @@ def parse_config(overrides=None, preset=None) -> RunConfig:
 
 
 def _axis_grid(start, stop, count):
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+    """count evenly spaced values, the last exactly stop: [start] if count is 1."""
+    return np.linspace(start, stop, count).tolist()
 
 
 def sweep(config: RunConfig) -> list:

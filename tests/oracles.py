@@ -9,37 +9,50 @@ give one element of p_x and of x for one pair of states, which the tests
 hold `coupling_arrays`, the program's one builder of them, to.  The program
 builds and solves one parity class at a time; `whole_hamiltonian` is H over
 the whole basis, which the tests hold the class blocks and class spectra
-to, and `refined_eigenpair` refines one eigenpair of a class in extended
-precision, which the tests hold the tracked dressed state and its sigma
-to.  `averaged_probability` is one W(a, b) summed from two rows of a
+to, and `whole_eigh` its solve in the fig1 field, made once per n0.
+`merged_columns` is the stable merge of both classes' spectra, which the
+tests hold the level counts to, and `refined_eigenpair` refines one
+eigenpair of a class in extended precision, which the tests hold the
+tracked dressed state and its sigma to.  `averaged_probability` is one W(a, b) summed from two rows of a
 decomposition, which the tests hold `transition_table` to, and
 `tracked_index` picks the tracked column of a whole class, which the tests
-hold `track_state` to.
+hold `track_state` to; `fold_only` is `track_state` with its class solve
+refused.
 `bound_free_radial` reads one bound-free radial integral from the
 program's ladders, and `partial_wave_elements` gives the p_l whose squares
 a record's sigma sums, from which the tests take the golden-rule rate and
-the partial amplitudes that no output reads.
+the partial amplitudes that no output reads; `bound_free_loop` sums one
+p_l term by term over the basis, and `stobbe_sigma_pi_a0sq` is the
+textbook sigma of 1s.  `FIG3_SIGMA` holds sigma of the refined eigenpair at
+two points of fig3.  `WITHOUT_ORACLES` is a prefix for a fresh interpreter's
+code that makes mpmath and scipy look uninstalled.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from unittest import mock
 
 import mpmath
 import numpy as np
+import scipy.linalg
 
+import laserhydrogen.eigensolver as eigensolver
 from laserhydrogen.basis import (
     QuantumNumbers,
     _radial_norm,
     angular_x,
     bound_energy,
     coupling_arrays,
+    enumerate_basis,
     radial_length_integral,
 )
 from laserhydrogen.errors import ConvergenceError, DomainError
+from laserhydrogen.hamiltonian import LaserField
 from laserhydrogen.ionization import _bound_free_ladders, bound_free_element
 from laserhydrogen.specfun import KummerParams, _as_nonpositive_int
+from laserhydrogen.units import CONSTANTS, UnitSystem
 
 _SERIES_CAP = 2000
 _SERIES_RTOL = 1e-16
@@ -63,6 +76,21 @@ def tracked_index(decomp, target) -> int:
     return int(np.argmax(decomp.row(target) ** 2))
 
 
+class _ClassSolve(Exception):
+    """Raised by `fold_only` in place of the class solve."""
+
+
+def fold_only(basis, laser, target):
+    """The fold's own attempt at the tracked state of `target`:
+    `track_state`'s result where the fold certifies it, None where it
+    would solve the class."""
+    with mock.patch.object(eigensolver, "diagonalize", side_effect=_ClassSolve):
+        try:
+            return eigensolver.track_state(basis, laser, target)
+        except _ClassSolve:
+            return None
+
+
 # --- the program's bound-free values, one at a time ----------------------
 
 def bound_free_radial(n: int, l_b: int, l_f: int, k: float) -> float:
@@ -76,6 +104,51 @@ def partial_wave_elements(decomp, index, record):
     the golden-rule element per unit A, of each partial wave that sigma sums,
     for the dressed state of column `index` of `decomp`."""
     return bound_free_element(decomp, index, record.mu_branch, record.E_f0).tolist()
+
+
+def bound_free_loop(decomp, index, mu, l_f, e_f0):
+    """p_l of the partial wave l_f of the branch mu as a loop over every
+    state the decomposition holds, the reference for the per-branch arrays
+    of bound_free_element."""
+    k = math.sqrt(2.0 * e_f0)
+    total = 0.0
+    for c, j in zip(decomp.column(index), decomp.rows):
+        b = decomp.basis.states[j]
+        if abs(l_f - b.l) != 1 or abs(mu - b.mu) != 1:
+            continue
+        x_fb = angular_x(l_f, mu, b.l, b.mu) * bound_free_radial(b.n, b.l, l_f, k)
+        if l_f == b.l + 1:
+            x_fb = -x_fb
+        total += c * ((bound_energy(b.n) - e_f0) * x_fb)
+    return total
+
+
+def stobbe_sigma_pi_a0sq(omega):
+    """Textbook nonrelativistic 1s photoionization cross section / (pi a0^2)."""
+    b = 0.5
+    k = math.sqrt(2.0 * (omega - b))
+    zeta = 1.0 / k
+    alpha = CONSTANTS.fine_structure_alpha
+    return (
+        (2**9 * math.pi / 3) * alpha * (b / omega) ** 4
+        * math.exp(-4 * zeta * math.atan(1.0 / zeta))
+        / (1.0 - math.exp(-2 * math.pi * zeta))
+    )
+
+
+# dressed_index and sigma (pi a0^2, mu = -10 .. -6) of the fig3 preset's
+# first and last point: sigma of the tracked eigenpair refined in extended
+# precision (refined_eigenpair, held to these values by
+# test_tracked_solve).  The small components of a full-class eigh column
+# carry its rounding, which moved the first point's sigma by 8.1e-10.
+FIG3_SIGMA = {
+    "5e-07": ("20", (1.0718434841306858e-46, 5.123962545622508e-38,
+                     2.4824434703913124e-30, 1.8233497785246728e-23,
+                     1.9086490766546738e-17)),
+    "5e-06": ("10", (4.706698302443968e-28, 1.2497905264915193e-21,
+                     2.6953797490222006e-16, 4.778878272001851e-12,
+                     3.736337484452822e-09)),
+}
 
 
 def ionization_rate(decomp, index, record, amplitude) -> float:
@@ -131,6 +204,40 @@ def whole_hamiltonian(basis, laser) -> np.ndarray:
         h[rows, cols] = scaled
         h[cols, rows] = scaled
     return h
+
+
+# the fig1 preset's field: A = 5e-6 V*s/m at 0.5 eV
+_UNITS = UnitSystem()
+FIG1_LASER = LaserField(
+    _UNITS.vector_potential_to_internal(5e-6), _UNITS.ev_to_internal(0.5)
+)
+
+
+@lru_cache(maxsize=None)
+def whole_eigh(n0):
+    """(energies, vectors) of `scipy.linalg.eigh`, its default LAPACK
+    routine, of the whole-basis H of an n0 basis in `FIG1_LASER`,
+    read-only: each n0 is solved once however many tests read it."""
+    energies, vectors = scipy.linalg.eigh(
+        whole_hamiltonian(enumerate_basis(n0), FIG1_LASER))
+    energies.flags.writeable = vectors.flags.writeable = False
+    return energies, vectors
+
+
+def merged_columns(basis, laser):
+    """Column of each level of class 0 and of class 1 in the stable merge
+    of both classes' eigenvalues of the whole-basis H, class 0 first in a
+    tie; and the merged energies."""
+    whole = whole_hamiltonian(basis, laser)
+    levels = [
+        np.linalg.eigvalsh(whole[np.ix_(rows, rows)])
+        for rows in (basis.class_positions(p) for p in (0, 1))
+    ]
+    energies = np.concatenate(levels)
+    order = np.argsort(energies, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    return (column[:len(levels[0])], column[len(levels[0]):]), energies[order]
 
 
 _REFINE_STEPS = 3
@@ -305,3 +412,22 @@ def coulomb_radial(energy: float, l: int, r: float, charge: float = 1.0) -> floa
     else:
         f = float(mpmath.coulombf(l, eta, rho))
     return norm * f
+
+
+# --- a fresh interpreter without the oracles -----------------------------
+
+# Prefixed to the code of a fresh interpreter, makes mpmath and scipy look
+# uninstalled: find_spec finds neither, and an import of either raises
+# ModuleNotFoundError.
+WITHOUT_ORACLES = (
+    "import importlib.abc, importlib.util, sys\n"
+    "ORACLES = ('mpmath', 'scipy')\n"
+    "find_spec = importlib.util.find_spec\n"
+    "importlib.util.find_spec = lambda name, package=None: (\n"
+    "    None if name.split('.')[0] in ORACLES else find_spec(name, package))\n"
+    "class Refuse(importlib.abc.MetaPathFinder):\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] in ORACLES:\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, Refuse())\n"
+)

@@ -27,6 +27,7 @@ from oracles import (
     overlap,
     partial_wave_elements,
     radial_wavefunction,
+    stobbe_sigma_pi_a0sq,
     tracked_index,
     whole_hamiltonian,
 )
@@ -217,18 +218,6 @@ def test_criterion_6_einstein_limit():
     )
 
 
-def _stobbe_sigma_pi_a0sq(omega):
-    b = 0.5
-    k = math.sqrt(2.0 * (omega - b))
-    zeta = 1.0 / k
-    alpha = CONSTANTS.fine_structure_alpha
-    return (
-        (2**9 * math.pi / 3) * alpha * (b / omega) ** 4
-        * math.exp(-4 * zeta * math.atan(1.0 / zeta))
-        / (1.0 - math.exp(-2 * math.pi * zeta))
-    )
-
-
 def test_criterion_7_absolute_cross_section():
     details, ok = [], True
     basis = enumerate_basis(4)
@@ -239,7 +228,7 @@ def test_criterion_7_absolute_cross_section():
         tracked = tracked_index(decomp, GROUND)
         records = ionization_records(decomp, tracked, laser)
         sigma = sum(r.sigma for r in records)
-        ref = _stobbe_sigma_pi_a0sq(omega)
+        ref = stobbe_sigma_pi_a0sq(omega)
         rel = abs(sigma / ref - 1.0)
         ok = ok and rel <= 0.05
         details.append(f"{ev:.0f}eV: {rel * 100:.2f}%")

@@ -23,6 +23,7 @@ from laserhydrogen.hamiltonian import LaserField
 from laserhydrogen.ionization import IonizationScanPoint
 from laserhydrogen.transitions import ScanPoint, scan
 from laserhydrogen.units import UnitSystem
+from oracles import WITHOUT_ORACLES
 
 
 def _read_csv(path):
@@ -465,51 +466,91 @@ def test_a_branch_that_no_state_couples_to_reads_zero(tmp_path):
     assert "sigma_cut_branches" not in meta
 
 
-# Makes mpmath and scipy look uninstalled: find_spec finds neither, and an
-# import of either raises ModuleNotFoundError.
-_WITHOUT_ORACLES = (
-    "import importlib.abc, importlib.util, sys\n"
-    "ORACLES = ('mpmath', 'scipy')\n"
-    "find_spec = importlib.util.find_spec\n"
-    "importlib.util.find_spec = lambda name, package=None: (\n"
-    "    None if name.split('.')[0] in ORACLES else find_spec(name, package))\n"
-    "class Refuse(importlib.abc.MetaPathFinder):\n"
-    "    def find_spec(self, name, path=None, target=None):\n"
-    "        if name.split('.')[0] in ORACLES:\n"
-    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
-    "sys.meta_path.insert(0, Refuse())\n"
-)
+def test_a_sweep_ends_at_the_stop_it_was_given(tmp_path):
+    # start + i * step wrote fig2's last point at 5.000000000000001e-06
+    out = tmp_path / "fig2.csv"
+    assert main(["intensity", "--preset", "fig2", "--n0", "3", "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "fig2.csv.meta.json").read_text())["config"]
+    _, rows = _read_csv(out)
+    assert float(rows[-1][0]) == config["a_vspm_stop"] == 5e-6
+    assert len({r[0] for r in rows}) == config["count"]
+
+
+# Runs at the edges of sigma and of the tracked state, made once by
+# test_runs_without_scipy and held there to the condition beside each.
+_EDGES = {
+    # mu = -1 opens 1.06e-6 eV above its threshold (k = 2.8e-4), the k -> 0
+    # edge of the continuum: sigma within 1e-5 of the 1s threshold value
+    "threshold": ["ionization", "--n0", "4", "--omega-ev", "13.605694",
+                  "--a-vspm-start", "1e-9", "--a-vspm-stop", "1e-9", "--count", "1"],
+    # the recurrences in l run through every shell of the n0 cap, with
+    # photoelectrons from 0.079 to 395 eV (k up to 5.4): sigma > 0 on every
+    # branch with mu >= -28 (mu = -30 underflows the double range to 0.0,
+    # mu = -29 reads a subnormal 5.1e-316)
+    "cap": ["ionization", "--n0", "30", "--omega-ev", "13.62",
+            "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-7", "--count", "1"],
+    # p_x couples neither 2s, even, nor 2p0, odd, which tie exactly at every
+    # field: the tie rule counts 2p0 after 2s, so 2s is at 2 on every row
+    "tie": ["ionization", "--n0", "2", "--omega-ev", "13.6", "--initial", "2", "0", "0",
+            "--a-vspm-start", "0", "--a-vspm-stop", "5e-5", "--count", "6"],
+    # fig3's field from 2p mu = -1: the class solve picks the state at 9 of
+    # the 10 points, and sigma reads every component of it (down to 1.7e-48)
+    "class_solve": ["ionization", "--preset", "fig3", "--initial", "2", "1", "-1"],
+    # mu = -1 is 0.038 eV above its threshold: sigma > 0 on every branch
+    # (down to 1.4e-77 on mu = -10)
+    "near_threshold": ["ionization", "--n0", "10", "--omega-ev", "13.585",
+                       "--a-vspm-start", "5e-7", "--a-vspm-stop", "5e-7", "--count", "1"],
+}
 
 
 def test_runs_without_scipy(tmp_path):
     # numpy's LAPACK does every solve: scipy's, with its own BLAS thread
     # pool, is never loaded, and no function of the package calls mpmath.
     # Every mode runs where both are installed, loading no scipy module and
-    # no mpmath submodule, and where neither can be found or imported.
+    # no mpmath submodule, and where neither can be found or imported; the
+    # runs at the edges run there only.  A numpy RuntimeWarning is an error
+    # in both interpreters, so no run passes through a non-finite value.
     script = (
         "import json, sys\n"
         "from laserhydrogen import specfun\n"
         "from laserhydrogen.cli import main\n"
         "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
-        "for i, argv in enumerate(runs):\n"
-        "    assert main(argv + ['--out', f'{out}/{i}.csv']) == 0, argv\n"
+        "for name, argv in runs.items():\n"
+        "    assert main(argv + ['--out', f'{out}/{name}.csv']) == 0, argv\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not [m for m in sys.modules if m.startswith('mpmath.')]\n"
         "print(specfun.mpmath is None)\n"
     )
-    runs = json.dumps([_POINT, _SPECTRUM, _INTENSITY, _IONIZATION])
+    modes = {"point": _POINT, "spectrum": _SPECTRUM, "intensity": _INTENSITY,
+             "ionization": _IONIZATION}
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for prefix, absent in (("", "False"), (_WITHOUT_ORACLES, "True")):
+    for prefix, absent, runs in (("", "False", modes),
+                                 (WITHOUT_ORACLES, "True", {**modes, **_EDGES})):
         done = subprocess.run(
-            [sys.executable, "-c", prefix + script, str(tmp_path), runs],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", prefix + script,
+             str(tmp_path), json.dumps(runs)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == absent
-        rows = _read_csv(tmp_path / "3.csv")[1]
+        rows = _read_csv(tmp_path / "ionization.csv")[1]
         assert rows and all(float(r[8]) > 0 for r in rows)  # sigma was computed
+
+    rows = {name: _read_csv(tmp_path / f"{name}.csv")[1] for name in _EDGES}
+    for name in _EDGES:
+        meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        assert meta["failed_points"] == [], name
+    # 2^9 pi alpha/(3 e^4) = 0.0716615 pi a0^2; the run reads 2.6e-7 below
+    # it: 8k^2/3 from the finite k, the rest from the field
+    (threshold,) = [float(r[8]) for r in rows["threshold"] if r[5] == "-1"]
+    alpha = 7.2973525693e-3
+    assert threshold == pytest.approx(2**9 * math.pi * alpha / (3 * math.e**4), rel=1e-5)
+    assert rows["cap"] and all(float(r[8]) > 0 for r in rows["cap"] if int(r[5]) >= -28)
+    assert len(rows["tie"]) == 25 and {r[2] for r in rows["tie"]} == {"2"}
+    for name, count in (("class_solve", 84), ("near_threshold", 10)):
+        assert len(rows[name]) == count and all(float(r[8]) > 0 for r in rows[name])
 
 
 def test_eigensolver_failure_is_a_failed_point(tmp_path, monkeypatch):

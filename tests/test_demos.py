@@ -1,8 +1,10 @@
 """Run every walkthrough in demos/ as the README tells a reader to, and
-every Python block of the README.
+every Python block of the README, on the runtime alone.
 
 Each walkthrough runs a figure preset of the command line from Python,
-through `cli.sweep`."""
+through `cli.sweep`.  Each runs in a fresh interpreter where mpmath and
+scipy, the oracles of the tests, cannot be imported, and where a numpy
+RuntimeWarning is an error."""
 
 import os
 import re
@@ -15,6 +17,7 @@ import pytest
 
 import laserhydrogen.ionization as ionization
 import laserhydrogen.transitions as transitions
+from oracles import WITHOUT_ORACLES
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -22,14 +25,16 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
                            (ROOT / "README.md").read_text(), re.M | re.S)
 
 
-def _run(args, cwd):
-    """args run by a fresh interpreter that imports the package from src/."""
+def _run(code, cwd, *args):
+    """code run by a fresh interpreter that imports the package from src/
+    and cannot import an oracle."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", WITHOUT_ORACLES + code,
+         *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
 
@@ -40,7 +45,8 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    result = _run([str(demo)], ROOT)
+    result = _run("import runpy, sys\nrunpy.run_path(sys.argv[1], run_name='__main__')",
+                  ROOT, str(demo))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
     # a walkthrough goes on past a failed point, so its exit code cannot
@@ -55,7 +61,7 @@ def test_readme_python_blocks_found():
 @pytest.mark.parametrize("block", README_BLOCKS,
                          ids=[f"block{i}" for i in range(1, len(README_BLOCKS) + 1)])
 def test_readme_python_block_runs(block, tmp_path):
-    result = _run(["-c", block], tmp_path)
+    result = _run(block, tmp_path)
     assert result.returncode == 0, result.stderr
 
 

@@ -6,12 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from laserhydrogen.basis import (
-    QuantumNumbers,
-    angular_x,
-    bound_energy,
-    enumerate_basis,
-)
+from laserhydrogen.basis import QuantumNumbers, enumerate_basis
 from laserhydrogen import specfun
 from laserhydrogen.cli import main
 from laserhydrogen.eigensolver import diagonalize
@@ -27,11 +22,14 @@ from laserhydrogen.ionization import (
 from laserhydrogen.transitions import scan
 from laserhydrogen.units import CONSTANTS, UnitSystem
 from oracles import (
+    FIG3_SIGMA,
+    bound_free_loop,
     bound_free_radial,
     coulomb_radial,
     ionization_rate,
     partial_wave_elements,
     radial_wavefunction,
+    stobbe_sigma_pi_a0sq,
     tracked_index,
 )
 
@@ -112,25 +110,8 @@ def test_zero_field_records_are_the_one_photon_limit():
     assert one_photon == pytest.approx(
         next(r.sigma for r in weak if r.mu_branch == -1), rel=1e-9
     )
-    assert one_photon == pytest.approx(_stobbe_sigma_pi_a0sq(omega), rel=5e-3)
+    assert one_photon == pytest.approx(stobbe_sigma_pi_a0sq(omega), rel=5e-3)
     assert sigma and all(value == 0.0 for value in sigma.values())
-
-
-def _bound_free_loop(decomp, index, mu, l_f, e_f0):
-    """p_l of the partial wave l_f of the branch mu as a loop over every
-    state the decomposition holds, the reference for the per-branch arrays
-    of bound_free_element."""
-    k = math.sqrt(2.0 * e_f0)
-    total = 0.0
-    for c, j in zip(decomp.column(index), decomp.rows):
-        b = decomp.basis.states[j]
-        if abs(l_f - b.l) != 1 or abs(mu - b.mu) != 1:
-            continue
-        x_fb = angular_x(l_f, mu, b.l, b.mu) * bound_free_radial(b.n, b.l, l_f, k)
-        if l_f == b.l + 1:
-            x_fb = -x_fb
-        total += c * ((bound_energy(b.n) - e_f0) * x_fb)
-    return total
 
 
 @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
@@ -143,7 +124,7 @@ def test_bound_free_channels_equal_the_loop_over_the_basis(parity):
             waves = bound_free_element(decomp, index, mu, 0.2)
             # same terms, same order, same arithmetic: equal to the bit
             assert waves.tolist() == [
-                _bound_free_loop(decomp, index, mu, l_f, 0.2)
+                bound_free_loop(decomp, index, mu, l_f, 0.2)
                 for l_f in range(abs(mu), n0 + 1)
             ]
 
@@ -158,19 +139,6 @@ def test_bound_free_element_selection_rules():
     assert abs(near_zero) < 1e-8 * abs(allowed)
 
 
-def _stobbe_sigma_pi_a0sq(omega):
-    """Textbook nonrelativistic 1s photoionization cross section / (pi a0^2)."""
-    b = 0.5
-    k = math.sqrt(2.0 * (omega - b))
-    zeta = 1.0 / k
-    alpha = CONSTANTS.fine_structure_alpha
-    return (
-        (2**9 * math.pi / 3) * alpha * (b / omega) ** 4
-        * math.exp(-4 * zeta * math.atan(1.0 / zeta))
-        / (1.0 - math.exp(-2 * math.pi * zeta))
-    )
-
-
 def test_weak_field_cross_section_matches_stobbe():
     omega = 20.0 / EV
     basis = enumerate_basis(4)
@@ -178,7 +146,7 @@ def test_weak_field_cross_section_matches_stobbe():
     decomp = diagonalize(assemble(basis, laser))
     tracked = tracked_index(decomp, GROUND)
     sigma = sum(r.sigma for r in ionization_records(decomp, tracked, laser))
-    assert sigma == pytest.approx(_stobbe_sigma_pi_a0sq(omega), rel=5e-3)
+    assert sigma == pytest.approx(stobbe_sigma_pi_a0sq(omega), rel=5e-3)
 
 
 def test_cli_sigma_just_above_the_one_photon_threshold(tmp_path):
@@ -199,7 +167,7 @@ def test_cli_sigma_just_above_the_one_photon_threshold(tmp_path):
     assert sigma == pytest.approx(0.066632611874570, rel=1e-9)
     # textbook one-photon value at the same photoelectron energy; the
     # dressed value is about 6% lower (tracked-state overlap 0.94)
-    textbook = _stobbe_sigma_pi_a0sq(0.5 + float(row["E_f0_eV"]) / EV)
+    textbook = stobbe_sigma_pi_a0sq(0.5 + float(row["E_f0_eV"]) / EV)
     assert sigma == pytest.approx(textbook, rel=0.1)
 
 
@@ -218,27 +186,12 @@ def test_near_threshold_run_sums_exactly_without_mpmath(tmp_path, monkeypatch):
         tmp_path / "reference.csv").read_bytes()
 
 
-# dressed_index and sigma (pi a0^2, mu = -10 .. -6) of the fig3 preset's
-# first and last point: sigma of the tracked eigenpair refined in extended
-# precision (oracles.refined_eigenpair, held to these values by
-# test_tracked_solve).  The small components of a full-class eigh column
-# carry its rounding, which moved the first point's sigma by 8.1e-10.
-_FIG3_SIGMA = {
-    "5e-07": ("20", (1.0718434841306858e-46, 5.123962545622508e-38,
-                     2.4824434703913124e-30, 1.8233497785246728e-23,
-                     1.9086490766546738e-17)),
-    "5e-06": ("10", (4.706698302443968e-28, 1.2497905264915193e-21,
-                     2.6953797490222006e-16, 4.778878272001851e-12,
-                     3.736337484452822e-09)),
-}
-
-
 def test_fig3_sigma_matches_stored_values(tmp_path):
     out = tmp_path / "fig3.csv"
     assert main(["ionization", "--preset", "fig3", "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    for axis, (index, stored) in _FIG3_SIGMA.items():
+    for axis, (index, stored) in FIG3_SIGMA.items():
         got = [r for r in rows if r["A_vspm"] == axis]
         assert [int(r["mu_branch"]) for r in got] == [-10, -9, -8, -7, -6]
         assert {r["dressed_index"] for r in got} == {index}

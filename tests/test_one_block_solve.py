@@ -16,7 +16,6 @@ import csv
 import sys
 from functools import partial
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,7 +44,14 @@ from laserhydrogen import (
 from laserhydrogen.eigensolver import levels_below
 from laserhydrogen.ionization import IonizationScanPoint
 from oracles import (
-    averaged_probability, ionization_rate, tracked_index, whole_hamiltonian,
+    FIG1_LASER,
+    averaged_probability,
+    fold_only,
+    ionization_rate,
+    merged_columns,
+    tracked_index,
+    whole_eigh,
+    whole_hamiltonian,
 )
 
 GROUND = QuantumNumbers(1, 0, 0)
@@ -84,22 +90,6 @@ def _position(decomp, index, laser):
     return index + levels_below(
         decomp.basis, laser, 1 - decomp.parity, decomp.energy(index)
     )
-
-
-def _merged_columns(basis, laser):
-    """Column of each level of class 0 and of class 1 in the stable merge
-    of both classes' eigenvalues of the whole-basis H, class 0 first in a
-    tie; and the merged energies."""
-    whole = whole_hamiltonian(basis, laser)
-    levels = [
-        np.linalg.eigvalsh(whole[np.ix_(rows, rows)])
-        for rows in (basis.class_positions(p) for p in (0, 1))
-    ]
-    energies = np.concatenate(levels)
-    order = np.argsort(energies, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))
-    return (column[:len(levels[0])], column[len(levels[0]):]), energies[order]
 
 
 @pytest.fixture(scope="module")
@@ -200,13 +190,9 @@ def test_initial_state_outside_the_basis():
 @pytest.mark.parametrize("n0", [10, 18])
 @pytest.mark.parametrize("initial", [GROUND, ODD], ids=["even", "odd"])
 def test_class_solve_matches_full_eigh_fig1_field(n0, initial):
-    units = UnitSystem()
-    laser = LaserField(
-        units.vector_potential_to_internal(5e-6), units.ev_to_internal(0.5)
-    )
     basis = enumerate_basis(n0)
-    decomp = _class_solve(basis, laser, initial)
-    energies, vectors = scipy.linalg.eigh(whole_hamiltonian(basis, laser))
+    decomp = _class_solve(basis, FIG1_LASER, initial)
+    energies, vectors = whole_eigh(n0)
     parity = np.array([_parity(s) for s in basis.states])
     # a column's class is that of its largest component
     in_class = parity[np.argmax(np.abs(vectors), axis=0)] == _parity(initial)
@@ -237,7 +223,7 @@ def test_one_block_solve_equals_full_solve(case):
     decomp = _class_solve(basis, laser, initial)
     whole = whole_hamiltonian(basis, laser)
     # the class's levels are its part of the whole-basis spectrum
-    cols, merged = _merged_columns(basis, laser)
+    cols, merged = merged_columns(basis, laser)
     np.testing.assert_allclose(merged, np.linalg.eigvalsh(whole), rtol=0, atol=1e-12)
     cols = cols[_parity(initial)]
     np.testing.assert_allclose(decomp.energies, merged[cols], rtol=0, atol=1e-12)
@@ -262,7 +248,7 @@ def test_dressed_index_is_the_position_in_the_full_spectrum(case):
     basis = enumerate_basis(n0)
     decomp = _class_solve(basis, laser, initial)
     # the stable merge puts the class's i-th level at column cols[i]
-    cols, merged = _merged_columns(basis, laser)
+    cols, merged = merged_columns(basis, laser)
     cols = cols[_parity(initial)]
     other = np.delete(merged, cols)
     # Levels with no partner in the field are exactly diagonal entries, and
@@ -277,21 +263,6 @@ def test_dressed_index_is_the_position_in_the_full_spectrum(case):
             assert _position(decomp, i, laser) == cols[i]
 
 
-class _ClassSolve(Exception):
-    """Raised by `_fold_only` in place of the class solve."""
-
-
-def _fold_only(basis, laser, target):
-    """The fold's own attempt at the tracked state of `target`:
-    `track_state`'s result where the fold certifies it, None where it
-    would solve the class."""
-    with mock.patch.object(eigensolver, "diagonalize", side_effect=_ClassSolve):
-        try:
-            return eigensolver.track_state(basis, laser, target)
-        except _ClassSolve:
-            return None
-
-
 @pytest.mark.parametrize("initial", [QuantumNumbers(2, 0, 0), ODD], ids=["even", "odd"])
 def test_exact_cross_class_tie_at_zero_field(initial):
     # At A = 0 the levels are the diagonal E_n + mu*omega: (2, 0, 0), even,
@@ -301,7 +272,7 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     # either, and an ionization point places it there.
     laser = LaserField(0.0, 0.05)
     basis = enumerate_basis(3)
-    cols, merged = _merged_columns(basis, laser)
+    cols, merged = merged_columns(basis, laser)
     tie = tuple(
         int(cols[_parity(s)][tracked_index(_class_solve(basis, laser, s), s)])
         for s in (QuantumNumbers(2, 0, 0), ODD)
@@ -313,7 +284,7 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     assert _position(decomp, tracked, laser) == tie[_parity(initial)]
     point = IonizationScanPoint.observe(basis, initial, laser, 0.0)
     assert point.dressed_index == tie[_parity(initial)]
-    assert _fold_only(basis, laser, initial) is not None
+    assert fold_only(basis, laser, initial) is not None
 
 
 @pytest.mark.parametrize("initial, position", [(QuantumNumbers(2, 0, 0), 2), (ODD, 3)],
@@ -330,7 +301,7 @@ def test_exact_cross_class_tie_in_a_field(initial, position):
     assert level == -0.125 + 0.171875**2 / 2
     point = IonizationScanPoint.observe(basis, initial, laser, 0.0)
     assert point.dressed_index == position
-    assert _fold_only(basis, laser, initial) is not None
+    assert fold_only(basis, laser, initial) is not None
     for rho in (np.nextafter(level, -1.0), level, np.nextafter(level, 0.0)):
         assert levels_below(basis, laser, 1, rho) == 0
         assert levels_below(basis, laser, 0, rho) == 3

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 from laserhydrogen import (
     LaserField,
     QuantumNumbers,
-    UnitSystem,
     assemble,
     diagonalize,
     enumerate_basis,
 )
 
-from oracles import whole_hamiltonian
+from oracles import FIG1_LASER, whole_eigh, whole_hamiltonian
 
 
 def _parity(basis):
@@ -66,13 +65,9 @@ def _cluster_projectors(energies, vectors, gap):
 
 @pytest.mark.parametrize("n0", [10, 18])
 def test_block_solve_matches_full_eigh_fig1_field(n0):
-    units = UnitSystem()
-    laser = LaserField(
-        units.vector_potential_to_internal(5e-6), units.ev_to_internal(0.5)
-    )
     basis = enumerate_basis(n0)
-    block_energies, coefficients, labels = _both_classes(basis, laser)
-    energies, vectors = scipy.linalg.eigh(whole_hamiltonian(basis, laser))
+    block_energies, coefficients, labels = _both_classes(basis, FIG1_LASER)
+    energies, vectors = whole_eigh(n0)
     np.testing.assert_allclose(block_energies, energies, rtol=0, atol=1e-12)
     ground = basis.position(QuantumNumbers(1, 0, 0))
     w_block = (coefficients**2) @ (coefficients[ground] ** 2)

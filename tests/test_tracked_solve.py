@@ -43,9 +43,14 @@ from laserhydrogen.eigensolver import (
 from laserhydrogen.hamiltonian import LaserField, assemble, class_layout
 from laserhydrogen.ionization import IonizationScanPoint, ionization_records
 from laserhydrogen.units import CONSTANTS, UnitSystem
-from oracles import refined_eigenpair, tracked_index
-from test_ionization import _FIG3_SIGMA, _bound_free_loop
-from test_one_block_solve import _fold_only, _merged_columns
+from oracles import (
+    FIG3_SIGMA,
+    bound_free_loop,
+    fold_only,
+    merged_columns,
+    refined_eigenpair,
+    tracked_index,
+)
 
 GROUND = QuantumNumbers(1, 0, 0)
 UNITS = UnitSystem()
@@ -87,7 +92,7 @@ def _check_against_full_path(basis, laser, initial):
     track_state's.  True if the fold certified."""
     decomp, tracked, index = _full_path(basis, laser, initial)
     tracked_overlap = decomp.row(initial)[tracked] ** 2
-    folded = _fold_only(basis, laser, initial)
+    folded = fold_only(basis, laser, initial)
     if folded is None:
         one, overlap, position = track_state(basis, laser, initial)
         point = IonizationScanPoint.observe(basis, initial, laser, 0.5)
@@ -234,7 +239,7 @@ def test_class_solve_picks_the_state_the_fold_restarts_from(case):
 
 
 def test_zero_field_and_the_empty_other_class():
-    basis, fold = enumerate_basis(1), _fold_only
+    basis, fold = enumerate_basis(1), fold_only
     one, overlap, index = fold(basis, LaserField(0.0, 0.7), GROUND)
     assert (one.dimension, index, overlap) == (1, 0, 1.0)
     assert one.energy(0) == -0.5
@@ -253,14 +258,14 @@ def test_zero_field_folds_to_the_bare_state(initial):
     # stable merge of both classes' spectra, even class first in a tie, as
     # 2p0 ties 2s and 3p-1 ties 3d-1.
     basis, laser = enumerate_basis(4), LaserField(0.0, 0.087)
-    one, overlap, index = _fold_only(basis, laser, initial)
+    one, overlap, index = fold_only(basis, laser, initial)
     diagonal = np.diag(assemble(basis, laser, parity=initial.parity).entries)
     e_i = diagonal[np.searchsorted(one.rows, basis.position(initial))]
     assert one.energy(0) == e_i
     assert (one.dimension, overlap) == (1, 1.0)
     assert np.count_nonzero(one.column(0)) == 1
     assert np.count_nonzero(diagonal == e_i) == 1
-    cols, _ = _merged_columns(basis, laser)
+    cols, _ = merged_columns(basis, laser)
     assert index == cols[initial.parity][np.count_nonzero(diagonal < e_i)]
 
 
@@ -296,7 +301,7 @@ def test_exact_tie_with_a_bare_level_of_the_other_half():
     decomp, tracked, index = _full_path(basis, laser, GROUND)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, overlap, position = _fold_only(basis, laser, GROUND)
+        _, overlap, position = fold_only(basis, laser, GROUND)
         point = IonizationScanPoint.observe(basis, GROUND, laser, 1e-3)
     assert (position, index) == (0, 0)
     assert abs(overlap - decomp.row(GROUND)[tracked] ** 2) <= 1e-12
@@ -321,9 +326,9 @@ def test_tracked_column_matches_the_refined_eigenpair(n0, initial):
 
 
 def test_stored_fig3_sigma_is_the_refined_eigenpair_sigma():
-    # test_ionization's stored fig3 values: sigma of the refined column
+    # the stored fig3 values of oracles.FIG3_SIGMA: sigma of the refined column
     basis = enumerate_basis(10)
-    for axis, (index, stored) in _FIG3_SIGMA.items():
+    for axis, (index, stored) in FIG3_SIGMA.items():
         laser = LaserField(UNITS.vector_potential_to_internal(float(axis)),
                            UNITS.ev_to_internal(2.37))
         decomp, tracked, position = _full_path(basis, laser, GROUND)
@@ -343,7 +348,7 @@ def test_stored_fig3_sigma_is_the_refined_eigenpair_sigma():
 def _refined_sigma(basis, laser, initial=GROUND):
     """sigma of each open branch, in atomic units and mu order, from the
     tracked eigenpair refined in extended precision, every component of
-    its column summed by test_ionization's loop over the basis."""
+    its column summed by `oracles.bound_free_loop` over the basis."""
     decomp, tracked, _ = _full_path(basis, laser, initial)
     vector, energy = refined_eigenpair(
         assemble(basis, laser, parity=initial.parity).entries,
@@ -356,7 +361,7 @@ def _refined_sigma(basis, laser, initial=GROUND):
     for mu in range(-basis.n0, basis.n0 + 1):
         e_f0 = energy - mu * laser.omega
         if e_f0 > 0:
-            p = [_bound_free_loop(refined, 0, mu, l_f, e_f0)
+            p = [bound_free_loop(refined, 0, mu, l_f, e_f0)
                  for l_f in range(abs(mu), basis.n0 + 1)]
             sigma.append(8 * math.pi * CONSTANTS.fine_structure_alpha
                          / laser.omega * math.fsum(x * x for x in p))
@@ -493,7 +498,7 @@ def test_disc_counts_are_the_eigvalsh_counts_on_the_benchmark_sweep():
     basis, lasers = _sweep(BENCH_SEED0)
     with _counts_checked_against_eigvalsh() as certified:
         for laser in lasers:
-            assert _fold_only(basis, laser, GROUND) is not None
+            assert fold_only(basis, laser, GROUND) is not None
     # the discs certify most of the 40 counts of each class
     assert certified["own"] >= 20 and certified["other"] >= 20
 
