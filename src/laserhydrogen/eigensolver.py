@@ -76,6 +76,10 @@ _DISC_ROUNDING = 8  # eigvalsh's rounding of an eigenvalue, in len(S) eps |S|
 # levels of two classes this close, in max(1, |rho|, max |level| of the
 # class), tie: eigvalsh rounds every level to about eps times the largest
 _TIE = 16 * _EPS
+# the least size a sign guard scales with: its guard is then never below
+# _TIE, the tie window of a rho and a class whose levels all lie within 1
+# of 0, so a count never orders levels that tie
+_GUARD_FLOOR = _TIE / _SIGN_GUARD
 
 _log = logging.getLogger(__name__)
 
@@ -199,12 +203,12 @@ def _levels_below(d_k, d_x, c, rho, x_k):
     where they certify that `eigvalsh` of S would read the same signs;
     otherwise `eigvalsh` reads them.
     """
-    scale = max(np.abs(d_x).max(initial=0.0), abs(rho))
+    scale = max(np.abs(d_x).max(initial=0.0), abs(rho), _GUARD_FLOOR)
     if (np.abs(d_x - rho) <= _SIGN_GUARD * scale).any():
         return None  # before the fold, which divides by each d_x - rho
     s, w = _fold(d_k, d_x, c, rho)
     # S is summed from terms up to this size (d_k - rho from d_k and rho)
-    size = max(np.abs(d_k).max(), abs(rho)) + (
+    size = max(np.abs(d_k).max(), abs(rho), _GUARD_FLOOR) + (
         np.abs(c) @ (np.abs(w) * np.abs(c).sum(axis=0))
     ).max(initial=0.0)
     below = int(np.count_nonzero(d_x < rho))

@@ -287,22 +287,27 @@ def test_exact_cross_class_tie_at_zero_field(initial):
     assert fold_only(basis, laser, initial) is not None
 
 
-@pytest.mark.parametrize("initial, position", [(QuantumNumbers(2, 0, 0), 2), (ODD, 3)],
-                         ids=["even", "odd"])
-def test_exact_cross_class_tie_in_a_field(initial, position):
+@pytest.mark.parametrize("initial, position, amplitude, omega", [
+    (QuantumNumbers(2, 0, 0), 2, 0.171875, 0.5), (ODD, 3, 0.171875, 0.5),
+    (QuantumNumbers(2, 0, 0), 2, 0.5, 0.75), (ODD, 3, 0.5, 0.75),
+], ids=["even", "odd", "even-at-0", "odd-at-0"])
+def test_exact_cross_class_tie_in_a_field(initial, position, amplitude, omega):
     # At n0 = 2, p_x has no element between states of one shell, so it
     # couples neither 2s, even, nor 2p0, odd and alone in its class: both
-    # stay at E_2 + A^2/2 at every field.  Below them lie 2p-1 and 1s, and
-    # even class first, 2s is at 2 and 2p0 at 3.  The fold places either
-    # there, and the count of the other class is the tie rule's at the
-    # level and one ulp to either side of it.
-    basis, laser = enumerate_basis(2), LaserField(0.171875, 0.5)
+    # stay at E_2 + A^2/2 at every field, exactly 0 at A = 1/2.  Below them
+    # lie 2p-1 and 1s, and even class first, 2s is at 2 and 2p0 at 3.  The
+    # fold places either there, and the count of the other class is the tie
+    # rule's at the level, one ulp to either side of it and half the tie
+    # window away, where eigh's E_i of 2s can land (1.5e-17 at A = 1/2).
+    basis, laser = enumerate_basis(2), LaserField(amplitude, omega)
     (level,) = np.linalg.eigvalsh(assemble(basis, laser, parity=1).entries)
-    assert level == -0.125 + 0.171875**2 / 2
+    assert level == -0.125 + amplitude**2 / 2
     point = IonizationScanPoint.observe(basis, initial, laser, 0.0)
     assert point.dressed_index == position
     assert fold_only(basis, laser, initial) is not None
-    for rho in (np.nextafter(level, -1.0), level, np.nextafter(level, 0.0)):
+    half = eigensolver._TIE / 2
+    for rho in (level - half, np.nextafter(level, -1.0), level,
+                np.nextafter(level, 1.0), level + half):
         assert levels_below(basis, laser, 1, rho) == 0
         assert levels_below(basis, laser, 0, rho) == 3
 

@@ -215,6 +215,8 @@ def test_folded_solve_agrees_with_the_full_path(case):
     "A = 0: 3s ties 3d0 exactly and the restart's residual is 0")
 @example(case=(2, QuantumNumbers(2, 0, 0), 0.171875, 0.5)).via(
     "2s ties 2p0 of the other class exactly")
+@example(case=(2, QuantumNumbers(2, 0, 0), 0.5, 0.75)).via(
+    "2s ties 2p0 exactly at 0, and eigh's E_i of 2s is 1.5e-17")
 @example(case=(3, QuantumNumbers(3, 2, 0), 9.473142109899513e-09,
                0.6897928688384724)).via(
     "3d0 1.8e-16 from a level of its class: the restart leaves eigh's state")
