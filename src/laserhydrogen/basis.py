@@ -11,10 +11,11 @@ exact commutator relation
 
 holds in atomic units.  The dipole radial integrals (l and l - 1) are
 evaluated with Gordon's closed form, two terminating Gauss series summed in
-exact integer arithmetic.  `coupling_arrays` holds every nonzero p_x element
-of a basis at its basis positions, and is the one builder of them.  This
-module alone knows the state order, the parity rule and the two mu halves
-of a class; other modules read them from `BasisSet`.
+exact integer arithmetic.  `class_layout` is the one builder of the p_x
+elements: it lays out every nonzero one of a parity class between the
+class's two mu halves, and keeps them.  This module alone knows the state
+order, the parity rule and the two mu halves of a class; other modules read
+them from `BasisSet` and `class_layout`.
 """
 
 import math
@@ -101,13 +102,6 @@ class BasisSet:
     def class_positions(self, parity: int) -> np.ndarray:
         """Basis positions of the states of parity 0 or 1, ascending."""
         return np.flatnonzero(self.parity == parity)
-
-    def class_halves(self, parity: int):
-        """Rows of the class `parity` (indices into its class_positions)
-        whose mu is even, and those whose mu is odd, each ascending.  p_x
-        changes mu by one, so every coupling joins one half to the other."""
-        odd = self.mu[self.class_positions(parity)] % 2 == 1
-        return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
 def _read_only(values) -> np.ndarray:
@@ -244,38 +238,52 @@ def radial_length_integral(n1: int, l1: int, n2: int, l2: int) -> float:
     return magnitude if (num > 0) == (den > 0) else -magnitude
 
 
-def coupling_arrays(n0: int):
-    """Nonzero <a|p_x|b> of the n0 basis with l_b = l_a + 1.
+@lru_cache(maxsize=2)
+def class_layout(basis: BasisSet, parity: int):
+    """The nonzero <a|p_x|b> of the class `parity` (0 or 1) in the
+    coordinates of its two mu halves.
 
-    Returns read-only (rows, cols, values) with values[k] the p_x element
-    of states[rows[k]] and states[cols[k]], bit for bit the element-wise
-    reference `px_matrix_element` of tests/oracles.py; the matrix is
-    symmetric, so the mirrored entries carry the same values.  They are
-    not kept: `hamiltonian.class_layout` keeps the couplings of each class.
+    Returns read-only (even, odd, r, c, p_x): the rows of the class (indices
+    into its class_positions) whose mu is even and those whose mu is odd,
+    each ascending, and each coupling once, p_x joining row even[r] to row
+    odd[c], bit for bit the element-wise reference `px_matrix_element` of
+    tests/oracles.py.  p_x changes mu by one, so every coupling joins one
+    half to the other.  A scan stays on one basis and reads at most both
+    of its classes: both are kept.
     """
-    rows, cols, values = [], [], []
-    for l1 in range(n0 - 1):
+    positions = basis.class_positions(parity)
+    odd_mu = basis.mu[positions] % 2 == 1
+    even, odd = np.flatnonzero(~odd_mu), np.flatnonzero(odd_mu)
+    in_half = np.empty(len(basis), dtype=np.intp)  # a state's row in its half
+    in_half[positions[even]] = np.arange(len(even))
+    in_half[positions[odd]] = np.arange(len(odd))
+    r, c, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    # (n1, l1, mu1) -> (n2, l1 + 1, mu1 +- 1) with the lower state in the
+    # class; class 1 has no l = 0 state
+    for l1 in range(parity, basis.n0 - 1):
         l2 = l1 + 1
-        mu1 = np.repeat(np.arange(-l1, l1 + 1), 2)
-        mu2 = mu1 + np.tile([-1, 1], 2 * l1 + 1)
+        mu1 = np.repeat(np.arange(-l1 + parity, l1 + 1, 2), 2)
+        mu2 = mu1 + np.tile([-1, 1], len(mu1) // 2)
         angular = np.array([
             angular_x(l1, m1, l2, m2)
             for m1, m2 in zip(mu1.tolist(), mu2.tolist())
         ])
         pairs = [
             (n1, n2)
-            for n1 in range(l1 + 1, n0 + 1)
-            for n2 in range(l2 + 1, n0 + 1)
+            for n1 in range(l1 + 1, basis.n0 + 1)
+            for n2 in range(l2 + 1, basis.n0 + 1)
             if n1 != n2
         ]
         radial = np.array([radial_length_integral(a, l1, b, l2) for a, b in pairs])
         de = np.array([bound_energy(b) - bound_energy(a) for a, b in pairs])
         n1, n2 = np.array(pairs).T
-        rows.append(_position(n1[:, None], l1, mu1).ravel())
-        cols.append(_position(n2[:, None], l2, mu2).ravel())
+        lower = in_half[_position(n1[:, None], l1, mu1)].ravel()
+        upper = in_half[_position(n2[:, None], l2, mu2)].ravel()
+        # every mu1 of the class at l1 has the parity of l1 + parity
+        r.append(upper if (l1 + parity) % 2 else lower)
+        c.append(lower if (l1 + parity) % 2 else upper)
         # px(a, b) = (E_b - E_a) * X(a, b) with X = angular * radial
         values.append((de[:, None] * (angular * radial[:, None])).ravel())
-    return tuple(
-        _read_only(np.concatenate(part) if part else np.zeros(0, dtype=dtype))
-        for part, dtype in ((rows, np.intp), (cols, np.intp), (values, float))
-    )
+    return tuple(_read_only(a) for a in (
+        even, odd, np.concatenate(r), np.concatenate(c), np.concatenate(values)
+    ))

@@ -59,11 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, QuantumNumbers
+from .basis import BasisSet, QuantumNumbers, class_layout
 from .errors import ConfigurationError, ConvergenceError
-from .hamiltonian import (
-    PseudoHamiltonianMatrix, assemble, class_diagonal, class_layout,
-)
+from .hamiltonian import PseudoHamiltonianMatrix, assemble, class_diagonal
 
 DEGENERACY_GAP = 1e-10
 

@@ -6,14 +6,13 @@ In the i^l-phased truncated bound basis the matrix is real symmetric:
     off-diagonal:  A * <a|p_x|b>   (only for |dl| = 1 and |dmu| = 1)
 
 The p_x elements depend only on the basis, so their positions and values
-are built once per basis and class (`basis.coupling_arrays`, laid out and
-kept by `class_layout`) and each field point costs one diagonal fill plus
-one scaled scatter of those values.  Every nonzero
-element joins states of equal z-reflection parity (l + mu) mod 2, so H is
-block diagonal in the two parity classes, and p_x changes mu by one, so
-inside a class every coupling joins its mu-even half to its mu-odd half.
-`class_layout` lays out the couplings of one class once per basis, each
-as (r, c, p_x) between row r of the even half and row c of the odd half.
+are built once per basis and class (`basis.class_layout`) and each field
+point costs one diagonal fill plus one scaled scatter of those values.
+Every nonzero element joins states of equal z-reflection parity
+(l + mu) mod 2, so H is block diagonal in the two parity classes, and p_x
+changes mu by one, so inside a class every coupling joins its mu-even half
+to its mu-odd half.  The layout gives each coupling of a class once, as
+(r, c, p_x) between row r of the even half and row c of the odd half.
 `assemble` scatters A * p_x at both mirror positions of the class's
 block, in Fortran order, beside its diagonal (`class_diagonal`); the
 folded solve of the eigensolver scatters it into the block between the
@@ -32,11 +31,10 @@ holds the field.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisSet, _read_only, coupling_arrays
+from .basis import BasisSet, class_layout
 from .errors import ConfigurationError
 
 
@@ -94,28 +92,6 @@ def class_diagonal(basis: BasisSet, laser: LaserField, parity: int) -> np.ndarra
         )
     return (basis.energy[positions] + basis.mu[positions] * laser.omega
             + 0.5 * laser.amplitude_A**2)
-
-
-@lru_cache(maxsize=2)
-def class_layout(basis: BasisSet, parity: int):
-    """The couplings of the class `parity` (0 or 1) in the coordinates of
-    its two mu halves: read-only (even, odd, r, c, p_x), the rows of the
-    mu-even and of the mu-odd half (as `basis.class_halves` gives them) and
-    each coupling once, p_x joining row even[r] to row odd[c].  A scan stays
-    on one basis and reads at most both of its classes: both are kept.
-    """
-    even, odd = basis.class_halves(parity)
-    rows, cols, values = coupling_arrays(basis.n0)
-    keep = basis.parity[rows] == parity  # a coupling never crosses classes
-    rows, cols = rows[keep], cols[keep]
-    positions = basis.class_positions(parity)
-    in_half = np.empty(len(basis), dtype=np.intp)
-    in_half[positions[even]] = np.arange(len(even))
-    in_half[positions[odd]] = np.arange(len(odd))
-    flip = basis.mu[rows] % 2 == 1  # listed odd first: swap to (even, odd)
-    r = in_half[np.where(flip, cols, rows)]
-    c = in_half[np.where(flip, rows, cols)]
-    return tuple(_read_only(a) for a in (even, odd, r, c, values[keep]))
 
 
 def assemble(

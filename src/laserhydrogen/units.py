@@ -97,6 +97,7 @@ class UnitSystem:
         return value_si / (CONSTANTS.vector_potential_au * self.mass_factor)
 
     def vector_potential_to_si(self, value_au: float) -> float:
+        """Internal (mass-scaled) atomic units of A -> V*s/m."""
         return value_au * CONSTANTS.vector_potential_au * self.mass_factor
 
     def cross_section_to_pi_a0sq(self, value_internal: float) -> float:

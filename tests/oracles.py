@@ -6,7 +6,7 @@ here: normalized hydrogen radial functions integrated on Gauss-Laguerre
 grids, the Kummer function F(a, c, z) summed as a Taylor series, and the
 energy-normalized Coulomb wave.  `px_matrix_element` and `x_matrix_element`
 give one element of p_x and of x for one pair of states, which the tests
-hold `coupling_arrays`, the program's one builder of them, to.  The program
+hold `class_layout`, the program's one builder of them, to.  The program
 builds and solves one parity class at a time; `whole_hamiltonian` is H over
 the whole basis, which the tests hold the class blocks and class spectra
 to, and `whole_eigh` its solve in the fig1 field, made once per n0.
@@ -44,7 +44,7 @@ from laserhydrogen.basis import (
     _radial_norm,
     angular_x,
     bound_energy,
-    coupling_arrays,
+    class_layout,
     enumerate_basis,
     radial_length_integral,
 )
@@ -192,17 +192,19 @@ def px_matrix_element(a: QuantumNumbers, b: QuantumNumbers) -> float:
 
 def whole_hamiltonian(basis, laser) -> np.ndarray:
     """H_ps = H_0 + omega*L_z + A*p_x + A^2/2 over every state of the
-    basis, in basis order, scattered straight from `coupling_arrays`."""
+    basis, in basis order, with both classes' couplings scattered from
+    `class_layout` through `class_positions`."""
     dim = len(basis)
     h = np.zeros((dim, dim), order="F")
     np.fill_diagonal(
         h, basis.energy + basis.mu * laser.omega + 0.5 * laser.amplitude_A**2
     )
     if laser.amplitude_A != 0.0:
-        rows, cols, values = coupling_arrays(basis.n0)
-        scaled = laser.amplitude_A * values
-        h[rows, cols] = scaled
-        h[cols, rows] = scaled
+        for parity in (0, 1):
+            positions = basis.class_positions(parity)
+            even, odd, r, c, values = class_layout(basis, parity)
+            rows, cols = positions[even[r]], positions[odd[c]]
+            h[rows, cols] = h[cols, rows] = laser.amplitude_A * values
     return h
 
 

@@ -9,12 +9,12 @@ import laserhydrogen.transitions as transitions
 from laserhydrogen.basis import (
     QuantumNumbers,
     bound_energy,
-    coupling_arrays,
+    class_layout,
     enumerate_basis,
 )
 from laserhydrogen.cli import parse_config, sweep
 from laserhydrogen.errors import ConfigurationError
-from laserhydrogen.hamiltonian import LaserField, assemble, class_layout
+from laserhydrogen.hamiltonian import LaserField, assemble
 from laserhydrogen.transitions import ScanPoint, scan
 from oracles import px_matrix_element, whole_hamiltonian
 
@@ -144,24 +144,26 @@ def test_assemble_empty_basis_rejected():
         assemble(basis, LaserField(0.1, 0.1))
 
 
-def test_coupling_arrays_are_the_px_formula():
-    basis = enumerate_basis(6)
-    rows, cols, values = coupling_arrays(6)
-    states = basis.states
-    for i, j, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+@pytest.mark.parametrize("n0, parity", [(1, 0), (2, 0), (2, 1), (6, 0), (6, 1)])
+def test_class_layout_is_the_px_formula(n0, parity):
+    # n0 = 1 has no class 1
+    basis = enumerate_basis(n0)
+    states = [basis.states[i] for i in basis.class_positions(parity)]
+    even, odd, r, c, values = class_layout(basis, parity)
+    for i, j, v in zip(even[r].tolist(), odd[c].tolist(), values.tolist()):
         assert v == px_matrix_element(states[i], states[j])
-        assert states[j].l == states[i].l + 1
-    cached = set(zip(rows.tolist(), cols.tolist()))
-    assert len(cached) == len(rows)
+    laid_out = set(zip(r.tolist(), c.tolist()))
+    assert len(laid_out) == len(r)
     nonzero = {
         (i, j)
-        for i, a in enumerate(states)
-        for j, b in enumerate(states)
-        if b.l == a.l + 1 and px_matrix_element(a, b) != 0.0
+        for i, a in enumerate(even.tolist())
+        for j, b in enumerate(odd.tolist())
+        if px_matrix_element(states[a], states[b]) != 0.0
     }
-    assert cached == nonzero
-    with pytest.raises(ValueError):
-        values[0] = 1.0  # shared by every later point of the basis
+    assert laid_out == nonzero
+    for array in (even, odd, r, c, values):
+        with pytest.raises(ValueError):
+            array[:1] = 0  # shared by every later point of the basis
 
 
 def test_assemble_has_no_cross_parity_entries():
