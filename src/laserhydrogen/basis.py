@@ -15,12 +15,14 @@ exact integer arithmetic.  `class_layout` is the one builder of the p_x
 elements: it lays out every nonzero one of a parity class between the
 class's two mu halves, and keeps them.  This module alone knows the state
 order, the parity rule and the two mu halves of a class; other modules read
-them from `BasisSet` and `class_layout`.
+them from `BasisSet` and `class_layout`.  A `BasisSet` holds n0 alone:
+its states, their positions, the positions of a shell and each state's
+parity, energy and mu derive from it.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -69,15 +71,21 @@ def _position(n, l, mu):
 
 @dataclass(frozen=True)
 class BasisSet:
-    """All (n, l, mu) with n <= n0, in ascending (n, l, mu) order; n0 alone
-    decides equality and the hash.  parity, energy (E_n) and mu are read-only
+    """All (n, l, mu) with n <= n0, in ascending (n, l, mu) order: n0 is the
+    one field, and every other value derives from it.  states is that
+    order as QuantumNumbers; parity, energy (E_n) and mu are read-only
     arrays of each state's value in basis order."""
 
     n0: int
-    states: tuple = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.n0, bool) or not isinstance(self.n0, numbers.Integral):
+            raise ConfigurationError(f"n0 must be an integer, got {self.n0!r}")
+        if not 1 <= self.n0 <= N0_CAP:
+            raise ConfigurationError(f"n0 must be in [1, {N0_CAP}], got {self.n0}")
 
     def __len__(self):
-        return len(self.states)
+        return _position(self.n0 + 1, 0, 0)
 
     def __contains__(self, state):
         return isinstance(state, QuantumNumbers) and state.n <= self.n0
@@ -86,6 +94,21 @@ class BasisSet:
         if state not in self:
             raise ConfigurationError(f"{state} not in basis (n0={self.n0})")
         return _position(state.n, state.l, state.mu)
+
+    def shell(self, n: int) -> slice:
+        """Basis positions of the states of shell n (1 <= n <= n0)."""
+        if not 1 <= n <= self.n0:
+            raise ConfigurationError(f"shell n={n} not in basis (n0={self.n0})")
+        return slice(_position(n, 0, 0), _position(n + 1, 0, 0))
+
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(
+            QuantumNumbers(n, l, mu)
+            for n in range(1, self.n0 + 1)
+            for l in range(n)
+            for mu in range(-l, l + 1)
+        )
 
     @cached_property
     def parity(self) -> np.ndarray:
@@ -112,17 +135,8 @@ def _read_only(values) -> np.ndarray:
 
 
 def enumerate_basis(n0: int) -> BasisSet:
-    if isinstance(n0, bool) or not isinstance(n0, numbers.Integral):
-        raise ConfigurationError(f"n0 must be an integer, got {n0!r}")
-    if not 1 <= n0 <= N0_CAP:
-        raise ConfigurationError(f"n0 must be in [1, {N0_CAP}], got {n0}")
-    states = tuple(
-        QuantumNumbers(n, l, mu)
-        for n in range(1, n0 + 1)
-        for l in range(n)
-        for mu in range(-l, l + 1)
-    )
-    return BasisSet(n0=n0, states=states)
+    """BasisSet(n0): every state with n <= n0."""
+    return BasisSet(n0)
 
 
 def bound_energy(n: int) -> float:

@@ -53,6 +53,11 @@ class LaserField:
                 )
         if self.amplitude_A < 0:
             raise ConfigurationError("amplitude_A must be >= 0")
+        # H carries A^2/2; ** would raise OverflowError where * gives inf
+        if not math.isfinite(self.amplitude_A * self.amplitude_A):
+            raise ConfigurationError(
+                f"amplitude_A squared must be finite, got {self.amplitude_A!r}"
+            )
         if self.omega <= 0:
             raise ConfigurationError("omega must be > 0")
 

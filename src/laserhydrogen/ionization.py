@@ -49,13 +49,23 @@ from .units import BINDING_ENERGY_AU, CONSTANTS
 
 @dataclass(frozen=True)
 class IonizationRecord:
-    """Per-branch photoionization observables for one dressed state."""
+    """Per-branch photoionization observables for one dressed state; E_f0
+    and eta derive from E_i, the branch and omega."""
 
     E_i: float           # pseudo-energy, hartree
     mu_branch: int
-    E_f0: float          # photoelectron energy, hartree
-    eta: float           # effective (generally non-integer) photon number
+    omega: float         # photon energy of sigma, E_f0 and eta, hartree
     sigma: float         # cross section in units of pi*a0^2
+
+    @property
+    def E_f0(self) -> float:
+        """Photoelectron energy E_i - mu*omega, hartree."""
+        return photoelectron_energy(self.E_i, self.mu_branch, self.omega)
+
+    @property
+    def eta(self) -> float:
+        """Effective (generally non-integer) photon number."""
+        return eta_index(self.E_i, self.omega, self.mu_branch)
 
 
 def photoelectron_energy(E_i: float, mu_branch: int, omega: float) -> float:
@@ -192,7 +202,7 @@ def bound_free_element(
     """<psi_f0|p_x|phi_i>, phi_i the dressed state of column `index` of
     `decomp`, with the i^l real phase convention, of each partial wave
     l_f = |mu| .. n0 of the branch mu at photoelectron energy e_f0 > 0
-    (DomainError otherwise).
+    (DomainError otherwise); empty for |mu| > n0.
 
     The golden-rule element of A p_x + A^2/2 is A times this: the A^2/2
     constant contributes exactly zero, because bound and continuum
@@ -204,7 +214,8 @@ def bound_free_element(
     if not e_f0 > 0:
         raise DomainError(f"continuum energy must be positive, got {e_f0!r}")
     n0 = decomp.basis.n0
-    waves = n0 + 1 - abs(mu)
+    # no partial wave l_f <= n0 has |mu| > l_f
+    waves = max(n0 + 1 - abs(mu), 0)
     channel = _bound_free_channels(decomp.basis, decomp.parity).get(mu)
     if channel is None:
         return np.zeros(waves)
@@ -233,15 +244,8 @@ def ionization_records(decomp: EigenDecomposition, index: int, laser: LaserField
             continue
         p = bound_free_element(decomp, index, mu, e_f0)
         p_squared = sum(p_l ** 2 for p_l in p.tolist())
-        records.append(
-            IonizationRecord(
-                E_i=e_i,
-                mu_branch=mu,
-                E_f0=e_f0,
-                eta=eta_index(e_i, laser.omega, mu),
-                sigma=8.0 * math.pi * alpha / laser.omega * p_squared,
-            )
-        )
+        sigma = 8.0 * math.pi * alpha / laser.omega * p_squared
+        records.append(IonizationRecord(e_i, mu, laser.omega, sigma))
     return records
 
 

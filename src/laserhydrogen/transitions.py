@@ -14,7 +14,9 @@ what observe returned, a `ScanPoint` (W table) or an
 command line's and the library's alike; a caller with other fields calls
 `scan` itself.  W out of the initial state is exactly 0 outside its
 parity class, so a `ScanPoint` assembles and solves that class alone; an
-ionization point reads one dressed state of it.  The A^2/2 constant
+ionization point reads one dressed state of it.  A `ScanPoint` stores its W
+table and smallest level gap alone: its W normalization error and
+outer-shell leakage are properties read from the table.  The A^2/2 constant
 shifts every pseudo-energy alike, so it changes no W and no level gap;
 only the ionization point's observe reads whether E_i includes it.
 """
@@ -77,35 +79,38 @@ class ScanPoint(ScanRecord):
     can be trusted."""
 
     table: TransitionTable
-    normalization_error: float  # |sum_b W - 1|
     min_eigen_gap: float  # smallest level spacing in the initial class
-    outer_shell_leakage: float  # sum of W into the n = n0 shell
 
     @property
     def near_degenerate(self) -> bool:
         """A level gap of the initial class below DEGENERACY_GAP."""
         return self.min_eigen_gap is not None and self.min_eigen_gap < DEGENERACY_GAP
 
+    @property
+    def normalization_error(self) -> float:
+        """|sum_b W - 1|."""
+        return abs(float(self.table.probabilities.sum()) - 1.0)
+
+    @property
+    def outer_shell_leakage(self) -> float:
+        """The W that leaks into the outermost shell n = n0, a proxy for the
+        truncation error of the basis."""
+        basis = self.table.basis
+        return float(self.table.probabilities[basis.shell(basis.n0)].sum())
+
     @classmethod
     def observe(cls, basis, initial, laser, axis_value) -> "ScanPoint":
-        """W table, |sum_b W - 1|, smallest level gap (None for a single
-        level) and outer-shell leakage of one scan point, from the solve of
-        the initial state's class.
+        """W table and smallest level gap (None for a single level) of one
+        scan point, from the solve of the initial state's class.
 
         W near a pair of levels a gap apart carries rounding of about
-        eps*|H|/gap.  The W that leaks into the outermost shell n = n0 is a
-        proxy for the truncation error of the basis.
+        eps*|H|/gap.
         """
         decomp = diagonalize(assemble(basis, laser, parity=initial.parity))
-        table = transition_table(decomp, initial)
         # the levels of one class can mix, so each spacing is a gap
         gaps = np.diff(decomp.energies)
-        # the outermost shell runs from its first state to the end of the basis
-        outer = basis.position(QuantumNumbers(basis.n0, 0, 0))
-        leakage = float(table.probabilities[outer:].sum())
-        norm_error = abs(float(table.probabilities.sum()) - 1.0)
         min_gap = float(gaps.min()) if len(gaps) else None
-        return cls(axis_value, table, norm_error, min_gap, leakage)
+        return cls(axis_value, transition_table(decomp, initial), min_gap)
 
 
 def transition_table(

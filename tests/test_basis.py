@@ -6,6 +6,7 @@ from scipy.special import sph_harm_y
 
 from laserhydrogen.basis import (
     N0_CAP,
+    BasisSet,
     QuantumNumbers,
     angular_x,
     bound_energy,
@@ -83,6 +84,12 @@ def test_position_is_the_enumeration_index(n0):
     assert not any(s in basis for s in outside)
     with pytest.raises(ConfigurationError, match="not in basis"):
         basis.position(outside[0])
+    # the positions of shell n are those of its states, in basis order
+    shells = [n for n in range(1, n0 + 1) for _ in range(len(basis))[basis.shell(n)]]
+    assert shells == [s.n for s in basis.states]
+    for n in (0, n0 + 1):
+        with pytest.raises(ConfigurationError, match="not in basis"):
+            basis.shell(n)
 
 
 @pytest.mark.parametrize("n0", [1, 4, 18])
@@ -107,6 +114,11 @@ def test_basis_n0_bounds():
         enumerate_basis(0)
     with pytest.raises(ConfigurationError):
         enumerate_basis(31)
+    # a basis is its n0, checked however it is built
+    assert BasisSet(3) == enumerate_basis(3)
+    for n0 in (0, 31, True):
+        with pytest.raises(ConfigurationError):
+            BasisSet(n0)
 
 
 def test_bound_energy():

@@ -904,14 +904,16 @@ def test_reduced_mass_shifts_energies(tmp_path):
          r"initial state \(n, l, mu\) = \(5, 0, 0\) is outside the n0=4 basis"),
         # finite in V*s/m, but not in atomic units
         (_POINT + ["--amplitude-vspm", "1e308"], "amplitude_A must be finite"),
+        # finite in atomic units, but not its square in A^2/2
+        (_POINT + ["--amplitude-vspm", "1e300"], "amplitude_A squared must be finite"),
         (_POINT + ["--w-min", "2"], r"w_min must be in \[0, 1\], got 2.0"),
         (_SPECTRUM + ["--w-min=-1"], r"w_min must be in \[0, 1\], got -1.0"),
         (_POINT + ["--w-min", "1.5"], r"w_min must be in \[0, 1\], got 1.5"),
     ],
     ids=["n0-above-cap", "omega-nan", "omega-negative", "amplitude-negative",
          "amplitude-inf", "omega-start-zero", "initial-outside-basis",
-         "amplitude-overflows", "w-min-above-one", "w-min-negative",
-         "w-min-one-and-a-half"],
+         "amplitude-overflows", "amplitude-squared-overflows", "w-min-above-one",
+         "w-min-negative", "w-min-one-and-a-half"],
 )
 def test_bad_input_rejected_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "bad.csv"

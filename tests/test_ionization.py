@@ -120,7 +120,8 @@ def test_bound_free_channels_equal_the_loop_over_the_basis(parity):
     laser = LaserField(0.02, 0.3)
     decomp = diagonalize(assemble(enumerate_basis(n0), laser, parity=parity))
     for index in (0, decomp.dimension // 2, decomp.dimension - 1):
-        for mu in range(-n0, n0 + 1):
+        # no partial wave l_f <= n0 has |mu| > n0: those branches are empty
+        for mu in (*range(-n0, n0 + 1), n0 + 2, -n0 - 2, n0 + 6, -n0 - 6):
             waves = bound_free_element(decomp, index, mu, 0.2)
             # same terms, same order, same arithmetic: equal to the bit
             assert waves.tolist() == [
