@@ -28,7 +28,7 @@ about 1e-13 relative, however small.  Its observe is the one function that
 takes `include_a2` (the command line's --drop-a2): without it the records
 read E_i less A^2/2, a shift of every level alike that moves no state.
 A library caller gets the point's records as `ionization_records(state,
-0, laser)` of the state that `track_state` returns.
+0, laser.omega)` of the state that `track_state` returns.
 A point that raises is a `transitions.PointFailure` in the list `scan` returns.
 """
 
@@ -42,7 +42,6 @@ import numpy as np
 from .basis import _radial_norm, angular_x
 from .eigensolver import EigenDecomposition, track_state
 from .errors import ConfigurationError, DomainError
-from .hamiltonian import LaserField
 from .transitions import ScanRecord
 from .units import BINDING_ENERGY_AU, CONSTANTS
 
@@ -227,9 +226,10 @@ def bound_free_element(
     return np.bincount(l_f - abs(mu), weights=terms, minlength=waves)
 
 
-def ionization_records(decomp: EigenDecomposition, index: int, laser: LaserField):
+def ionization_records(decomp: EigenDecomposition, index: int, omega: float):
     """IonizationRecord per open mu branch of the dressed state of column
-    `index` of `decomp`; empty if no channel is open.
+    `index` of `decomp` at photon energy omega (hartree); empty if no
+    channel is open.
 
     Each branch sums the continuum partial waves l_f = |mu| .. n0: the
     largest bound l, n0 - 1, plus one dipole step.
@@ -239,13 +239,13 @@ def ionization_records(decomp: EigenDecomposition, index: int, laser: LaserField
     alpha = CONSTANTS.fine_structure_alpha
     records = []
     for mu in range(-n0, n0 + 1):
-        e_f0 = photoelectron_energy(e_i, mu, laser.omega)
+        e_f0 = photoelectron_energy(e_i, mu, omega)
         if e_f0 <= 0:
             continue
         p = bound_free_element(decomp, index, mu, e_f0)
         p_squared = sum(p_l ** 2 for p_l in p.tolist())
-        sigma = 8.0 * math.pi * alpha / laser.omega * p_squared
-        records.append(IonizationRecord(e_i, mu, laser.omega, sigma))
+        sigma = 8.0 * math.pi * alpha / omega * p_squared
+        records.append(IonizationRecord(e_i, mu, omega, sigma))
     return records
 
 
@@ -276,5 +276,5 @@ class IonizationScanPoint(ScanRecord):
         if not include_a2:
             shift = 0.5 * laser.amplitude_A**2
             decomp = replace(decomp, energies=decomp.energies - shift)
-        records = tuple(ionization_records(decomp, 0, laser))
+        records = tuple(ionization_records(decomp, 0, laser.omega))
         return cls(axis_value, index, overlap, records)

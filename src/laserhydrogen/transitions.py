@@ -4,7 +4,8 @@ The observed (time-averaged) probability of finding the atom in |b> after
 starting in |a> is W(a,b) = sum_i C_a(i)^2 C_b(i)^2; orthogonality of the
 coefficient matrix makes the full W doubly stochastic.  The instantaneous
 probability before averaging is the multi-periodic
-|sum_i C_a(i) C_b(i) e^{-i(E_i - mu_b omega) t}|^2.
+|sum_i C_a(i) C_b(i) e^{-i E_i t}|^2: the change to the laboratory frame
+multiplies |b> by e^{-i mu_b omega t}, a phase that |.|^2 removes.
 
 Every sweep runs through `scan`, which calls one observe function on one
 field point after another and returns a list with one record per point:
@@ -131,15 +132,13 @@ def time_resolved_probability(
     from_state: QuantumNumbers,
     to_state: QuantumNumbers,
     t: float,
-    omega: float,
 ) -> float:
-    """Instantaneous transition probability at time t after switch-on."""
+    """Instantaneous transition probability at time t after switch-on, the
+    same in the rotating and the laboratory frame."""
     if not 0 <= t < math.inf:  # NaN fails it too
         raise ConfigurationError(f"time must be finite and >= 0, got {t!r}")
-    if not 0 < omega < math.inf:
-        raise ConfigurationError(f"omega must be finite and positive, got {omega!r}")
     c_from, c_to = decomp.row(from_state), decomp.row(to_state)
-    phases = np.exp(-1j * (decomp.energies - to_state.mu * omega) * t)
+    phases = np.exp(-1j * decomp.energies * t)
     return float(np.abs(np.dot(c_from * c_to, phases)) ** 2)
 
 

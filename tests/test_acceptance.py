@@ -190,7 +190,7 @@ def test_criterion_5_perturbative_scaling():
         laser = LaserField(a, omega)
         decomp = diagonalize(assemble(basis3, laser))
         tracked = tracked_index(decomp, GROUND)
-        records = ionization_records(decomp, tracked, laser)
+        records = ionization_records(decomp, tracked, laser.omega)
         rates.append(sum(ionization_rate(decomp, tracked, r, a)
                          for r in records))
     slope_r = np.polyfit(np.log(amps), np.log(rates), 1)[0]
@@ -207,7 +207,7 @@ def test_criterion_6_einstein_limit():
     laser = LaserField(1e-6, omega)
     decomp = _decomp(3, 1e-6, omega)
     tracked = tracked_index(decomp, GROUND)
-    records = ionization_records(decomp, tracked, laser)
+    records = ionization_records(decomp, tracked, laser.omega)
     e_f0 = [r.E_f0 for r in records if r.mu_branch == -1][0]
     err = abs(e_f0 - (omega - 0.5))
     ok = err <= 1e-4
@@ -226,7 +226,7 @@ def test_criterion_7_absolute_cross_section():
         laser = LaserField(1e-6, omega)
         decomp = diagonalize(assemble(basis, laser))
         tracked = tracked_index(decomp, GROUND)
-        records = ionization_records(decomp, tracked, laser)
+        records = ionization_records(decomp, tracked, laser.omega)
         sigma = sum(r.sigma for r in records)
         ref = stobbe_sigma_pi_a0sq(omega)
         rel = abs(sigma / ref - 1.0)
@@ -262,7 +262,7 @@ def test_criterion_8_special_function_identity():
     laser = LaserField(1e-3, omega)
     decomp = _decomp(3, 1e-3, omega)
     tracked = tracked_index(decomp, GROUND)
-    records = ionization_records(decomp, tracked, laser)
+    records = ionization_records(decomp, tracked, laser.omega)
     rec = [r for r in records if r.mu_branch == -1][0]
     k = math.sqrt(2.0 * rec.E_f0)
     worst_beta = 0.0

@@ -39,6 +39,16 @@ def test_parse_config_requires_mode():
         parse_config(overrides={})
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"mode": "nope"}, "^unknown mode 'nope'$"),
+    ({"mode": "point", "bogus": 1},
+     r"^RunConfig\.__init__\(\) got an unexpected keyword argument 'bogus'$"),
+], ids=["unknown-mode", "unknown-key"])
+def test_parse_config_refuses_an_unknown_mode_or_key(overrides, message):
+    with pytest.raises(ConfigurationError, match=message):
+        parse_config(overrides=overrides)
+
+
 def test_parse_config_unknown_preset():
     with pytest.raises(ConfigurationError, match="preset"):
         parse_config(preset="fig99", overrides={"mode": "spectrum"})
@@ -909,11 +919,21 @@ def test_reduced_mass_shifts_energies(tmp_path):
         (_POINT + ["--w-min", "2"], r"w_min must be in \[0, 1\], got 2.0"),
         (_SPECTRUM + ["--w-min=-1"], r"w_min must be in \[0, 1\], got -1.0"),
         (_POINT + ["--w-min", "1.5"], r"w_min must be in \[0, 1\], got 1.5"),
+        (_SPECTRUM + ["--count", "0"], "count must be >= 1"),
+        (_IONIZATION + ["--count=-2"], "count must be >= 1"),
+        (_SPECTRUM + ["--omega-ev-start", "0.6", "--omega-ev-stop", "0.2"],
+         "omega range must be increasing"),
+        (_INTENSITY + ["--a-vspm-start", "5e-6", "--a-vspm-stop", "1e-6"],
+         "A range must be increasing"),
+        (_IONIZATION + ["--a-vspm-start", "4e-6", "--a-vspm-stop", "2e-6"],
+         "A range must be increasing"),
     ],
     ids=["n0-above-cap", "omega-nan", "omega-negative", "amplitude-negative",
          "amplitude-inf", "omega-start-zero", "initial-outside-basis",
          "amplitude-overflows", "amplitude-squared-overflows", "w-min-above-one",
-         "w-min-negative", "w-min-one-and-a-half"],
+         "w-min-negative", "w-min-one-and-a-half", "count-zero", "count-negative",
+         "omega-range-decreasing", "intensity-range-decreasing",
+         "ionization-range-decreasing"],
 )
 def test_bad_input_rejected_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "bad.csv"

@@ -39,6 +39,7 @@ from laserhydrogen import (
     enumerate_basis,
     ionization_records,
     time_resolved_probability,
+    track_state,
     transition_table,
 )
 from laserhydrogen.eigensolver import levels_below
@@ -129,7 +130,15 @@ def test_reading_the_unsolved_block_raises(one_block):
     with pytest.raises(ConfigurationError, match="parity class"):
         averaged_probability(decomp, ODD, GROUND)
     with pytest.raises(ConfigurationError, match="parity class"):
-        time_resolved_probability(decomp, GROUND, ODD, 1.0, laser.omega)
+        time_resolved_probability(decomp, GROUND, ODD, 1.0)
+    # the tracked state's one column answers no row, and so no W and no P(t)
+    tracked, _, _ = track_state(decomp.basis, laser, GROUND)
+    one_column = "holds 1 of the 20 dressed states; diagonalize the class"
+    for read in (lambda: tracked.row(GROUND),
+                 lambda: transition_table(tracked, GROUND),
+                 lambda: time_resolved_probability(tracked, GROUND, GROUND, 1.0)):
+        with pytest.raises(ConfigurationError, match=one_column):
+            read()
     # the class holds only its own dressed states
     for index in (decomp.dimension, -1):
         with pytest.raises(ConfigurationError, match="not among"):
@@ -156,9 +165,9 @@ def test_reading_the_solved_block_matches_the_full_solve(one_block):
         averaged_probability(full, GROUND, final), rel=1e-12
     )
     assert time_resolved_probability(
-        decomp, GROUND, final, 3.0, laser.omega
+        decomp, GROUND, final, 3.0
     ) == pytest.approx(
-        time_resolved_probability(full, GROUND, final, 3.0, laser.omega),
+        time_resolved_probability(full, GROUND, final, 3.0),
         rel=1e-10,
     )
     # the partial wave l_f = 1 of the branch mu = -1
@@ -319,7 +328,7 @@ def test_ionization_records_are_physical(case):
     laser = LaserField(amplitude, omega)
     decomp = _class_solve(enumerate_basis(n0), laser, initial)
     tracked = tracked_index(decomp, initial)
-    for record in ionization_records(decomp, tracked, laser):
+    for record in ionization_records(decomp, tracked, laser.omega):
         assert record.E_f0 > 0
         assert record.sigma >= 0
         assert ionization_rate(decomp, tracked, record, amplitude) >= 0

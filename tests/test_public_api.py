@@ -109,6 +109,30 @@ def test_scan_takes_fields_and_one_observe_function():
     ]
 
 
+def test_dressed_state_readers_take_only_what_sets_their_result():
+    # P(t) is the same in both frames, so it reads no omega; the records
+    # read the photon energy and nothing else of the field
+    signatures = {
+        function: list(inspect.signature(function).parameters)
+        for function in (laserhydrogen.time_resolved_probability,
+                         laserhydrogen.ionization_records)
+    }
+    assert signatures == {
+        laserhydrogen.time_resolved_probability: [
+            "decomp", "from_state", "to_state", "t"
+        ],
+        laserhydrogen.ionization_records: ["decomp", "index", "omega"],
+    }
+    source = pathlib.Path(laserhydrogen.ionization.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or "", *(a.name for a in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert not any(name.split(".")[-1] == "hamiltonian" for name in imported)
+
+
 def _settable_values(source):
     """Defaulted parameters plus annotated dataclass fields in `source`."""
     count = 0

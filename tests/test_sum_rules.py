@@ -7,11 +7,11 @@ form, summed in exact integers); the two share no code.  sigma reads every
 bound-free integral of a branch, and these check what one-energy checks do
 not: the normalization across energies (the Thomas-Reiche-Kuhn sum S(0) =
 sum_f f(i -> f) + int df/dE dE = 1, and for 1s S(-1) and S(-2), weighted
-by (E' - E)^-1 and ^-2), the relative signs across n (closure
-with cross terms, sum_n R(a -> n p) R(n p -> b) + int I(a; E) I(b; E) dE =
-<a|r^2|b>), and the continuum at its threshold, where n'^3 f(n l -> n' l')
-of the bound states meets df/dE (Seaton).  Summed over the final m and
-averaged over the initial, for l' = l +- 1,
+by (E' - E)^-1 and ^-2), the relative signs across n on both ladders
+(closure with cross terms, sum_n R(a -> n l') R(n l' -> b) +
+int I(a; E) I(b; E) dE = <a|r^2|b>), and the continuum at its threshold,
+where n'^3 f(n l -> n' l') of the bound states meets df/dE (Seaton).
+Summed over the final m and averaged over the initial, for l' = l +- 1,
 
     f = 2/3 (E' - E) max(l, l') / (2l + 1) R^2,
 
@@ -138,6 +138,21 @@ def test_inverse_moment_sums_of_1s(power, exact, tol):
     assert abs(bound + continuum - exact) <= tol * exact
 
 
+def _closure(n_a, n_b, l, l_f):
+    """sum_n R(a -> n l_f) R(n l_f -> b) + int I(a; E) I(b; E) dE over the
+    partial wave l_f, for the states a = (n_a, l) and b = (n_b, l)."""
+    bound = _with_tail([
+        radial_length_integral(n_a, l, m, l_f) * radial_length_integral(n_b, l, m, l_f)
+        for m in range(l_f + 1, N_BOUND + 1)
+    ])
+    continuum = []
+    for weight, k, jacobian in _nodes():
+        up, down = _bound_free_ladders(max(n_a, n_b), l, k)
+        ladder = up if l_f > l else down
+        continuum.append(weight * jacobian * ladder[n_a, l] * ladder[n_b, l])
+    return math.fsum(bound + continuum)
+
+
 def test_closure_ties_the_signs_across_n():
     # 1s and 2s through the p states: the sums of squares above do not see
     # the sign of any integral, this one reads the sign of I(2s; E) against
@@ -147,16 +162,27 @@ def test_closure_ties_the_signs_across_n():
     # 9e-15 of the whole; the ladders are good to 5e-14 relative per
     # integral, and the continuum part is 1.32 of the -2.98, so 4.4e-14.
     # The tolerance is about twice the sum.
-    bound = _with_tail([
-        radial_length_integral(1, 0, m, 1) * radial_length_integral(m, 1, 2, 0)
-        for m in range(2, N_BOUND + 1)
-    ])
-    continuum = []
-    for weight, k, jacobian in _nodes():
-        up, _ = _bound_free_ladders(2, 0, k)
-        continuum.append(weight * jacobian * up[1, 0] * up[2, 0])
     exact = -1536.0 * math.sqrt(2.0) / 729.0
-    assert abs(math.fsum(bound + continuum) - exact) <= 1.5e-13 * abs(exact)
+    assert abs(_closure(1, 2, 0, 1) - exact) <= 1.5e-13 * abs(exact)
+
+
+# 2p and 3p through s, on the down ladder, and through d, on the up ladder:
+# the 1s-2s closure reads the up ladder alone.  Through s it reads the sign
+# of down[n, 1] across n, which no sum of squares sees.  Each intermediate l
+# is a complete set of radial functions, so both sums give
+# <2p|r^2|3p> = int R_21 R_31 r^4 dr = -1990656/78125 exactly.
+# Error budget, relative, through s and through d:
+# - tail: the sums to 200 and to 400 differ by 3.1e-13 and 4.4e-12, so
+#   1/64 of that, 4.9e-15 and 6.9e-14, is left at N = 400;
+# - quadrature: 200 and 400 nodes agree to 2.4e-16 and 2.5e-15;
+# - the ladders: 1e-13 relative in a product of two integrals times the
+#   continuum's share of the sum, 0.013 and 0.13: 1.3e-15 and 1.3e-14.
+# The tolerance is about twice the sum: 1.5e-14 and 2e-13.
+@pytest.mark.parametrize("l_f, tol", [(0, 1.5e-14), (2, 2e-13)],
+                         ids=["through-s", "through-d"])
+def test_closure_of_2p_and_3p_reads_both_ladders(l_f, tol):
+    exact = -1990656.0 / 78125.0
+    assert abs(_closure(2, 3, 1, l_f) - exact) <= tol * abs(exact)
 
 
 def _at_threshold(energies, values):

@@ -96,7 +96,7 @@ def _check_against_full_path(basis, laser, initial):
     if folded is None:
         one, overlap, position = track_state(basis, laser, initial)
         point = IonizationScanPoint.observe(basis, initial, laser, 0.5)
-        records = tuple(ionization_records(one, 0, laser))
+        records = tuple(ionization_records(one, 0, laser.omega))
         assert point == IonizationScanPoint(0.5, position, overlap, records)
     else:
         one, overlap, position = folded
@@ -342,7 +342,7 @@ def test_stored_fig3_sigma_is_the_refined_eigenpair_sigma():
         refined = EigenDecomposition(np.array([energy]), vector[:, None], basis, 0)
         sigma = [
             UNITS.cross_section_to_pi_a0sq(r.sigma)
-            for r in ionization_records(refined, 0, laser)
+            for r in ionization_records(refined, 0, laser.omega)
         ]
         np.testing.assert_allclose(sigma, stored, rtol=1e-13, atol=0)
 
@@ -419,8 +419,8 @@ def test_resonance_sigma_is_the_refined_eigenpair_sigma():
             assemble(basis, laser).entries, one.column(0), one.energy(0)
         )
         refined = EigenDecomposition(np.array([energy]), vector[:, None], basis, 0)
-        sigma = [r.sigma for r in ionization_records(one, 0, laser)]
-        exact = [r.sigma for r in ionization_records(refined, 0, laser)]
+        sigma = [r.sigma for r in ionization_records(one, 0, laser.omega)]
+        exact = [r.sigma for r in ionization_records(refined, 0, laser.omega)]
         np.testing.assert_allclose(sigma, exact, rtol=1e-12, atol=0)
 
 
@@ -481,7 +481,7 @@ def test_library_path_is_the_command_line_path(overrides, points):
     for point in sweep(config)[points]:
         laser = LaserField(UNITS.vector_potential_to_internal(point.axis_value), omega)
         state, overlap, position = track_state(basis, laser, GROUND)
-        records = tuple(ionization_records(state, 0, laser))
+        records = tuple(ionization_records(state, 0, laser.omega))
         assert point == IonizationScanPoint(point.axis_value, position, overlap, records)
 
 
